@@ -23,11 +23,7 @@ from .groups import (
     LatticeElement,
     full_twist,
     half_twist,
-    inverse,
-    multiply,
     parse_element,
-    power,
-    render_element,
 )
 from .orderings import (
     Cone,
@@ -44,6 +40,8 @@ from .orderings import (
     is_cofinal,
     is_dense,
     is_right_invariant,
+    level_kernels,
+    locate,
     ordering_from_json,
     ordering_to_json,
 )
@@ -75,7 +73,6 @@ from .convexity import (
     WordExpression,
     brute_convex,
     check_convex,
-    level_kernels,
     nesting_check,
     word_constraints,
 )

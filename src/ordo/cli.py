@@ -33,8 +33,14 @@ from .cohmaps import (
     translation_values,
 )
 from .groups import GroupRef, parse_element
-from .orderings import axioms_check, ordering_from_json, ordering_to_json
-from .quasimorph import AnchorContext, power_floor, stable_approx
+from .orderings import FlagOrdering, axioms_check, ordering_from_json, ordering_to_json
+from .quasimorph import (
+    DEFAULT_APPROX_ORDER,
+    DEFAULT_CAP,
+    AnchorContext,
+    power_floor,
+    stable_approx,
+)
 
 
 def _load_json(path: str):
@@ -115,8 +121,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_sikora(args) -> int:
     cone = _load_ordering(args.ordering)
-    from .orderings import FlagOrdering
-
     if not isinstance(cone, FlagOrdering):
         raise ParseError("sikora coordinates need a flag ordering of Z^2")
     point = sikora_coordinate(cone)
@@ -128,8 +132,6 @@ def _cmd_sikora(args) -> int:
 
 def _cmd_convex(args) -> int:
     cone = _load_ordering(args.ordering)
-    from .orderings import FlagOrdering
-
     if not isinstance(cone, FlagOrdering):
         raise ParseError("the convexity criterion needs a flag ordering")
     x = parse_element(args.x, cone.group)
@@ -211,27 +213,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rho", _cmd_rho, "bracketing floor of an element")
     p.add_argument("--ordering", required=True)
     p.add_argument("--x", required=True, help="anchor element expression")
-    p.add_argument("--cap", type=int, default=1 << 62)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("element")
 
     p = add("stable", _cmd_stable, "certified stable value floor(h^n)/n")
     p.add_argument("--ordering", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1 << 62)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("element")
 
     p = add("psi", _cmd_psi, "rotation class (stable values mod 1)")
     p.add_argument("--ordering", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--basis", action="append")
-    p.add_argument("--n", type=int, default=300, help="approximation order for braid cones")
+    p.add_argument("--n", type=int, default=DEFAULT_APPROX_ORDER,
+                   help="approximation order for braid cones")
 
     p = add("psitilde", _cmd_psitilde, "unreduced translation values, or infinity")
     p.add_argument("--ordering", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--basis", action="append")
-    p.add_argument("--n", type=int, default=300)
+    p.add_argument("--n", type=int, default=DEFAULT_APPROX_ORDER)
 
     p = add("construct", _cmd_construct, "flag ordering with prescribed translation numbers")
     p.add_argument("--x", required=True)

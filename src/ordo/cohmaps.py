@@ -46,6 +46,7 @@ from .orderings import (
     is_right_invariant,
 )
 from .quasimorph import (
+    DEFAULT_APPROX_ORDER,
     AnchorContext,
     StableValue,
     stable_approx,
@@ -54,8 +55,6 @@ from .quasimorph import (
 )
 
 Component = RealConstant | StableValue
-
-DEFAULT_APPROX_ORDER = 300
 
 
 def default_basis(group: GroupRef) -> tuple[Element, ...]:

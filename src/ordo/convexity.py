@@ -32,8 +32,16 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput
 from .exactreal import RealConstant, format_rational, linear_combination, q_rank
-from .groups import BraidWord, Element, GroupRef, LatticeElement
-from .orderings import Cone, Decision, FlagOrdering, compare, cone_sign, is_cofinal
+from .groups import BraidWord, Element, GroupRef, LatticeElement, braid_words_up_to
+from .orderings import (
+    Cone,
+    Decision,
+    FlagOrdering,
+    compare,
+    cone_sign,
+    is_cofinal,
+    level_kernels,
+)
 from .quasimorph import stable_exact
 
 
@@ -155,22 +163,6 @@ def check_convex(flag: FlagOrdering, x: LatticeElement, matrix: ExponentMatrix) 
     return ConvexityVerdict(True, None, None, row_gcds, pairings, span_dimension, translations)
 
 
-def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
-    """The chain of level-kernel sublattices K_1 >= K_2 >= ... (HNF bases).
-
-    These are exactly the proper convex subgroups of a flag ordering; the
-    fallback report when the convexity criterion's anchor is not cofinal.
-    """
-    rank = flag.group.rank
-    stacked: list[list[int]] = []
-    out = []
-    for rows in flag._expansion:
-        stacked.extend(linalg.clear_denominators(row) for _, row in rows)
-        kernel = linalg.integer_kernel_basis(stacked, rank)
-        out.append(tuple(tuple(r) for r in linalg.row_hnf(kernel)) if kernel else ())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # brute-force betweenness oracle
 
@@ -234,8 +226,6 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int,
     Membership in <word> is decided against powers up to power_bound via the
     sign oracle (the word problem for the cone's group).
     """
-    from .groups import braid_words_up_to
-
     if cone.group.is_abelian:
         raise UnsupportedInput("this oracle is for braid cones")
     if word.group != cone.group:

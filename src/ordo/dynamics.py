@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import MissingOrbitPoint, UnsupportedInput
+from .errors import IntervalUndecided, MissingOrbitPoint, UnsupportedInput
 from .exactreal import format_rational
 from .groups import Element, braid_words_up_to, coordinate_ball, random_element
 from .orderings import (
@@ -39,12 +39,12 @@ from .orderings import (
     Decision,
     Density,
     cone_sign,
-    compare,
     is_central_braid,
     is_cofinal,
     is_dense,
+    locate,
 )
-from .quasimorph import AnchorContext, power_floor
+from .quasimorph import DEFAULT_APPROX_ORDER, AnchorContext, power_floor
 from .cohmaps import RotationClass, rotation_class, unwrap_central_conjugation
 
 
@@ -57,25 +57,17 @@ class RealizationTable:
     values: tuple[Fraction, ...]
 
     @cached_property
-    def _sorted_order(self) -> tuple[int, ...]:
-        # Indices sorted by station; the table is an order embedding, so this
-        # is also the cone order of the elements.
-        return tuple(sorted(range(len(self.elements)), key=lambda i: self.values[i]))
+    def _sorted(self) -> tuple[list[Element], list[Fraction]]:
+        # Elements and values sorted by station; the table is an order
+        # embedding, so this is also the cone order of the elements.
+        order = sorted(range(len(self.elements)), key=self.values.__getitem__)
+        return [self.elements[i] for i in order], [self.values[i] for i in order]
 
     def lookup(self, g: Element) -> Fraction | None:
         """Value of g if it is enumerated (order-based search, exact)."""
-        order = self._sorted_order
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare(self.cone, self.elements[order[mid]], g)
-            if c == 0:
-                return self.values[order[mid]]
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return None
+        elements, values = self._sorted
+        i, found = locate(self.cone, elements, g)
+        return values[i] if found else None
 
     def to_json(self) -> dict:
         return {
@@ -96,29 +88,24 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
     if cone_sign(cone, first) != 0:
         raise UnsupportedInput("enumeration must start with the identity")
 
-    ordered: list[tuple[Element, Fraction]] = []  # kept sorted by the cone
+    ordered: list[Element] = []  # kept sorted by the cone
+    stations: list[Fraction] = []  # parallel to ordered
     values: list[Fraction] = []
     for i, g in enumerate(enumeration):
-        lo, hi = 0, len(ordered)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare(cone, ordered[mid][0], g)
-            if c == 0:
-                raise UnsupportedInput(
-                    f"duplicate element at position {i}: {g.render()!r}")
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo, found = locate(cone, ordered, g)
+        if found:
+            raise UnsupportedInput(
+                f"duplicate element at position {i}: {g.render()!r}")
         if not ordered:
             t = Fraction(0)
         elif lo == 0:
-            t = ordered[0][1] - 1
+            t = stations[0] - 1
         elif lo == len(ordered):
-            t = ordered[-1][1] + 1
+            t = stations[-1] + 1
         else:
-            t = (ordered[lo - 1][1] + ordered[lo][1]) / 2
-        ordered.insert(lo, (g, t))
+            t = (stations[lo - 1] + stations[lo]) / 2
+        ordered.insert(lo, g)
+        stations.insert(lo, t)
         values.append(t)
     return RealizationTable(cone, tuple(enumeration), tuple(values))
 
@@ -135,22 +122,10 @@ def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
     seen: list[Element] = []  # sorted by the cone
     out: list[Element] = []
     for w in braid_words_up_to(cone.group, radius):
-        lo, hi = 0, len(seen)
-        duplicate = False
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare(cone, seen[mid], w)
-            if c == 0:
-                duplicate = True
-                break
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if duplicate:
-            continue
-        seen.insert(lo, w)
-        out.append(w)
+        i, found = locate(cone, seen, w)
+        if not found:
+            seen.insert(i, w)
+            out.append(w)
     return out
 
 
@@ -216,18 +191,11 @@ class SampledCircleAction:
         return (self.anchor ** (-self.floor(h))) * h
 
     def theta(self, s: Element) -> Fraction:
-        lo, hi = 0, len(self.stratum)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare(self.cone, self.stratum[mid], s)
-            if c == 0:
-                return self.theta_values[mid]
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        raise MissingOrbitPoint(
-            f"remainder {s.render()!r} is not in the sampled stratum; extend the ball")
+        i, found = locate(self.cone, self.stratum, s)
+        if not found:
+            raise MissingOrbitPoint(
+                f"remainder {s.render()!r} is not in the sampled stratum; extend the ball")
+        return self.theta_values[i]
 
     def t_prime(self, h: Element) -> Fraction:
         return self.floor(h) + self.theta(self.remainder(h))
@@ -299,22 +267,10 @@ def _action_for(ctx: AnchorContext, elements: list[Element]) -> SampledCircleAct
     sorted_reps: list[Element] = [identity]
     for h in elements:
         s = (ctx.anchor ** (-power_floor(ctx, h))) * h
-        lo, hi = 0, len(sorted_reps)
-        duplicate = False
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare(ctx.cone, sorted_reps[mid], s)
-            if c == 0:
-                duplicate = True
-                break
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if duplicate:
-            continue
-        sorted_reps.insert(lo, s)
-        remainders.append(s)
+        i, found = locate(ctx.cone, sorted_reps, s)
+        if not found:
+            sorted_reps.insert(i, s)
+            remainders.append(s)
     stratum, theta = _build_theta(ctx.cone, remainders)
     return SampledCircleAction(ctx, stratum, theta, tuple(elements))
 
@@ -435,7 +391,7 @@ class EquivalenceVerdict:
 
 def dynamically_equivalent(left: Cone, right: Cone, x: Element,
                            mode: str = "dynamical",
-                           approx_order: int = 300) -> EquivalenceVerdict:
+                           approx_order: int = DEFAULT_APPROX_ORDER) -> EquivalenceVerdict:
     """Equivalent iff the rotation classes agree exactly.
 
     Dynamical mode additionally demands both orderings be certified dense
@@ -457,8 +413,6 @@ def dynamically_equivalent(left: Cone, right: Cone, x: Element,
             if density.outcome != Density.DENSE:
                 return EquivalenceVerdict(
                     "Unknown", mode, f"{side}: not dense ({density.outcome.value})")
-    from .errors import IntervalUndecided
-
     # Conjugation invariance of the stable map: after peeling central
     # conjugations, structurally equal cones have equal classes exactly.
     if unwrap_central_conjugation(left, x) == unwrap_central_conjugation(right, x):

@@ -259,14 +259,6 @@ def linear_combination(pairs: Iterable[tuple[Rational, RealConstant]]) -> RealCo
     return RealConstant(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
 
 
-def sign(a: RealConstant) -> int:
-    return a.sign()
-
-
-def floor(a: RealConstant) -> int:
-    return a.floor()
-
-
 def div_by_rational(a: RealConstant, s: Rational) -> RealConstant:
     s = Fraction(s)
     if s == 0:

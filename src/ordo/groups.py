@@ -12,6 +12,7 @@ string is the identity.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -85,10 +86,18 @@ class GroupRef:
         except (TypeError, KeyError):
             raise ParseError("group object needs a 'kind' field") from None
         if kind == FREE_ABELIAN:
-            return GroupRef.free_abelian(int(obj.get("rank", 0)))
+            return GroupRef.free_abelian(_json_int(obj, "rank"))
         if kind == BRAID:
-            return GroupRef.braid(int(obj.get("strands", 0)))
+            return GroupRef.braid(_json_int(obj, "strands"))
         raise ParseError(f"unknown group kind: {kind!r}")
+
+
+def _json_int(obj: dict, key: str) -> int:
+    """A JSON integer field of a group object; bools and floats are rejected."""
+    value = obj.get(key, 0)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"group field {key!r} must be an integer, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -200,18 +209,6 @@ def _same_group(a: Element, b: Element) -> None:
         raise GroupMismatch(f"elements of {a.group} and {b.group} cannot be combined")
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def inverse(a: Element) -> Element:
-    return a.inverse()
-
-
-def power(a: Element, k: int) -> Element:
-    return a ** k
-
-
 def parse_element(text: str, group: GroupRef) -> Element:
     """Parse the element grammar; empty string is the identity."""
     if not isinstance(text, str):
@@ -242,10 +239,6 @@ def parse_element(text: str, group: GroupRef) -> Element:
     return BraidWord.from_letters(group, letters)
 
 
-def render_element(g: Element) -> str:
-    return g.render()
-
-
 def half_twist(n: int) -> BraidWord:
     """The positive half twist (s1..s_{n-1})(s1..s_{n-2})...(s1 s2)(s1)."""
     if n < 2:
@@ -272,8 +265,6 @@ def random_element(group: GroupRef, rng: random.Random, radius: int) -> Element:
 
 def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:
     """All lattice points with max-norm <= radius, in graded lexicographic order."""
-    import itertools
-
     points = itertools.product(range(-radius, radius + 1), repeat=group.n)
     ordered = sorted(points, key=lambda c: (max(map(abs, c), default=0), c))
     return [LatticeElement(group, c) for c in ordered]

@@ -87,6 +87,26 @@ def compare(cone: Cone, a: Element, b: Element) -> int:
     return -cone_sign(cone, a.inverse() * b)
 
 
+def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
+    """Where g falls in a list sorted by the cone: (index, found).
+
+    Midpoint binary search over compare.  When g is present (as a group
+    element, whatever its word) index is its position; otherwise it is the
+    position at which inserting g keeps the list sorted.
+    """
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = compare(cone, ordered[mid], g)
+        if c == 0:
+            return mid, True
+        if c < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, False
+
+
 # ---------------------------------------------------------------------------
 # flag orderings of Z^n
 
@@ -315,10 +335,6 @@ def act(cone: Cone, h: Element) -> Cone:
     return ConjugatedOrdering(cone, h)
 
 
-def base_cone(cone: Cone) -> Cone:
-    return cone.base if isinstance(cone, ConjugatedOrdering) else cone
-
-
 def is_central_braid(cone: Cone, x: Element) -> bool:
     """Whether x is a (nonzero or zero) power of the full twist, hence central."""
     if x.group.is_abelian:
@@ -402,10 +418,6 @@ def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> Axioms
 # membership predicates
 
 
-def _default_generators(group: GroupRef) -> list[Element]:
-    return group.generators()
-
-
 def is_cofinal(cone: Cone, x: Element, generators: Sequence[Element] | None = None,
                cap: int = 64) -> Decision:
     """Do powers of x bracket the subgroup generated by the given elements?
@@ -421,7 +433,7 @@ def is_cofinal(cone: Cone, x: Element, generators: Sequence[Element] | None = No
         raise GroupMismatch("anchor must live in the cone's group")
     if x.is_identity:
         raise AnchorIsIdentity("cofinality anchor must not be the identity")
-    gens = list(generators) if generators is not None else _default_generators(cone.group)
+    gens = list(generators) if generators is not None else cone.group.generators()
 
     if isinstance(cone, FlagOrdering):
         for j in range(len(cone.levels)):
@@ -482,7 +494,7 @@ def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | N
     if is_central_braid(cone, x):
         return InvarianceVerdict(Decision.YES)
 
-    gens = list(generators) if generators is not None else _default_generators(cone.group)
+    gens = list(generators) if generators is not None else cone.group.generators()
     alphabet: list[Element] = []
     for g in gens + [x]:
         alphabet.append(g)
@@ -520,27 +532,36 @@ class DensityVerdict:
         }
 
 
-def _flag_density(flag: FlagOrdering) -> DensityVerdict:
+def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
+    """The chain of level-kernel sublattices K_1 >= K_2 >= ... (HNF bases).
+
+    These are exactly the proper convex subgroups of a flag ordering; the
+    fallback report when the convexity criterion's anchor is not cofinal.
+    """
     rank = flag.group.rank
-    # Kernel lattices K_j of the first j levels; find the last level that
-    # still sees a nonzero sublattice.
-    kernels: list[list[list[int]]] = []
     stacked: list[list[int]] = []
+    out = []
     for rows in flag._expansion:
         stacked.extend(linalg.clear_denominators(row) for _, row in rows)
-        kernels.append(linalg.integer_kernel_basis(stacked, rank))
-    previous_kernel = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
+        kernel = linalg.integer_kernel_basis(stacked, rank)
+        out.append(tuple(tuple(r) for r in linalg.row_hnf(kernel)) if kernel else ())
+    return out
+
+
+def _flag_density(flag: FlagOrdering) -> DensityVerdict:
+    rank = flag.group.rank
+    # Find the last level that still sees a nonzero sublattice.
+    basis = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
     last_level = None
-    for j, kernel in enumerate(kernels):
+    for j, kernel in enumerate(level_kernels(flag)):
         if not kernel:
             last_level = j
             break
-        previous_kernel = kernel
+        basis = kernel
     if last_level is None:
         raise UnsupportedInput("flag is rank-deficient; density is undefined")
-    # The order on the sublattice spanned by previous_kernel is archimedean,
-    # embedded in R by the pairing with level `last_level`.
-    basis = linalg.row_hnf(previous_kernel)
+    # The order on the sublattice spanned by the basis (an HNF) is
+    # archimedean, embedded in R by the pairing with level `last_level`.
     values = [flag.level_pairing(last_level, b) for b in basis]
     if q_rank(values) >= 2:
         return DensityVerdict(Density.DENSE)
@@ -623,6 +644,8 @@ def _part_from_json(group: GroupRef, obj: dict) -> Cone:
         levels = obj.get("levels")
         if not isinstance(levels, list) or not levels:
             raise ParseError("flag ordering needs a nonempty 'levels' list")
+        if not all(isinstance(level, list) for level in levels):
+            raise ParseError("each flag level must be a list of constants")
         parsed = [[RealConstant.from_json(c) for c in level] for level in levels]
         for level in parsed:
             if len(level) != group.rank:

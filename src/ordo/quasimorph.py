@@ -32,11 +32,12 @@ from .errors import (
     NotCofinal,
     UnsupportedInput,
 )
-from .exactreal import ONE, RealConstant, combine
+from .exactreal import ONE, RealConstant, combine, format_rational
 from .groups import Element, random_element
 from .orderings import Cone, Decision, FlagOrdering, cone_sign, is_cofinal
 
 DEFAULT_CAP = 1 << 62
+DEFAULT_APPROX_ORDER = 300
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,6 @@ class StableValue:
         return abs(self.approx - other.approx) <= self.radius + other.radius
 
     def to_json(self) -> dict:
-        from .exactreal import format_rational
-
         return {
             "value": format_rational(self.approx),
             "radius": format_rational(self.radius),
@@ -252,7 +251,8 @@ class StableMapReport:
 
 
 def stable_map_properties(ctx: AnchorContext, elements: Sequence[Element] | None = None,
-                          seed: int = 0, sample_count: int = 6, approx_n: int = 300,
+                          seed: int = 0, sample_count: int = 6,
+                          approx_n: int = DEFAULT_APPROX_ORDER,
                           powers: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
                           radius: int = 4) -> StableMapReport:
     """Conjugation invariance, homogeneity, and bounded sums of the stable map.

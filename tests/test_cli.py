@@ -218,3 +218,25 @@ def test_missing_file_exit_2(capsys):
                         "--x", "x1", "x1")
     assert code == 2
     assert payload["error"] == "ParseError"
+
+
+LEX2_LEVELS = [[{"1": "1"}, {}], [{}, {"1": "1"}]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"group": {"kind": "free_abelian", "rank": "two"},
+     "ordering": {"type": "flag", "levels": LEX2_LEVELS}},
+    {"group": {"kind": "braid", "strands": [3]}, "ordering": {"type": "dehornoy"}},
+    {"group": {"kind": "free_abelian", "rank": 2},
+     "ordering": {"type": "flag", "levels": [5]}},
+    {"group": {"kind": "free_abelian", "rank": 2.9},
+     "ordering": {"type": "flag", "levels": LEX2_LEVELS}},
+    {"group": {"kind": "free_abelian", "rank": True},
+     "ordering": {"type": "flag", "levels": [[{"1": "1"}]]}},
+], ids=["rank-string", "strands-list", "level-not-list", "rank-float", "rank-bool"])
+def test_malformed_ordering_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "rho", "--ordering", str(path), "--x", "x1", "x1")
+    assert code == 2
+    assert payload["error"] == "ParseError"

@@ -1,5 +1,7 @@
 """Cone oracles: flags, Dehornoy/handle reduction, membership predicates."""
 
+import bisect
+import functools
 import json
 import random
 
@@ -23,6 +25,7 @@ from ordo.orderings import (
     is_cofinal,
     is_dense,
     is_right_invariant,
+    locate,
     main_generator_sign,
     ordering_from_json,
     ordering_to_json,
@@ -352,3 +355,32 @@ def test_json_round_trip_conjugated():
     for _ in range(100):
         g = random_element(B3, rng, 5)
         assert cone_sign(again, g) == cone_sign(cone, g)
+
+
+# -- locate ------------------------------------------------------------------
+
+
+def test_locate_agrees_with_bisect_on_lex2():
+    rng = random.Random(17)
+    for _ in range(60):
+        points = sorted({(rng.randint(-4, 4), rng.randint(-4, 4))
+                         for _ in range(rng.randint(0, 12))})
+        ordered = [LatticeElement(Z2, p) for p in points]
+        for _ in range(12):
+            q = (rng.randint(-5, 5), rng.randint(-5, 5))
+            index, found = locate(LEX2, ordered, LatticeElement(Z2, q))
+            assert index == bisect.bisect_left(points, q)
+            assert found == (q in points)
+
+
+def test_locate_finds_braids_by_value_not_word():
+    words = [br("s1^-1"), br("s2 s1 s2"), br("s2^-2"), br("s1^3"), br("")]
+    ordered = sorted(words, key=functools.cmp_to_key(
+        lambda a, b: compare(DEHORNOY3, a, b)))
+    index, found = locate(DEHORNOY3, ordered, br("s1 s2 s1"))
+    assert found
+    assert ordered[index].render() == "s2 s1 s2"
+    index, found = locate(DEHORNOY3, ordered, br("s1 s2"))
+    assert not found
+    assert all(compare(DEHORNOY3, g, br("s1 s2")) < 0 for g in ordered[:index])
+    assert all(compare(DEHORNOY3, g, br("s1 s2")) > 0 for g in ordered[index:])
