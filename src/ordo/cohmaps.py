@@ -322,8 +322,7 @@ def construct_from_translations(values: Sequence[RealConstant], x: LatticeElemen
     keys = sorted({m for v in values for m, _ in v.terms})
     constraint_rows = [
         linalg.clear_denominators([v.coefficient(k) for v in values]) for k in keys]
-    kernel = linalg.integer_kernel_basis(constraint_rows, n)
-    basis_rows = linalg.row_hnf(kernel) if kernel else []
+    basis_rows = linalg.integer_kernel_basis(constraint_rows, n)
 
     duals: list[list[Fraction]] = []
     for l in range(len(basis_rows)):
@@ -395,11 +394,8 @@ def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
         return SikoraPoint("irrational", _primitive_pair(c1, c2))
     reference = c1 if not c1.is_zero else c2
     ref_key, ref_coeff = reference.terms[0]
-    ratios = (c1.coefficient(ref_key) / ref_coeff, c2.coefficient(ref_key) / ref_coeff)
-    denom = math.lcm(ratios[0].denominator, ratios[1].denominator)
-    p, q = int(ratios[0] * denom), int(ratios[1] * denom)
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
+    p, q = linalg.clear_denominators(
+        [c1.coefficient(ref_key) / ref_coeff, c2.coefficient(ref_key) / ref_coeff])
     # Fix the sign so the first level is a positive multiple of (p, q).
     ref_int = p if not c1.is_zero else q
     if reference.sign() * (1 if ref_int > 0 else -1) < 0:
@@ -412,11 +408,8 @@ def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
 
 
 def _primitive_pair(c1: RealConstant, c2: RealConstant) -> tuple[RealConstant, RealConstant]:
-    denoms = [q.denominator for c in (c1, c2) for _, q in c.terms]
-    scale = math.lcm(*denoms) if denoms else 1
-    numerators = [int(q * scale) for c in (c1, c2) for _, q in c.terms]
-    content = math.gcd(*numerators) if numerators else 1
-    factor = Fraction(scale, content if content else 1)
+    coeffs = [q for c in (c1, c2) for _, q in c.terms]
+    factor = linalg.clear_denominators(coeffs)[0] / coeffs[0]
     return (c1.scale(factor), c2.scale(factor))
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput
+from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput, parse_integer
 from .exactreal import RealConstant, format_rational, linear_combination, q_rank
 from .groups import BraidWord, Element, GroupRef, LatticeElement, braid_words_up_to
 from .orderings import (
@@ -219,19 +219,21 @@ def brute_convex(cone: Cone, matrix: ExponentMatrix, radius: int) -> BruteForceR
     return BruteForceResult(False)
 
 
-def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int,
-                              power_bound: int = 6) -> BruteForceResult:
+_MAX_CYCLIC_EXPONENT = 6
+
+
+def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> BruteForceResult:
     """Betweenness oracle for a cyclic braid subgroup on the word-length ball.
 
-    Membership in <word> is decided against powers up to power_bound via the
-    sign oracle (the word problem for the cone's group).
+    Membership in <word> is decided against word^k for |k| <= _MAX_CYCLIC_EXPONENT
+    via the sign oracle (the word problem for the cone's group).
     """
     if cone.group.is_abelian:
         raise UnsupportedInput("this oracle is for braid cones")
     if word.group != cone.group:
         raise GroupMismatch("subgroup word must live in the cone's group")
 
-    powers = [word ** k for k in range(-power_bound, power_bound + 1)]
+    powers = [word ** k for k in range(-_MAX_CYCLIC_EXPONENT, _MAX_CYCLIC_EXPONENT + 1)]
 
     def in_subgroup(g: Element) -> bool:
         return any(cone_sign(cone, g * p.inverse()) == 0 for p in powers)
@@ -273,7 +275,7 @@ class WordExpression:
             if not match:
                 raise ParseError(f"bad syllable {token!r}")
             name, exp = match.groups()
-            syllables.append((name, int(exp) if exp is not None else 1))
+            syllables.append((name, parse_integer(exp) if exp is not None else 1))
         if not syllables:
             raise ParseError("empty word expression")
         return WordExpression(tuple(syllables), text)

@@ -2,7 +2,8 @@
 
 Every error carries a stable machine-readable ``code`` (used verbatim in CLI
 JSON output) and the CLI exit code it maps to: 2 for invalid input, 3 for
-"could not decide within the configured caps".
+"could not decide within the configured caps".  ``parse_integer`` is the one
+conversion of literal digits, so that an oversized literal is a ParseError.
 """
 
 
@@ -107,3 +108,12 @@ class InvariantViolation(OrdoError):
 
     code = "InvariantViolation"
     exit_code = 1
+
+
+def parse_integer(text: str) -> int:
+    """int(text) for a validated digit string; a literal past Python's
+    integer-string digit limit is a ParseError naming only its length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(text)} characters is too long") from None

@@ -4,8 +4,10 @@ A value is a finite sum  sum_m q_m * sqrt(m)  with rational coefficients q_m
 and squarefree positive radicands m (m = 1 is the rational part).  Since
 {sqrt(m) : m squarefree} is linearly independent over Q, the representation
 is canonical and a value is zero iff its term map is empty.  This gives
-decidable sign and floor: nonzero values are bounded away from zero, so
-dyadic interval refinement terminates.
+decidable sign and floor: a nonzero value has a nonzero norm, so it is
+bounded away from zero and from every integer it does not equal, and
+dyadic refinement decides both with no precision cap; the bits it needs
+grow with the size of the coefficients.
 
 The span is closed under addition, negation and rational scaling, which is
 everything the rest of the package needs.  Multiplication of two irrational
@@ -18,14 +20,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, parse_integer
 
 Rational = int | Fraction
-
-_MAX_SIGN_BITS = 1 << 16
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -34,7 +34,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (no decimals, no whitespace)."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    return Fraction(parse_integer(numerator), parse_integer(denominator or "1"))
 
 
 def format_rational(q: Rational) -> str:
@@ -75,12 +76,11 @@ class RealConstant:
     def from_terms(terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]) -> "RealConstant":
         """Build from radicand -> coefficient data, normalizing radicands to squarefree."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        squarefree = []
         for m, q in items:
             s, m0 = squarefree_split(int(m))
-            q = Fraction(q) * s
-            acc[m0] = acc.get(m0, Fraction(0)) + q
-        return RealConstant(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
+            squarefree.append((m0, Fraction(q) * s))
+        return _accumulate(squarefree)
 
     @staticmethod
     def rational(q: Rational) -> "RealConstant":
@@ -159,31 +159,30 @@ class RealConstant:
                 hi += q * slo
         return lo, hi
 
+    def _refinements(self) -> Iterator[tuple[Fraction, Fraction]]:
+        """Enclosures at 16, 32, 64, ... bits, without end (see the module note)."""
+        bits = 16
+        while True:
+            yield self.interval(bits)
+            bits *= 2
+
     def sign(self) -> int:
         if not self.terms:
             return 0
         if len(self.terms) == 1:
             return 1 if self.terms[0][1] > 0 else -1
-        bits = 16
-        while bits <= _MAX_SIGN_BITS:
-            lo, hi = self.interval(bits)
+        for lo, hi in self._refinements():
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits *= 2
-        raise InvariantViolation(f"sign refinement did not terminate for {self}")
 
     def floor(self) -> int:
         if self.is_rational:
             return math.floor(self.as_rational())
-        bits = 16
-        while bits <= _MAX_SIGN_BITS:
-            lo, hi = self.interval(bits)
+        for lo, hi in self._refinements():
             if math.floor(lo) == math.floor(hi):
                 return math.floor(lo)
-            bits *= 2
-        raise InvariantViolation(f"floor refinement did not terminate for {self}")
 
     def __lt__(self, other: "RealConstant") -> bool:
         return (self - other).sign() < 0
@@ -236,27 +235,23 @@ ZERO = RealConstant(())
 ONE = RealConstant(((1, Fraction(1)),))
 
 
+def _accumulate(terms: Iterable[tuple[int, Fraction]]) -> RealConstant:
+    """The canonical constant of (squarefree radicand, coefficient) terms:
+    equal radicands summed, zero sums dropped, sorted by radicand."""
+    acc: dict[int, Fraction] = {}
+    for m, q in terms:
+        acc[m] = acc.get(m, Fraction(0)) + q
+    return RealConstant(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
+
+
 def combine(a: RealConstant, b: RealConstant, s: Rational, t: Rational) -> RealConstant:
     """Exact s*a + t*b."""
-    s, t = Fraction(s), Fraction(t)
-    acc: dict[int, Fraction] = {}
-    for m, q in a.terms:
-        acc[m] = acc.get(m, Fraction(0)) + s * q
-    for m, q in b.terms:
-        acc[m] = acc.get(m, Fraction(0)) + t * q
-    return RealConstant(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
+    return linear_combination(((s, a), (t, b)))
 
 
 def linear_combination(pairs: Iterable[tuple[Rational, RealConstant]]) -> RealConstant:
     """Exact sum of coefficient * constant over the pairs."""
-    acc: dict[int, Fraction] = {}
-    for coeff, const in pairs:
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            continue
-        for m, q in const.terms:
-            acc[m] = acc.get(m, Fraction(0)) + coeff * q
-    return RealConstant(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
+    return _accumulate((m, coeff * q) for coeff, const in pairs for m, q in const.terms)
 
 
 def div_by_rational(a: RealConstant, s: Rational) -> RealConstant:

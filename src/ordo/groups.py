@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import GroupMismatch, ParseError
+from .errors import GroupMismatch, ParseError, UnsupportedInput, parse_integer
 
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
@@ -223,8 +223,8 @@ def parse_element(text: str, group: GroupRef) -> Element:
         prefix, index_text, exp_text = match.groups()
         if prefix != want_prefix:
             raise ParseError(f"token {token!r} does not belong to {group.kind}")
-        index = int(index_text)
-        exponent = int(exp_text) if exp_text is not None else 1
+        index = parse_integer(index_text)
+        exponent = parse_integer(exp_text) if exp_text is not None else 1
         if group.is_abelian:
             if index > group.n:
                 raise ParseError(f"generator x{index} out of range for rank {group.n}")
@@ -256,6 +256,8 @@ def full_twist(n: int) -> BraidWord:
 
 def random_element(group: GroupRef, rng: random.Random, radius: int) -> Element:
     """Uniform coordinates in [-radius, radius]^n, or a random word of length <= radius."""
+    if radius < 0:
+        raise UnsupportedInput("sampling radius must be nonnegative")
     if group.is_abelian:
         return LatticeElement(group, tuple(rng.randint(-radius, radius) for _ in range(group.n)))
     length = rng.randint(0, radius)

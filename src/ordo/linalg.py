@@ -103,46 +103,18 @@ def clear_denominators(row: Row) -> list[int]:
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of the kernel lattice {v in Z^ncols : rows @ v = 0}.
+    """Basis of the kernel lattice {v in Z^ncols : rows @ v = 0}, in row
+    Hermite form.
 
-    Unimodular column reduction: the returned vectors generate the full
-    kernel sublattice, not just a finite-index subgroup of it.
+    Row-reduces [rows^T | I] to Hermite form and keeps the right blocks of
+    the rows whose left block is zero.  The reduction is a unimodular
+    transform, so these rows generate the full kernel sublattice, not just
+    a finite-index subgroup of it.
     """
     m = len(rows)
-    work = [[int(x) for x in row] for row in rows]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for r in range(m):
-            work[r][dst] -= q * work[r][src]
-        for r in range(ncols):
-            u[r][dst] -= q * u[r][src]
-
-    def col_swap(a: int, b: int) -> None:
-        for r in range(m):
-            work[r][a], work[r][b] = work[r][b], work[r][a]
-        for r in range(ncols):
-            u[r][a], u[r][b] = u[r][b], u[r][a]
-
-    pivot_col = 0
-    for r in range(m):
-        active = list(range(pivot_col, ncols))
-        # Euclidean elimination across the active columns of row r.
-        while True:
-            nonzero = [c for c in active if work[r][c] != 0]
-            if len(nonzero) <= 1:
-                break
-            c0 = min(nonzero, key=lambda c: abs(work[r][c]))
-            for c in nonzero:
-                if c != c0:
-                    col_addmul(c, c0, work[r][c] // work[r][c0])
-        nonzero = [c for c in active if work[r][c] != 0]
-        if nonzero:
-            col_swap(pivot_col, nonzero[0])
-            pivot_col += 1
-            if pivot_col == ncols:
-                break
-    return [[u[r][c] for r in range(ncols)] for c in range(pivot_col, ncols)]
+    augmented = [[int(rows[r][c]) for r in range(m)] + [int(i == c) for i in range(ncols)]
+                 for c in range(ncols)]
+    return [row[m:] for row in row_hnf(augmented) if not any(row[:m])]
 
 
 def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -23,7 +23,6 @@ right-invariance under an anchor, density).
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +38,7 @@ from .errors import (
     ParseError,
     UnsupportedInput,
 )
-from .exactreal import RealConstant, linear_combination, q_rank
+from .exactreal import RealConstant, q_rank
 from .groups import (
     BraidWord,
     Element,
@@ -111,10 +110,6 @@ def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, boo
 # flag orderings of Z^n
 
 
-def _pairing(level: Sequence[RealConstant], coords: Sequence[int]) -> RealConstant:
-    return linear_combination(zip(coords, level))
-
-
 @dataclass(frozen=True)
 class FlagOrdering(Cone):
     """Lexicographic comparison against a flag of exact constant vectors."""
@@ -161,34 +156,27 @@ class FlagOrdering(Cone):
             out.append([(k, tuple(c.coefficient(k) for c in level)) for k in keys])
         return out
 
-    def expansion_rows(self) -> list[list[Fraction]]:
-        """All rational coefficient rows of all levels, stacked."""
-        return [list(row) for rows in self._expansion for _, row in rows]
-
     def is_total(self) -> bool:
-        return linalg.rational_rank(self.expansion_rows()) == self.group.rank
+        stacked = [row for rows in self._expansion for _, row in rows]
+        return linalg.rational_rank(stacked) == self.group.rank
 
     def sign(self, g: LatticeElement) -> int:
-        coords = g.coords
-        for rows in self._expansion:
-            terms = []
-            for key, row in rows:
-                dot = Fraction(0)
-                for r, c in zip(row, coords):
-                    if c:
-                        dot += r * c
-                if dot:
-                    terms.append((key, dot))
-            if not terms:
-                continue
-            if len(terms) == 1:
-                return 1 if terms[0][1] > 0 else -1
-            return RealConstant(tuple(terms)).sign()
-        return 0
+        found = self.first_level(g)
+        return 0 if found is None else found[1].sign()
+
+    def first_level(self, g: LatticeElement | Sequence[int]) -> tuple[int, RealConstant] | None:
+        """(j, pairing) at the first level j where g pairs nonzero; None when
+        there is none (only the identity, unless the flag is rank-deficient)."""
+        coords = g.coords if isinstance(g, LatticeElement) else g
+        for j, rows in enumerate(self._expansion):
+            terms = _level_terms(rows, coords)
+            if terms:
+                return j, RealConstant(terms)
+        return None
 
     def level_pairing(self, j: int, g: LatticeElement | Sequence[int]) -> RealConstant:
-        coords = g.coords if isinstance(g, LatticeElement) else tuple(g)
-        return _pairing(self.levels[j], coords)
+        coords = g.coords if isinstance(g, LatticeElement) else g
+        return RealConstant(_level_terms(self._expansion[j], coords))
 
     def restrict(self, basis: Sequence[LatticeElement] | Sequence[Sequence[int]]) -> "FlagOrdering":
         """The induced ordering on the sublattice spanned by the basis columns."""
@@ -202,8 +190,8 @@ class FlagOrdering(Cone):
         if linalg.rational_rank(matrix) != len(columns):
             raise UnsupportedInput("restriction basis is rank-deficient")
         new_levels = []
-        for level in self.levels:
-            new_level = tuple(_pairing(level, col) for col in columns)
+        for j in range(len(self.levels)):
+            new_level = tuple(self.level_pairing(j, col) for col in columns)
             if any(not c.is_zero for c in new_level):
                 new_levels.append(new_level)
         restricted = FlagOrdering.create(new_levels, check=False)
@@ -212,14 +200,27 @@ class FlagOrdering(Cone):
         return restricted
 
 
+def _level_terms(rows: Sequence[tuple[int, Sequence[Fraction]]],
+                   coords: Sequence[int]) -> tuple[tuple[int, Fraction], ...]:
+    """Canonical terms of a level pairing: one dot product per radicand row."""
+    terms = []
+    for key, row in rows:
+        dot = Fraction(0)
+        for r, c in zip(row, coords):
+            if c and r:
+                dot += r * c
+        if dot:
+            terms.append((key, dot))
+    return tuple(terms)
+
+
 # ---------------------------------------------------------------------------
 # handle reduction and the Dehornoy ordering
 
 Letters = tuple[tuple[int, int], ...]
 
 
-def handle_reduce(letters: Iterable[tuple[int, int]], strands: int,
-                  max_steps: int = DEFAULT_REDUCTION_STEPS) -> Letters:
+def handle_reduce(letters: Iterable[tuple[int, int]], strands: int) -> Letters:
     """Reduce a braid word until it contains no handle.
 
     A handle is a subword  s_i^e ... s_i^-e  whose interior only uses
@@ -257,9 +258,9 @@ def handle_reduce(letters: Iterable[tuple[int, int]], strands: int,
                 body.append((k, d))
         word = list(free_reduce(word[:p] + body + word[j + 1:]))
         steps += 1
-        if steps > max_steps:
+        if steps > DEFAULT_REDUCTION_STEPS:
             raise HandleReductionLimit(
-                f"no reduced form after {max_steps} handle reductions")
+                f"no reduced form after {DEFAULT_REDUCTION_STEPS} handle reductions")
 
 
 def main_generator_sign(reduced: Letters) -> int:
@@ -278,22 +279,21 @@ class DehornoyOrdering(Cone):
     """Order oracle for the braid group via sigma-positivity."""
 
     group: GroupRef
-    max_steps: int = DEFAULT_REDUCTION_STEPS
 
     def __post_init__(self) -> None:
         if self.group.is_abelian:
             raise ParseError("the Dehornoy ordering lives on braid groups")
 
     @staticmethod
-    def create(strands: int, max_steps: int = DEFAULT_REDUCTION_STEPS) -> "DehornoyOrdering":
-        return DehornoyOrdering(GroupRef.braid(strands), max_steps)
+    def create(strands: int) -> "DehornoyOrdering":
+        return DehornoyOrdering(GroupRef.braid(strands))
 
     @cached_property
     def _sign_cache(self) -> dict[Letters, int]:
         return {}
 
     def reduced(self, letters: Iterable[tuple[int, int]]) -> Letters:
-        return handle_reduce(letters, self.group.strands, self.max_steps)
+        return handle_reduce(letters, self.group.strands)
 
     def sign(self, g: BraidWord) -> int:
         cached = self._sign_cache.get(g.letters)
@@ -401,13 +401,10 @@ def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> Axioms
 
     kernel_witness = None
     if isinstance(cone, FlagOrdering):
-        rows = [linalg.clear_denominators(row) for row in cone.expansion_rows()]
-        kernel = linalg.integer_kernel_basis(rows, cone.group.rank)
+        kernel = level_kernels(cone)[-1]
         if kernel:
-            witness = LatticeElement(cone.group, tuple(kernel[0]))
-            if not witness.is_identity:
-                kernel_witness = witness.render()
-                lo2_failures.append(witness.render())
+            kernel_witness = LatticeElement(cone.group, kernel[0]).render()
+            lo2_failures.append(kernel_witness)
 
     passed = not lo1_failures and not lo2_failures
     return AxiomsReport(passed, samples, lo1_checked,
@@ -436,13 +433,11 @@ def is_cofinal(cone: Cone, x: Element, generators: Sequence[Element] | None = No
     gens = list(generators) if generators is not None else cone.group.generators()
 
     if isinstance(cone, FlagOrdering):
-        for j in range(len(cone.levels)):
-            if cone.level_pairing(j, x).sign() != 0:
-                return Decision.YES
-            if any(cone.level_pairing(j, h).sign() != 0 for h in gens):
-                return Decision.NO
-        # Every generator pairs to zero everywhere: the subgroup is trivial.
-        return Decision.YES
+        # Powers of x bracket h iff x is seen at a level no later than h's;
+        # an element seen at no level (the identity) counts as seen last.
+        seen = [len(cone.levels) if found is None else found[0]
+                for found in map(cone.first_level, [x, *gens])]
+        return Decision.YES if all(seen[0] <= j for j in seen[1:]) else Decision.NO
 
     sx = cone_sign(cone, x)
     if sx == 0:
@@ -538,13 +533,11 @@ def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
     These are exactly the proper convex subgroups of a flag ordering; the
     fallback report when the convexity criterion's anchor is not cofinal.
     """
-    rank = flag.group.rank
     stacked: list[list[int]] = []
     out = []
     for rows in flag._expansion:
         stacked.extend(linalg.clear_denominators(row) for _, row in rows)
-        kernel = linalg.integer_kernel_basis(stacked, rank)
-        out.append(tuple(tuple(r) for r in linalg.row_hnf(kernel)) if kernel else ())
+        out.append(tuple(map(tuple, linalg.integer_kernel_basis(stacked, flag.group.rank))))
     return out
 
 
@@ -571,9 +564,7 @@ def _flag_density(flag: FlagOrdering) -> DensityVerdict:
     for v, q in zip(values, ratios):
         if v != reference.scale(q):
             raise InvariantViolation("rank-1 values are not rationally proportional")
-    denom = math.lcm(*(q.denominator for q in ratios))
-    numerators = [int(q * denom) for q in ratios]
-    _, coeffs = linalg.extended_gcd_vector(numerators)
+    _, coeffs = linalg.extended_gcd_vector(linalg.clear_denominators(ratios))
     element = [0] * rank
     for c, b in zip(coeffs, basis):
         for i in range(rank):

@@ -1,0 +1,49 @@
+"""The benchmark's tracer still binds the names it wraps.
+
+perfbench/tracing.py wraps ordo's layers from outside the package, by name.
+A renamed method would only break traced benchmark runs; this test runs one
+call per wrapped layer under the tracer and checks both the answers and the
+span counts.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import ordo.cli  # noqa: F401  (the tracer looks up every layer module, the CLI included)
+from ordo import orderings, quasimorph
+from ordo.exactreal import RealConstant
+from ordo.groups import GroupRef, parse_element
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _queries():
+    # Module attribute lookups, so that the tracer's rebindings are seen.
+    z2, b3 = GroupRef.free_abelian(2), GroupRef.braid(3)
+    flag = orderings.FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2)]])
+    braid = orderings.DehornoyOrdering.create(3)
+    anchored = quasimorph.AnchorContext(flag, parse_element("x1", z2))
+    return (
+        flag.sign(parse_element("x1^3 x2^-2", z2)),
+        quasimorph.power_floor(anchored, parse_element("x2^5", z2)),
+        orderings.compare(braid, parse_element("s1 s2 s1", b3), parse_element("s2 s1 s2^-1", b3)),
+    )
+
+
+def test_tracer_binds_every_traced_name():
+    untraced = _queries()
+    tracer = _load_tracing().Tracer()
+    with tracer.active():
+        traced = _queries()
+    assert traced == untraced == (1, 7, 1)
+    figures = tracer.collect()
+    for name in ("orderings.flag_sign.calls", "exactreal.interval.calls",
+                 "orderings.compare.calls"):
+        assert figures[name] > 0, name

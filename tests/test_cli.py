@@ -240,3 +240,67 @@ def test_malformed_ordering_exit_2(capsys, tmp_path, doc):
     code, payload = run(capsys, "rho", "--ordering", str(path), "--x", "x1", "x1")
     assert code == 2
     assert payload["error"] == "ParseError"
+
+
+def run_exit_2(capsys, *argv):
+    """Exit 2 with exactly one JSON document (the error) on stdout."""
+    code = main(list(argv))
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert set(payload) == {"error", "detail"}
+    return payload
+
+
+@pytest.fixture()
+def lex3(tmp_path):
+    doc = {
+        "group": {"kind": "free_abelian", "rank": 3},
+        "ordering": {"type": "flag", "levels": [
+            [{"1": "1"}, {}, {}], [{}, {"1": "1"}, {}], [{}, {}, {"1": "1"}]]},
+    }
+    path = tmp_path / "lex3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,ordering,x", [
+    ("axioms", "lex3", None), ("axioms", "dehornoy3", None), ("cocycle", "dehornoy3", "s1"),
+])
+def test_negative_radius_exit_2(capsys, request, command, ordering, x):
+    argv = [command, "--ordering", request.getfixturevalue(ordering), "--radius", "-1"]
+    if x is not None:
+        argv += ["--x", x]
+    assert run_exit_2(capsys, *argv)["error"] == "UnsupportedInput"
+
+
+HUGE = "1" + "0" * 5000  # past Python's 4300-digit int-string limit
+NINES = "9" * 5000
+
+
+def test_huge_flag_constant_exit_2(capsys, tmp_path):
+    doc = {"group": {"kind": "free_abelian", "rank": 2},
+           "ordering": {"type": "flag", "levels": [[{"1": "1"}, {"2": HUGE}]]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    payload = run_exit_2(capsys, "rho", "--ordering", str(path), "--x", "x1", "x2")
+    assert payload["error"] == "ParseError"
+    assert len(payload["detail"]) < 200
+
+
+def test_huge_element_exponent_exit_2(capsys, lex2):
+    payload = run_exit_2(capsys, "rho", "--ordering", lex2, "--x", "x1", f"x2^{NINES}")
+    assert payload["error"] == "ParseError"
+    assert len(payload["detail"]) < 200
+
+
+def test_huge_obstruct_exponent_exit_2(capsys):
+    payload = run_exit_2(capsys, "obstruct", "--expr", f"x^1 y^{NINES}", "--anchor", "x")
+    assert payload["error"] == "ParseError"
+    assert len(payload["detail"]) < 200
+
+
+def test_huge_obstruct_pin_exit_2(capsys):
+    payload = run_exit_2(capsys, "obstruct", "--expr", "x^1 y^2", "--anchor", "x",
+                         "--pin", f"y={NINES}")
+    assert payload["error"] == "ParseError"
+    assert len(payload["detail"]) < 200

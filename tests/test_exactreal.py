@@ -191,3 +191,16 @@ def test_str_rendering():
     assert str(const(Fraction(3, 2), r2=-1)) == "3/2 - sqrt(2)"
     assert str(ZERO) == "0"
     assert str(RealConstant.sqrt(2, -1)) == "-sqrt(2)"
+
+
+def test_pell_constant_decided_without_precision_cap():
+    # x - y*sqrt(2) with x^2 - 2y^2 = 1 is about 1/(2y): with y near 2^40000
+    # its sign needs more than 65536 bits of refinement.
+    x, y = 3, 2
+    while y.bit_length() <= 40000:
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    assert x * x - 2 * y * y == 1
+    c = RealConstant(((1, Fraction(x)), (2, Fraction(-y))))
+    assert c.sign() == 1
+    assert c.floor() == 0
+    assert (-c).floor() == -1

@@ -3,11 +3,13 @@
 import bisect
 import functools
 import json
+import math
 import random
 
 import pytest
+import sympy
 
-from ordo.errors import AnchorIsIdentity, UnsupportedInput
+from ordo.errors import AnchorIsIdentity, NotCofinal, UnsupportedInput
 from ordo.exactreal import RealConstant
 from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
 from ordo.orderings import (
@@ -30,6 +32,7 @@ from ordo.orderings import (
     ordering_from_json,
     ordering_to_json,
 )
+from ordo.quasimorph import stable_exact
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
@@ -384,3 +387,103 @@ def test_locate_finds_braids_by_value_not_word():
     assert not found
     assert all(compare(DEHORNOY3, g, br("s1 s2")) < 0 for g in ordered[:index])
     assert all(compare(DEHORNOY3, g, br("s1 s2")) > 0 for g in ordered[index:])
+
+
+# -- flags against a sympy oracle ------------------------------------------------
+
+
+def _random_constant(rng):
+    # Half of the constants are rational, so rational anchor pairings occur.
+    radicands = (1,) if rng.random() < 0.5 else (1, 2, 3, 5)
+    return RealConstant.from_terms(
+        {m: rng.randint(-3, 3) for m in radicands if rng.random() < 0.7})
+
+
+def _sympy_value(const):
+    return sum((sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(m)
+                for m, q in const.terms), sympy.Integer(0))
+
+
+def _sympy_pairings(flag, coords):
+    return [sum((c * _sympy_value(const) for c, const in zip(coords, level)), sympy.Integer(0))
+            for level in flag.levels]
+
+
+def _sympy_first_level(flag, coords):
+    for j, value in enumerate(_sympy_pairings(flag, coords)):
+        if value != 0:
+            return j, value
+    return None
+
+
+def _first_level_kernel(flag, rng):
+    """Random integer vectors pairing to zero with the first level (sympy nullspace)."""
+    level = flag.levels[0]
+    keys = sorted({m for c in level for m, _ in c.terms})
+    rows = [[sympy.Rational(c.coefficient(k).numerator, c.coefficient(k).denominator)
+             for c in level] for k in keys]
+    rank = flag.group.rank
+    kernel = sympy.Matrix(rows).nullspace() if rows else [sympy.eye(rank).col(i) for i in range(rank)]
+    out = []
+    for v in kernel:
+        scale = math.lcm(*(int(sympy.fraction(x)[1]) for x in v))
+        out.append([int(x * scale) for x in v])
+    combos = []
+    for _ in range(4):
+        coords = [0] * rank
+        for v in out:
+            k = rng.randint(-2, 2)
+            coords = [a + k * b for a, b in zip(coords, v)]
+        combos.append(coords)
+    return combos
+
+
+def test_flag_sign_cofinality_and_stable_value_match_sympy_first_level():
+    rng = random.Random(2024)
+    branches = {"value": 0, "not_cofinal": 0, "irrational": 0, "tie_on_first_level": 0}
+    flags = 0
+    while flags < 40:
+        rank = rng.randint(1, 3)
+        levels = [[_random_constant(rng) for _ in range(rank)]
+                  for _ in range(rng.randint(1, 3))]
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:
+            continue
+        flags += 1
+        group = flag.group
+        coords_pool = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(6)]
+        coords_pool += _first_level_kernel(flag, rng)
+        elements = [LatticeElement(group, tuple(c)) for c in coords_pool]
+        seen = {g: _sympy_first_level(flag, g.coords) for g in elements}
+
+        for g in elements:
+            want = seen[g]
+            assert flag.sign(g) == (0 if want is None else int(sympy.sign(want[1])))
+            branches["tie_on_first_level"] += want is not None and want[0] > 0
+
+        def level_of(g):
+            return math.inf if seen[g] is None else seen[g][0]
+
+        for x in elements:
+            if x.is_identity:
+                continue
+            gens = rng.sample(elements, 3)
+            want = Decision.YES if all(level_of(x) <= level_of(h) for h in gens) else Decision.NO
+            assert is_cofinal(flag, x, gens) == want
+            for h in gens:
+                if level_of(h) < level_of(x) or seen[x] is None:
+                    with pytest.raises(NotCofinal):
+                        stable_exact(flag, x, h)
+                    branches["not_cofinal"] += 1
+                    continue
+                j, px = seen[x]
+                if not px.is_rational:
+                    with pytest.raises(UnsupportedInput):
+                        stable_exact(flag, x, h)
+                    branches["irrational"] += 1
+                    continue
+                want_value = _sympy_pairings(flag, h.coords)[j] / px
+                assert sympy.simplify(_sympy_value(stable_exact(flag, x, h)) - want_value) == 0
+                branches["value"] += 1
+    assert all(count > 0 for count in branches.values()), branches

@@ -1,5 +1,6 @@
 """Bracketing floors, stable values, defect cocycle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -215,6 +216,28 @@ def test_stable_map_properties_braid():
     report = stable_map_properties(twist_ctx(), seed=2, sample_count=3,
                                    approx_n=60, powers=(-2, -1, 0, 1, 2), radius=3)
     assert report.passed
+
+
+PROPERTY_NAMES = {"conjugation_invariance", "homogeneity", "bounded_sums"}
+
+
+def test_stable_map_properties_catch_an_inconsistent_exact_value(monkeypatch):
+    values = itertools.count(10)
+    monkeypatch.setattr("ordo.quasimorph.stable_exact",
+                        lambda flag, x, h: RealConstant.rational(next(values)))
+    report = stable_map_properties(AnchorContext(SQRT2_FLAG, el("x1")), seed=1)
+    assert not report.passed
+    assert {c.name for c in report.failures} == PROPERTY_NAMES
+
+
+def test_stable_map_properties_catch_an_inconsistent_window(monkeypatch):
+    values = itertools.count(10)
+    monkeypatch.setattr("ordo.quasimorph.stable_approx",
+                        lambda ctx, h, n: StableValue(Fraction(next(values)), Fraction(1, n)))
+    report = stable_map_properties(twist_ctx(), seed=2, sample_count=3,
+                                   approx_n=60, powers=(-2, -1, 0, 1, 2), radius=3)
+    assert not report.passed
+    assert {c.name for c in report.failures} == PROPERTY_NAMES
 
 
 def test_stable_map_conjugation_example():
