@@ -43,15 +43,21 @@ from .quasimorph import (
 )
 
 
+def _parse_json(text: str, context: str = ""):
+    """json.loads, with any ValueError (malformed JSON, or a number past the
+    integer-string digit limit) turned into a ParseError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{context}{exc}") from exc
+
+
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    return _parse_json(text, f"invalid JSON in {path}: ")
 
 
 def _load_ordering(path: str):
@@ -106,7 +112,7 @@ def _cmd_psitilde(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    tau = json.loads(args.tau)
+    tau = _parse_json(args.tau)
     if not isinstance(tau, list) or not tau:
         raise ParseError("--tau must be a nonempty JSON array of constants")
     values = [RealConstant.from_json(entry) for entry in tau]
@@ -294,9 +300,6 @@ def main(argv=None) -> int:
     except OrdoError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True, indent=2))
         return exc.exit_code
-    except json.JSONDecodeError as exc:
-        print(json.dumps({"error": "ParseError", "detail": str(exc)}, sort_keys=True, indent=2))
-        return 2
 
 
 if __name__ == "__main__":

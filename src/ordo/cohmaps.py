@@ -68,8 +68,9 @@ def default_basis(group: GroupRef) -> tuple[Element, ...]:
     return (group.generators()[0],)
 
 
-def _require_membership(cone: Cone, x: Element, generators: Sequence[Element] | None,
-                        need_cofinal: bool) -> None:
+def _anchor_is_cofinal(cone: Cone, x: Element, generators: Sequence[Element] | None) -> bool:
+    """Whether the anchor is certified cofinal; raises unless right-invariance
+    is certified and cofinality decided."""
     invariance = is_right_invariant(cone, x, generators)
     if invariance.outcome == Decision.NO:
         raise NotRightInvariant(
@@ -77,12 +78,10 @@ def _require_membership(cone: Cone, x: Element, generators: Sequence[Element] | 
             f"(witness {invariance.witness.render()!r})")
     if invariance.outcome == Decision.UNKNOWN:
         raise MembershipUnknown("right-invariance under the anchor is undecided")
-    if need_cofinal:
-        cof = is_cofinal(cone, x, generators)
-        if cof == Decision.NO:
-            raise NotCofinal(f"{x.render()!r} is not cofinal for the subgroup")
-        if cof == Decision.UNKNOWN:
-            raise MembershipUnknown("cofinality of the anchor is undecided")
+    cof = is_cofinal(cone, x, generators)
+    if cof == Decision.UNKNOWN:
+        raise MembershipUnknown("cofinality of the anchor is undecided")
+    return cof == Decision.YES
 
 
 def unwrap_central_conjugation(cone: Cone, x: Element) -> Cone:
@@ -202,7 +201,8 @@ def rotation_class(cone: Cone, x: Element, basis: Sequence[Element] | None = Non
     value sitting exactly on an integer still reduces cleanly.
     """
     cone = unwrap_central_conjugation(cone, x)
-    _require_membership(cone, x, generators, need_cofinal=True)
+    if not _anchor_is_cofinal(cone, x, generators):
+        raise NotCofinal(f"{x.render()!r} is not cofinal for the subgroup")
     basis = tuple(basis) if basis is not None else default_basis(cone.group)
     if isinstance(cone, FlagOrdering):
         reduced: tuple[Component, ...] = tuple(
@@ -220,13 +220,9 @@ def translation_values(cone: Cone, x: Element, basis: Sequence[Element] | None =
                        approx_order: int = DEFAULT_APPROX_ORDER) -> TranslationValues:
     """The unreduced lift; non-cofinal anchors map to infinity."""
     cone = unwrap_central_conjugation(cone, x)
-    _require_membership(cone, x, generators, need_cofinal=False)
     basis = tuple(basis) if basis is not None else default_basis(cone.group)
-    cof = is_cofinal(cone, x, generators)
-    if cof == Decision.NO:
+    if not _anchor_is_cofinal(cone, x, generators):
         return TranslationValues(None, basis)
-    if cof == Decision.UNKNOWN:
-        raise MembershipUnknown("cofinality of the anchor is undecided")
     return TranslationValues(_stable_components(cone, x, basis, approx_order), basis)
 
 

@@ -27,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput, parse_integer
@@ -206,6 +206,12 @@ def brute_convex(cone: Cone, matrix: ExponentMatrix, radius: int) -> BruteForceR
         g = LatticeElement(cone.group, coords)
         (members if linalg.lattice_member(hnf, coords) else outsiders).append(g)
 
+    return _squeezed(cone, members, outsiders)
+
+
+def _squeezed(cone: Cone, members: Iterable[Element],
+              outsiders: Iterable[Element]) -> BruteForceResult:
+    """The first outsider strictly between the lowest and highest member."""
     lowest = highest = None
     for m in members:
         if lowest is None or compare(cone, m, lowest) < 0:
@@ -239,18 +245,8 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
         return any(cone_sign(cone, g * p.inverse()) == 0 for p in powers)
 
     in_ball_powers = [p for p in powers if len(p.letters) <= radius * len(word.letters)]
-    lowest = highest = None
-    for m in in_ball_powers:
-        if lowest is None or compare(cone, m, lowest) < 0:
-            lowest = m
-        if highest is None or compare(cone, m, highest) > 0:
-            highest = m
-    for g in braid_words_up_to(cone.group, radius):
-        if in_subgroup(g):
-            continue
-        if compare(cone, lowest, g) < 0 and compare(cone, g, highest) < 0:
-            return BruteForceResult(True, g, lowest, highest)
-    return BruteForceResult(False)
+    outsiders = (g for g in braid_words_up_to(cone.group, radius) if not in_subgroup(g))
+    return _squeezed(cone, in_ball_powers, outsiders)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import IntervalUndecided, MissingOrbitPoint, UnsupportedInput
+from .errors import (
+    IntervalUndecided,
+    InvariantViolation,
+    MissingOrbitPoint,
+    UnsupportedInput,
+)
 from .exactreal import format_rational
 from .groups import Element, braid_words_up_to, coordinate_ball, random_element
 from .orderings import (
@@ -209,70 +214,38 @@ class SampledCircleAction:
         }
 
 
-def _build_theta(cone: Cone, stratum: Sequence[Element]) -> tuple[tuple[Element, ...], tuple[Fraction, ...]]:
-    """Order-embed the stratum into [0,1): identity at 0, the rest affinely
-    rescaled from their realization stations into [eps, 1-eps]."""
-    table = realize(cone, list(stratum))
-    others = [(g, t) for g, t in zip(table.elements, table.values) if t != 0]
-    eps = Fraction(1, len(stratum) + 2)
-    rescaled: dict[int, Fraction] = {}
-    if others:
-        t_min = min(t for _, t in others)
-        t_max = max(t for _, t in others)
-        for i, (g, t) in enumerate(zip(table.elements, table.values)):
-            if t == 0:
-                continue
-            if t_max == t_min:
-                rescaled[i] = Fraction(1, 2)
-            else:
-                rescaled[i] = eps + (t - t_min) * (1 - 2 * eps) / (t_max - t_min)
-    pairs = []
-    for i, g in enumerate(table.elements):
-        value = Fraction(0) if table.values[i] == 0 else rescaled[i]
-        pairs.append((g, value))
-    pairs.sort(key=lambda p: p[1])
-    return tuple(g for g, _ in pairs), tuple(v for _, v in pairs)
+def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircleAction:
+    """Sample the circle action on the default ball enumeration."""
+    return circle_action_for_samples(cone, x, ball_enumeration(cone, radius))
 
 
-def _require_central_cofinal(cone: Cone, x: Element) -> None:
+def circle_action_for_samples(cone: Cone, x: Element,
+                              elements: Iterable[Element]) -> SampledCircleAction:
+    """Sample the circle action with coverage for the given elements.
+
+    The stratum is the cone-sorted list of distinct remainders.  Every
+    remainder r has 1 <= r, so the identity (kept even if no sample has a
+    trivial remainder) is least, and theta = rank / |stratum| puts it at 0.
+    """
     if not is_central_braid(cone, x):
         raise UnsupportedInput(
             f"anchor {x.render()!r} is not central; the circle quotient needs "
             "a central anchor")
     if is_cofinal(cone, x) != Decision.YES:
         raise UnsupportedInput("anchor must be certified cofinal")
-
-
-def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircleAction:
-    """Sample the circle action on the default ball enumeration."""
-    _require_central_cofinal(cone, x)
     ctx = AnchorContext(cone, x)
-    ball = ball_enumeration(cone, radius)
-    return _action_for(ctx, ball)
-
-
-def circle_action_for_samples(cone: Cone, x: Element,
-                              elements: Iterable[Element]) -> SampledCircleAction:
-    """Sample the circle action with coverage for the given elements."""
-    _require_central_cofinal(cone, x)
-    ctx = AnchorContext(cone, x)
-    return _action_for(ctx, list(elements))
-
-
-def _action_for(ctx: AnchorContext, elements: list[Element]) -> SampledCircleAction:
-    # The identity anchors the stratum (theta = 0) even if nothing in the
-    # sample has a trivial remainder.
-    identity = ctx.cone.group.identity()
-    remainders: list[Element] = [identity]
-    sorted_reps: list[Element] = [identity]
+    elements = tuple(elements)
+    stratum: list[Element] = [cone.group.identity()]
     for h in elements:
-        s = (ctx.anchor ** (-power_floor(ctx, h))) * h
-        i, found = locate(ctx.cone, sorted_reps, s)
+        s = (x ** (-power_floor(ctx, h))) * h
+        i, found = locate(cone, stratum, s)
+        if i == 0 and not found:
+            raise InvariantViolation(
+                f"remainder {s.render()!r} of {h.render()!r} sorts below the identity")
         if not found:
-            sorted_reps.insert(i, s)
-            remainders.append(s)
-    stratum, theta = _build_theta(ctx.cone, remainders)
-    return SampledCircleAction(ctx, stratum, theta, tuple(elements))
+            stratum.insert(i, s)
+    theta = tuple(Fraction(i, len(stratum)) for i in range(len(stratum)))
+    return SampledCircleAction(ctx, tuple(stratum), theta, elements)
 
 
 def unit_translation_check(action: SampledCircleAction) -> ActionCheck:

@@ -16,7 +16,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import GroupMismatch, ParseError, UnsupportedInput, parse_integer
 
@@ -201,7 +201,7 @@ class BraidWord:
         return self.render() or "1"
 
 
-Element = Union[LatticeElement, BraidWord]
+Element = LatticeElement | BraidWord
 
 
 def _same_group(a: Element, b: Element) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -60,14 +61,14 @@ class AnchorContext:
             raise GroupMismatch("anchor must live in the cone's group")
         if self.cap < 1:
             raise UnsupportedInput("search cap must be positive")
-        if cone_sign(self.cone, self.anchor) == 0:
+        if self.anchor_sign == 0:
             raise AnchorIsIdentity("anchor must not be the identity")
         if self.require_cofinal and isinstance(self.cone, FlagOrdering):
             gens = list(self.generators) if self.generators is not None else None
             if is_cofinal(self.cone, self.anchor, gens) == Decision.NO:
                 raise NotCofinal("anchor is not cofinal for the requested subgroup")
 
-    @property
+    @cached_property
     def anchor_sign(self) -> int:
         return cone_sign(self.cone, self.anchor)
 

@@ -304,3 +304,41 @@ def test_huge_obstruct_pin_exit_2(capsys):
                          "--pin", f"y={NINES}")
     assert payload["error"] == "ParseError"
     assert len(payload["detail"]) < 200
+
+
+def test_huge_json_number_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge_rank.json"
+    path.write_text('{"group": {"kind": "free_abelian", "rank": %s}, '
+                    '"ordering": {"type": "flag", "levels": [[{"1": "1"}]]}}' % HUGE)
+    payload = run_exit_2(capsys, "rho", "--ordering", str(path), "--x", "x1", "x1")
+    assert payload["error"] == "ParseError"
+    assert payload["detail"].startswith(f"invalid JSON in {path}: ")
+    assert len(payload["detail"]) < 300
+
+
+def test_huge_tau_number_exit_2(capsys):
+    payload = run_exit_2(capsys, "construct", "--x", "x1", "--tau", f"[{HUGE}]")
+    assert payload["error"] == "ParseError"
+    assert len(payload["detail"]) < 200
+
+
+def test_malformed_tau_message(capsys):
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads("[1,")
+    payload = run_exit_2(capsys, "construct", "--x", "x1", "--tau", "[1,")
+    assert payload == {"error": "ParseError", "detail": str(exc.value)}
+
+
+def test_equiv_conjugated_flag_is_the_flag(capsys, sqrt2, tmp_path):
+    base = json.loads(open(sqrt2).read())
+    doc = {"group": base["group"],
+           "ordering": {"type": "conjugated", "base": base["ordering"], "by": "x1"}}
+    cflag = tmp_path / "cflag.json"
+    cflag.write_text(json.dumps(doc))
+    outputs = []
+    for a in (str(cflag), sqrt2):
+        code = main(["equiv", "--a", a, "--b", sqrt2, "--x", "x1"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    json.loads(outputs[0][1])

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ordo.errors import MissingOrbitPoint, UnsupportedInput
+from ordo.errors import InvariantViolation, MissingOrbitPoint, UnsupportedInput
 from ordo.exactreal import RealConstant
 from ordo.groups import GroupRef, full_twist, parse_element
-from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare
+from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, cone_sign
+from ordo.quasimorph import power_floor
 from ordo.dynamics import (
     ball_enumeration,
     circle_action_for_samples,
@@ -138,6 +139,29 @@ def test_circle_action_unit_translation():
         report = unit_translation_check(action)
         assert report.passed
         assert report.checked == len(action.stored)
+
+
+@pytest.mark.parametrize("cone,x,radius", [
+    (LEX2, el("x1"), 2), (LEX2, el("x1^-1"), 2), (LEX2, el("x1^2 x2"), 2),
+    (SQRT2_FLAG, el("x1"), 2),
+    (DEHORNOY3, full_twist(3), 3), (DEHORNOY3, full_twist(3).inverse(), 3),
+])
+def test_circle_action_stratum_and_theta(cone, x, radius):
+    action = circle_action_from_ball(cone, x, radius)
+    stratum, theta = action.stratum, action.theta_values
+    assert cone_sign(cone, stratum[0]) == 0
+    assert all(compare(cone, a, b) < 0 for a, b in zip(stratum, stratum[1:]))
+    assert theta[0] == 0
+    assert all(a < b for a, b in zip(theta, theta[1:]))
+    assert theta[-1] < 1
+    assert unit_translation_check(action).passed
+    assert euler_cocycle_survey(cone, x, count=40, seed=3, radius=2).all_passed
+
+
+def test_circle_action_wrong_floor_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr("ordo.dynamics.power_floor", lambda ctx, h: power_floor(ctx, h) + 1)
+    with pytest.raises(InvariantViolation):
+        circle_action_from_ball(LEX2, el("x1"), 2)
 
 
 def test_circle_action_anchor_station():

@@ -9,7 +9,7 @@ import random
 import pytest
 import sympy
 
-from ordo.errors import AnchorIsIdentity, NotCofinal, UnsupportedInput
+from ordo.errors import AnchorIsIdentity, GroupMismatch, NotCofinal, UnsupportedInput
 from ordo.exactreal import RealConstant
 from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
 from ordo.orderings import (
@@ -247,7 +247,7 @@ def test_cofinal_noncentral_braid_anchor_stays_unknown():
     # All generators of B3 are bracketed by powers of s1, but the full twist
     # is not (its floors against s1-powers never close), so a certified Yes
     # would be wrong: the verdict must stay Unknown.
-    assert is_cofinal(DEHORNOY3, br("s1"), cap=16) == Decision.UNKNOWN
+    assert is_cofinal(DEHORNOY3, br("s1")) == Decision.UNKNOWN
     twist = full_twist(3)
     s1 = br("s1")
     for n in (1, 4, 16):
@@ -259,6 +259,14 @@ def test_cofinal_identity_anchor_rejected():
         is_cofinal(LEX2, Z2.identity())
     with pytest.raises(AnchorIsIdentity):
         is_cofinal(DEHORNOY3, br("s1 s2 s1 s2^-1 s1^-1 s2^-1"))
+
+
+def test_cofinal_foreign_generator_rejected():
+    z3 = GroupRef.free_abelian(3)
+    with pytest.raises(GroupMismatch):
+        is_cofinal(LEX2, el("x1"), generators=[parse_element("x1", z3)])
+    with pytest.raises(GroupMismatch):
+        is_cofinal(DEHORNOY3, full_twist(3), generators=[el("x1")])
 
 
 def test_right_invariant_abelian():
@@ -358,6 +366,25 @@ def test_json_round_trip_conjugated():
     for _ in range(100):
         g = random_element(B3, rng, 5)
         assert cone_sign(again, g) == cone_sign(cone, g)
+
+
+def test_json_conjugated_flag_loads_as_the_flag():
+    doc = ordering_to_json(SQRT2_FLAG)
+    doc["ordering"] = {"type": "conjugated", "base": doc["ordering"], "by": "x1 x2^3"}
+    assert ordering_from_json(doc) == SQRT2_FLAG
+
+
+def test_json_nested_conjugations_compose():
+    nested = ConjugatedOrdering(ConjugatedOrdering(DEHORNOY3, br("s1")), br("s2^-1 s1"))
+    doc = {"group": B3.to_json(), "ordering": {
+        "type": "conjugated", "by": "s2^-1 s1",
+        "base": {"type": "conjugated", "base": {"type": "dehornoy"}, "by": "s1"}}}
+    loaded = ordering_from_json(doc)
+    assert loaded.base == DEHORNOY3
+    rng = random.Random(41)
+    for _ in range(100):
+        g = random_element(B3, rng, 5)
+        assert cone_sign(loaded, g) == cone_sign(nested, g)
 
 
 # -- locate ------------------------------------------------------------------
