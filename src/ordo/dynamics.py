@@ -43,6 +43,7 @@ from .orderings import (
     Cone,
     Decision,
     Density,
+    check_group,
     cone_sign,
     is_central_braid,
     is_cofinal,
@@ -62,17 +63,13 @@ class RealizationTable:
     values: tuple[Fraction, ...]
 
     @cached_property
-    def _sorted(self) -> tuple[list[Element], list[Fraction]]:
-        # Elements and values sorted by station; the table is an order
-        # embedding, so this is also the cone order of the elements.
-        order = sorted(range(len(self.elements)), key=self.values.__getitem__)
-        return [self.elements[i] for i in order], [self.values[i] for i in order]
+    def _value_of(self) -> dict[tuple[int, ...], Fraction]:
+        return {g.key: t for g, t in zip(self.elements, self.values)}
 
     def lookup(self, g: Element) -> Fraction | None:
-        """Value of g if it is enumerated (order-based search, exact)."""
-        elements, values = self._sorted
-        i, found = locate(self.cone, elements, g)
-        return values[i] if found else None
+        """Value of g if it is enumerated (as a group element, whatever its word)."""
+        check_group(self.cone, g)
+        return self._value_of.get(g.key)
 
     def to_json(self) -> dict:
         return {
@@ -119,19 +116,15 @@ def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
     """Default enumeration: the radius ball in graded lexicographic order.
 
     Coordinate ball for abelian groups, word-length ball for braid groups;
-    braid words are deduplicated through the order oracle, keeping the first
-    (shortest, lexicographically earliest) representative of each element.
+    braid words are deduplicated on ``key``, keeping the first (shortest,
+    lexicographically earliest) representative of each element.
     """
     if cone.group.is_abelian:
         return list(coordinate_ball(cone.group, radius))
-    seen: list[Element] = []  # sorted by the cone
-    out: list[Element] = []
+    first: dict[tuple[int, ...], Element] = {}
     for w in braid_words_up_to(cone.group, radius):
-        i, found = locate(cone, seen, w)
-        if not found:
-            seen.insert(i, w)
-            out.append(w)
-    return out
+        first.setdefault(w.key, w)
+    return list(first.values())
 
 
 @dataclass(frozen=True)
@@ -195,12 +188,17 @@ class SampledCircleAction:
     def remainder(self, h: Element) -> Element:
         return (self.anchor ** (-self.floor(h))) * h
 
+    @cached_property
+    def _theta_of(self) -> dict[tuple[int, ...], Fraction]:
+        return {s.key: t for s, t in zip(self.stratum, self.theta_values)}
+
     def theta(self, s: Element) -> Fraction:
-        i, found = locate(self.cone, self.stratum, s)
-        if not found:
+        check_group(self.cone, s)
+        value = self._theta_of.get(s.key)
+        if value is None:
             raise MissingOrbitPoint(
                 f"remainder {s.render()!r} is not in the sampled stratum; extend the ball")
-        return self.theta_values[i]
+        return value
 
     def t_prime(self, h: Element) -> Fraction:
         return self.floor(h) + self.theta(self.remainder(h))

@@ -40,7 +40,23 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Rational) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """str(n), or its digit count when n is past Python's integer-string limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    size = abs(n)
+    # 0.301029 < log10(2), so this starts at or below the digit count less one.
+    digits = (size.bit_length() - 1) * 301029 // 1000000
+    while 10 ** digits <= size:
+        digits += 1
+    return f"{'-' if n < 0 else ''}<integer of {digits} digits>"
 
 
 def squarefree_split(m: int) -> tuple[int, int]:

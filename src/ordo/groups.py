@@ -2,8 +2,11 @@
 
 Elements carry their group reference.  Lattice elements are exponent vectors;
 braid words are freely reduced sequences of (generator index, +-1) letters.
-Braid words are kept freely reduced but are not put into any canonical form:
-word-problem questions are answered by the order oracles, not here.
+Braid words are kept freely reduced but are not put into any canonical form.
+Every element has a ``key``, a complete invariant of the group element it
+represents: the exponent vector for lattices, the Dynnikov coordinates for
+braids.  Equal keys mean equal elements, so finite sets of elements are
+dicts on ``key``.
 
 The shared text grammar is whitespace-separated tokens ``x<k>`` (abelian) or
 ``s<k>`` (braid), each optionally suffixed ``^<signed integer>``; the empty
@@ -16,6 +19,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import GroupMismatch, ParseError, UnsupportedInput, parse_integer
@@ -111,6 +115,10 @@ class LatticeElement:
                 f"coordinate length {len(self.coords)} does not match rank {self.group.n}")
 
     @property
+    def key(self) -> tuple[int, ...]:
+        return self.coords
+
+    @property
     def is_identity(self) -> bool:
         return not any(self.coords)
 
@@ -133,6 +141,14 @@ class LatticeElement:
         return self.render() or "1"
 
 
+def _check_letters(group: GroupRef, letters: tuple[tuple[int, int], ...]) -> None:
+    for i, e in letters:
+        if not 1 <= i <= group.n - 1:
+            raise ParseError(f"generator index {i} out of range for {group.n} strands")
+        if e not in (1, -1):
+            raise ParseError(f"letter exponent must be +-1, got {e}")
+
+
 def free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Cancel adjacent (i, e)(i, -e) pairs, cascading."""
     out: list[tuple[int, int]] = []
@@ -150,17 +166,61 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for i, e in self.letters:
-            if not 1 <= i <= self.group.n - 1:
-                raise ParseError(f"generator index {i} out of range for {self.group.n} strands")
-            if e not in (1, -1):
-                raise ParseError(f"letter exponent must be +-1, got {e}")
+        _check_letters(self.group, self.letters)
         if self.letters != free_reduce(self.letters):
             raise ParseError("braid word is not freely reduced")
 
     @staticmethod
     def from_letters(group: GroupRef, letters: Iterable[tuple[int, int]]) -> "BraidWord":
-        return BraidWord(group, free_reduce(letters))
+        reduced = free_reduce(letters)
+        _check_letters(group, reduced)
+        return BraidWord._trusted(group, reduced)
+
+    @staticmethod
+    def _trusted(group: GroupRef, letters: tuple[tuple[int, int], ...]) -> "BraidWord":
+        # Letters that are in range and freely reduced by construction.
+        word = object.__new__(BraidWord)
+        object.__setattr__(word, "group", group)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @cached_property
+    def key(self) -> tuple[int, ...]:
+        """Dynnikov coordinates (a1, b1, ..., an, bn) of the image of (0, 1, ..., 0, 1).
+
+        B_n acts on Z^(2n) by piecewise-linear maps, s_i changing the four
+        coordinates a_i, b_i, a_(i+1), b_(i+1); the letters act left to
+        right.  The orbit map is injective, so the image is a complete
+        invariant of the braid (Dynnikov, Russian Math. Surveys 57 (2002);
+        Dehornoy-Dynnikov-Rolfsen-Wiest, Ordering Braids, ch. 12).
+        """
+        c = [0, 1] * self.group.n
+        for i, e in self.letters:
+            k = 2 * i - 2
+            a1, b1, a2, b2 = c[k], c[k + 1], c[k + 2], c[k + 3]
+            b1_pos = b1 if b1 > 0 else 0
+            b1_neg = b1 - b1_pos
+            b2_pos = b2 if b2 > 0 else 0
+            b2_neg = b2 - b2_pos
+            if e > 0:
+                t = a1 - b1_neg - a2 + b2_pos
+                t_pos = t if t > 0 else 0
+                u = b2_pos - t
+                v = b1_neg + t
+                c[k] = a1 + b1_pos + (u if u > 0 else 0)
+                c[k + 1] = b2 - t_pos
+                c[k + 2] = a2 + b2_neg + (v if v < 0 else 0)
+                c[k + 3] = b1 + t_pos
+            else:
+                t = a1 + b1_neg - a2 - b2_pos
+                t_neg = t if t < 0 else 0
+                u = b2_pos + t
+                v = b1_neg - t
+                c[k] = a1 - b1_pos - (u if u > 0 else 0)
+                c[k + 1] = b2 + t_neg
+                c[k + 2] = a2 - b2_neg - (v if v < 0 else 0)
+                c[k + 3] = b1 - t_neg
+        return tuple(c)
 
     @property
     def is_identity(self) -> bool:
@@ -171,16 +231,16 @@ class BraidWord:
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         _same_group(self, other)
-        return BraidWord(self.group, free_reduce(self.letters + other.letters))
+        return BraidWord._trusted(self.group, free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.group, tuple((i, -e) for i, e in reversed(self.letters)))
+        return BraidWord._trusted(self.group, tuple((i, -e) for i, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "BraidWord":
         if k == 0:
             return self.group.identity()
         base = self.letters if k > 0 else self.inverse().letters
-        return BraidWord(self.group, free_reduce(base * abs(k)))
+        return BraidWord._trusted(self.group, free_reduce(base * abs(k)))
 
     def exponent_sum(self) -> int:
         return sum(e for _, e in self.letters)
@@ -275,8 +335,8 @@ def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:
 def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:
     """All freely reduced words of length <= length, graded then lexicographic.
 
-    Distinct words may represent equal braids; dedup against an order oracle
-    where element identity matters.
+    Distinct words may represent equal braids; dedup on ``key`` where
+    element identity matters.
     """
     alphabet = [(i, e) for i in range(1, group.n) for e in (1, -1)]
     out: list[BraidWord] = [group.identity()]
@@ -289,5 +349,5 @@ def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:
                     continue
                 next_frontier.append(word + (letter,))
         frontier = sorted(next_frontier)
-        out.extend(BraidWord(group, w) for w in frontier)
+        out.extend(BraidWord._trusted(group, w) for w in frontier)
     return out

@@ -12,8 +12,15 @@ pairings of an element against a sequence of constant vectors, first nonzero
 pairing wins; they satisfy LO1/LO2 by construction whenever the stacked
 rational expansion of the levels has full rank.  The Dehornoy ordering of the
 braid group calls a word positive when it admits a representative in which
-the lowest occurring generator index appears only positively; handle
-reduction decides this.
+the lowest occurring generator index appears only positively.  Its sign is
+read off the Dynnikov coordinates of the braid (``BraidWord.key``), in
+integer arithmetic linear in the word length.  Handle reduction decides the
+same question by rewriting words; it is kept as an independent check of the
+coordinate sign.
+
+``compare`` and ``locate`` are the order searches.  Whether an element lies
+in a finite set is a question of identity, not of order, and is answered by
+a dict on ``key``.
 
 Also here: restriction of flag orderings to sublattices, the conjugation
 action on cones, and the bounded/exact membership predicates (cofinality,
@@ -75,9 +82,13 @@ class Cone:
         raise NotImplementedError
 
 
-def cone_sign(cone: Cone, g: Element) -> int:
+def check_group(cone: Cone, g: Element) -> None:
     if g.group != cone.group:
         raise GroupMismatch(f"element of {g.group} queried against cone over {cone.group}")
+
+
+def cone_sign(cone: Cone, g: Element) -> int:
+    check_group(cone, g)
     return cone.sign(g)
 
 
@@ -288,20 +299,18 @@ class DehornoyOrdering(Cone):
     def create(strands: int) -> "DehornoyOrdering":
         return DehornoyOrdering(GroupRef.braid(strands))
 
-    @cached_property
-    def _sign_cache(self) -> dict[Letters, int]:
-        return {}
-
-    def reduced(self, letters: Iterable[tuple[int, int]]) -> Letters:
-        return handle_reduce(letters, self.group.strands)
-
     def sign(self, g: BraidWord) -> int:
-        cached = self._sign_cache.get(g.letters)
-        if cached is None:
-            cached = main_generator_sign(self.reduced(g.letters))
-            if len(self._sign_cache) < (1 << 18):
-                self._sign_cache[g.letters] = cached
-        return cached
+        """First nonzero entry of (a1, b1 - 1, a2, b2 - 1, ...) of g's
+        Dynnikov coordinates (Dehornoy, "Efficient solutions to the braid
+        isotopy problem", Discrete Appl. Math. 156 (2008))."""
+        coords = g.key
+        for k in range(0, len(coords), 2):
+            a, b = coords[k], coords[k + 1]
+            if a:
+                return 1 if a > 0 else -1
+            if b != 1:
+                return 1 if b > 1 else -1
+        return 0
 
 
 @dataclass(frozen=True)

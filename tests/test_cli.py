@@ -342,3 +342,17 @@ def test_equiv_conjugated_flag_is_the_flag(capsys, sqrt2, tmp_path):
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
     json.loads(outputs[0][1])
+
+
+def test_huge_derived_integer_in_message_exit_2(capsys, tmp_path):
+    # Each literal is under the digit limit; the anchor pairing they derive
+    # (10^4000 * 10^1000 * sqrt(2)) is past it and appears in the message.
+    doc = {"group": {"kind": "free_abelian", "rank": 2},
+           "ordering": {"type": "flag", "levels": [[{"2": "1" + "0" * 4000}, {"1": "1"}]]}}
+    path = tmp_path / "huge_level.json"
+    path.write_text(json.dumps(doc))
+    payload = run_exit_2(capsys, "stable", "--ordering", str(path),
+                         "--x", "x1^1" + "0" * 1000, "--n", "5", "x2")
+    assert payload["error"] == "UnsupportedInput"
+    assert "<integer of 5001 digits>*sqrt(2)" in payload["detail"]
+    assert len(payload["detail"]) < 200

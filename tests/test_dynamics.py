@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from ordo.errors import InvariantViolation, MissingOrbitPoint, UnsupportedInput
+from ordo.errors import GroupMismatch, InvariantViolation, MissingOrbitPoint, UnsupportedInput
 from ordo.exactreal import RealConstant
-from ordo.groups import GroupRef, full_twist, parse_element
-from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, cone_sign
+from ordo.groups import (
+    GroupRef,
+    LatticeElement,
+    braid_words_up_to,
+    coordinate_ball,
+    full_twist,
+    parse_element,
+)
+from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, cone_sign, locate
 from ordo.quasimorph import power_floor
 from ordo.dynamics import (
     ball_enumeration,
@@ -24,6 +31,7 @@ from ordo.dynamics import (
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
+B4 = GroupRef.braid(4)
 LEX1 = FlagOrdering.lex(1)
 LEX2 = FlagOrdering.lex(2)
 SQRT2_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2)]])
@@ -120,6 +128,89 @@ def test_ball_enumeration_dedupes_braids():
     reps = [w for w in words
             if compare(DEHORNOY3, w, el("s1 s2 s1", B3)) == 0]
     assert len(reps) == 1
+
+
+# -- keyed lookups against the order search they replace --------------------
+
+CONJUGATED3 = act(DEHORNOY3, el("s1 s2^-1", B3))
+DEHORNOY4 = DehornoyOrdering.create(4)
+
+
+def _locate_ball(cone, radius):
+    """Ball enumeration deduplicated by order search."""
+    if cone.group.is_abelian:
+        return list(coordinate_ball(cone.group, radius))
+    seen, out = [], []
+    for w in braid_words_up_to(cone.group, radius):
+        i, found = locate(cone, seen, w)
+        if not found:
+            seen.insert(i, w)
+            out.append(w)
+    return out
+
+
+def _locate_lookup(table, g):
+    order = sorted(range(len(table.elements)), key=table.values.__getitem__)
+    i, found = locate(table.cone, [table.elements[k] for k in order], g)
+    return table.values[order[i]] if found else None
+
+
+def _probes(group, radius):
+    if group.is_abelian:
+        return list(coordinate_ball(group, radius))
+    return braid_words_up_to(group, radius)
+
+
+@pytest.mark.parametrize("cone,radius", [
+    (DEHORNOY3, 4), (DEHORNOY4, 3), (LEX2, 2), (CONJUGATED3, 3),
+])
+def test_keyed_ball_and_lookup_match_order_search(cone, radius):
+    ball = ball_enumeration(cone, radius)
+    assert ball == _locate_ball(cone, radius)
+    table = realize(cone, ball)
+    probes = _probes(cone.group, radius + 1)
+    probes += [g * h for g in probes[:20] for h in ball[:20]]
+    found = 0
+    for g in probes:
+        value = table.lookup(g)
+        assert value == _locate_lookup(table, g), g.render()
+        found += value is not None
+    assert 0 < found < len(probes)
+
+
+@pytest.mark.parametrize("cone,x,radius", [
+    (DEHORNOY3, full_twist(3), 3), (CONJUGATED3, full_twist(3), 3), (LEX2, el("x1"), 2),
+])
+def test_keyed_theta_matches_order_search(cone, x, radius):
+    action = circle_action_from_ball(cone, x, radius)
+    present = missing = 0
+    for h in _probes(cone.group, radius + 1):
+        s = action.remainder(h)
+        i, found = locate(cone, action.stratum, s)
+        if found:
+            assert action.theta(s) == action.theta_values[i]
+            present += 1
+        else:
+            with pytest.raises(MissingOrbitPoint):
+                action.theta(s)
+            missing += 1
+    assert present and missing
+
+
+def test_keyed_lookups_reject_foreign_elements():
+    table = realize(DEHORNOY3, ball_enumeration(DEHORNOY3, 2))
+    action = circle_action_from_ball(DEHORNOY3, full_twist(3), 2)
+    s1 = el("s1", B3)
+    # A Z^6 vector spelling the key of s1 must not be mistaken for s1.
+    z6 = LatticeElement(GroupRef.free_abelian(6), s1.key)
+    for foreign in (z6, el("s1", B4), el("x1")):
+        with pytest.raises(GroupMismatch):
+            table.lookup(foreign)
+        with pytest.raises(GroupMismatch):
+            action.theta(foreign)
+    lex_table = realize(LEX2, ball_enumeration(LEX2, 1))
+    with pytest.raises(GroupMismatch):
+        lex_table.lookup(LatticeElement(GroupRef.free_abelian(3), (0, 0, 0)))
 
 
 def test_circle_action_lex():

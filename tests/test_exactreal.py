@@ -14,6 +14,7 @@ from ordo.exactreal import (
     RealConstant,
     combine,
     div_by_rational,
+    format_rational,
     mod_one,
     parse_rational,
     q_rank,
@@ -204,3 +205,12 @@ def test_pell_constant_decided_without_precision_cap():
     assert c.sign() == 1
     assert c.floor() == 0
     assert (-c).floor() == -1
+
+
+def test_format_rational_names_digit_count_past_the_string_limit():
+    assert format_rational(10 ** 4299) == "1" + "0" * 4299
+    assert format_rational(Fraction(-7, 3)) == "-7/3"
+    assert format_rational(10 ** 5000) == "<integer of 5001 digits>"
+    assert format_rational(10 ** 5000 - 1) == "<integer of 5000 digits>"
+    assert format_rational(Fraction(-(10 ** 4400) - 1, 3)) == "-<integer of 4401 digits>/3"
+    assert str(SQRT2.scale(Fraction(10 ** 6000))) == "<integer of 6001 digits>*sqrt(2)"

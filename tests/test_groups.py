@@ -57,6 +57,26 @@ def test_braid_multiply_inverse():
     assert (s1 * s2).inverse() == parse_element("s2^-1 s1^-1", B3)
 
 
+def test_braid_words_are_validated_once():
+    # Public construction still checks range, exponents and free reduction.
+    with pytest.raises(ParseError):
+        BraidWord(B3, ((1, 1), (1, -1)))
+    with pytest.raises(ParseError):
+        BraidWord(B3, ((3, 1),))
+    with pytest.raises(ParseError):
+        BraidWord.from_letters(B3, [(1, 1), (3, -1)])
+    with pytest.raises(ParseError):
+        BraidWord.from_letters(B3, [(1, 2)])
+    # Products, inverses and powers skip the re-check; their words are the
+    # ones the checked constructor accepts.
+    rng = random.Random(4)
+    for _ in range(200):
+        a = random_element(B3, rng, 6)
+        b = random_element(B3, rng, 6)
+        for w in (a * b, a.inverse(), a ** rng.randint(-3, 3), b ** 2):
+            assert BraidWord(B3, w.letters) == w
+
+
 def test_mixed_groups_rejected():
     with pytest.raises(GroupMismatch):
         parse_element("x1", Z2) * parse_element("x1", GroupRef.free_abelian(3))
