@@ -247,12 +247,10 @@ class NaturalityReport:
 
 
 def _integer_coordinates(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
-    solution = linalg.rational_solve(
-        [[Fraction(row[i]) for row in basis_rows] for i in range(len(vec))],
-        [Fraction(v) for v in vec])
-    if solution is None or any(c.denominator != 1 for c in solution):
+    coords = linalg.lattice_coordinates(basis_rows, vec)
+    if coords is None:
         raise InvariantViolation("vector not in the sublattice it was built from")
-    return [int(c) for c in solution]
+    return coords
 
 
 def naturality_check(flag: FlagOrdering, x: LatticeElement,
@@ -385,7 +383,8 @@ def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
     """The doubled-circle coordinate of a flag ordering of Z^2."""
     if flag.group.rank != 2:
         raise UnsupportedInput("doubled-circle coordinates need rank 2")
-    c1, c2 = flag.levels[0]
+    # A level that pairs to zero everywhere does not affect the order.
+    c1, c2 = next(level for level in flag.levels if not all(c.is_zero for c in level))
     if q_rank([c1, c2]) == 2:
         return SikoraPoint("irrational", _primitive_pair(c1, c2))
     reference = c1 if not c1.is_zero else c2

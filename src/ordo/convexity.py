@@ -204,7 +204,8 @@ def brute_convex(cone: Cone, matrix: ExponentMatrix, radius: int) -> BruteForceR
     outsiders: list[LatticeElement] = []
     for coords in itertools.product(range(-radius, radius + 1), repeat=matrix.n):
         g = LatticeElement(cone.group, coords)
-        (members if linalg.lattice_member(hnf, coords) else outsiders).append(g)
+        inside = linalg.lattice_coordinates(hnf, coords) is not None
+        (members if inside else outsiders).append(g)
 
     return _squeezed(cone, members, outsiders)
 

@@ -3,7 +3,9 @@
 Every error carries a stable machine-readable ``code`` (used verbatim in CLI
 JSON output) and the CLI exit code it maps to: 2 for invalid input, 3 for
 "could not decide within the configured caps".  ``parse_integer`` is the one
-conversion of literal digits, so that an oversized literal is a ParseError.
+conversion of literal digits, so that an oversized literal is a ParseError,
+and ``int_text`` the one conversion back, so that no message fails on an
+integer past Python's integer-string digit limit.
 """
 
 
@@ -117,3 +119,17 @@ def parse_integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"integer literal of {len(text)} characters is too long") from None
+
+
+def int_text(n: int) -> str:
+    """str(n), or its digit count when n is past Python's integer-string limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    size = abs(n)
+    # 0.301029 < log10(2), so this starts at or below the digit count less one.
+    digits = (size.bit_length() - 1) * 301029 // 1000000
+    while 10 ** digits <= size:
+        digits += 1
+    return f"{'-' if n < 0 else ''}<integer of {digits} digits>"

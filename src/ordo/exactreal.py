@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .errors import InvariantViolation, ParseError, parse_integer
+from .errors import InvariantViolation, ParseError, int_text, parse_integer
 
 Rational = int | Fraction
 
@@ -41,22 +41,8 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Rational) -> str:
     q = Fraction(q)
     if q.denominator == 1:
-        return _int_text(q.numerator)
-    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
-
-
-def _int_text(n: int) -> str:
-    """str(n), or its digit count when n is past Python's integer-string limit."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    size = abs(n)
-    # 0.301029 < log10(2), so this starts at or below the digit count less one.
-    digits = (size.bit_length() - 1) * 301029 // 1000000
-    while 10 ** digits <= size:
-        digits += 1
-    return f"{'-' if n < 0 else ''}<integer of {digits} digits>"
+        return int_text(q.numerator)
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
 
 
 def squarefree_split(m: int) -> tuple[int, int]:

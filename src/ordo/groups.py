@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import GroupMismatch, ParseError, UnsupportedInput, parse_integer
+from .errors import GroupMismatch, ParseError, UnsupportedInput, int_text, parse_integer
 
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
@@ -134,7 +134,7 @@ class LatticeElement:
 
     def render(self) -> str:
         return " ".join(
-            f"x{i + 1}" if c == 1 else f"x{i + 1}^{c}"
+            f"x{i + 1}" if c == 1 else f"x{i + 1}^{int_text(c)}"
             for i, c in enumerate(self.coords) if c != 0)
 
     def __str__(self) -> str:
@@ -224,7 +224,8 @@ class BraidWord:
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        # The empty word fixes (0, 1, ..., 0, 1), so that is the identity's key.
+        return self.key == (0, 1) * self.group.n
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -2,6 +2,9 @@
 
 Everything here works on plain lists of ``fractions.Fraction`` or ``int``;
 matrices are lists of rows.  No floating point enters any verdict path.
+The row Hermite normal form is the one integer engine: kernel lattices,
+membership, coordinates in a sublattice and saturation all come from it.
+The rational echelon form serves only rank over Q and rational solve.
 """
 
 from __future__ import annotations
@@ -72,25 +75,6 @@ def rational_solve(rows: Sequence[Row], rhs: Sequence[Fraction]) -> list[Fractio
     return solution
 
 
-def rational_kernel_basis(rows: Sequence[Row], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space {v : rows @ v = 0} over Q."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    reduced = _echelon(work)
-    leads = []
-    for row in reduced:
-        lead = next(j for j in range(ncols) if row[j] != 0)
-        leads.append(lead)
-    free = [j for j in range(ncols) if j not in leads]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, lead in zip(reduced, leads):
-            v[lead] = -row[f]
-        basis.append(v)
-    return basis
-
-
 def clear_denominators(row: Row) -> list[int]:
     """Scale a rational row by the lcm of denominators to a primitive integer row."""
     fracs = [Fraction(x) for x in row]
@@ -153,66 +137,34 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:pivot_row] if any(row)]
 
 
-def lattice_member(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Whether vec lies in the lattice spanned by (HNF) rows."""
+def lattice_coordinates(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
+    """Integer c with sum(c_i * hnf_rows[i]) == vec, or None if vec is off the lattice."""
     v = list(map(int, vec))
+    coords = []
     for row in hnf_rows:
         lead = next(j for j in range(len(row)) if row[j] != 0)
-        if v[lead] % row[lead] != 0:
-            return False
-        q = v[lead] // row[lead]
+        q, r = divmod(v[lead], row[lead])
+        if r:
+            return None
+        coords.append(q)
         v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return None if any(v) else coords
 
 
 def lattice_contains(outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]]) -> bool:
     """Whether the lattice spanned by outer_rows contains the one spanned by inner_rows."""
     hnf = row_hnf(outer_rows)
-    return all(lattice_member(hnf, row) for row in inner_rows)
+    return all(lattice_coordinates(hnf, row) is not None for row in inner_rows)
 
 
 def vector_gcd(vec: Sequence[int]) -> int:
     return math.gcd(*(abs(int(x)) for x in vec)) if len(vec) else 0
 
 
-def saturation_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of (Q-span of rows) intersected with Z^ncols."""
-    complement = rational_kernel_basis([list(map(Fraction, r)) for r in rows], ncols)
-    constraints = [clear_denominators(w) for w in complement]
-    return integer_kernel_basis(constraints, ncols)
-
-
 def lattice_is_saturated(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the row lattice equals its rational span's integer points."""
+    """Whether the row lattice equals its rational span's integer points,
+    which are the kernel lattice of the rows' kernel lattice."""
     if not rows:
         return True
-    return lattice_contains(rows, saturation_basis(rows, len(rows[0])))
-
-
-def extended_gcd_vector(values: Sequence[int]) -> tuple[int, list[int]]:
-    """gcd g of the values plus coefficients c with sum(c_i * values_i) = g."""
-    g, coeffs = 0, [0] * len(values)
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g, coeffs = abs(v), [0] * len(values)
-            coeffs[i] = 1 if v > 0 else -1
-            continue
-        new_g, s, t = _extended_gcd(g, abs(v))
-        coeffs = [s * c for c in coeffs]
-        coeffs[i] += t if v > 0 else -t
-        g = new_g
-    return g, coeffs
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    n = len(rows[0])
+    return lattice_contains(rows, integer_kernel_basis(integer_kernel_basis(rows, n), n))

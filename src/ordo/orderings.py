@@ -449,8 +449,6 @@ def is_cofinal(cone: Cone, x: Element,
                 for found in map(cone.first_level, [x, *gens])]
         return Decision.YES if all(seen[0] <= j for j in seen[1:]) else Decision.NO
 
-    if cone_sign(cone, x) == 0:
-        raise AnchorIsIdentity("anchor word represents the identity braid")
     return Decision.YES if is_central_braid(cone, x) else Decision.UNKNOWN
 
 
@@ -554,12 +552,10 @@ def _flag_density(flag: FlagOrdering) -> DensityVerdict:
     for v, q in zip(values, ratios):
         if v != reference.scale(q):
             raise InvariantViolation("rank-1 values are not rationally proportional")
-    _, coeffs = linalg.extended_gcd_vector(linalg.clear_denominators(ratios))
-    element = [0] * rank
-    for c, b in zip(coeffs, basis):
-        for i in range(rank):
-            element[i] += c * b[i]
-    candidate = LatticeElement(flag.group, tuple(element))
+    # The primitive ratios have gcd 1, so the first Hermite row of
+    # [ratio | basis vector] is the element of ratio 1.
+    hnf = linalg.row_hnf([[r, *b] for r, b in zip(linalg.clear_denominators(ratios), basis)])
+    candidate = LatticeElement(flag.group, tuple(hnf[0][1:]))
     if flag.sign(candidate) < 0:
         candidate = candidate.inverse()
     if flag.sign(candidate) <= 0:

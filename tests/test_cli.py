@@ -356,3 +356,26 @@ def test_huge_derived_integer_in_message_exit_2(capsys, tmp_path):
     assert payload["error"] == "UnsupportedInput"
     assert "<integer of 5001 digits>*sqrt(2)" in payload["detail"]
     assert len(payload["detail"]) < 200
+
+
+def test_sikora_skips_a_zero_first_level(capsys, sqrt2, tmp_path):
+    doc = {"group": {"kind": "free_abelian", "rank": 2},
+           "ordering": {"type": "flag", "levels": [[{}, {}], [{"1": "1"}, {"2": "1"}]]}}
+    path = tmp_path / "zero_first.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for ordering in (str(path), sqrt2):
+        code = main(["sikora", "--ordering", ordering])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+def test_huge_lattice_exponent_in_message_exit_2(capsys, lex2):
+    # Each literal is under the digit limit; their sum, 11 * (10^4299 - 1),
+    # is past it and appears in the NotCofinal message.
+    anchor = " ".join(["x2^" + "9" * 4299] * 11)
+    payload = run_exit_2(capsys, "psi", "--ordering", lex2, "--x", anchor)
+    assert payload["error"] == "NotCofinal"
+    assert "x2^<integer of 4301 digits>" in payload["detail"]
+    assert len(payload["detail"]) < 200

@@ -77,7 +77,7 @@ def test_dynnikov_sign_on_identity_words_and_conjugates():
         assert cone.sign(w * w.inverse()) == 0
         # w times a scrambled inverse is the identity, though not freely trivial.
         trivial = BraidWord.from_letters(group, letters + scrambled(rng, inverse_letters(letters), n))
-        assert not trivial.is_identity
+        assert trivial.letters
         assert cone.sign(trivial) == oracle_sign(trivial) == 0
         assert trivial.key == group.identity().key
         conjugate = h * w * h.inverse()

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from ordo.linalg import (
-    extended_gcd_vector,
     integer_kernel_basis,
     lattice_contains,
-    lattice_member,
-    rational_kernel_basis,
+    lattice_coordinates,
+    lattice_is_saturated,
     rational_rank,
     rational_solve,
     row_hnf,
@@ -45,18 +45,6 @@ def test_solve_inconsistent():
     assert rational_solve([[1, 0], [1, 0]], [Fraction(1), Fraction(2)]) is None
 
 
-def test_rational_kernel():
-    rng = random.Random(3)
-    for _ in range(60):
-        cols = rng.randint(1, 5)
-        rows = random_matrix(rng, rng.randint(1, 3), cols)
-        basis = rational_kernel_basis(rows, cols)
-        assert len(basis) == cols - rational_rank(rows)
-        for v in basis:
-            for row in rows:
-                assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
-
-
 def test_integer_kernel_is_saturated():
     rng = random.Random(4)
     for _ in range(60):
@@ -77,7 +65,7 @@ def test_integer_kernel_is_saturated():
                 ints = [int(x * denom) for x in v]
                 g = vector_gcd(ints)
                 prim = [x // g for x in ints] if g else ints
-                assert lattice_member(hnf, prim)
+                assert lattice_coordinates(hnf, prim) is not None
 
 
 def test_hnf_canonical():
@@ -93,7 +81,7 @@ def test_hnf_canonical():
             mixed[1], mixed[-1] = mixed[-1], mixed[1]
         assert row_hnf(mixed) == hnf
         for row in rows:
-            assert lattice_member(hnf, row)
+            assert lattice_coordinates(hnf, row) is not None
 
 
 def test_lattice_contains():
@@ -102,10 +90,38 @@ def test_lattice_contains():
     assert not lattice_contains([[2, 0], [0, 1]], [[1, 0]])
 
 
-def test_extended_gcd_vector():
+def test_lattice_coordinates_rebuild_members_and_reject_outsiders():
     rng = random.Random(6)
-    for _ in range(200):
-        values = [rng.randint(-40, 40) for _ in range(rng.randint(1, 5))]
-        g, coeffs = extended_gcd_vector(values)
-        assert g == vector_gcd(values)
-        assert sum(c * v for c, v in zip(coeffs, values)) == g
+    members = outsiders = 0
+    for _ in range(300):
+        cols = rng.randint(1, 5)
+        rows = random_matrix(rng, rng.randint(1, 4), cols)
+        hnf = row_hnf(rows)
+        combination = [rng.randint(-4, 4) for _ in rows]
+        inside = [sum(c * row[j] for c, row in zip(combination, rows)) for j in range(cols)]
+        for vec in (inside, [rng.randint(-6, 6) for _ in range(cols)]):
+            coords = lattice_coordinates(hnf, vec)
+            assert (coords is not None) == (row_hnf(rows + [vec]) == hnf)
+            if coords is None:
+                outsiders += 1
+                continue
+            members += 1
+            assert len(coords) == len(hnf)
+            assert [sum(c * row[j] for c, row in zip(coords, hnf)) for j in range(cols)] == vec
+    assert members > 300 and outsiders > 50
+
+
+def test_lattice_is_saturated_matches_invariant_factors():
+    rng = random.Random(7)
+    checked = unsaturated = 0
+    while checked < 500:
+        cols = rng.randint(1, 5)
+        rows = random_matrix(rng, rng.randint(1, cols), cols, span=rng.choice((2, 4, 9)))
+        if rational_rank(rows) != len(rows):
+            continue
+        factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        want = all(f == 1 for f in factors)
+        assert lattice_is_saturated(rows) == want, rows
+        checked += 1
+        unsaturated += not want
+    assert 50 < unsaturated < 450
