@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import InvariantViolation, ParseError, int_text, parse_integer
@@ -66,6 +66,23 @@ def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
     if scaled * scaled == m << (2 * bits):
         return lo, lo
     return lo, Fraction(scaled + 1, denom)
+
+
+def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
+    """Sign of sum d*sqrt(m) over nonzero integers d and distinct squarefree m:
+    a^2*m1 against b^2*m2 for two terms of opposite signs, else dyadic
+    refinement, which ends as the square roots are independent over Q."""
+    m1, a = dots[0] if dots else (1, 0)
+    if len(dots) == 2:
+        m2, b = dots[1]
+        if (a > 0) != (b > 0) and b * b * m2 > a * a * m1:
+            a = b
+    elif len(dots) > 2:
+        slack, bits = sum(abs(d) for _, d in dots), 32
+        # d*sqrt(m)*2^bits lies within |d| of d*isqrt(m << 2*bits).
+        while abs(a := sum(d * math.isqrt(m << (2 * bits)) for m, d in dots)) < slack:
+            bits *= 2
+    return (a > 0) - (a < 0)
 
 
 @dataclass(frozen=True)
@@ -161,30 +178,18 @@ class RealConstant:
                 hi += q * slo
         return lo, hi
 
-    def _refinements(self) -> Iterator[tuple[Fraction, Fraction]]:
-        """Enclosures at 16, 32, 64, ... bits, without end (see the module note)."""
-        bits = 16
-        while True:
-            yield self.interval(bits)
-            bits *= 2
-
     def sign(self) -> int:
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            return 1 if self.terms[0][1] > 0 else -1
-        for lo, hi in self._refinements():
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        scale = math.lcm(*(q.denominator for _, q in self.terms))
+        return dots_sign([(m, q.numerator * (scale // q.denominator)) for m, q in self.terms])
 
     def floor(self) -> int:
         if self.is_rational:
             return math.floor(self.as_rational())
-        for lo, hi in self._refinements():
-            if math.floor(lo) == math.floor(hi):
-                return math.floor(lo)
+        bits = 16
+        # Refines without end (see the module note).
+        while math.floor((window := self.interval(bits))[0]) != math.floor(window[1]):
+            bits *= 2
+        return math.floor(window[0])
 
     def __lt__(self, other: "RealConstant") -> bool:
         return (self - other).sign() < 0

@@ -29,6 +29,8 @@ BRAID = "braid"
 
 _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
+MAX_BRAID_LETTERS = 100_000  # the longest braid literal parse_element expands
+
 
 @dataclass(frozen=True)
 class GroupRef:
@@ -276,7 +278,7 @@ def parse_element(text: str, group: GroupRef) -> Element:
         raise ParseError(f"element expression must be a string, got {type(text).__name__}")
     want_prefix = "x" if group.is_abelian else "s"
     coords = [0] * group.n
-    letters: list[tuple[int, int]] = []
+    powers: list[tuple[int, int]] = []
     for token in text.split():
         match = _TOKEN_RE.match(token)
         if not match:
@@ -293,10 +295,12 @@ def parse_element(text: str, group: GroupRef) -> Element:
         else:
             if index > group.n - 1:
                 raise ParseError(f"generator s{index} out of range for {group.n} strands")
-            step = 1 if exponent > 0 else -1
-            letters.extend((index, step) for _ in range(abs(exponent)))
+            powers.append((index, exponent))
     if group.is_abelian:
         return LatticeElement(group, tuple(coords))
+    if sum(abs(e) for _, e in powers) > MAX_BRAID_LETTERS:
+        raise UnsupportedInput(f"braid literal expands to more than {MAX_BRAID_LETTERS} letters")
+    letters = [(index, 1 if e > 0 else -1) for index, e in powers for _ in range(abs(e))]
     return BraidWord.from_letters(group, letters)
 
 

@@ -30,10 +30,12 @@ right-invariance under an anchor, density).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -45,7 +47,7 @@ from .errors import (
     ParseError,
     UnsupportedInput,
 )
-from .exactreal import RealConstant, q_rank
+from .exactreal import RealConstant, dots_sign
 from .groups import (
     BraidWord,
     Element,
@@ -123,7 +125,7 @@ def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, boo
 
 @dataclass(frozen=True)
 class FlagOrdering(Cone):
-    """Lexicographic comparison against a flag of exact constant vectors."""
+    """Lexicographic comparison against a flag of exact constant vectors, in integers."""
 
     group: GroupRef
     levels: tuple[tuple[RealConstant, ...], ...]
@@ -159,35 +161,40 @@ class FlagOrdering(Cone):
         return FlagOrdering.from_rational_rows(rows)
 
     @cached_property
-    def _expansion(self) -> list[list[tuple[int, tuple[Fraction, ...]]]]:
-        # Per level: one rational row per occurring squarefree radicand.
+    def _expansion(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
+        # Per level: a positive scale and one integer row per occurring
+        # squarefree radicand m; the level pairs g to sum_m (row_m . g) sqrt(m) / scale.
         out = []
         for level in self.levels:
             keys = sorted({m for c in level for m, _ in c.terms})
-            out.append([(k, tuple(c.coefficient(k) for c in level)) for k in keys])
-        return out
+            scale = math.lcm(*(q.denominator for c in level for _, q in c.terms))
+            out.append((scale, tuple((k, tuple(int(c.coefficient(k) * scale) for c in level))
+                                     for k in keys)))
+        return tuple(out)
 
     def is_total(self) -> bool:
-        stacked = [row for rows in self._expansion for _, row in rows]
+        stacked = [row for _, rows in self._expansion for _, row in rows]
         return linalg.rational_rank(stacked) == self.group.rank
 
     def sign(self, g: LatticeElement) -> int:
-        found = self.first_level(g)
-        return 0 if found is None else found[1].sign()
+        for _, rows in self._expansion:
+            if dots := _level_dots(rows, g.coords):
+                return dots_sign(dots)
+        return 0
 
     def first_level(self, g: LatticeElement | Sequence[int]) -> tuple[int, RealConstant] | None:
         """(j, pairing) at the first level j where g pairs nonzero; None when
         there is none (only the identity, unless the flag is rank-deficient)."""
-        coords = g.coords if isinstance(g, LatticeElement) else g
-        for j, rows in enumerate(self._expansion):
-            terms = _level_terms(rows, coords)
-            if terms:
-                return j, RealConstant(terms)
+        for j in range(len(self.levels)):
+            pairing = self.level_pairing(j, g)
+            if not pairing.is_zero:
+                return j, pairing
         return None
 
     def level_pairing(self, j: int, g: LatticeElement | Sequence[int]) -> RealConstant:
         coords = g.coords if isinstance(g, LatticeElement) else g
-        return RealConstant(_level_terms(self._expansion[j], coords))
+        scale, rows = self._expansion[j]
+        return RealConstant(tuple((m, Fraction(d, scale)) for m, d in _level_dots(rows, coords)))
 
     def restrict(self, basis: Sequence[LatticeElement] | Sequence[Sequence[int]]) -> "FlagOrdering":
         """The induced ordering on the sublattice spanned by the basis columns."""
@@ -211,18 +218,10 @@ class FlagOrdering(Cone):
         return restricted
 
 
-def _level_terms(rows: Sequence[tuple[int, Sequence[Fraction]]],
-                   coords: Sequence[int]) -> tuple[tuple[int, Fraction], ...]:
-    """Canonical terms of a level pairing: one dot product per radicand row."""
-    terms = []
-    for key, row in rows:
-        dot = Fraction(0)
-        for r, c in zip(row, coords):
-            if c and r:
-                dot += r * c
-        if dot:
-            terms.append((key, dot))
-    return tuple(terms)
+def _level_dots(rows: Sequence[tuple[int, Sequence[int]]],
+                coords: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(radicand, integer dot product) per row of a level, zero dots dropped."""
+    return tuple((m, dot) for m, row in rows if (dot := sum(map(mul, row, coords))))
 
 
 # ---------------------------------------------------------------------------
@@ -523,39 +522,26 @@ def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
     """
     stacked: list[list[int]] = []
     out = []
-    for rows in flag._expansion:
-        stacked.extend(linalg.clear_denominators(row) for _, row in rows)
+    for _, rows in flag._expansion:
+        stacked.extend(row for _, row in rows)
         out.append(tuple(map(tuple, linalg.integer_kernel_basis(stacked, flag.group.rank))))
     return out
 
 
 def _flag_density(flag: FlagOrdering) -> DensityVerdict:
+    # The first level with an empty kernel embeds the kernel before it, the
+    # last stratum, in R: dense at rank two or more, else generated by basis[0].
     rank = flag.group.rank
-    # Find the last level that still sees a nonzero sublattice.
     basis = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
-    last_level = None
-    for j, kernel in enumerate(level_kernels(flag)):
+    for kernel in level_kernels(flag):
         if not kernel:
-            last_level = j
             break
         basis = kernel
-    if last_level is None:
+    else:
         raise UnsupportedInput("flag is rank-deficient; density is undefined")
-    # The order on the sublattice spanned by the basis (an HNF) is
-    # archimedean, embedded in R by the pairing with level `last_level`.
-    values = [flag.level_pairing(last_level, b) for b in basis]
-    if q_rank(values) >= 2:
+    if len(basis) >= 2:
         return DensityVerdict(Density.DENSE)
-    reference = next(v for v in values if not v.is_zero)
-    ref_key, ref_coeff = reference.terms[0]
-    ratios = [v.coefficient(ref_key) / ref_coeff for v in values]
-    for v, q in zip(values, ratios):
-        if v != reference.scale(q):
-            raise InvariantViolation("rank-1 values are not rationally proportional")
-    # The primitive ratios have gcd 1, so the first Hermite row of
-    # [ratio | basis vector] is the element of ratio 1.
-    hnf = linalg.row_hnf([[r, *b] for r, b in zip(linalg.clear_denominators(ratios), basis)])
-    candidate = LatticeElement(flag.group, tuple(hnf[0][1:]))
+    candidate = LatticeElement(flag.group, tuple(basis[0]))
     if flag.sign(candidate) < 0:
         candidate = candidate.inverse()
     if flag.sign(candidate) <= 0:
@@ -567,8 +553,8 @@ def is_dense(cone: Cone, cap: int = 5) -> DensityVerdict:
     """Dense means no minimal positive element.
 
     Exact for flag orderings: the final archimedean stratum is discrete iff
-    its image in R has Q-rank 1, and then the minimal positive element is
-    pulled back exactly.  For braid cones only a bounded search is run and
+    it has rank 1, and then its generator, signed, is the minimal positive
+    element.  For braid cones only a bounded search is run and
     the verdict stays Unknown, reporting the smallest positive found.
     """
     if isinstance(cone, FlagOrdering):

@@ -14,7 +14,11 @@ fg within a two-power window.  Its stable map
 
 is homogeneous and conjugation-invariant; the defect bound makes
 power_floor(h^N)/N a certified approximation with radius 1/N.  On flag
-orderings the stable map is computed exactly as a pairing ratio.
+orderings the stable map is computed exactly as a pairing ratio, and, when
+the anchor pairs rationally, power_floor is closed-form at any size up to
+the integer-string digit limit: read off that ratio and certified by two
+cone queries.  The exponent cap bounds only the search on braids and
+irrational pairings.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .errors import (
     InvariantViolation,
     NotBracketedWithinCap,
     NotCofinal,
+    OrdoError,
     UnsupportedInput,
+    int_text,
 )
 from .exactreal import ONE, RealConstant, combine, format_rational
 from .groups import Element, random_element
@@ -96,20 +102,53 @@ def _max_true(pred: Callable[[int], bool], cap: int) -> int:
     return lo
 
 
+def _pairing_ratio(flag: FlagOrdering, x: Element, h: Element,
+                   blind: type[OrdoError]) -> RealConstant | None:
+    """<v, h> / <v, x> at x's first level v; None if x pairs irrationally there.
+    Raises `blind` if h pairs nonzero at an earlier level (or x at none)."""
+    seen_x, seen_h = flag.first_level(x), flag.first_level(h)
+    if seen_h is not None and (seen_x is None or seen_h[0] < seen_x[0]):
+        raise blind(f"element pairs nonzero at level {seen_h[0] + 1}, where the anchor is blind")
+    if seen_x is None:
+        raise NotCofinal("anchor pairs to zero at every level")
+    j, px = seen_x
+    if not px.is_rational:
+        return None
+    return flag.level_pairing(j, h) / px.as_rational()
+
+
 def power_floor(ctx: AnchorContext, h: Element) -> int:
-    """The bracketing integer of h, located by doubling then binary search.
+    """The bracketing integer of h: closed-form on flags, else a capped search.
 
     Compares h against anchor powers through the cone only; every query is
     sign(x^-N h), so the value depends on finitely many cone answers.
     """
-    if h.group != ctx.cone.group:
+    cone, x, s = ctx.cone, ctx.anchor, ctx.anchor_sign
+    if h.group != cone.group:
         raise GroupMismatch("element must live in the cone's group")
-    x = ctx.anchor
 
     def at_least(n: int) -> bool:
-        return cone_sign(ctx.cone, (x ** (-n)) * h) >= 0
+        return cone_sign(cone, (x ** (-n)) * h) >= 0
 
-    if ctx.anchor_sign > 0:
+    if isinstance(cone, FlagOrdering):
+        ratio = _pairing_ratio(cone, x, h, NotBracketedWithinCap)
+        if ratio is not None:
+            # N is the floor (s = 1) or ceiling (s = -1) of the pairing ratio,
+            # or ratio - s when lower levels decide an integer ratio.
+            n = ratio.floor() if s > 0 else -(-ratio).floor()
+            if at_least(n):
+                certified = not at_least(n + s)
+            else:
+                certified = ratio == RealConstant.rational(n) and at_least(n - s)
+                n -= s
+            if not certified:
+                raise InvariantViolation(f"flag floor {int_text(n)} failed its bracket certificate")
+            try:
+                str(n)  # the CLI prints it as a JSON number
+            except ValueError:
+                raise UnsupportedInput(f"flag floor {int_text(n)} is too long to print") from None
+            return n
+    if s > 0:
         return _max_true(at_least, ctx.cap)
     return -_max_true(lambda m: at_least(-m), ctx.cap)
 
@@ -160,18 +199,13 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
         raise GroupMismatch("anchor and element must live in the flag's group")
     if x.is_identity:
         raise AnchorIsIdentity("anchor must not be the identity")
-    seen_x, seen_h = flag.first_level(x), flag.first_level(h)
-    if seen_h is not None and (seen_x is None or seen_h[0] < seen_x[0]):
-        raise NotCofinal(
-            f"element pairs nonzero at level {seen_h[0] + 1} where the anchor is blind")
-    if seen_x is None:
-        raise NotCofinal("anchor pairs to zero at every level")
-    j, px = seen_x
-    if not px.is_rational:
+    ratio = _pairing_ratio(flag, x, h, NotCofinal)
+    if ratio is None:
+        j, px = flag.first_level(x)
         raise UnsupportedInput(
             f"anchor pairing {px} at level {j + 1} is irrational; "
             "rescale the flag so the anchor pairing is rational")
-    return flag.level_pairing(j, h) / px.as_rational()
+    return ratio
 
 
 def stable_approx(ctx: AnchorContext, h: Element, n: int) -> StableValue:

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, JSON schemas, exit codes, determinism."""
 
 import json
+import math
+import time
 
 import pytest
 
@@ -379,3 +381,36 @@ def test_huge_lattice_exponent_in_message_exit_2(capsys, lex2):
     assert payload["error"] == "NotCofinal"
     assert "x2^<integer of 4301 digits>" in payload["detail"]
     assert len(payload["detail"]) < 200
+
+
+def test_huge_braid_literal_exit_2_quickly(capsys, dehornoy3):
+    # Two million letters, far past the parser's limit: refused before any
+    # letter is built.
+    start = time.perf_counter()
+    payload = run_exit_2(capsys, "rho", "--ordering", dehornoy3,
+                         "--x", "s1 s2 s1 s1 s2 s1", "s1^2000000")
+    assert time.perf_counter() - start < 1.0
+    assert payload["error"] == "UnsupportedInput"
+    assert "100000 letters" in payload["detail"]
+
+
+def test_rho_flag_floor_past_the_cap_is_exact(capsys, sqrt2):
+    # The doubling search would stop at its 2^62 cap; the flag floor is
+    # read off the pairing ratio k*sqrt(2) and certified.
+    k = 99999999999999999999999
+    code, payload = run(capsys, "rho", "--ordering", sqrt2, "--x", "x1", f"x2^{k}")
+    assert code == 0
+    assert payload == {"value": math.isqrt(2 * k * k)}
+
+
+@pytest.mark.parametrize("fixture, element", [
+    # floor(k*sqrt(2)) and 2k for k = 10^4300 - 1: 4301 digits each, one
+    # past the integer-string limit, so the floor cannot be printed.
+    ("sqrt2", "x2^" + "9" * 4300),
+    ("lex2", "x1^" + "9" * 4300 + " x1^" + "9" * 4300),
+])
+def test_rho_unprintable_flag_floor_exit_2(capsys, request, fixture, element):
+    payload = run_exit_2(capsys, "rho", "--ordering", request.getfixturevalue(fixture),
+                         "--x", "x1", element)
+    assert payload["error"] == "UnsupportedInput"
+    assert "integer of 4301 digits" in payload["detail"]

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from ordo.errors import GroupMismatch, ParseError
+from ordo.errors import GroupMismatch, ParseError, UnsupportedInput
 from ordo.groups import (
+    MAX_BRAID_LETTERS,
     BraidWord,
     GroupRef,
     LatticeElement,
@@ -31,6 +32,17 @@ def test_parse_braid_free_reduction():
     assert parse_element("s1 s1^-1 s2", B3) == BraidWord(B3, ((2, 1),))
     assert parse_element("s1^3", B3).letters == ((1, 1), (1, 1), (1, 1))
     assert parse_element("", B3) == B3.identity()
+
+
+def test_parse_braid_letter_limit():
+    half = MAX_BRAID_LETTERS // 2
+    word = parse_element(f"s1^{half} s2^-{MAX_BRAID_LETTERS - half}", B3)
+    assert len(word.letters) == MAX_BRAID_LETTERS
+    # The limit counts literal letters, before free reduction.
+    for text in (f"s1^{MAX_BRAID_LETTERS + 1}", f"s1^{half + 1} s1^-{half}"):
+        with pytest.raises(UnsupportedInput):
+            parse_element(text, B3)
+    assert parse_element(f"x1^{10 * MAX_BRAID_LETTERS}", Z2).coords == (10 * MAX_BRAID_LETTERS, 0)
 
 
 def test_parse_errors():

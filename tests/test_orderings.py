@@ -1,6 +1,7 @@
 """Cone oracles: flags, Dehornoy/handle reduction, membership predicates."""
 
 import bisect
+import collections
 import functools
 import itertools
 import json
@@ -12,7 +13,7 @@ import pytest
 import sympy
 
 from ordo.errors import AnchorIsIdentity, GroupMismatch, NotCofinal, UnsupportedInput
-from ordo.exactreal import RealConstant
+from ordo.exactreal import RealConstant, linear_combination
 from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
 from ordo.orderings import (
     ConjugatedOrdering,
@@ -452,6 +453,78 @@ def test_locate_finds_braids_by_value_not_word():
     assert not found
     assert all(compare(DEHORNOY3, g, br("s1 s2")) < 0 for g in ordered[:index])
     assert all(compare(DEHORNOY3, g, br("s1 s2")) > 0 for g in ordered[index:])
+
+
+# -- the integer flag sign against the constant sign ---------------------------
+
+
+def _interval_sign(const):
+    """Sign by rational enclosures alone, independent of the integer sign engine."""
+    bits = 16
+    while not const.is_zero:
+        lo, hi = const.interval(bits)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+    return 0
+
+
+def test_integer_flag_sign_matches_constant_sign():
+    rng = random.Random(31)
+    terms_seen = collections.Counter()
+    for _ in range(300):
+        rank = rng.randint(1, 4)
+        levels = [[RealConstant.from_terms({m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                            for m in (1, 2, 3, 5) if rng.random() < 0.6})
+                   for _ in range(rank)] for _ in range(rng.randint(1, 4))]
+        flag = FlagOrdering.create(levels, check=False)
+        for _ in range(10):
+            g = LatticeElement(flag.group, tuple(rng.randint(-9, 9) for _ in range(rank)))
+            found = flag.first_level(g)
+            assert flag.sign(g) == (0 if found is None else found[1].sign())
+            if found is not None:
+                assert found[1].sign() == _interval_sign(found[1])
+            if found is not None:
+                j, pairing = found
+                assert pairing == linear_combination(zip(g.coords, flag.levels[j]))
+                assert flag.level_pairing(j, g) == pairing
+                terms_seen[min(len(pairing.terms), 3)] += 1
+    assert all(terms_seen[k] > 100 for k in (1, 2, 3)), terms_seen
+
+
+def _pell(d, n):
+    """(x, y) with x + y*sqrt(d) = (fundamental unit)^n, so x - y*sqrt(d) = 1/(x + y*sqrt(d))."""
+    x1, y1 = {2: (3, 2), 3: (2, 1)}[d]
+    x, y = 1, 0
+    for _ in range(n):
+        x, y = x1 * x + d * y1 * y, x1 * y + y1 * x
+    return x, y
+
+
+def test_integer_flag_sign_on_pell_size_constants():
+    z3 = GroupRef.free_abelian(3)
+    x2, y2 = _pell(2, 120)  # about 92 digits; x2 - y2*sqrt(2) is about 10^-92
+    u3, v3 = _pell(3, 150)  # about 86 digits
+    assert x2 * x2 - 2 * y2 * y2 == 1 and u3 * u3 - 3 * v3 * v3 == 1 and x2 > 100 * u3
+    first = [RealConstant.from_terms({1: x2, 2: -y2}), RealConstant.sqrt(3),
+             RealConstant.from_terms({1: u3, 3: -v3})]
+    flag = FlagOrdering.create([first, *FlagOrdering.lex(3).levels[1:]])
+    cases = {
+        # Two terms: x2 - y2*sqrt(2) > 0 by a margin of 10^-92.
+        (1, 0, 0): 1,
+        (-1, 0, 0): -1,
+        # Three terms: (x2 - y2 sqrt 2) - (u3 - v3 sqrt 3) = 1/(x2 + ..) - 1/(u3 + ..) < 0.
+        (1, 0, -1): -1,
+        (-1, 0, 1): 1,
+        # Three terms where sqrt(3) dominates.
+        (1, 1, -1): 1,
+        (1, -1, 1): -1,
+    }
+    for coords, want in cases.items():
+        g = LatticeElement(z3, coords)
+        pairing = flag.first_level(g)[1]
+        assert flag.sign(g) == want == pairing.sign() == _interval_sign(pairing), coords
+        assert flag.sign(g.inverse()) == -want
 
 
 # -- flags against a sympy oracle ------------------------------------------------

@@ -1,18 +1,23 @@
 """Bracketing floors, stable values, defect cocycle."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ordo.errors import NotBracketedWithinCap, NotCofinal, UnsupportedInput
+from ordo import quasimorph
+from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
 from ordo.exactreal import ONE, RealConstant, combine
-from ordo.groups import GroupRef, full_twist, parse_element, random_element
-from ordo.orderings import DehornoyOrdering, FlagOrdering
+from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
+from ordo.orderings import DehornoyOrdering, FlagOrdering, level_kernels
 from ordo.quasimorph import (
     AnchorContext,
     StableValue,
+    _max_true,
+    _pairing_ratio,
     defect_cocycle,
     power_floor,
     stable_approx,
@@ -21,14 +26,20 @@ from ordo.quasimorph import (
 )
 
 Z2 = GroupRef.free_abelian(2)
+Z3 = GroupRef.free_abelian(3)
 B3 = GroupRef.braid(3)
 LEX2 = FlagOrdering.lex(2)
+LEX3 = FlagOrdering.lex(3)
 SQRT2_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2)]])
 DEHORNOY3 = DehornoyOrdering.create(3)
 
 
 def el(text):
     return parse_element(text, Z2)
+
+
+def el3(text):
+    return parse_element(text, Z3)
 
 
 def br(text):
@@ -86,6 +97,161 @@ def test_power_floor_not_bracketed():
     ctx = AnchorContext(LEX2, el("x2"), generators=(el("x2"),), cap=64)
     with pytest.raises(NotBracketedWithinCap):
         power_floor(ctx, el("x1"))
+
+
+# -- closed-form flag floors against the doubling search ---------------------
+
+
+def _search_floor(ctx, h):
+    """The doubling-then-bisection floor, the path braid cones still take."""
+    x = ctx.anchor
+
+    def at_least(n):
+        return ctx.cone.sign(x ** (-n) * h) >= 0
+
+    if ctx.anchor_sign > 0:
+        return _max_true(at_least, ctx.cap)
+    return -_max_true(lambda m: at_least(-m), ctx.cap)
+
+
+def _floor_or_error(floor, ctx, h):
+    try:
+        return floor(ctx, h)
+    except NotBracketedWithinCap:
+        return NotBracketedWithinCap
+
+
+def _floor_case(flag, x, h):
+    """Which branch of the closed form (x, h) takes."""
+    try:
+        ratio = _pairing_ratio(flag, x, h, NotBracketedWithinCap)
+    except NotBracketedWithinCap:
+        return "not_bracketed"
+    if ratio is None:
+        return "irrational_anchor"
+    j = flag.first_level(x)[0]
+    if not ratio.is_rational or ratio.as_rational().denominator != 1:
+        return "ratio"
+    rest = flag.first_level(x ** (-ratio.as_rational().numerator) * h)
+    return "tie_identity" if rest is None else f"tie_depth_{rest[0] - j}"
+
+
+def _random_level_constant(rng):
+    # Two thirds of the constants are rational, so rational anchor pairings
+    # and integer ratios occur.
+    radicands = (1,) if rng.random() < 2 / 3 else (1, 2, 3, 5)
+    return RealConstant.from_terms({m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                    for m in radicands if rng.random() < 0.6})
+
+
+def _combination(rng, vectors, rank):
+    coords = [0] * rank
+    for v in vectors:
+        k = rng.randint(-3, 3)
+        coords = [a + k * b for a, b in zip(coords, v)]
+    return tuple(coords)
+
+
+def test_flag_floor_matches_search_on_random_flags():
+    rng = random.Random(808)
+    cases = Counter()
+    flags = 0
+    while flags < 100:
+        rank = rng.randint(1, 4)
+        levels = [[_random_level_constant(rng) for _ in range(rank)]
+                  for _ in range(rng.randint(1, 4))]
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:
+            continue
+        flags += 1
+        group = flag.group
+        # chain[i]: a basis of the elements pairing zero at every level before i.
+        chain = [[tuple(int(i == k) for i in range(rank)) for k in range(rank)]]
+        chain += [kernel for kernel in level_kernels(flag) if kernel]
+        for _ in range(6):
+            x = LatticeElement(group, _combination(rng, chain[rng.randrange(len(chain))], rank))
+            if x.is_identity:
+                continue
+            ctx = AnchorContext(flag, x, cap=1 << 20, require_cofinal=False)
+            j = flag.first_level(x)[0]
+            hs = [LatticeElement(group, tuple(rng.randint(-6, 6) for _ in range(rank)))
+                  for _ in range(3)]
+            for depth in range(j, len(chain)):
+                v = LatticeElement(group, _combination(rng, chain[depth], rank))
+                hs += [v, x ** rng.randint(-4, 4) * v]
+            for h in hs:
+                assert _floor_or_error(power_floor, ctx, h) == \
+                    _floor_or_error(_search_floor, ctx, h), (flag.levels, x, h)
+                cases[_floor_case(flag, x, h)] += 1
+                cases["positive_anchor" if ctx.anchor_sign > 0 else "negative_anchor"] += 1
+                cases["later_anchor"] += j > 0
+    for case in ("not_bracketed", "irrational_anchor", "ratio", "tie_identity",
+                 "tie_depth_1", "tie_depth_2", "positive_anchor", "negative_anchor",
+                 "later_anchor"):
+        assert cases[case] > 0, cases
+
+
+@pytest.mark.parametrize("anchor, element, want", [
+    # Integer ratio 5, decided one and two levels down.
+    ("x1", "x1^5 x2^-1", 4),
+    ("x1", "x1^5 x3^-1", 4),
+    ("x1", "x1^5 x2 x3^-9", 5),
+    ("x1", "x1^5", 5),
+    # Negative anchor: x^N <= h < x^(N-1).
+    ("x1^-1", "x1^5 x2^-1", -4),
+    ("x1^-1", "x1^5 x3", -5),
+    ("x1^-2", "x1^7", -3),
+    ("x1^-2", "x1^-7", 4),
+    # Anchor first seen at the second level.
+    ("x2", "x2^3 x3^-2", 2),
+    ("x2^-3", "x2^7", -2),
+    ("x2", "x3^-2", -1),
+    ("x2", "", 0),
+])
+def test_flag_floor_cases(anchor, element, want):
+    ctx = AnchorContext(LEX3, el3(anchor), require_cofinal=False)
+    assert power_floor(ctx, el3(element)) == want == _search_floor(ctx, el3(element))
+
+
+def test_flag_floor_element_seen_before_the_anchor():
+    ctx = AnchorContext(LEX3, el3("x2"), require_cofinal=False)
+    with pytest.raises(NotBracketedWithinCap) as exc:
+        power_floor(ctx, el3("x1 x2^5"))
+    assert "level 1" in str(exc.value)
+    with pytest.raises(NotBracketedWithinCap):
+        _search_floor(ctx, el3("x1 x2^5"))
+
+
+def test_flag_floor_irrational_anchor_pairing_keeps_the_search():
+    flag = FlagOrdering.create([[RealConstant.sqrt(2), RealConstant.rational(1)]])
+    ctx = AnchorContext(flag, el("x1"), cap=64)
+    assert power_floor(ctx, el("x2^3")) == 2  # floor(3 / sqrt 2)
+    with pytest.raises(NotBracketedWithinCap):
+        power_floor(ctx, el("x2^200"))  # 141 > 64: the cap still bounds the search
+
+
+def test_flag_floor_past_the_cap_is_exact():
+    k = 10 ** 22 + 12345
+    ctx = AnchorContext(SQRT2_FLAG, el("x1"), cap=64)
+    assert power_floor(ctx, el(f"x2^{k}")) == math.isqrt(2 * k * k)
+    assert power_floor(ctx, el(f"x2^-{k}")) == -math.isqrt(2 * k * k) - 1
+
+
+def test_flag_floor_certificate_is_checked(monkeypatch):
+    # A cone answer contradicting the pairing ratio must not pass silently.
+    ctx = lex_ctx()
+    monkeypatch.setattr(quasimorph, "cone_sign", lambda cone, g: 1)
+    with pytest.raises(InvariantViolation):
+        power_floor(ctx, el("x1^3 x2"))
+    monkeypatch.setattr(quasimorph, "cone_sign", lambda cone, g: -1)
+    with pytest.raises(InvariantViolation):
+        power_floor(ctx, el("x1^3 x2"))
+    # Only an integer ratio may fall one step below its floor: a cone that
+    # drops floor(sqrt 2) = 1 to 0 contradicts the pairing ratio.
+    monkeypatch.setattr(quasimorph, "cone_sign", lambda cone, g: 1 if g.coords[0] >= 0 else -1)
+    with pytest.raises(InvariantViolation):
+        power_floor(AnchorContext(SQRT2_FLAG, el("x1")), el("x2"))
 
 
 def test_context_rejects_noncofinal_flag_anchor():
