@@ -50,7 +50,6 @@ from .quasimorph import (
     StableValue,
     defect_cocycle,
     power_floor,
-    rho,
     stable_approx,
     stable_enclosure,
     stable_exact,

@@ -10,6 +10,7 @@ is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -199,7 +200,9 @@ def _cmd_equiv(args) -> int:
     return _emit(verdict.to_json(), exit_code=0 if verdict.outcome != "Unknown" else 3)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="ordo",
         description="Exact computation with left orderings of groups.")

@@ -32,6 +32,7 @@ from .errors import (
     NotRealizable,
     NotRightInvariant,
     UnsupportedInput,
+    printable_int,
 )
 from .exactreal import ONE, RealConstant, linear_combination, mod_one, q_rank
 from .groups import Element, GroupRef, LatticeElement
@@ -320,9 +321,9 @@ def construct_from_translations(values: Sequence[RealConstant], x: LatticeElemen
 
     duals: list[list[Fraction]] = []
     for l in range(len(basis_rows)):
-        rhs = [Fraction(1 if i == l else 0) for i in range(len(basis_rows))]
-        dual = linalg.rational_solve(basis_rows, rhs)
-        if dual is None:
+        unit = [int(i == l) for i in range(len(basis_rows))]
+        dual = linalg.hermite_solve(basis_rows, unit)
+        if [sum(a * d for a, d in zip(row, dual)) for row in basis_rows] != unit:
             raise InvariantViolation("kernel basis has no dual functionals")
         duals.append(dual)
 
@@ -370,7 +371,7 @@ class SikoraPoint:
         if self.kind == "rational":
             return {
                 "kind": "rational",
-                "direction": list(self.direction),
+                "direction": [printable_int(c, "direction entry") for c in self.direction],
                 "side": "plus" if self.side > 0 else "minus",
             }
         return {

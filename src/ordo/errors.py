@@ -4,8 +4,9 @@ Every error carries a stable machine-readable ``code`` (used verbatim in CLI
 JSON output) and the CLI exit code it maps to: 2 for invalid input, 3 for
 "could not decide within the configured caps".  ``parse_integer`` is the one
 conversion of literal digits, so that an oversized literal is a ParseError,
-and ``int_text`` the one conversion back, so that no message fails on an
-integer past Python's integer-string digit limit.
+``int_text`` the one conversion back, so that no message fails on an
+integer past Python's integer-string digit limit, and ``printable_int`` the
+one check that a derived integer can be printed as a JSON number.
 """
 
 
@@ -119,6 +120,16 @@ def parse_integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"integer literal of {len(text)} characters is too long") from None
+
+
+def printable_int(n: int, what: str) -> int:
+    """n, once it is known to print as a JSON number; UnsupportedInput naming
+    its digit count when it is past Python's integer-string digit limit."""
+    try:
+        str(n)
+    except ValueError:
+        raise UnsupportedInput(f"{what} {int_text(n)} is too long to print") from None
+    return n
 
 
 def int_text(n: int) -> str:

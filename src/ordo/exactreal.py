@@ -273,8 +273,8 @@ def q_rank(constants: Sequence[RealConstant]) -> int:
     keys = sorted({m for c in constants for m, _ in c.terms})
     if not keys:
         return 0
-    rows = [[c.coefficient(m) for m in keys] for c in constants]
-    return linalg.rational_rank(rows)
+    return linalg.rational_rank(
+        [linalg.clear_denominators([c.coefficient(m) for m in keys]) for c in constants])
 
 
 def mod_one(a: RealConstant) -> RealConstant:

@@ -29,7 +29,7 @@ BRAID = "braid"
 
 _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
-MAX_BRAID_LETTERS = 100_000  # the longest braid literal parse_element expands
+MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Exact linear algebra over the rationals and over integer lattices.
+"""Exact linear algebra over integer lattices, and over the rationals through them.
 
-Everything here works on plain lists of ``fractions.Fraction`` or ``int``;
-matrices are lists of rows.  No floating point enters any verdict path.
-The row Hermite normal form is the one integer engine: kernel lattices,
-membership, coordinates in a sublattice and saturation all come from it.
-The rational echelon form serves only rank over Q and rational solve.
+Everything here works on plain lists of ``int``; matrices are lists of rows.
+A rational row enters through ``clear_denominators``, which scales it to an
+integer row with the same span.  No floating point enters any verdict path.
+The row Hermite normal form is the one elimination: rank over Q, kernel
+lattices, membership, coordinates in a sublattice, saturation and the
+rational solve against a Hermite basis all come from it.
 """
 
 from __future__ import annotations
@@ -13,69 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Row = Sequence[Fraction]
-
-
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduce to row echelon form in place, return the nonzero rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [row for row in rows if any(x != 0 for x in row)]
-
-
-def rational_rank(rows: Sequence[Row]) -> int:
-    """Rank over Q of the given rows."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    return len(_echelon(work))
-
-
-def rational_solve(rows: Sequence[Row], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution v of rows @ v = rhs, or None if the system is inconsistent."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    reduced = _echelon(aug)
-    solution = [Fraction(0)] * n
-    for row in reduced:
-        lead = next((j for j in range(n) if row[j] != 0), None)
-        if lead is None:
-            if row[n] != 0:
-                return None
-            continue
-        # Row echelon with full reduction: the lead variable is determined by
-        # the rhs once the free variables are pinned to zero.
-        solution[lead] = row[n]
-    # Verify: with free variables at zero, back substitution above is exact
-    # only because _echelon fully reduces; check to be safe.
-    for row, want in zip(rows, rhs):
-        if sum(Fraction(a) * s for a, s in zip(row, solution)) != want:
-            return None
-    return solution
-
-
-def clear_denominators(row: Row) -> list[int]:
+def clear_denominators(row: Sequence[Fraction]) -> list[int]:
     """Scale a rational row by the lcm of denominators to a primitive integer row."""
     fracs = [Fraction(x) for x in row]
     denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
@@ -135,6 +74,25 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         if pivot_row == len(work):
             break
     return [row for row in work[:pivot_row] if any(row)]
+
+
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of integer rows (clear a rational row's denominators first)."""
+    return len(row_hnf(rows))
+
+
+def hermite_solve(hnf_rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
+    """The rational v with hnf_rows @ v == rhs that is zero off the pivot
+    columns, for nonzero rows in echelon form such as row_hnf returns.
+
+    Back substitution from the bottom row: each row fixes v at its pivot,
+    where v is still zero, from the pivots below it.
+    """
+    v = [Fraction(0)] * (len(hnf_rows[0]) if hnf_rows else 0)
+    for row, want in zip(reversed(hnf_rows), reversed(rhs)):
+        lead = next(j for j in range(len(row)) if row[j] != 0)
+        v[lead] = (want - sum(a * b for a, b in zip(row, v))) / row[lead]
+    return v
 
 
 def lattice_coordinates(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:

@@ -38,9 +38,10 @@ from .errors import (
     OrdoError,
     UnsupportedInput,
     int_text,
+    printable_int,
 )
 from .exactreal import ONE, RealConstant, combine, format_rational
-from .groups import Element, random_element
+from .groups import MAX_BRAID_LETTERS, BraidWord, Element, random_element
 from .orderings import Cone, Decision, FlagOrdering, cone_sign, is_cofinal
 
 DEFAULT_CAP = 1 << 62
@@ -143,17 +144,10 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
                 n -= s
             if not certified:
                 raise InvariantViolation(f"flag floor {int_text(n)} failed its bracket certificate")
-            try:
-                str(n)  # the CLI prints it as a JSON number
-            except ValueError:
-                raise UnsupportedInput(f"flag floor {int_text(n)} is too long to print") from None
-            return n
+            return printable_int(n, "flag floor")
     if s > 0:
         return _max_true(at_least, ctx.cap)
     return -_max_true(lambda m: at_least(-m), ctx.cap)
-
-
-rho = power_floor
 
 
 @dataclass(frozen=True)
@@ -208,15 +202,25 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
     return ratio
 
 
+def _order_power(h: Element, n: int) -> Element:
+    """h^n for an approximation order n >= 1; a braid power longer than
+    MAX_BRAID_LETTERS is refused before any letter is built."""
+    if n < 1:
+        raise UnsupportedInput("approximation order must be >= 1")
+    if isinstance(h, BraidWord) and n * len(h.letters) > MAX_BRAID_LETTERS:
+        raise UnsupportedInput(
+            f"order {int_text(n)} power of a {len(h.letters)}-letter braid is longer "
+            f"than {MAX_BRAID_LETTERS} letters")
+    return h ** n
+
+
 def stable_approx(ctx: AnchorContext, h: Element, n: int) -> StableValue:
     """power_floor(h^n)/n with certified radius 1/n.
 
     The radius follows from defect 1: floors of powers are superadditive up
     to 1 per split, so |stable(h) - floor(h^n)/n| <= 1/n.
     """
-    if n < 1:
-        raise UnsupportedInput("approximation order must be >= 1")
-    approx = Fraction(power_floor(ctx, h ** n), n)
+    approx = Fraction(power_floor(ctx, _order_power(h, n)), n)
     exact = None
     if isinstance(ctx.cone, FlagOrdering):
         exact = stable_exact(ctx.cone, ctx.anchor, h)
@@ -231,9 +235,7 @@ def stable_enclosure(ctx: AnchorContext, h: Element, n: int) -> tuple[Fraction, 
     therefore lies in [floor(h^n)/n, (floor(h^n)+1)/n].  A negative anchor
     mirrors the window.  Both endpoints are attainable.
     """
-    if n < 1:
-        raise UnsupportedInput("approximation order must be >= 1")
-    value = power_floor(ctx, h ** n)
+    value = power_floor(ctx, _order_power(h, n))
     if ctx.anchor_sign > 0:
         return Fraction(value, n), Fraction(value + 1, n)
     return Fraction(value - 1, n), Fraction(value, n)

@@ -414,3 +414,45 @@ def test_rho_unprintable_flag_floor_exit_2(capsys, request, fixture, element):
                          "--x", "x1", element)
     assert payload["error"] == "UnsupportedInput"
     assert "integer of 4301 digits" in payload["detail"]
+
+
+def test_parser_is_built_once(capsys, monkeypatch, sqrt2):
+    from ordo import cli
+
+    built = []
+    cached = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(cached()) or built[-1])
+    assert main(["psi", "--ordering", sqrt2, "--nonsense"]) == 2
+    capsys.readouterr()
+    outputs = []
+    for _ in range(2):
+        code = main(["psi", "--ordering", sqrt2, "--x", "x1", "--basis", "x2", "--basis", "x1"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert len(json.loads(outputs[0][1])["components"]) == 2
+    assert len(built) == 3 and all(p is built[0] for p in built)
+
+
+def test_sikora_unprintable_direction_exit_2(capsys, tmp_path):
+    # The first level (1/B, A) points along (1, A*B): each literal has 4000
+    # digits, their product 8000, past the integer-string limit.
+    a, b = "7" * 4000, "3" * 4000
+    doc = {"group": {"kind": "free_abelian", "rank": 2},
+           "ordering": {"type": "flag", "levels": [[{"1": f"1/{b}"}, {"1": a}],
+                                                   [{"1": "1"}, {"1": "0"}]]}}
+    path = tmp_path / "huge_direction.json"
+    path.write_text(json.dumps(doc))
+    payload = run_exit_2(capsys, "sikora", "--ordering", str(path))
+    assert payload["error"] == "UnsupportedInput"
+    assert "integer of 8000 digits" in payload["detail"]
+
+
+def test_stable_braid_power_past_the_letter_limit_exit_2_quickly(capsys, dehornoy3):
+    # h^n would have two million letters: refused before it is built.
+    start = time.perf_counter()
+    payload = run_exit_2(capsys, "stable", "--ordering", dehornoy3,
+                         "--x", "s1 s2 s1 s1 s2 s1", "--n", "1000000", "s1 s2")
+    assert time.perf_counter() - start < 1.0
+    assert payload["error"] == "UnsupportedInput"
+    assert "100000 letters" in payload["detail"]

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ordo.errors import NotRealizable, UnsupportedInput
-from ordo.exactreal import ONE, RealConstant, combine, mod_one
+from ordo.exactreal import ONE, RealConstant, combine, linear_combination, mod_one
 from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element
+from ordo.linalg import clear_denominators, integer_kernel_basis
 from ordo.orderings import Decision, DehornoyOrdering, FlagOrdering, act
 from ordo.quasimorph import StableValue, stable_exact
 from ordo.cohmaps import (
@@ -183,6 +184,32 @@ def test_construct_round_trip_random():
             assert mod_one(want) == have
         for i, gen in enumerate(group.generators()):
             assert stable_exact(flag, x, gen) == values[i]
+
+
+def test_construct_duals_vanish_off_the_pivots():
+    # Each level after the first is the dual functional of one Hermite kernel
+    # basis row: it pairs to 1 with that row and 0 with the others, and is
+    # zero off the basis's pivot columns.
+    rng = random.Random(102)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        x = LatticeElement(GroupRef.free_abelian(n),
+                           (rng.choice([1, 2, -1]),) + tuple(rng.randint(-2, 2) for _ in range(n - 1)))
+        tail = [RealConstant.from_terms({1: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                         2: Fraction(rng.randint(-1, 1))}) for _ in range(n - 1)]
+        first = combine(ONE, linear_combination(zip(x.coords[1:], tail)), 1, -1) / x.coords[0]
+        values = [first] + tail
+        flag = construct_from_translations(values, x)
+        keys = sorted({m for v in values for m, _ in v.terms})
+        basis = integer_kernel_basis(
+            [clear_denominators([v.coefficient(k) for v in values]) for k in keys], n)
+        pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+        duals = [[c.as_rational() for c in level] for level in flag.levels[1:]]
+        assert len(duals) == len(basis)
+        for l, dual in enumerate(duals):
+            assert [sum(a * d for a, d in zip(row, dual)) for row in basis] == [
+                int(i == l) for i in range(len(basis))]
+            assert all(dual[j] == 0 for j in range(n) if j not in pivots)
 
 
 def test_construct_custom_tiebreak():

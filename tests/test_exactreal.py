@@ -99,7 +99,7 @@ def test_q_rank_against_sympy_rank():
     keys = [1, 2, 3, 5]
     for _ in range(50):
         consts = [
-            RealConstant.from_terms({k: Fraction(rng.randint(-4, 4)) for k in keys})
+            RealConstant.from_terms({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in keys})
             for _ in range(rng.randint(1, 5))
         ]
         matrix = sympy.Matrix([[sympy.Rational(c.coefficient(k)) for k in keys] for c in consts])

@@ -1,18 +1,17 @@
 """Exact rational/integer linear algebra against sympy oracles."""
 
 import random
-from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from ordo.linalg import (
+    hermite_solve,
     integer_kernel_basis,
     lattice_contains,
     lattice_coordinates,
     lattice_is_saturated,
     rational_rank,
-    rational_solve,
     row_hnf,
     vector_gcd,
 )
@@ -29,20 +28,25 @@ def test_rank_matches_sympy():
         assert rational_rank(m) == sympy.Matrix(m).rank()
 
 
-def test_solve_consistency():
+def test_hermite_solve_matches_sympy():
     rng = random.Random(2)
-    for _ in range(100):
-        rows = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(len(rows[0]))]
-        rhs = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
-        got = rational_solve(rows, rhs)
-        assert got is not None
-        for row, want in zip(rows, rhs):
-            assert sum(Fraction(a) * b for a, b in zip(row, got)) == want
-
-
-def test_solve_inconsistent():
-    assert rational_solve([[1, 0], [1, 0]], [Fraction(1), Fraction(2)]) is None
+    checked = 0
+    while checked < 200:
+        cols = rng.randint(1, 5)
+        hnf = row_hnf(random_matrix(rng, rng.randint(1, cols), cols, span=rng.choice((3, 9))))
+        if not hnf:
+            continue
+        rhs = [rng.randint(-4, 4) for _ in hnf]
+        got = hermite_solve(hnf, rhs)
+        assert [sum(a * b for a, b in zip(row, got)) for row in hnf] == rhs
+        pivots = {next(j for j, a in enumerate(row) if a) for row in hnf}
+        assert all(got[j] == 0 for j in range(cols) if j not in pivots)
+        # sympy's Gauss-Jordan solution with its free parameters at zero is
+        # the one solution that vanishes off the pivot columns.
+        solution, params = sympy.Matrix(hnf).gauss_jordan_solve(sympy.Matrix(rhs))
+        want = solution.subs({t: 0 for t in params})
+        assert [sympy.Rational(x.numerator, x.denominator) for x in got] == list(want)
+        checked += 1
 
 
 def test_integer_kernel_is_saturated():
