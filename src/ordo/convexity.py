@@ -38,7 +38,6 @@ from .orderings import (
     Decision,
     FlagOrdering,
     compare,
-    cone_sign,
     is_cofinal,
     level_kernels,
 )
@@ -233,7 +232,7 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
     """Betweenness oracle for a cyclic braid subgroup on the word-length ball.
 
     Membership in <word> is decided against word^k for |k| <= _MAX_CYCLIC_EXPONENT
-    via the sign oracle (the word problem for the cone's group).
+    by key (the braid's Dynnikov coordinates solve the word problem).
     """
     if cone.group.is_abelian:
         raise UnsupportedInput("this oracle is for braid cones")
@@ -242,11 +241,9 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
 
     powers = [word ** k for k in range(-_MAX_CYCLIC_EXPONENT, _MAX_CYCLIC_EXPONENT + 1)]
 
-    def in_subgroup(g: Element) -> bool:
-        return any(cone_sign(cone, g * p.inverse()) == 0 for p in powers)
-
+    member_keys = {p.key for p in powers}
     in_ball_powers = [p for p in powers if len(p.letters) <= radius * len(word.letters)]
-    outsiders = (g for g in braid_words_up_to(cone.group, radius) if not in_subgroup(g))
+    outsiders = (g for g in braid_words_up_to(cone.group, radius) if g.key not in member_keys)
     return _squeezed(cone, in_ball_powers, outsiders)
 
 

@@ -4,7 +4,8 @@ The realization table assigns exact rationals to a finite enumeration
 (identity first) by the inductive rule: a new element beyond the current
 maximum gets max+1, below the minimum gets min-1, and otherwise the midpoint
 of its immediate neighbours; the assignment order-embeds the enumerated
-elements into Q and never revises earlier values.
+elements into Q and never revises earlier values.  The partial action
+check finds each image g*g_i by ``key_times`` and compares integer ranks.
 
 For a central cofinal anchor x the floors split every element h as
 x^{floor(h)} times a remainder in the floor-zero stratum, and
@@ -29,6 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -63,13 +65,20 @@ class RealizationTable:
     values: tuple[Fraction, ...]
 
     @cached_property
-    def _value_of(self) -> dict[tuple[int, ...], Fraction]:
-        return {g.key: t for g, t in zip(self.elements, self.values)}
+    def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, Element]]]:
+        # The distinct values in increasing order, the rank of each key's
+        # value among them, and the (rank, element) stations in value order.
+        distinct = sorted(set(self.values))
+        rank = {t: r for r, t in enumerate(distinct)}
+        ranks = [rank[t] for t in self.values]
+        return (distinct, {g.key: r for g, r in zip(self.elements, ranks)},
+                sorted(zip(ranks, self.elements), key=itemgetter(0)))
 
     def lookup(self, g: Element) -> Fraction | None:
         """Value of g if it is enumerated (as a group element, whatever its word)."""
         check_group(self.cone, g)
-        return self._value_of.get(g.key)
+        distinct, rank_of, _ = self._ranked
+        return distinct[rank_of[g.key]] if g.key in rank_of else None
 
     def to_json(self) -> dict:
         return {
@@ -141,16 +150,16 @@ def partial_action_check(table: RealizationTable, g: Element) -> ActionCheck:
     """Left translation by g must act increasingly on the realized stations.
 
     Checks every enumerated g_i with g*g_i also enumerated: the induced
-    partial map on values is strictly increasing.
+    partial map on values is strictly increasing.  Stations are walked in
+    value order, each image found by key, and the image ranks compared.
     """
-    pairs: list[tuple[Fraction, Fraction]] = []
-    for g_i, t_i in zip(table.elements, table.values):
-        t_image = table.lookup(g * g_i)
-        if t_image is not None:
-            pairs.append((t_i, t_image))
-    pairs.sort()
+    distinct, rank_of, stations = table._ranked
+    pairs = [(r, image) for r, g_i in stations
+             if (image := rank_of.get(g.key_times(g_i))) is not None]
+    pairs.sort()  # already sorted unless equal values give a rank twice
     for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
         if not b1 > b0:
+            a0, b0, a1, b1 = (distinct[r] for r in (a0, b0, a1, b1))
             return ActionCheck(len(pairs), False,
                                f"stations {a0}->{b0} and {a1}->{b1} are not increasing")
     return ActionCheck(len(pairs), True)

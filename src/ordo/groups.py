@@ -6,7 +6,8 @@ Braid words are kept freely reduced but are not put into any canonical form.
 Every element has a ``key``, a complete invariant of the group element it
 represents: the exponent vector for lattices, the Dynnikov coordinates for
 braids.  Equal keys mean equal elements, so finite sets of elements are
-dicts on ``key``.
+dicts on ``key``.  ``a.key_times(b)`` is the key of a * b without building
+the product: the coordinate sum, or b's letters acting on a's coordinates.
 
 The shared text grammar is whitespace-separated tokens ``x<k>`` (abelian) or
 ``s<k>`` (braid), each optionally suffixed ``^<signed integer>``; the empty
@@ -120,13 +121,17 @@ class LatticeElement:
     def key(self) -> tuple[int, ...]:
         return self.coords
 
+    def key_times(self, other: "LatticeElement") -> tuple[int, ...]:
+        """The key of self * other: the coordinate sum."""
+        _same_group(self, other)
+        return tuple(a + b for a, b in zip(self.coords, other.coords))
+
     @property
     def is_identity(self) -> bool:
         return not any(self.coords)
 
     def __mul__(self, other: "LatticeElement") -> "LatticeElement":
-        _same_group(self, other)
-        return LatticeElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return LatticeElement(self.group, self.key_times(other))
 
     def inverse(self) -> "LatticeElement":
         return LatticeElement(self.group, tuple(-a for a in self.coords))
@@ -162,6 +167,44 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ..
     return tuple(out)
 
 
+def dynnikov_act(coords: tuple[int, ...], letters: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Dynnikov coordinates (a1, b1, ..., an, bn) moved by a letter sequence.
+
+    B_n acts on Z^(2n) by piecewise-linear maps, s_i changing a_i, b_i,
+    a_(i+1), b_(i+1); letters act left to right, so key(u v) is v's letters
+    acting on key(u).  The orbit map of (0, 1, ..., 0, 1) is injective, so
+    its image is a complete invariant of the braid (Dynnikov, Russian Math.
+    Surveys 57 (2002); Dehornoy-Dynnikov-Rolfsen-Wiest, Ordering Braids, ch. 12).
+    """
+    c = list(coords)
+    for i, e in letters:
+        k = 2 * i - 2
+        a1, b1, a2, b2 = c[k], c[k + 1], c[k + 2], c[k + 3]
+        b1_pos = b1 if b1 > 0 else 0
+        b1_neg = b1 - b1_pos
+        b2_pos = b2 if b2 > 0 else 0
+        b2_neg = b2 - b2_pos
+        if e > 0:
+            t = a1 - b1_neg - a2 + b2_pos
+            t_pos = t if t > 0 else 0
+            u = b2_pos - t
+            v = b1_neg + t
+            c[k] = a1 + b1_pos + (u if u > 0 else 0)
+            c[k + 1] = b2 - t_pos
+            c[k + 2] = a2 + b2_neg + (v if v < 0 else 0)
+            c[k + 3] = b1 + t_pos
+        else:
+            t = a1 + b1_neg - a2 - b2_pos
+            t_neg = t if t < 0 else 0
+            u = b2_pos + t
+            v = b1_neg - t
+            c[k] = a1 - b1_pos - (u if u > 0 else 0)
+            c[k + 1] = b2 + t_neg
+            c[k + 2] = a2 - b2_neg - (v if v < 0 else 0)
+            c[k + 3] = b1 - t_neg
+    return tuple(c)
+
+
 @dataclass(frozen=True)
 class BraidWord:
     group: GroupRef
@@ -188,41 +231,14 @@ class BraidWord:
 
     @cached_property
     def key(self) -> tuple[int, ...]:
-        """Dynnikov coordinates (a1, b1, ..., an, bn) of the image of (0, 1, ..., 0, 1).
+        """Dynnikov coordinates of the braid: its letters acting on (0, 1, ..., 0, 1)."""
+        return dynnikov_act((0, 1) * self.group.n, self.letters)
 
-        B_n acts on Z^(2n) by piecewise-linear maps, s_i changing the four
-        coordinates a_i, b_i, a_(i+1), b_(i+1); the letters act left to
-        right.  The orbit map is injective, so the image is a complete
-        invariant of the braid (Dynnikov, Russian Math. Surveys 57 (2002);
-        Dehornoy-Dynnikov-Rolfsen-Wiest, Ordering Braids, ch. 12).
-        """
-        c = [0, 1] * self.group.n
-        for i, e in self.letters:
-            k = 2 * i - 2
-            a1, b1, a2, b2 = c[k], c[k + 1], c[k + 2], c[k + 3]
-            b1_pos = b1 if b1 > 0 else 0
-            b1_neg = b1 - b1_pos
-            b2_pos = b2 if b2 > 0 else 0
-            b2_neg = b2 - b2_pos
-            if e > 0:
-                t = a1 - b1_neg - a2 + b2_pos
-                t_pos = t if t > 0 else 0
-                u = b2_pos - t
-                v = b1_neg + t
-                c[k] = a1 + b1_pos + (u if u > 0 else 0)
-                c[k + 1] = b2 - t_pos
-                c[k + 2] = a2 + b2_neg + (v if v < 0 else 0)
-                c[k + 3] = b1 + t_pos
-            else:
-                t = a1 + b1_neg - a2 - b2_pos
-                t_neg = t if t < 0 else 0
-                u = b2_pos + t
-                v = b1_neg - t
-                c[k] = a1 - b1_pos - (u if u > 0 else 0)
-                c[k + 1] = b2 + t_neg
-                c[k + 2] = a2 - b2_neg - (v if v < 0 else 0)
-                c[k + 3] = b1 - t_neg
-        return tuple(c)
+    def key_times(self, other: "BraidWord") -> tuple[int, ...]:
+        """The key of self * other, unbuilt: other's letters act on self.key
+        (a group action, so free reduction would not change it)."""
+        _same_group(self, other)
+        return dynnikov_act(self.key, other.letters)
 
     @property
     def is_identity(self) -> bool:

@@ -18,7 +18,9 @@ integer arithmetic linear in the word length.  Handle reduction decides the
 same question by rewriting words; it is kept as an independent check of the
 coordinate sign.
 
-``compare`` and ``locate`` are the order searches.  Whether an element lies
+``compare`` and ``locate`` are the order searches.  Both read the sign of a
+product through ``Cone.sign_product``, which the Dehornoy cone answers from
+``key_times`` without building the product word.  Whether an element lies
 in a finite set is a question of identity, not of order, and is answered by
 a dict on ``key``.
 
@@ -83,6 +85,10 @@ class Cone:
     def sign(self, g: Element) -> int:
         raise NotImplementedError
 
+    def sign_product(self, a: Element, b: Element) -> int:
+        """sign(a * b); a cone that can read it without the product overrides this."""
+        return cone_sign(self, a * b)
+
 
 def check_group(cone: Cone, g: Element) -> None:
     if g.group != cone.group:
@@ -96,20 +102,22 @@ def cone_sign(cone: Cone, g: Element) -> int:
 
 def compare(cone: Cone, a: Element, b: Element) -> int:
     """Sign of the order comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    return -cone_sign(cone, a.inverse() * b)
+    return -cone.sign_product(a.inverse(), b)
 
 
 def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
     """Where g falls in a list sorted by the cone: (index, found).
 
-    Midpoint binary search over compare.  When g is present (as a group
-    element, whatever its word) index is its position; otherwise it is the
-    position at which inserting g keeps the list sorted.
+    Midpoint binary search.  g is inverted once and each probe m reads
+    sign(g^-1 m), which is compare(m, g) by LO2.  When g is present (as a
+    group element, whatever its word) index is its position; otherwise it
+    is the position at which inserting g keeps the list sorted.
     """
+    g_inv = g.inverse()
     lo, hi = 0, len(ordered)
     while lo < hi:
         mid = (lo + hi) // 2
-        c = compare(cone, ordered[mid], g)
+        c = cone.sign_product(g_inv, ordered[mid])
         if c == 0:
             return mid, True
         if c < 0:
@@ -299,17 +307,24 @@ class DehornoyOrdering(Cone):
         return DehornoyOrdering(GroupRef.braid(strands))
 
     def sign(self, g: BraidWord) -> int:
-        """First nonzero entry of (a1, b1 - 1, a2, b2 - 1, ...) of g's
-        Dynnikov coordinates (Dehornoy, "Efficient solutions to the braid
-        isotopy problem", Discrete Appl. Math. 156 (2008))."""
-        coords = g.key
-        for k in range(0, len(coords), 2):
-            a, b = coords[k], coords[k + 1]
-            if a:
-                return 1 if a > 0 else -1
-            if b != 1:
-                return 1 if b > 1 else -1
-        return 0
+        return _dynnikov_sign(g.key)
+
+    def sign_product(self, a: BraidWord, b: BraidWord) -> int:
+        check_group(self, a)
+        return _dynnikov_sign(a.key_times(b))
+
+
+def _dynnikov_sign(coords: tuple[int, ...]) -> int:
+    """First nonzero entry of (a1, b1 - 1, a2, b2 - 1, ...) of a braid's
+    Dynnikov coordinates (Dehornoy, "Efficient solutions to the braid
+    isotopy problem", Discrete Appl. Math. 156 (2008))."""
+    for k in range(0, len(coords), 2):
+        a, b = coords[k], coords[k + 1]
+        if a:
+            return 1 if a > 0 else -1
+        if b != 1:
+            return 1 if b > 1 else -1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -326,7 +341,7 @@ class ConjugatedOrdering(Cone):
         object.__setattr__(self, "group", self.base.group)
 
     def sign(self, g: Element) -> int:
-        return self.base.sign(self.conjugator * g * self.conjugator.inverse())
+        return self.base.sign_product(self.conjugator * g, self.conjugator.inverse())
 
 
 def act(cone: Cone, h: Element) -> Cone:
@@ -354,7 +369,7 @@ def is_central_braid(cone: Cone, x: Element) -> bool:
     if total % period != 0:
         return False
     twist = full_twist(x.group.strands)
-    return cone_sign(cone, x * twist ** (-(total // period))) == 0
+    return cone.sign_product(x, twist ** (-(total // period))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +419,7 @@ def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> Axioms
             lo2_failures.append(g.render())
         if sg > 0 and cone_sign(cone, h) > 0:
             lo1_checked += 1
-            if cone_sign(cone, g * h) <= 0:
+            if cone.sign_product(g, h) <= 0:
                 lo1_failures.append(f"{g.render()} | {h.render()}")
 
     kernel_witness = None
@@ -477,10 +492,7 @@ def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | N
         return InvarianceVerdict(Decision.YES)
 
     gens = list(generators) if generators is not None else cone.group.generators()
-    alphabet: list[Element] = []
-    for g in gens + [x]:
-        alphabet.append(g)
-        alphabet.append(g.inverse())
+    alphabet = [h for g in gens + [x] for h in (g, g.inverse())]
     x_inv = x.inverse()
     frontier: list[Element] = [cone.group.identity()]
     for _ in range(cap):
@@ -490,7 +502,7 @@ def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | N
                 z = word * letter
                 if z.is_identity:
                     continue
-                if cone_sign(cone, z) != cone_sign(cone, x_inv * z * x):
+                if cone_sign(cone, z) != cone.sign_product(x_inv * z, x):
                     return InvarianceVerdict(Decision.NO, z)
                 next_frontier.append(z)
         frontier = next_frontier
@@ -561,9 +573,9 @@ def is_dense(cone: Cone, cap: int = 5) -> DensityVerdict:
         return _flag_density(cone)
     smallest: Element | None = None
     for w in braid_words_up_to(cone.group, cap):
-        if cone_sign(cone, w) > 0:
-            if smallest is None or cone_sign(cone, w.inverse() * smallest) > 0:
-                smallest = w
+        # w < smallest reads sign(smallest^-1 w) < 0, with one inverse per new smallest.
+        if cone_sign(cone, w) > 0 and (smallest is None or cone.sign_product(smallest_inv, w) < 0):
+            smallest, smallest_inv = w, w.inverse()
     return DensityVerdict(Density.UNKNOWN, smallest_positive_seen=smallest)
 
 

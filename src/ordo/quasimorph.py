@@ -129,7 +129,7 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
         raise GroupMismatch("element must live in the cone's group")
 
     def at_least(n: int) -> bool:
-        return cone_sign(cone, (x ** (-n)) * h) >= 0
+        return cone.sign_product(_bounded_power(x, -n, "floor probe"), h) >= 0
 
     if isinstance(cone, FlagOrdering):
         ratio = _pairing_ratio(cone, x, h, NotBracketedWithinCap)
@@ -202,16 +202,20 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
     return ratio
 
 
-def _order_power(h: Element, n: int) -> Element:
-    """h^n for an approximation order n >= 1; a braid power longer than
-    MAX_BRAID_LETTERS is refused before any letter is built."""
-    if n < 1:
-        raise UnsupportedInput("approximation order must be >= 1")
-    if isinstance(h, BraidWord) and n * len(h.letters) > MAX_BRAID_LETTERS:
+def _bounded_power(h: Element, n: int, what: str) -> Element:
+    """h^n; a braid power longer than MAX_BRAID_LETTERS is refused unbuilt."""
+    if isinstance(h, BraidWord) and abs(n) * len(h.letters) > MAX_BRAID_LETTERS:
         raise UnsupportedInput(
-            f"order {int_text(n)} power of a {len(h.letters)}-letter braid is longer "
+            f"{what} {int_text(n)} power of a {len(h.letters)}-letter braid is longer "
             f"than {MAX_BRAID_LETTERS} letters")
     return h ** n
+
+
+def _order_power(h: Element, n: int) -> Element:
+    """h^n for an approximation order n >= 1, bounded as _bounded_power."""
+    if n < 1:
+        raise UnsupportedInput("approximation order must be >= 1")
+    return _bounded_power(h, n, "order")
 
 
 def stable_approx(ctx: AnchorContext, h: Element, n: int) -> StableValue:

@@ -456,3 +456,25 @@ def test_stable_braid_power_past_the_letter_limit_exit_2_quickly(capsys, dehorno
     assert time.perf_counter() - start < 1.0
     assert payload["error"] == "UnsupportedInput"
     assert "100000 letters" in payload["detail"]
+
+
+@pytest.mark.parametrize("anchor, cap", [("s2", "1048576"), ("s2^-1", "1048576"),
+                                         ("s2 s2", None)])
+def test_rho_braid_floor_probe_past_the_letter_limit_exit_2_quickly(capsys, dehornoy3,
+                                                                    anchor, cap):
+    # s1 lies above every power of s2, so the floor search doubles N; the
+    # probe x^-N is refused once it would pass 100000 letters, before it is
+    # built, whether the cap is 2^20 or the default 2^62.
+    start = time.perf_counter()
+    cap_args = ("--cap", cap) if cap else ()
+    payload = run_exit_2(capsys, "rho", "--ordering", dehornoy3, "--x", anchor, *cap_args, "s1")
+    assert time.perf_counter() - start < 1.0
+    assert payload["error"] == "UnsupportedInput"
+    assert "100000 letters" in payload["detail"]
+
+
+def test_rho_braid_floor_below_the_letter_limit_still_stops_at_the_cap(capsys, dehornoy3):
+    code, payload = run(capsys, "rho", "--ordering", dehornoy3, "--x", "s2",
+                        "--cap", "65536", "s1")
+    assert code == 3
+    assert payload["error"] == "NotBracketedWithinCap"

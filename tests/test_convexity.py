@@ -7,9 +7,11 @@ import pytest
 
 from ordo.errors import NotCofinal, UnsupportedInput
 from ordo.exactreal import RealConstant
-from ordo.groups import GroupRef, full_twist, parse_element
-from ordo.orderings import DehornoyOrdering, FlagOrdering
+from ordo.groups import GroupRef, braid_words_up_to, full_twist, parse_element
+from ordo.orderings import DehornoyOrdering, FlagOrdering, act, cone_sign
 from ordo.convexity import (
+    _MAX_CYCLIC_EXPONENT,
+    _squeezed,
     ExponentMatrix,
     WordExpression,
     brute_convex,
@@ -229,6 +231,32 @@ def test_brute_convex_cyclic_braid():
     # the identity and the twist.
     result = brute_convex_cyclic_braid(cone, full_twist(3), radius=2)
     assert result.violation
+
+
+def _brute_cyclic_by_sign(cone, word, radius):
+    """brute_convex_cyclic_braid as it was: g is in <word> when
+    sign(g p^-1) = 0 for one of the powers p."""
+    powers = [word ** k for k in range(-_MAX_CYCLIC_EXPONENT, _MAX_CYCLIC_EXPONENT + 1)]
+    in_ball_powers = [p for p in powers if len(p.letters) <= radius * len(word.letters)]
+    outsiders = (g for g in braid_words_up_to(cone.group, radius)
+                 if not any(cone_sign(cone, g * p.inverse()) == 0 for p in powers))
+    return _squeezed(cone, in_ball_powers, outsiders)
+
+
+@pytest.mark.parametrize("cone,words,radius", [
+    (DehornoyOrdering.create(3), ["s1", "s2", "s1 s2", "s2^2 s1^-1", "s1 s2 s1"], 4),
+    (DehornoyOrdering.create(4), ["s1", "s3", "s1 s3^-1", "s2 s3 s2", "s1 s2 s3"], 3),
+    (act(DehornoyOrdering.create(3), parse_element("s2 s1^-1", GroupRef.braid(3))),
+     ["s1", "s1 s2^-1", "s1 s2 s1^-1"], 3),
+])
+def test_cyclic_braid_membership_by_key_matches_the_sign_oracle(cone, words, radius):
+    subgroups = [parse_element(w, cone.group) for w in words] + [full_twist(cone.group.strands)]
+    outcomes = set()
+    for word in subgroups:
+        result = brute_convex_cyclic_braid(cone, word, radius)
+        assert result == _brute_cyclic_by_sign(cone, word, radius)
+        outcomes.add(result.violation)
+    assert outcomes == {True, False}
 
 
 def test_word_expression_parse():

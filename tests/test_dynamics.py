@@ -1,5 +1,6 @@
 """Line realizations, sampled circle actions, the Euler identity, equivalence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from ordo.groups import (
 from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, cone_sign, locate
 from ordo.quasimorph import power_floor
 from ordo.dynamics import (
+    ActionCheck,
+    RealizationTable,
     ball_enumeration,
     circle_action_for_samples,
     circle_action_from_ball,
@@ -36,6 +39,8 @@ LEX1 = FlagOrdering.lex(1)
 LEX2 = FlagOrdering.lex(2)
 SQRT2_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2)]])
 DEHORNOY3 = DehornoyOrdering.create(3)
+DEHORNOY4 = DehornoyOrdering.create(4)
+CONJUGATED3 = act(DEHORNOY3, parse_element("s1 s2^-1", B3))
 
 
 def el(text, group=Z2):
@@ -122,6 +127,73 @@ def test_partial_action_on_ball():
         assert partial_action_check(table, g).passed
 
 
+def _partial_action_by_sorting(table, g):
+    """partial_action_check as it was: each image's value looked up through
+    the product g * g_i, and the (value, image value) pairs sorted."""
+    value_of = {h.key: t for h, t in zip(table.elements, table.values)}
+    pairs = []
+    for g_i, t_i in zip(table.elements, table.values):
+        t_image = value_of.get((g * g_i).key)
+        if t_image is not None:
+            pairs.append((t_i, t_image))
+    pairs.sort()
+    for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
+        if not b1 > b0:
+            return ActionCheck(len(pairs), False,
+                               f"stations {a0}->{b0} and {a1}->{b1} are not increasing")
+    return ActionCheck(len(pairs), True)
+
+
+PAC_CONES = [LEX1, LEX2, SQRT2_FLAG, DEHORNOY3, DEHORNOY4, CONJUGATED3]
+PAC_CONE_IDS = ["lex1", "lex2", "sqrt2", "B3", "B4", "conjugated_B3"]
+
+
+@pytest.mark.parametrize("cone", PAC_CONES, ids=PAC_CONE_IDS)
+def test_partial_action_matches_the_sorting_check_on_balls(cone):
+    rng = random.Random(31)
+    movers = ball_enumeration(cone, 2)
+    for radius in range(5):
+        table = realize(cone, ball_enumeration(cone, radius))
+        checked = 0
+        for g in movers:
+            report = partial_action_check(table, g)
+            assert report == _partial_action_by_sorting(table, g)
+            assert report.passed
+            checked += report.checked
+        assert checked > len(movers) * (len(table.elements) // 4)
+        # Shuffled values, with some repeated, make the check fail; the
+        # verdict and its message must still match byte for byte.
+        values = [rng.choice(table.values[:3]) if rng.random() < 0.2 else v
+                  for v in rng.sample(table.values, len(table.values))]
+        shuffled = RealizationTable(cone, table.elements, tuple(values))
+        reports = [partial_action_check(shuffled, g) for g in movers[:8]]
+        assert reports == [_partial_action_by_sorting(shuffled, g) for g in movers[:8]]
+        assert radius < 2 or not all(report.passed for report in reports)
+
+
+def test_partial_action_failure_message_on_a_hand_built_table():
+    elements = (Z1.identity(), z1("x1"), z1("x1^-1"), z1("x1^2"))
+    table = RealizationTable(LEX1, elements,
+                             (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-5, 2)))
+    assert partial_action_check(table, z1("x1")) == ActionCheck(
+        3, False, "stations 0->1/2 and 1/2->-5/2 are not increasing")
+    # Equal values sort by image value, as the pairs of values always did.
+    tied = RealizationTable(LEX1, elements,
+                            (Fraction(0), Fraction(1), Fraction(1), Fraction(2)))
+    assert partial_action_check(tied, z1("x1")) == ActionCheck(
+        3, False, "stations 0->1 and 1->0 are not increasing")
+    assert partial_action_check(tied, z1("x1")) == _partial_action_by_sorting(tied, z1("x1"))
+
+
+def test_partial_action_rejects_foreign_elements():
+    table = realize(DEHORNOY3, ball_enumeration(DEHORNOY3, 2))
+    for foreign in (el("s1", B4), el("x1"), LatticeElement(GroupRef.free_abelian(6), (0,) * 6)):
+        with pytest.raises(GroupMismatch):
+            partial_action_check(table, foreign)
+    with pytest.raises(GroupMismatch):
+        partial_action_check(realize(LEX2, ball_enumeration(LEX2, 1)), z1("x1"))
+
+
 def test_ball_enumeration_dedupes_braids():
     words = ball_enumeration(DEHORNOY3, 3)
     # s1 s2 s1 and s2 s1 s2 are the same braid: only one survives.
@@ -132,8 +204,6 @@ def test_ball_enumeration_dedupes_braids():
 
 # -- keyed lookups against the order search they replace --------------------
 
-CONJUGATED3 = act(DEHORNOY3, el("s1 s2^-1", B3))
-DEHORNOY4 = DehornoyOrdering.create(4)
 
 
 def _locate_ball(cone, radius):

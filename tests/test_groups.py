@@ -89,6 +89,38 @@ def test_braid_words_are_validated_once():
             assert BraidWord(B3, w.letters) == w
 
 
+@pytest.mark.parametrize("strands", [3, 4, 5])
+def test_braid_key_times_is_the_key_of_the_product(strands):
+    group = GroupRef.braid(strands)
+    rng = random.Random(strands)
+    for _ in range(400):
+        a = random_element(group, rng, 30)
+        b = random_element(group, rng, 30)
+        assert a.key_times(b) == (a * b).key
+        # Free cancellation between the two words does not change the key.
+        assert b.inverse().key_times(b) == group.identity().key
+        assert a.key_times(a.inverse() * b) == b.key
+
+
+def test_lattice_key_times_is_the_key_of_the_product():
+    rng = random.Random(11)
+    for _ in range(400):
+        group = GroupRef.free_abelian(rng.randint(1, 4))
+        a = random_element(group, rng, 50)
+        b = random_element(group, rng, 50)
+        assert a.key_times(b) == (a * b).key
+
+
+def test_key_times_rejects_mixed_groups():
+    pairs = [(parse_element("s1", B3), parse_element("s1", GroupRef.braid(4))),
+             (parse_element("x1", Z2), parse_element("x1", GroupRef.free_abelian(3))),
+             (parse_element("s1", B3), LatticeElement(GroupRef.free_abelian(6), (0,) * 6))]
+    for a, b in pairs:
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(GroupMismatch):
+                left.key_times(right)
+
+
 def test_mixed_groups_rejected():
     with pytest.raises(GroupMismatch):
         parse_element("x1", Z2) * parse_element("x1", GroupRef.free_abelian(3))

@@ -455,6 +455,82 @@ def test_locate_finds_braids_by_value_not_word():
     assert all(compare(DEHORNOY3, g, br("s1 s2")) > 0 for g in ordered[index:])
 
 
+def _locate_by_compare(cone, ordered, g):
+    """The order search as it was before sign_product: compare(m, g) per probe."""
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = compare(cone, ordered[mid], g)
+        if c == 0:
+            return mid, True
+        if c < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, False
+
+
+B4 = GroupRef.braid(4)
+DEHORNOY4 = DehornoyOrdering.create(4)
+CONJUGATED3 = act(DEHORNOY3, br("s1 s2^-1 s1"))
+PRODUCT_CONES = [DEHORNOY3, DEHORNOY4, CONJUGATED3, SQRT2_FLAG, LEX3]
+PRODUCT_CONE_IDS = ["B3", "B4", "conjugated_B3", "sqrt2", "lex3"]
+
+
+def _same_element_other_word(g):
+    """g times a trivial product that free reduction does not cancel."""
+    if g.group.is_abelian:
+        return g
+    half = parse_element("s1 s2 s1", g.group)
+    return g * half * parse_element("s2 s1 s2", g.group).inverse()
+
+
+@pytest.mark.parametrize("cone", PRODUCT_CONES, ids=PRODUCT_CONE_IDS)
+def test_sign_product_is_the_sign_of_the_product(cone):
+    rng = random.Random(23)
+    for _ in range(300):
+        a = random_element(cone.group, rng, 12)
+        b = random_element(cone.group, rng, 12)
+        assert cone.sign_product(a, b) == cone_sign(cone, a * b)
+        assert cone.sign_product(a, a.inverse()) == 0
+
+
+@pytest.mark.parametrize("cone", PRODUCT_CONES, ids=PRODUCT_CONE_IDS)
+def test_locate_matches_the_compare_search(cone):
+    rng = random.Random(29)
+    by_order = functools.cmp_to_key(lambda a, b: compare(cone, a, b))
+    for _ in range(40):
+        ordered = []
+        for g in sorted((random_element(cone.group, rng, 6)
+                         for _ in range(rng.randint(0, 25))), key=by_order):
+            if not ordered or compare(cone, ordered[-1], g) != 0:
+                ordered.append(g)
+        probes = [random_element(cone.group, rng, 6) for _ in range(15)]
+        probes += [_same_element_other_word(m) for m in ordered[:5]]
+        for g in probes:
+            assert locate(cone, ordered, g) == _locate_by_compare(cone, ordered, g)
+
+
+def test_order_searches_reject_foreign_elements():
+    ordered = [br("s1^-1"), br(""), br("s2")]
+    for foreign in (parse_element("s1", B4), el("x1")):
+        with pytest.raises(GroupMismatch):
+            compare(DEHORNOY3, foreign, foreign)
+        with pytest.raises(GroupMismatch):
+            compare(DEHORNOY3, br("s1"), foreign)
+        with pytest.raises(GroupMismatch):
+            compare(DEHORNOY3, foreign, br("s1"))
+        with pytest.raises(GroupMismatch):
+            locate(DEHORNOY3, ordered, foreign)
+        with pytest.raises(GroupMismatch):
+            DEHORNOY3.sign_product(foreign, foreign)
+    z3 = LatticeElement(GroupRef.free_abelian(3), (1, 0, 0))
+    with pytest.raises(GroupMismatch):
+        compare(LEX2, z3, z3)
+    with pytest.raises(GroupMismatch):
+        locate(LEX2, [el("x1")], z3)
+
+
 # -- the integer flag sign against the constant sign ---------------------------
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from ordo import quasimorph
 from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
 from ordo.exactreal import ONE, RealConstant, combine
 from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
@@ -240,16 +239,18 @@ def test_flag_floor_past_the_cap_is_exact():
 
 def test_flag_floor_certificate_is_checked(monkeypatch):
     # A cone answer contradicting the pairing ratio must not pass silently.
+    # Every floor probe asks the cone for sign(x^-N h) through sign_product.
     ctx = lex_ctx()
-    monkeypatch.setattr(quasimorph, "cone_sign", lambda cone, g: 1)
+    monkeypatch.setattr(FlagOrdering, "sign_product", lambda cone, a, b: 1)
     with pytest.raises(InvariantViolation):
         power_floor(ctx, el("x1^3 x2"))
-    monkeypatch.setattr(quasimorph, "cone_sign", lambda cone, g: -1)
+    monkeypatch.setattr(FlagOrdering, "sign_product", lambda cone, a, b: -1)
     with pytest.raises(InvariantViolation):
         power_floor(ctx, el("x1^3 x2"))
     # Only an integer ratio may fall one step below its floor: a cone that
     # drops floor(sqrt 2) = 1 to 0 contradicts the pairing ratio.
-    monkeypatch.setattr(quasimorph, "cone_sign", lambda cone, g: 1 if g.coords[0] >= 0 else -1)
+    monkeypatch.setattr(FlagOrdering, "sign_product",
+                        lambda cone, a, b: 1 if (a * b).coords[0] >= 0 else -1)
     with pytest.raises(InvariantViolation):
         power_floor(AnchorContext(SQRT2_FLAG, el("x1")), el("x2"))
 
