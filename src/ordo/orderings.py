@@ -360,16 +360,12 @@ def act(cone: Cone, h: Element) -> Cone:
 
 def is_central_braid(cone: Cone, x: Element) -> bool:
     """Whether x is a (nonzero or zero) power of the full twist, hence central."""
-    if x.group.is_abelian:
+    if x.group.is_abelian or x.is_identity:
         return True
-    if x.is_identity:
-        return True
-    period = x.group.strands * (x.group.strands - 1)
-    total = x.exponent_sum()
-    if total % period != 0:
+    power, rest = divmod(x.exponent_sum(), x.group.strands * (x.group.strands - 1))
+    if rest:
         return False
-    twist = full_twist(x.group.strands)
-    return cone.sign_product(x, twist ** (-(total // period))) == 0
+    return cone.sign_product(x, full_twist(x.group.strands) ** -power) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,25 +479,31 @@ def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | N
     """Does right multiplication by x preserve the order on <generators, x>?
 
     Yes without search for abelian groups and for central braid anchors.
-    Otherwise all words z of length <= cap over the generators and x are
-    checked for sign(z) == sign(x^-1 z x); a mismatch is a definite No.
+    Otherwise the braids z of length <= cap over the generators and x (first
+    words first) are checked for sign(z) == sign(x^-1 z x); a mismatch is a
+    definite No.  A power of s_(n-1) has none under the Dehornoy cone.
     """
     if x.group != cone.group:
         raise GroupMismatch("anchor must live in the cone's group")
     if is_central_braid(cone, x):
         return InvarianceVerdict(Decision.YES)
+    if isinstance(cone, DehornoyOrdering) and \
+            x.key == (x.group.generators()[-1] ** x.exponent_sum()).key:
+        return InvarianceVerdict(Decision.UNKNOWN)
 
     gens = list(generators) if generators is not None else cone.group.generators()
     alphabet = [h for g in gens + [x] for h in (g, g.inverse())]
     x_inv = x.inverse()
     frontier: list[Element] = [cone.group.identity()]
+    seen = {frontier[0].key}
     for _ in range(cap):
         next_frontier = []
         for word in frontier:
             for letter in alphabet:
                 z = word * letter
-                if z.is_identity:
+                if z.key in seen:
                     continue
+                seen.add(z.key)
                 if cone_sign(cone, z) != cone.sign_product(x_inv * z, x):
                     return InvarianceVerdict(Decision.NO, z)
                 next_frontier.append(z)

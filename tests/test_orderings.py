@@ -299,6 +299,67 @@ def test_right_invariant_s1_fails_or_unknown():
         assert cone_sign(DEHORNOY3, z) != cone_sign(DEHORNOY3, x.inverse() * z * x)
 
 
+def _right_invariance_by_words(cone, x, cap):
+    """The right-invariance search over every word, repeated braids included."""
+    if is_central_braid(cone, x):
+        return Decision.YES, None
+    gens = cone.group.generators()
+    alphabet = [h for g in gens + [x] for h in (g, g.inverse())]
+    frontier = [cone.group.identity()]
+    for _ in range(cap):
+        next_frontier = []
+        for word in frontier:
+            for letter in alphabet:
+                z = word * letter
+                if z.is_identity:
+                    continue
+                if cone_sign(cone, z) != cone_sign(cone, x.inverse() * z * x):
+                    return Decision.NO, z.render()
+                next_frontier.append(z)
+        frontier = next_frontier
+    return Decision.UNKNOWN, None
+
+
+def _anchor_words(n, length):
+    letters = [f"s{i}{e}" for i in range(1, n) for e in ("", "^-1")]
+    for size in range(1, length + 1):
+        for word in itertools.product(letters, repeat=size):
+            yield " ".join(word)
+
+
+@pytest.mark.parametrize("cone,cap", [
+    (DehornoyOrdering.create(3), 4),
+    (DehornoyOrdering.create(4), 3),
+    (act(DehornoyOrdering.create(3), parse_element("s1 s2^-1 s1", B3)), 3),
+], ids=["B3", "B4", "conjugated_B3"])
+def test_right_invariant_matches_word_search(cone, cap):
+    # Same outcome and witness word as the search over all words, on every
+    # anchor up to length 3: the powers of s_(n-1) skip the search on the
+    # Dehornoy cones, the others walk a frontier without repeated braids.
+    outcomes = collections.Counter()
+    for text in _anchor_words(cone.group.strands, 3):
+        x = parse_element(text, cone.group)
+        if x.is_identity:
+            continue
+        verdict = is_right_invariant(cone, x, cap=cap)
+        witness = None if verdict.witness is None else verdict.witness.render()
+        assert (verdict.outcome, witness) == _right_invariance_by_words(cone, x, cap), text
+        outcomes[verdict.outcome] += 1
+    assert outcomes[Decision.NO], outcomes
+    # Every anchor of the conjugated cone has a witness, s2 included.
+    assert bool(outcomes[Decision.UNKNOWN]) == isinstance(cone, DehornoyOrdering), outcomes
+
+
+def test_right_invariant_top_generator_power_skips_search(monkeypatch):
+    signs = []
+    monkeypatch.setattr(DehornoyOrdering, "sign", lambda self, g: signs.append(g))
+    b4 = DehornoyOrdering.create(4)
+    for text in ("s3", "s3^-2", "s1 s3^-1 s1^-1"):
+        verdict = is_right_invariant(b4, parse_element(text, b4.group), cap=4)
+        assert (verdict.outcome, verdict.witness) == (Decision.UNKNOWN, None)
+    assert signs == []
+
+
 # -- density -------------------------------------------------------------------
 
 
