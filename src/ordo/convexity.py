@@ -32,7 +32,8 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput, parse_integer
 from .exactreal import RealConstant, format_rational, linear_combination, q_rank
-from .groups import BraidWord, Element, GroupRef, LatticeElement, braid_words_up_to
+from .groups import (BraidWord, Element, GroupRef, LatticeElement, braid_words_up_to,
+                     check_ball_size)
 from .orderings import (
     Cone,
     Decision,
@@ -197,6 +198,7 @@ def brute_convex(cone: Cone, matrix: ExponentMatrix, radius: int) -> BruteForceR
             "use brute_convex_cyclic_braid for braid cones")
     if matrix.n != cone.group.rank:
         raise GroupMismatch("exponent matrix width does not match the group rank")
+    check_ball_size(cone.group, radius)
 
     hnf = matrix.hnf()
     members: list[LatticeElement] = []

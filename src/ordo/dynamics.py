@@ -5,7 +5,10 @@ The realization table assigns exact rationals to a finite enumeration
 maximum gets max+1, below the minimum gets min-1, and otherwise the midpoint
 of its immediate neighbours; the assignment order-embeds the enumerated
 elements into Q and never revises earlier values.  The partial action
-check finds each image g*g_i by ``key_times`` and compares integer ranks.
+check compares integer ranks of g_i and g*g_i.  Braid stations form a prefix
+tree (a station's parent has its word minus the last letter), so key(g*g_i)
+is one letter acting on key(g*parent); roots and lattice stations are keyed
+by ``key_times``.
 
 For a central cofinal anchor x the floors split every element h as
 x^{floor(h)} times a remainder in the floor-zero stratum, and
@@ -26,6 +29,7 @@ actions (semi-conjugate in general; conjugate on dense orderings).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +44,7 @@ from .errors import (
     UnsupportedInput,
 )
 from .exactreal import format_rational
-from .groups import Element, braid_words_up_to, coordinate_ball, random_element
+from .groups import Element, braid_words_up_to, coordinate_ball, dynnikov_act, random_element
 from .orderings import (
     Cone,
     Decision,
@@ -65,19 +69,34 @@ class RealizationTable:
     values: tuple[Fraction, ...]
 
     @cached_property
-    def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, Element]]]:
-        # The distinct values in increasing order, the rank of each key's
-        # value among them, and the (rank, element) stations in value order.
-        distinct = sorted(set(self.values))
-        rank = {t: r for r, t in enumerate(distinct)}
-        ranks = [rank[t] for t in self.values]
+    def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, int]],
+                               list[tuple[int, int, tuple]]]:
+        # The distinct values in increasing order (ranked as integers over a
+        # common denominator), the rank of each key's value, the (rank,
+        # station) pairs in value order, and the (station, parent, last
+        # letter) tree, parents first and -1 for a root; a station is a
+        # position in self.elements.
+        scale = math.lcm(*(t.denominator for t in self.values))
+        scaled = [t.numerator * (scale // t.denominator) for t in self.values]
+        rank = {v: r for r, v in enumerate(sorted(set(scaled)))}
+        ranks = [rank[v] for v in scaled]
+        distinct = [Fraction()] * len(rank)
+        for t, r in zip(self.values, ranks):
+            distinct[r] = t
+        if self.cone.group.is_abelian:
+            tree = [(i, -1, ()) for i in range(len(self.elements))]
+        else:
+            position = {g.letters: i for i, g in enumerate(self.elements)}
+            tree = sorted(((i, position.get(g.letters[:-1], -1) if g.letters else -1,
+                            g.letters[-1:]) for i, g in enumerate(self.elements)),
+                          key=lambda node: len(self.elements[node[0]].letters))
         return (distinct, {g.key: r for g, r in zip(self.elements, ranks)},
-                sorted(zip(ranks, self.elements), key=itemgetter(0)))
+                sorted(zip(ranks, range(len(ranks))), key=itemgetter(0)), tree)
 
     def lookup(self, g: Element) -> Fraction | None:
         """Value of g if it is enumerated (as a group element, whatever its word)."""
         check_group(self.cone, g)
-        distinct, rank_of, _ = self._ranked
+        distinct, rank_of, _, _ = self._ranked
         return distinct[rank_of[g.key]] if g.key in rank_of else None
 
     def to_json(self) -> dict:
@@ -150,12 +169,17 @@ def partial_action_check(table: RealizationTable, g: Element) -> ActionCheck:
     """Left translation by g must act increasingly on the realized stations.
 
     Checks every enumerated g_i with g*g_i also enumerated: the induced
-    partial map on values is strictly increasing.  Stations are walked in
-    value order, each image found by key, and the image ranks compared.
+    partial map on values is strictly increasing.  Images are keyed down
+    the prefix tree, one letter per braid station, then walked in value
+    order and their ranks compared.
     """
-    distinct, rank_of, stations = table._ranked
-    pairs = [(r, image) for r, g_i in stations
-             if (image := rank_of.get(g.key_times(g_i))) is not None]
+    check_group(table.cone, g)
+    distinct, rank_of, stations, tree = table._ranked
+    keys: list = [None] * len(tree)
+    for i, parent, letter in tree:
+        keys[i] = (g.key_times(table.elements[i]) if parent < 0
+                   else dynnikov_act(keys[parent], letter))
+    pairs = [(r, image) for r, i in stations if (image := rank_of.get(keys[i])) is not None]
     pairs.sort()  # already sorted unless equal values give a rank twice
     for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
         if not b1 > b0:
@@ -195,7 +219,7 @@ class SampledCircleAction:
         return power_floor(self.ctx, h)
 
     def remainder(self, h: Element) -> Element:
-        return (self.anchor ** (-self.floor(h))) * h
+        return self.ctx.power(-self.floor(h)) * h
 
     @cached_property
     def _theta_of(self) -> dict[tuple[int, ...], Fraction]:
@@ -244,7 +268,7 @@ def circle_action_for_samples(cone: Cone, x: Element,
     elements = tuple(elements)
     stratum: list[Element] = [cone.group.identity()]
     for h in elements:
-        s = (x ** (-power_floor(ctx, h))) * h
+        s = ctx.power(-power_floor(ctx, h)) * h
         i, found = locate(cone, stratum, s)
         if i == 0 and not found:
             raise InvariantViolation(
@@ -332,7 +356,7 @@ def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
         f = random_element(cone.group, rng, radius)
         g = random_element(cone.group, rng, radius)
         pairs.append((f, g))
-        remainder_g = (x ** (-power_floor(ctx, g))) * g
+        remainder_g = ctx.power(-power_floor(ctx, g)) * g
         needed.extend([g, f * g, f * remainder_g])
     action = circle_action_for_samples(cone, x, needed)
     passed, failures = 0, []

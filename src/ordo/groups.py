@@ -8,6 +8,8 @@ represents: the exponent vector for lattices, the Dynnikov coordinates for
 braids.  Equal keys mean equal elements, so finite sets of elements are
 dicts on ``key``.  ``a.key_times(b)`` is the key of a * b without building
 the product: the coordinate sum, or b's letters acting on a's coordinates.
+A braid word built where its key is already known (a parent's key moved by
+one letter, a power extending a shorter power) is handed it by ``with_key``.
 
 The shared text grammar is whitespace-separated tokens ``x<k>`` (abelian) or
 ``s<k>`` (braid), each optionally suffixed ``^<signed integer>``; the empty
@@ -31,6 +33,7 @@ BRAID = "braid"
 _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
+MAX_BALL_ELEMENTS = 100_000  # the most points or words a ball enumeration builds
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,11 @@ class BraidWord:
         object.__setattr__(word, "letters", letters)
         return word
 
+    def with_key(self, key: tuple[int, ...]) -> "BraidWord":
+        """This word with its key given: the caller has acted it out already."""
+        self.__dict__["key"] = key
+        return self
+
     @cached_property
     def key(self) -> tuple[int, ...]:
         """Dynnikov coordinates of the braid: its letters acting on (0, 1, ..., 0, 1)."""
@@ -346,8 +354,24 @@ def random_element(group: GroupRef, rng: random.Random, radius: int) -> Element:
     return BraidWord.from_letters(group, letters)
 
 
+def check_ball_size(group: GroupRef, radius: int) -> None:
+    """Refuse a radius ball of more than MAX_BALL_ELEMENTS elements, counted
+    unbuilt: (2r+1)^n lattice points, or 1 + sum_(k=1..r) 2(n-1)(2n-3)^(k-1)
+    freely reduced braid words.  A radius past the limit is counted as the
+    limit, which is refused all the same."""
+    r, n = max(min(radius, MAX_BALL_ELEMENTS), 0), group.n
+    if group.is_abelian:
+        size = (2 * r + 1) ** n
+    else:
+        size = 1 + 2 * r if n == 2 else 1 + (n - 1) * ((2 * n - 3) ** r - 1) // (n - 2)
+    if size > MAX_BALL_ELEMENTS:
+        raise UnsupportedInput(f"the radius-{int_text(radius)} ball holds more than "
+                               f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")
+
+
 def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:
     """All lattice points with max-norm <= radius, in graded lexicographic order."""
+    check_ball_size(group, radius)
     points = itertools.product(range(-radius, radius + 1), repeat=group.n)
     ordered = sorted(points, key=lambda c: (max(map(abs, c), default=0), c))
     return [LatticeElement(group, c) for c in ordered]
@@ -356,19 +380,19 @@ def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:
 def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:
     """All freely reduced words of length <= length, graded then lexicographic.
 
-    Distinct words may represent equal braids; dedup on ``key`` where
-    element identity matters.
+    Each word is its parent (itself minus the last letter) times one letter,
+    so its key is the parent's key moved by that letter.  Distinct words may
+    represent equal braids; dedup on ``key`` where element identity matters.
     """
-    alphabet = [(i, e) for i in range(1, group.n) for e in (1, -1)]
+    check_ball_size(group, length)
+    alphabet = sorted((i, e) for i in range(1, group.n) for e in (1, -1))
     out: list[BraidWord] = [group.identity()]
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
+    frontier = out[:]
     for _ in range(length):
-        next_frontier = []
-        for word in frontier:
-            for letter in alphabet:
-                if word and word[-1][0] == letter[0] and word[-1][1] == -letter[1]:
-                    continue
-                next_frontier.append(word + (letter,))
-        frontier = sorted(next_frontier)
-        out.extend(BraidWord._trusted(group, w) for w in frontier)
+        # Sorted parents, each followed by sorted letters: the level stays sorted.
+        frontier = [BraidWord._trusted(group, word.letters + (letter,))
+                    .with_key(dynnikov_act(word.key, (letter,)))
+                    for word in frontier for letter in alphabet
+                    if not word.letters or word.letters[-1] != (letter[0], -letter[1])]
+        out.extend(frontier)
     return out

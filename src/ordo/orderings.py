@@ -500,10 +500,11 @@ def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | N
         next_frontier = []
         for word in frontier:
             for letter in alphabet:
-                z = word * letter
-                if z.key in seen:
+                key = word.key_times(letter)
+                if key in seen:
                     continue
-                seen.add(z.key)
+                seen.add(key)
+                z = (word * letter).with_key(key)
                 if cone_sign(cone, z) != cone.sign_product(x_inv * z, x):
                     return InvarianceVerdict(Decision.NO, z)
                 next_frontier.append(z)

@@ -24,7 +24,7 @@ irrational pairings.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -41,7 +41,7 @@ from .errors import (
     printable_int,
 )
 from .exactreal import ONE, RealConstant, combine, format_rational
-from .groups import MAX_BRAID_LETTERS, BraidWord, Element, random_element
+from .groups import MAX_BRAID_LETTERS, BraidWord, Element, dynnikov_act, random_element
 from .orderings import Cone, Decision, FlagOrdering, cone_sign, is_cofinal
 
 DEFAULT_CAP = 1 << 62
@@ -54,7 +54,8 @@ class AnchorContext:
 
     With require_cofinal the context refuses anchors certified non-cofinal
     (exact on flag orderings); without it a non-cofinal anchor surfaces
-    later as NotBracketedWithinCap from the search itself.
+    later as NotBracketedWithinCap from the search itself.  Anchor powers
+    are built once per context (``power``).
     """
 
     cone: Cone
@@ -62,6 +63,8 @@ class AnchorContext:
     generators: tuple[Element, ...] | None = None
     cap: int = DEFAULT_CAP
     require_cofinal: bool = True
+    _powers: dict[int, Element] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         if self.anchor.group != self.cone.group:
@@ -78,6 +81,19 @@ class AnchorContext:
     @cached_property
     def anchor_sign(self) -> int:
         return cone_sign(self.cone, self.anchor)
+
+    def power(self, n: int) -> Element:
+        """x^n, bounded as a floor probe and built once per context.  A braid
+        power's key is |n - m| more anchor letters acting on the key of the
+        cached x^m of the same sign nearest below it (|m| < |n|)."""
+        power = self._powers.get(n)
+        if power is None:
+            power = self._powers[n] = _bounded_power(self.anchor, n, "floor probe")
+            if isinstance(power, BraidWord) and n:
+                below = max((m for m in self._powers if 0 < m * n < n * n), key=abs, default=0)
+                unit = self.anchor if n > 0 else self.anchor.inverse()
+                power.with_key(dynnikov_act(self.power(below).key, unit.letters * abs(n - below)))
+        return power
 
 
 def _max_true(pred: Callable[[int], bool], cap: int) -> int:
@@ -129,7 +145,7 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
         raise GroupMismatch("element must live in the cone's group")
 
     def at_least(n: int) -> bool:
-        return cone.sign_product(_bounded_power(x, -n, "floor probe"), h) >= 0
+        return cone.sign_product(ctx.power(-n), h) >= 0
 
     if isinstance(cone, FlagOrdering):
         ratio = _pairing_ratio(cone, x, h, NotBracketedWithinCap)

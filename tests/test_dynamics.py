@@ -8,12 +8,14 @@ import pytest
 from ordo.errors import GroupMismatch, InvariantViolation, MissingOrbitPoint, UnsupportedInput
 from ordo.exactreal import RealConstant
 from ordo.groups import (
+    BraidWord,
     GroupRef,
     LatticeElement,
     braid_words_up_to,
     coordinate_ball,
     full_twist,
     parse_element,
+    random_element,
 )
 from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, cone_sign, locate
 from ordo.quasimorph import power_floor
@@ -169,6 +171,51 @@ def test_partial_action_matches_the_sorting_check_on_balls(cone):
         reports = [partial_action_check(shuffled, g) for g in movers[:8]]
         assert reports == [_partial_action_by_sorting(shuffled, g) for g in movers[:8]]
         assert radius < 2 or not all(report.passed for report in reports)
+
+
+def _scattered_enumeration(cone, rng, size, length):
+    """Identity first, then distinct braids as random words: most are not
+    geodesic, many lack their parent (the word minus its last letter), and
+    a child may come before its parent."""
+    group = cone.group
+    out, seen = [group.identity()], {group.identity().key}
+    while len(out) < size:
+        w = random_element(group, rng, length)
+        if w.key not in seen:
+            seen.add(w.key)
+            out.append(w)
+            if rng.random() < 0.5 and w.letters:
+                parent = BraidWord.from_letters(group, w.letters[:-1])
+                if parent.key not in seen:
+                    seen.add(parent.key)
+                    out.append(parent)
+    rest = out[1:]
+    rng.shuffle(rest)
+    return [out[0], *rest]
+
+
+@pytest.mark.parametrize("cone", [DEHORNOY3, DEHORNOY4, CONJUGATED3],
+                         ids=["B3", "B4", "conjugated_B3"])
+def test_partial_action_matches_the_sorting_check_off_the_ball(cone):
+    rng = random.Random(47)
+    movers = ball_enumeration(cone, 2)
+    forests = 0
+    for size, length in ((12, 3), (60, 5), (150, 7)):
+        enumeration = _scattered_enumeration(cone, rng, size, length)
+        table = realize(cone, enumeration)
+        tree = table._ranked[-1]
+        roots = sum(parent < 0 for _, parent, _ in tree)
+        assert roots < len(tree)
+        forests += roots > 1
+        reports = [partial_action_check(table, g) for g in movers]
+        assert reports == [_partial_action_by_sorting(table, g) for g in movers]
+        assert any(report.checked > 1 for report in reports)
+        # A table that is not a realization fails; the text still matches.
+        values = tuple(rng.sample(table.values, len(table.values)))
+        shuffled = RealizationTable(cone, table.elements, values)
+        reports = [partial_action_check(shuffled, g) for g in movers]
+        assert reports == [_partial_action_by_sorting(shuffled, g) for g in movers]
+    assert forests >= 2  # stations without a parent beside the identity
 
 
 def test_partial_action_failure_message_on_a_hand_built_table():

@@ -6,12 +6,15 @@ import pytest
 
 from ordo.errors import GroupMismatch, ParseError, UnsupportedInput
 from ordo.groups import (
+    MAX_BALL_ELEMENTS,
     MAX_BRAID_LETTERS,
     BraidWord,
     GroupRef,
     LatticeElement,
     braid_words_up_to,
+    check_ball_size,
     coordinate_ball,
+    dynnikov_act,
     full_twist,
     half_twist,
     parse_element,
@@ -167,6 +170,57 @@ def test_braid_words_up_to():
     # 4 letters, then 4*3 reduced two-letter words.
     assert len(words) == 1 + 4 + 12
     assert all(w.letters == tuple(w.letters) for w in words)
+
+
+@pytest.mark.parametrize("strands", [3, 4, 5])
+def test_braid_words_up_to_keys_each_word_from_its_parent(strands):
+    group = GroupRef.braid(strands)
+    words = braid_words_up_to(group, 5)
+    # Graded, then lexicographic, as a sort of every reduced word would give.
+    assert [w.letters for w in words] == sorted((w.letters for w in words),
+                                                key=lambda w: (len(w), w))
+    assert len(words) == 1 + sum(2 * (strands - 1) * (2 * strands - 3) ** (k - 1)
+                                 for k in range(1, 6))
+    for w in words:
+        assert w.key == dynnikov_act((0, 1) * strands, w.letters), w.render()
+
+
+def _ball_count(group, radius):
+    """Elements of the radius ball: lattice points, or freely reduced words."""
+    if group.is_abelian:
+        return max(2 * radius + 1, 0) ** group.n
+    n, r = group.n, max(radius, 0)
+    # 1 + sum_(k=1..r) 2(n-1)(2n-3)^(k-1), a geometric sum unless n = 2.
+    return 1 + 2 * r if n == 2 else 1 + (n - 1) * ((2 * n - 3) ** r - 1) // (n - 2)
+
+
+@pytest.mark.parametrize("group", [GroupRef.free_abelian(1), Z2, GroupRef.free_abelian(3),
+                                   GroupRef.braid(2), B3, GroupRef.braid(4)])
+def test_ball_sizes_are_counted_before_enumerating(group):
+    enumerate_ball = coordinate_ball if group.is_abelian else braid_words_up_to
+    for radius in range(-1, 4):
+        check_ball_size(group, radius)
+        assert len(enumerate_ball(group, radius)) == _ball_count(group, radius)
+    # The largest radius under the limit passes; one more is refused unbuilt,
+    # and so is an astronomically large one.
+    radius = 0
+    while _ball_count(group, radius + 1) <= MAX_BALL_ELEMENTS:
+        radius += 1 if radius < 100 else 1000
+    while _ball_count(group, radius) > MAX_BALL_ELEMENTS:
+        radius -= 1
+    check_ball_size(group, radius)
+    for too_big in (radius + 1, 10 ** 30):
+        for refuse in (check_ball_size, enumerate_ball):
+            with pytest.raises(UnsupportedInput, match=str(MAX_BALL_ELEMENTS)):
+                refuse(group, too_big)
+
+
+def test_ball_limit_is_above_every_ball_in_use():
+    # B4 radius 4 (937 words) is the largest ball of the benchmark; B5
+    # radius 5 is the largest word enumeration of the tests.
+    check_ball_size(GroupRef.braid(5), 5)
+    with pytest.raises(UnsupportedInput):
+        check_ball_size(GroupRef.braid(4), 12)
 
 
 def test_exponent_sum():

@@ -10,8 +10,15 @@ import pytest
 
 from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
 from ordo.exactreal import ONE, RealConstant, combine
-from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
-from ordo.orderings import DehornoyOrdering, FlagOrdering, level_kernels
+from ordo.groups import (
+    GroupRef,
+    LatticeElement,
+    dynnikov_act,
+    full_twist,
+    parse_element,
+    random_element,
+)
+from ordo.orderings import DehornoyOrdering, FlagOrdering, act, level_kernels
 from ordo.quasimorph import (
     AnchorContext,
     StableValue,
@@ -111,6 +118,38 @@ def _search_floor(ctx, h):
     if ctx.anchor_sign > 0:
         return _max_true(at_least, ctx.cap)
     return -_max_true(lambda m: at_least(-m), ctx.cap)
+
+
+B4 = GroupRef.braid(4)
+CONJUGATED3 = act(DEHORNOY3, br("s1 s2^-1"))
+
+
+@pytest.mark.parametrize("cone,anchor", [
+    (DEHORNOY3, full_twist(3)),
+    (DEHORNOY3, full_twist(3).inverse()),
+    (DEHORNOY3, br("s1 s2")),
+    (DEHORNOY3, br("s2^-1 s1^-1")),
+    (DehornoyOrdering.create(4), full_twist(4)),
+    (DehornoyOrdering.create(4), parse_element("s3^-1 s2^-1 s1^-1", B4)),
+    (CONJUGATED3, full_twist(3)),
+    (CONJUGATED3, br("s1 s2")),
+    (CONJUGATED3, br("s2^-1 s1^-1")),
+], ids=["B3_twist", "B3_twist_inverse", "B3_s1s2", "B3_s1s2_inverse", "B4_twist",
+        "B4_s1s2s3_inverse", "conjugated_twist", "conjugated_s1s2", "conjugated_s1s2_inverse"])
+def test_floor_through_cached_powers_matches_a_fresh_search(cone, anchor):
+    rng = random.Random(53)
+    shared = AnchorContext(cone, anchor)
+    for _ in range(30):
+        h = anchor ** rng.randint(-40, 40) * random_element(cone.group, rng, 8)
+        want = _search_floor(AnchorContext(cone, anchor), h)
+        assert power_floor(shared, h) == want
+        assert power_floor(AnchorContext(cone, anchor), h) == want
+        assert shared.power(-want) == anchor ** -want
+    # Every power the searches left behind carries the key of its own word.
+    assert len(shared._powers) > 10
+    for n, power in shared._powers.items():
+        assert power == anchor ** n
+        assert power.key == dynnikov_act((0, 1) * cone.group.n, power.letters), n
 
 
 def _floor_or_error(floor, ctx, h):
