@@ -36,7 +36,6 @@ from .orderings import (
     axioms_check,
     compare,
     cone_sign,
-    handle_reduce,
     is_cofinal,
     is_dense,
     is_right_invariant,

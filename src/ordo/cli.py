@@ -116,8 +116,8 @@ def _cmd_construct(args) -> int:
     tau = _parse_json(args.tau)
     if not isinstance(tau, list) or not tau:
         raise ParseError("--tau must be a nonempty JSON array of constants")
+    group = GroupRef.free_abelian(len(tau))
     values = [RealConstant.from_json(entry) for entry in tau]
-    group = GroupRef.free_abelian(len(values))
     x = parse_element(args.x, group)
     flag = construct_from_translations(values, x)
     doc = ordering_to_json(flag)

@@ -69,20 +69,18 @@ def default_basis(group: GroupRef) -> tuple[Element, ...]:
     return (group.generators()[0],)
 
 
-def _anchor_is_cofinal(cone: Cone, x: Element, generators: Sequence[Element] | None) -> bool:
+def _anchor_is_cofinal(cone: Cone, x: Element) -> bool:
     """Whether the anchor is certified cofinal; raises unless right-invariance
-    is certified and cofinality decided."""
-    invariance = is_right_invariant(cone, x, generators)
+    is certified, which holds only for central anchors, where cofinality is
+    decided."""
+    invariance = is_right_invariant(cone, x)
     if invariance.outcome == Decision.NO:
         raise NotRightInvariant(
             f"right multiplication by {x.render()!r} does not preserve the order "
             f"(witness {invariance.witness.render()!r})")
     if invariance.outcome == Decision.UNKNOWN:
         raise MembershipUnknown("right-invariance under the anchor is undecided")
-    cof = is_cofinal(cone, x, generators)
-    if cof == Decision.UNKNOWN:
-        raise MembershipUnknown("cofinality of the anchor is undecided")
-    return cof == Decision.YES
+    return is_cofinal(cone, x) == Decision.YES
 
 
 def unwrap_central_conjugation(cone: Cone, x: Element) -> Cone:
@@ -192,7 +190,6 @@ def _stable_components(cone: Cone, x: Element, basis: Sequence[Element],
 
 
 def rotation_class(cone: Cone, x: Element, basis: Sequence[Element] | None = None,
-                   generators: Sequence[Element] | None = None,
                    approx_order: int = DEFAULT_APPROX_ORDER) -> RotationClass:
     """Stable values of the basis, reduced mod 1.
 
@@ -202,7 +199,7 @@ def rotation_class(cone: Cone, x: Element, basis: Sequence[Element] | None = Non
     value sitting exactly on an integer still reduces cleanly.
     """
     cone = unwrap_central_conjugation(cone, x)
-    if not _anchor_is_cofinal(cone, x, generators):
+    if not _anchor_is_cofinal(cone, x):
         raise NotCofinal(f"{x.render()!r} is not cofinal for the subgroup")
     basis = tuple(basis) if basis is not None else default_basis(cone.group)
     if isinstance(cone, FlagOrdering):
@@ -217,12 +214,11 @@ def rotation_class(cone: Cone, x: Element, basis: Sequence[Element] | None = Non
 
 
 def translation_values(cone: Cone, x: Element, basis: Sequence[Element] | None = None,
-                       generators: Sequence[Element] | None = None,
                        approx_order: int = DEFAULT_APPROX_ORDER) -> TranslationValues:
     """The unreduced lift; non-cofinal anchors map to infinity."""
     cone = unwrap_central_conjugation(cone, x)
     basis = tuple(basis) if basis is not None else default_basis(cone.group)
-    if not _anchor_is_cofinal(cone, x, generators):
+    if not _anchor_is_cofinal(cone, x):
         return TranslationValues(None, basis)
     return TranslationValues(_stable_components(cone, x, basis, approx_order), basis)
 
@@ -237,14 +233,6 @@ class NaturalityReport:
     sublattice_basis: tuple[tuple[int, ...], ...]
     pulled_back: tuple[RealConstant, ...]
     restricted: tuple[RealConstant, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sublattice_basis": [list(b) for b in self.sublattice_basis],
-            "pulled_back": [c.to_json() for c in self.pulled_back],
-            "restricted": [c.to_json() for c in self.restricted],
-        }
 
 
 def _integer_coordinates(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:

@@ -32,8 +32,7 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput, parse_integer
 from .exactreal import RealConstant, format_rational, linear_combination, q_rank
-from .groups import (BraidWord, Element, GroupRef, LatticeElement, braid_words_up_to,
-                     check_ball_size)
+from .groups import BraidWord, Element, LatticeElement, braid_words_up_to, check_ball_size
 from .orderings import (
     Cone,
     Decision,
@@ -82,9 +81,6 @@ class ExponentMatrix:
     @property
     def n(self) -> int:
         return len(self.rows[0])
-
-    def generators(self, group: GroupRef) -> list[LatticeElement]:
-        return [LatticeElement(group, row) for row in self.rows]
 
     def hnf(self) -> list[list[int]]:
         return linalg.row_hnf([list(r) for r in self.rows])
@@ -408,9 +404,6 @@ def word_constraints(expressions: Sequence[WordExpression | str],
 class NestingReport:
     passed: bool
     relations: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "relations": list(self.relations)}
 
 
 def nesting_check(matrices: Sequence[ExponentMatrix]) -> NestingReport:

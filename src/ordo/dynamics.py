@@ -236,14 +236,6 @@ class SampledCircleAction:
     def t_prime(self, h: Element) -> Fraction:
         return self.floor(h) + self.theta(self.remainder(h))
 
-    def to_json(self) -> dict:
-        return {
-            "anchor": self.anchor.render(),
-            "stratum": [s.render() for s in self.stratum],
-            "theta": [format_rational(v) for v in self.theta_values],
-            "stored": [g.render() for g in self.stored],
-        }
-
 
 def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircleAction:
     """Sample the circle action on the default ball enumeration."""
@@ -301,13 +293,6 @@ class EulerIdentityReport:
     euler_cocycle: Fraction
     coboundary: int
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "euler_cocycle": format_rational(self.euler_cocycle),
-            "quasimorphism_coboundary": self.coboundary,
-            "passed": self.passed,
-        }
 
 
 def euler_identity_check(action: SampledCircleAction, f: Element, g: Element) -> EulerIdentityReport:

@@ -23,11 +23,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import InvariantViolation, ParseError, int_text, parse_integer
+from .errors import InvariantViolation, ParseError, UnsupportedInput, int_text, parse_integer
 
 Rational = int | Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+MAX_RADICAND = 1 << 32  # the largest radicand squarefree_split factors by trial division
 
 
 def parse_rational(text: str) -> Fraction:
@@ -49,6 +51,9 @@ def squarefree_split(m: int) -> tuple[int, int]:
     """Write m = s*s*m0 with m0 squarefree; returns (s, m0)."""
     if m <= 0:
         raise ParseError(f"radicand must be positive: {m}")
+    if m > MAX_RADICAND:
+        raise UnsupportedInput(
+            f"radicand {int_text(m)} is past the limit of {MAX_RADICAND} (MAX_RADICAND)")
     s, m0, d = 1, m, 2
     while d * d <= m0:
         while m0 % (d * d) == 0:

@@ -34,6 +34,7 @@ _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
 MAX_BALL_ELEMENTS = 100_000  # the most points or words a ball enumeration builds
+MAX_GROUP_N = 64  # the largest rank or strand count a group may have
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,16 @@ class GroupRef:
 
     def __post_init__(self) -> None:
         if self.kind == FREE_ABELIAN:
-            if self.n < 1:
-                raise ParseError(f"free abelian rank must be >= 1, got {self.n}")
+            what, least = "free abelian rank", 1
         elif self.kind == BRAID:
-            if self.n < 2:
-                raise ParseError(f"braid strand count must be >= 2, got {self.n}")
+            what, least = "braid strand count", 2
         else:
             raise ParseError(f"unknown group kind: {self.kind!r}")
+        if self.n < least:
+            raise ParseError(f"{what} must be >= {least}, got {int_text(self.n)}")
+        if self.n > MAX_GROUP_N:
+            raise UnsupportedInput(
+                f"{what} {int_text(self.n)} is past the limit of {MAX_GROUP_N} (MAX_GROUP_N)")
 
     @staticmethod
     def free_abelian(rank: int) -> "GroupRef":
@@ -349,6 +353,9 @@ def random_element(group: GroupRef, rng: random.Random, radius: int) -> Element:
         raise UnsupportedInput("sampling radius must be nonnegative")
     if group.is_abelian:
         return LatticeElement(group, tuple(rng.randint(-radius, radius) for _ in range(group.n)))
+    if radius > MAX_BRAID_LETTERS:
+        raise UnsupportedInput(f"braid sampling radius {int_text(radius)} is past the limit "
+                               f"of {MAX_BRAID_LETTERS} letters (MAX_BRAID_LETTERS)")
     length = rng.randint(0, radius)
     letters = [(rng.randint(1, group.n - 1), rng.choice((1, -1))) for _ in range(length)]
     return BraidWord.from_letters(group, letters)

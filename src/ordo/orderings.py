@@ -474,14 +474,14 @@ class InvarianceVerdict:
         }
 
 
-def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | None = None,
-                       cap: int = 5) -> InvarianceVerdict:
-    """Does right multiplication by x preserve the order on <generators, x>?
+def is_right_invariant(cone: Cone, x: Element, cap: int = 5) -> InvarianceVerdict:
+    """Does right multiplication by x preserve the order of the group?
 
     Yes without search for abelian groups and for central braid anchors.
-    Otherwise the braids z of length <= cap over the generators and x (first
-    words first) are checked for sign(z) == sign(x^-1 z x); a mismatch is a
-    definite No.  A power of s_(n-1) has none under the Dehornoy cone.
+    Otherwise the braids z of length <= cap over the group's generators and
+    x (first words first) are checked for sign(z) == sign(x^-1 z x); a
+    mismatch is a definite No.  A power of s_(n-1) has none under the
+    Dehornoy cone.
     """
     if x.group != cone.group:
         raise GroupMismatch("anchor must live in the cone's group")
@@ -491,8 +491,7 @@ def is_right_invariant(cone: Cone, x: Element, generators: Sequence[Element] | N
             x.key == (x.group.generators()[-1] ** x.exponent_sum()).key:
         return InvarianceVerdict(Decision.UNKNOWN)
 
-    gens = list(generators) if generators is not None else cone.group.generators()
-    alphabet = [h for g in gens + [x] for h in (g, g.inverse())]
+    alphabet = [h for g in cone.group.generators() + [x] for h in (g, g.inverse())]
     x_inv = x.inverse()
     frontier: list[Element] = [cone.group.identity()]
     seen = {frontier[0].key}
@@ -517,16 +516,6 @@ class DensityVerdict:
     outcome: Density
     minimal_positive: Element | None = None
     smallest_positive_seen: Element | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "minimal_positive":
-                self.minimal_positive.render() if self.minimal_positive is not None else None,
-            "smallest_positive_seen":
-                self.smallest_positive_seen.render()
-                if self.smallest_positive_seen is not None else None,
-        }
 
 
 def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:

@@ -297,15 +297,6 @@ class StableMapReport:
     def failures(self) -> tuple[PropertyCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "detail": c.detail, "passed": c.passed}
-                for c in self.checks
-            ],
-        }
-
 
 Enclosure = tuple[RealConstant, RealConstant]
 
@@ -320,8 +311,7 @@ def _enclosure(ctx: AnchorContext, h: Element, n: int) -> Enclosure:
     return RealConstant.rational(v.approx - v.radius), RealConstant.rational(v.approx + v.radius)
 
 
-def stable_map_properties(ctx: AnchorContext, elements: Sequence[Element] | None = None,
-                          seed: int = 0, sample_count: int = 6,
+def stable_map_properties(ctx: AnchorContext, seed: int = 0, sample_count: int = 6,
                           approx_n: int = DEFAULT_APPROX_ORDER,
                           powers: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
                           radius: int = 4) -> StableMapReport:
@@ -334,8 +324,7 @@ def stable_map_properties(ctx: AnchorContext, elements: Sequence[Element] | None
     """
     rng = random.Random(seed)
     group = ctx.cone.group
-    if elements is None:
-        elements = [random_element(group, rng, radius) for _ in range(sample_count)]
+    elements = [random_element(group, rng, radius) for _ in range(sample_count)]
     singles = [_enclosure(ctx, h, approx_n) for h in elements]
     checks: list[PropertyCheck] = []
 
@@ -363,9 +352,3 @@ def stable_map_properties(ctx: AnchorContext, elements: Sequence[Element] | None
         check("bounded_sums", h, (lo + inv_lo, hi + inv_hi), (-ONE, ONE))
 
     return StableMapReport(tuple(checks))
-
-
-def abs_leq_exact(value: RealConstant, bound: int | Fraction) -> bool:
-    upper = combine(ONE, value, Fraction(bound), -1)
-    lower = combine(value, ONE, 1, Fraction(bound))
-    return upper.sign() >= 0 and lower.sign() >= 0

@@ -478,3 +478,73 @@ def test_rho_braid_floor_below_the_letter_limit_still_stops_at_the_cap(capsys, d
                         "--cap", "65536", "s1")
     assert code == 3
     assert payload["error"] == "NotBracketedWithinCap"
+
+
+def test_psitilde_braid_twist_anchor(capsys, dehornoy3):
+    # The braid branch of the lift: certified windows, never exact.
+    code, payload = run(capsys, "psitilde", "--ordering", dehornoy3,
+                        "--x", "s1 s2 s1 s1 s2 s1", "--basis", "s1", "--basis", "s1 s2")
+    assert code == 0
+    assert payload == {
+        "infinity": False, "basis": ["s1", "s1 s2"],
+        "components": [{"exact": None, "radius": "1/300", "value": "0"},
+                       {"exact": None, "radius": "1/300", "value": "1/3"}]}
+
+
+def test_psi_undecided_right_invariance_exit_3(capsys, dehornoy3):
+    code, payload = run(capsys, "psi", "--ordering", dehornoy3, "--x", "s2")
+    assert code == 3
+    assert payload == {"error": "MembershipUnknown",
+                       "detail": "right-invariance under the anchor is undecided"}
+
+
+def ordering_file(tmp_path, group, ordering):
+    path = tmp_path / "ordering.json"
+    path.write_text(json.dumps({"group": group, "ordering": ordering}))
+    return str(path)
+
+
+def run_exit_2_quickly(capsys, *argv):
+    start = time.perf_counter()
+    payload = run_exit_2(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert payload["error"] == "UnsupportedInput"
+    return payload["detail"]
+
+
+@pytest.mark.parametrize("command", [["psi", "--x", "s1"],
+                                     ["axioms", "--samples", "3", "--radius", "2"]])
+def test_strand_count_past_the_limit_exit_2_quickly(capsys, tmp_path, command):
+    path = ordering_file(tmp_path, {"kind": "braid", "strands": 1000000}, {"type": "dehornoy"})
+    detail = run_exit_2_quickly(capsys, command[0], "--ordering", path, *command[1:])
+    assert detail == "braid strand count 1000000 is past the limit of 64 (MAX_GROUP_N)"
+
+
+def test_rank_past_the_limit_exit_2_quickly(capsys, tmp_path):
+    path = ordering_file(tmp_path, {"kind": "free_abelian", "rank": 1000000},
+                         {"type": "flag", "levels": [[{"1": "1"}]]})
+    detail = run_exit_2_quickly(capsys, "psi", "--ordering", path, "--x", "x1")
+    assert detail == "free abelian rank 1000000 is past the limit of 64 (MAX_GROUP_N)"
+    detail = run_exit_2_quickly(capsys, "construct", "--x", "x1",
+                                "--tau", json.dumps([{"1": "1"}] + [{}] * 64))
+    assert detail == "free abelian rank 65 is past the limit of 64 (MAX_GROUP_N)"
+
+
+RADICAND = str(10 ** 30 + 57)
+
+
+def test_radicand_past_the_limit_exit_2_quickly(capsys, tmp_path):
+    path = ordering_file(tmp_path, {"kind": "free_abelian", "rank": 2},
+                         {"type": "flag", "levels": [[{"1": "1"}, {RADICAND: "1"}]]})
+    expected = f"radicand {RADICAND} is past the limit of 4294967296 (MAX_RADICAND)"
+    assert run_exit_2_quickly(capsys, "sikora", "--ordering", path) == expected
+    tau = json.dumps([{"1": "1"}, {RADICAND: "1"}])
+    assert run_exit_2_quickly(capsys, "construct", "--x", "x1", "--tau", tau) == expected
+
+
+@pytest.mark.parametrize("command", [["axioms"], ["cocycle", "--x", "s1 s2 s1 s1 s2 s1"]])
+def test_braid_sampling_radius_past_the_limit_exit_2_quickly(capsys, dehornoy3, command):
+    detail = run_exit_2_quickly(capsys, command[0], "--ordering", dehornoy3, *command[1:],
+                                "--radius", "1000000000")
+    assert detail == ("braid sampling radius 1000000000 is past the limit "
+                      "of 100000 letters (MAX_BRAID_LETTERS)")

@@ -1,11 +1,13 @@
 """CLI fuzzing: every input ends in exit 0, 2 or 3 with one JSON document.
 
 Hypothesis draws small B3, B4 and Z^2 inputs for the rho, stable, realize,
-axioms, sikora, cocycle and equiv subcommands, mixing well-formed element
-tokens with malformed ones and huge exponents.  Each case must print exactly
-one JSON document on stdout, exit with 0, 2 or 3, and finish within
-CASE_SECONDS; a ball past the ball limit must exit 2.  Runs are
-derandomized, so the examples are the same on every run.
+axioms, sikora, cocycle, equiv, psi, psitilde, construct, convex and
+obstruct subcommands, mixing well-formed element tokens with malformed ones
+and huge exponents.  Each case must print exactly one JSON document on
+stdout, exit with 0, 2 or 3, and finish within CASE_SECONDS; a ball past
+the ball limit, and a group, radicand or braid sampling radius past its
+limit, must exit 2.  Runs are derandomized, so the examples are the same on
+every run.
 """
 
 import contextlib
@@ -227,3 +229,149 @@ def test_oversized_balls_exit_2(paths):
         for radius in (1000, 10 ** 6):
             assert _run(_with_paths(["realize", "--ordering", name, "--ball", str(radius)],
                                     paths)) == 2
+
+
+BIG_RADICAND = str(10 ** 30 + 57)
+# Orderings past one limit each: strand count, rank, radicand.
+PAST_LIMITS = {
+    "b65": {"group": {"kind": "braid", "strands": 65}, "ordering": {"type": "dehornoy"}},
+    "z_million": {"group": {"kind": "free_abelian", "rank": 10 ** 6},
+                  "ordering": {"type": "flag", "levels": [[{"1": "1"}]]}},
+    "big_radicand": {"group": {"kind": "free_abelian", "rank": 2},
+                     "ordering": {"type": "flag",
+                                  "levels": [[{"1": "1"}, {BIG_RADICAND: "1"}]]}},
+}
+
+
+@pytest.fixture(scope="module")
+def limit_paths(paths, tmp_path_factory):
+    root = tmp_path_factory.mktemp("past_limits")
+    out = dict(paths)
+    for name, doc in PAST_LIMITS.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+        out[name] = str(root / f"{name}.json")
+    return out
+
+
+def _orderings(usable: list[str]) -> st.SearchStrategy[str]:
+    """Mostly the usable orderings, else a broken one or one past a limit."""
+    return st.sampled_from(sorted(PAST_LIMITS) + ["rank_deficient", "broken"] + usable * 4)
+
+
+def _alphabet(name: str) -> str:
+    return name if name in ALPHABETS else ("b3" if name == "b65" else "lex2")
+
+
+def _run_ordering(name: str, argv: list[str], paths: dict) -> None:
+    code = _run(_with_paths(argv, paths))
+    if name in PAST_LIMITS:
+        assert code == 2, argv
+
+
+@st.composite
+def _rotation_argv(draw, command: str):
+    name = draw(_orderings(["b3", "b4", "conj_b3", "lex2", "sqrt2"]))
+    alphabet = _alphabet(name)
+    anchor = draw(st.sampled_from([TWISTS[alphabet]] * 3 + [draw(_element(alphabet))]))
+    # "--opt=value" keeps a drawn value that starts with "-" from reading as an option.
+    argv = [command, "--ordering", name, f"--x={anchor}"]
+    for word in draw(st.lists(_element(alphabet), max_size=2)):
+        argv.append(f"--basis={word}")
+    n = draw(st.sampled_from([10 ** 6, -1, 0, 30, 30, None, None, None]))
+    if n is not None:
+        argv.append(f"--n={n}")
+    return name, argv
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_psi(limit_paths, data):
+    _run_ordering(*data.draw(_rotation_argv("psi")), limit_paths)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_psitilde(limit_paths, data):
+    _run_ordering(*data.draw(_rotation_argv("psitilde")), limit_paths)
+
+
+CLEAN_CONSTANT = st.dictionaries(st.sampled_from(["1", "2", "3", "8", "12"]),
+                                 st.sampled_from(["1", "-1/2", "0", "2/3"]), max_size=2)
+DIRTY_CONSTANT = st.dictionaries(st.sampled_from([BIG_RADICAND, "1", "0", "-2", "r"]),
+                                 st.sampled_from(["1", "1/0", "0.5", "9" * 4400]), max_size=2)
+
+
+@FUZZ
+@given(rank=st.sampled_from([65, 0, 1, 2, 2, 3, 3]), data=st.data())
+def test_fuzz_construct(rank, data):
+    constant = st.one_of(CLEAN_CONSTANT, CLEAN_CONSTANT, CLEAN_CONSTANT, DIRTY_CONSTANT)
+    tau = data.draw(st.lists(constant, min_size=rank, max_size=rank))
+    if tau and data.draw(st.integers(0, 3)):
+        tau[0] = {"1": "1"}  # the values pair to 1 with x1
+    x = data.draw(st.sampled_from(["x1", "x1", "x1", "x1 x2", "x2^-1", ""]))
+    code = _run(["construct", f"--x={x}", "--tau", json.dumps(tau)])
+    if rank > 64 or any(BIG_RADICAND in c for c in tau):
+        assert code == 2, tau
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_convex(limit_paths, data):
+    name = data.draw(_orderings(["lex2", "sqrt2", "lex2", "sqrt2", "b3"]))
+    alphabet = _alphabet(name)
+    clean_row = st.lists(st.integers(-3, 3).map(str), min_size=2, max_size=2).map(" ".join)
+    dirty_row = st.lists(st.sampled_from(["1", "-2", "a", "9" * 4400]), max_size=3).map(" ".join)
+    row = st.one_of(clean_row, clean_row, clean_row, dirty_row)
+    rows = data.draw(st.sampled_from([1, 1, 1, 2]))
+    subgroup = "; ".join(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    anchor = data.draw(st.sampled_from([TWISTS[alphabet]] * 3 + [data.draw(_element(alphabet))]))
+    argv = ["convex", "--ordering", name, f"--x={anchor}", f"--subgroup={subgroup}"]
+    radius = data.draw(st.sampled_from([0, 0, 0, 1, 2, 3, 10 ** 6]))
+    if radius:
+        argv.append(f"--brute-radius={radius}")
+    _run_ordering(name, argv, limit_paths)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_obstruct(data):
+    exponent = st.one_of(st.integers(-3, 3).map(str), st.integers(-3, 3).map(str),
+                         st.sampled_from(HUGE_EXPONENTS))
+    syllable = st.builds(lambda g, e: f"{g}^{e}", st.sampled_from("xyz"), exponent)
+    token = st.one_of(syllable, syllable, syllable, st.sampled_from(["x", "^2", "1y", "x^^1"]))
+    argv = ["obstruct"]
+    for expr in data.draw(st.lists(st.lists(token, min_size=1, max_size=4).map(" ".join),
+                                   min_size=1, max_size=3)):
+        argv.append(f"--expr={expr}")
+    anchor = data.draw(st.sampled_from([None, "x", "x", "y", ""]))
+    if anchor is not None:
+        argv.append(f"--anchor={anchor}")
+    pins = ["y=1/2", "z=-1", "x=0", "y=2/3"] * 2 + ["y", "=1", "z=1/0", f"y={'9' * 4400}"]
+    for pin in data.draw(st.lists(st.sampled_from(pins), max_size=2)):
+        argv.append(f"--pin={pin}")
+    if data.draw(st.booleans()):
+        argv.append("--abelian")
+    _run(argv)
+
+
+@pytest.mark.parametrize("name", sorted(PAST_LIMITS))
+@pytest.mark.parametrize("command", ["psi", "psitilde", "convex"])
+def test_orderings_past_a_limit_exit_2(limit_paths, command, name):
+    argv = [command, "--ordering", name, "--x", TWISTS[_alphabet(name)]]
+    if command == "convex":
+        argv += ["--subgroup", "0 1"]
+    _run_ordering(name, argv, limit_paths)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_sampling_radius(paths, data):
+    name = data.draw(st.sampled_from(["b3", "b4", "conj_b3", "lex2"]))
+    radius = data.draw(st.sampled_from([0, 3, 10 ** 5, 10 ** 5 + 1, 10 ** 9, 10 ** 30]))
+    argv = [data.draw(st.sampled_from(["axioms", "cocycle"])), "--ordering", name,
+            "--samples", str(data.draw(st.integers(1, 3))), "--radius", str(radius)]
+    if argv[0] == "cocycle":
+        argv += ["--x", TWISTS[name]]
+    code = _run(_with_paths(argv, paths))
+    if radius > 10 ** 5 and name != "lex2":
+        assert code == 2, argv

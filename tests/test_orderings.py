@@ -762,3 +762,13 @@ def test_flag_sign_cofinality_and_stable_value_match_sympy_first_level():
                 assert sympy.simplify(_sympy_value(stable_exact(flag, x, h)) - want_value) == 0
                 branches["value"] += 1
     assert all(count > 0 for count in branches.values()), branches
+
+
+def test_right_invariance_search_to_its_cap_ends_unknown_without_witness():
+    # The twist times s2 conjugates as s2 does, so no word can be a witness,
+    # yet it is neither central nor a power of s2: the search runs to its cap.
+    x = full_twist(3) * br("s2")
+    verdict = is_right_invariant(DEHORNOY3, x, cap=3)
+    assert verdict.to_json() == {"outcome": "unknown_within_cap", "witness": None}
+    assert is_right_invariant(DEHORNOY3, br("s1"), cap=3).to_json() == {
+        "outcome": "no", "witness": "s1^-1 s2"}

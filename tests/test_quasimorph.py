@@ -318,10 +318,14 @@ def test_stable_exact_rejects_noncofinal():
         stable_exact(LEX2, el("x2"), el("x1"))
 
 
+def abs_leq_exact(value: RealConstant, bound: int | Fraction) -> bool:
+    upper = combine(ONE, value, Fraction(bound), -1)
+    lower = combine(value, ONE, 1, Fraction(bound))
+    return upper.sign() >= 0 and lower.sign() >= 0
+
+
 def test_stable_exact_matches_floor_ratio():
     # Independent certificate: |stable - floor(h^N)/N| <= 1/N, exactly.
-    from ordo.quasimorph import abs_leq_exact
-
     ctx = AnchorContext(SQRT2_FLAG, el("x1"))
     exact = stable_exact(SQRT2_FLAG, el("x1"), el("x2"))
     for n in (10, 100, 1000):
@@ -451,3 +455,21 @@ def test_stable_map_conjugation_example():
     left = stable_approx(ctx, br("s2^-1") * br("s1 s2") * br("s2"), 300)
     right = stable_approx(ctx, br("s1 s2"), 300)
     assert left.overlaps(right)
+
+
+def test_stable_enclosure_mirrors_under_a_negative_anchor():
+    # floor under x^-1 is minus floor under x, so the window flips.
+    from ordo.quasimorph import stable_enclosure
+
+    positive = twist_ctx()
+    negative = AnchorContext(DEHORNOY3, full_twist(3).inverse())
+    for word in ("s1 s2", "s1", "s2^-1 s1^-1", "s1 s2 s1"):
+        for n in (1, 7, 30):
+            lo, hi = stable_enclosure(positive, br(word), n)
+            assert stable_enclosure(negative, br(word), n) == (-hi, -lo)
+    assert stable_enclosure(negative, br("s1 s2"), 30) == (Fraction(-11, 30), Fraction(-1, 3))
+
+
+def test_stable_map_properties_refuse_a_braid_radius_past_the_letter_limit():
+    with pytest.raises(UnsupportedInput, match="MAX_BRAID_LETTERS"):
+        stable_map_properties(twist_ctx(), radius=10 ** 9)
