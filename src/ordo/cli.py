@@ -200,10 +200,18 @@ def _cmd_equiv(args) -> int:
     return _emit(verdict.to_json(), exit_code=0 if verdict.outcome != "Unknown" else 3)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they print one JSON document as well."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordo",
         description="Exact computation with left orderings of groups.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,13 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help; usage errors raise ParseError
+        return 2 if exc.code not in (0, None) else 0
     except OrdoError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True, indent=2))
         return exc.exit_code

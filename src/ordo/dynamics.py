@@ -44,7 +44,14 @@ from .errors import (
     UnsupportedInput,
 )
 from .exactreal import format_rational
-from .groups import Element, braid_words_up_to, coordinate_ball, dynnikov_act, random_element
+from .groups import (
+    Element,
+    braid_words_up_to,
+    check_sample_count,
+    coordinate_ball,
+    dynnikov_act,
+    random_element,
+)
 from .orderings import (
     Cone,
     Decision,
@@ -333,6 +340,7 @@ class EulerSurvey:
 def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
                          radius: int = 3) -> EulerSurvey:
     """Run the identity over random pairs from the radius ball."""
+    check_sample_count(count)
     rng = random.Random(seed)
     pairs = []
     needed: list[Element] = []

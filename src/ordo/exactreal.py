@@ -7,7 +7,8 @@ is canonical and a value is zero iff its term map is empty.  This gives
 decidable sign and floor: a nonzero value has a nonzero norm, so it is
 bounded away from zero and from every integer it does not equal, and
 dyadic refinement decides both with no precision cap; the bits it needs
-grow with the size of the coefficients.
+grow with the size of the coefficients.  ``dots_sign`` and ``dots_floor``,
+the one sign and the one floor engine, decide both on integer dots.
 
 The span is closed under addition, negation and rational scaling, which is
 everything the rest of the package needs.  Multiplication of two irrational
@@ -50,7 +51,7 @@ def format_rational(q: Rational) -> str:
 def squarefree_split(m: int) -> tuple[int, int]:
     """Write m = s*s*m0 with m0 squarefree; returns (s, m0)."""
     if m <= 0:
-        raise ParseError(f"radicand must be positive: {m}")
+        raise ParseError(f"radicand must be positive: {int_text(m)}")
     if m > MAX_RADICAND:
         raise UnsupportedInput(
             f"radicand {int_text(m)} is past the limit of {MAX_RADICAND} (MAX_RADICAND)")
@@ -61,16 +62,6 @@ def squarefree_split(m: int) -> tuple[int, int]:
             s *= d
         d += 1
     return s, m0
-
-
-def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure lo <= sqrt(m) <= hi with hi - lo = 2**-bits."""
-    scaled = math.isqrt(m << (2 * bits))
-    denom = 1 << bits
-    lo = Fraction(scaled, denom)
-    if scaled * scaled == m << (2 * bits):
-        return lo, lo
-    return lo, Fraction(scaled + 1, denom)
 
 
 def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
@@ -88,6 +79,18 @@ def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
         while abs(a := sum(d * math.isqrt(m << (2 * bits)) for m, d in dots)) < slack:
             bits *= 2
     return (a > 0) - (a < 0)
+
+
+def dots_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
+    """Floor of sum d*sqrt(m) / q for dots as in dots_sign and an integer q != 0:
+    the refinement of dots_sign, until its slack window lies between two
+    multiples of q, which ends as an irrational value is no integer."""
+    slack, bits = sum(abs(d) for m, d in dots if m != 1), 32  # rational terms are exact
+    while True:
+        a, unit = sum(d * math.isqrt(m << (2 * bits)) for m, d in dots), q << bits
+        if (low := (a - slack) // unit) == (a + slack) // unit:
+            return low
+        bits *= 2
 
 
 @dataclass(frozen=True)
@@ -170,31 +173,22 @@ class RealConstant:
         """Rational enclosure of the value at the given dyadic precision."""
         lo = hi = Fraction(0)
         for m, q in self.terms:
-            if m == 1:
-                lo += q
-                hi += q
-                continue
-            slo, shi = _sqrt_bounds(m, bits)
-            if q >= 0:
-                lo += q * slo
-                hi += q * shi
-            else:
-                lo += q * shi
-                hi += q * slo
+            # root / 2^bits is sqrt(1) exactly, or below sqrt(m) by less than 2^-bits.
+            root = math.isqrt(m << (2 * bits))
+            ends = Fraction(q * root, 1 << bits), Fraction(q * (root + (m != 1)), 1 << bits)
+            lo, hi = lo + min(ends), hi + max(ends)
         return lo, hi
 
-    def sign(self) -> int:
+    def _dots(self) -> tuple[list[tuple[int, int]], int]:
+        """Integer dots of the value times the common denominator, and that denominator."""
         scale = math.lcm(*(q.denominator for _, q in self.terms))
-        return dots_sign([(m, q.numerator * (scale // q.denominator)) for m, q in self.terms])
+        return [(m, q.numerator * (scale // q.denominator)) for m, q in self.terms], scale
+
+    def sign(self) -> int:
+        return dots_sign(self._dots()[0])
 
     def floor(self) -> int:
-        if self.is_rational:
-            return math.floor(self.as_rational())
-        bits = 16
-        # Refines without end (see the module note).
-        while math.floor((window := self.interval(bits))[0]) != math.floor(window[1]):
-            bits *= 2
-        return math.floor(window[0])
+        return dots_floor(*self._dots())
 
     def __lt__(self, other: "RealConstant") -> bool:
         return (self - other).sign() < 0

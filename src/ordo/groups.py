@@ -34,6 +34,7 @@ _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
 MAX_BALL_ELEMENTS = 100_000  # the most points or words a ball enumeration builds
+MAX_SAMPLES = 10_000  # the most random draws a sampled check (axioms, cocycle) makes
 MAX_GROUP_N = 64  # the largest rank or strand count a group may have
 
 
@@ -158,9 +159,9 @@ class LatticeElement:
 def _check_letters(group: GroupRef, letters: tuple[tuple[int, int], ...]) -> None:
     for i, e in letters:
         if not 1 <= i <= group.n - 1:
-            raise ParseError(f"generator index {i} out of range for {group.n} strands")
+            raise ParseError(f"generator index {int_text(i)} out of range for {group.n} strands")
         if e not in (1, -1):
-            raise ParseError(f"letter exponent must be +-1, got {e}")
+            raise ParseError(f"letter exponent must be +-1, got {int_text(e)}")
 
 
 def free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -335,7 +336,7 @@ def parse_element(text: str, group: GroupRef) -> Element:
 def half_twist(n: int) -> BraidWord:
     """The positive half twist (s1..s_{n-1})(s1..s_{n-2})...(s1 s2)(s1)."""
     if n < 2:
-        raise ParseError(f"half twist needs at least 2 strands, got {n}")
+        raise ParseError(f"half twist needs at least 2 strands, got {int_text(n)}")
     group = GroupRef.braid(n)
     letters = [(i, 1) for length in range(n - 1, 0, -1) for i in range(1, length + 1)]
     return BraidWord(group, tuple(letters))
@@ -374,6 +375,13 @@ def check_ball_size(group: GroupRef, radius: int) -> None:
     if size > MAX_BALL_ELEMENTS:
         raise UnsupportedInput(f"the radius-{int_text(radius)} ball holds more than "
                                f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")
+
+
+def check_sample_count(count: int) -> None:
+    """Refuse a sampled check of more than MAX_SAMPLES draws."""
+    if count > MAX_SAMPLES:
+        raise UnsupportedInput(f"sample count {int_text(count)} is past the limit of "
+                               f"{MAX_SAMPLES} (MAX_SAMPLES)")
 
 
 def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:

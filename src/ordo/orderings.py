@@ -56,6 +56,7 @@ from .groups import (
     GroupRef,
     LatticeElement,
     braid_words_up_to,
+    check_sample_count,
     free_reduce,
     full_twist,
     parse_element,
@@ -184,20 +185,29 @@ class FlagOrdering(Cone):
         stacked = [row for _, rows in self._expansion for _, row in rows]
         return linalg.rational_rank(stacked) == self.group.rank
 
+    @cached_property
+    def _generator_level(self) -> int:
+        # The first level where some x_i pairs nonzero: one with a nonzero row entry.
+        return next((j for j, (_, rows) in enumerate(self._expansion)
+                     if any(any(row) for _, row in rows)), len(self.levels))
+
     def sign(self, g: LatticeElement) -> int:
-        for _, rows in self._expansion:
-            if dots := _level_dots(rows, g.coords):
-                return dots_sign(dots)
-        return 0
+        found = self.first_dots(g.coords)
+        return 0 if found is None else dots_sign(found[1])
+
+    def first_dots(self, coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+        """(j, dots) at the first level j where the coordinates pair nonzero, to sum
+        d*sqrt(m) / scale_j; None when there is none (the identity, for total flags)."""
+        for j, (_, rows) in enumerate(self._expansion):
+            if dots := _level_dots(rows, coords):
+                return j, dots
+        return None
 
     def first_level(self, g: LatticeElement | Sequence[int]) -> tuple[int, RealConstant] | None:
-        """(j, pairing) at the first level j where g pairs nonzero; None when
-        there is none (only the identity, unless the flag is rank-deficient)."""
-        for j in range(len(self.levels)):
-            pairing = self.level_pairing(j, g)
-            if not pairing.is_zero:
-                return j, pairing
-        return None
+        """(j, pairing) at the first level j where g pairs nonzero, as first_dots."""
+        coords = g.coords if isinstance(g, LatticeElement) else g
+        found = self.first_dots(coords)
+        return None if found is None else (found[0], self.level_pairing(found[0], coords))
 
     def level_pairing(self, j: int, g: LatticeElement | Sequence[int]) -> RealConstant:
         coords = g.coords if isinstance(g, LatticeElement) else g
@@ -399,6 +409,7 @@ def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> Axioms
     whose stacked expansion is rank-deficient the kernel vector found by
     exact linear algebra is reported even if sampling misses it.
     """
+    check_sample_count(samples)
     rng = random.Random(seed)
     lo1_failures: list[str] = []
     lo2_failures: list[str] = []
@@ -448,16 +459,16 @@ def is_cofinal(cone: Cone, x: Element,
         raise GroupMismatch("anchor must live in the cone's group")
     if x.is_identity:
         raise AnchorIsIdentity("cofinality anchor must not be the identity")
-    gens = list(generators) if generators is not None else cone.group.generators()
-    if any(h.group != cone.group for h in gens):
+    if generators is not None and any(h.group != cone.group for h in generators):
         raise GroupMismatch("generators must live in the cone's group")
 
     if isinstance(cone, FlagOrdering):
         # Powers of x bracket h iff x is seen at a level no later than h's;
         # an element seen at no level (the identity) counts as seen last.
         seen = [len(cone.levels) if found is None else found[0]
-                for found in map(cone.first_level, [x, *gens])]
-        return Decision.YES if all(seen[0] <= j for j in seen[1:]) else Decision.NO
+                for found in (cone.first_dots(g.coords) for g in [x, *(generators or ())])]
+        least = cone._generator_level if generators is None else min(seen[1:], default=seen[0])
+        return Decision.YES if seen[0] <= least else Decision.NO
 
     return Decision.YES if is_central_braid(cone, x) else Decision.UNKNOWN
 

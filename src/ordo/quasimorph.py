@@ -40,7 +40,7 @@ from .errors import (
     int_text,
     printable_int,
 )
-from .exactreal import ONE, RealConstant, combine, format_rational
+from .exactreal import ONE, RealConstant, combine, dots_floor, format_rational
 from .groups import MAX_BRAID_LETTERS, BraidWord, Element, dynnikov_act, random_element
 from .orderings import Cone, Decision, FlagOrdering, cone_sign, is_cofinal
 
@@ -119,19 +119,28 @@ def _max_true(pred: Callable[[int], bool], cap: int) -> int:
     return lo
 
 
-def _pairing_ratio(flag: FlagOrdering, x: Element, h: Element,
-                   blind: type[OrdoError]) -> RealConstant | None:
-    """<v, h> / <v, x> at x's first level v; None if x pairs irrationally there.
-    Raises `blind` if h pairs nonzero at an earlier level (or x at none)."""
-    seen_x, seen_h = flag.first_level(x), flag.first_level(h)
+def _pairing_dots(flag: FlagOrdering, x: Element, h: Element,
+                  blind: type[OrdoError]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """(q, dots): <v, h> / <v, x> = sum d*sqrt(m) / q at x's first level v, as the
+    level's scale cancels; None if x pairs irrationally there.  Raises `blind`
+    if h pairs nonzero at an earlier level (or x at none)."""
+    seen_x, seen_h = flag.first_dots(x.coords), flag.first_dots(h.coords)
     if seen_h is not None and (seen_x is None or seen_h[0] < seen_x[0]):
         raise blind(f"element pairs nonzero at level {seen_h[0] + 1}, where the anchor is blind")
     if seen_x is None:
         raise NotCofinal("anchor pairs to zero at every level")
-    j, px = seen_x
-    if not px.is_rational:
+    j, anchor_dots = seen_x
+    if len(anchor_dots) > 1 or anchor_dots[0][0] != 1:
         return None
-    return flag.level_pairing(j, h) / px.as_rational()
+    return anchor_dots[0][1], seen_h[1] if seen_h is not None and seen_h[0] == j else ()
+
+
+def _pairing_ratio(flag: FlagOrdering, x: Element, h: Element,
+                   blind: type[OrdoError]) -> RealConstant | None:
+    """<v, h> / <v, x> at x's first level v, as _pairing_dots."""
+    if (found := _pairing_dots(flag, x, h, blind)) is None:
+        return None
+    return RealConstant(tuple((m, Fraction(d, found[0])) for m, d in found[1]))
 
 
 def power_floor(ctx: AnchorContext, h: Element) -> int:
@@ -148,15 +157,16 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
         return cone.sign_product(ctx.power(-n), h) >= 0
 
     if isinstance(cone, FlagOrdering):
-        ratio = _pairing_ratio(cone, x, h, NotBracketedWithinCap)
-        if ratio is not None:
-            # N is the floor (s = 1) or ceiling (s = -1) of the pairing ratio,
-            # or ratio - s when lower levels decide an integer ratio.
-            n = ratio.floor() if s > 0 else -(-ratio).floor()
+        if (found := _pairing_dots(cone, x, h, NotBracketedWithinCap)) is not None:
+            # N is the floor (s = 1) or ceiling (s = -1) of the ratio
+            # sum d*sqrt(m) / q, or ratio - s when lower levels decide an integer ratio.
+            q, dots = found
+            n = s * dots_floor(dots, s * q)
             if at_least(n):
                 certified = not at_least(n + s)
             else:
-                certified = ratio == RealConstant.rational(n) and at_least(n - s)
+                integral = all(m == 1 for m, _ in dots) and sum(d for _, d in dots) == n * q
+                certified = integral and at_least(n - s)
                 n -= s
             if not certified:
                 raise InvariantViolation(f"flag floor {int_text(n)} failed its bracket certificate")

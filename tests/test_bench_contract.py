@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import ordo.cli  # noqa: F401  (the tracer looks up every layer module, the CLI included)
-from ordo import orderings, quasimorph
+from ordo import exactreal, orderings, quasimorph
 from ordo.exactreal import RealConstant
 from ordo.groups import GroupRef, parse_element
 
@@ -30,6 +30,9 @@ def _queries():
     flag = orderings.FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2)]])
     braid = orderings.DehornoyOrdering.create(3)
     anchored = quasimorph.AnchorContext(flag, parse_element("x1", z2))
+    # Flag floors run on integer dots and refine no interval, so the
+    # enclosure is asked for on its own.
+    exactreal.RealConstant.interval(RealConstant.sqrt(2), 16)
     return (
         flag.sign(parse_element("x1^3 x2^-2", z2)),
         quasimorph.power_floor(anchored, parse_element("x2^5", z2)),

@@ -548,3 +548,31 @@ def test_braid_sampling_radius_past_the_limit_exit_2_quickly(capsys, dehornoy3, 
                                 "--radius", "1000000000")
     assert detail == ("braid sampling radius 1000000000 is past the limit "
                       "of 100000 letters (MAX_BRAID_LETTERS)")
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["obstruct"], "ordo obstruct: the following arguments are required: --expr"),
+    (["obstruct", "--expr"], "ordo obstruct: argument --expr: expected one argument"),
+    (["obstruct", "--expr", "x", "--bogus"], "ordo: unrecognized arguments: --bogus"),
+    (["axioms", "--ordering", "o.json", "--samples", "x"],
+     "ordo axioms: argument --samples: invalid int value: 'x'"),
+    (["nosuch"], "ordo: argument command: invalid choice: 'nosuch' (choose from 'axioms', "
+     "'rho', 'stable', 'psi', 'psitilde', 'construct', 'sikora', 'convex', 'obstruct', "
+     "'realize', 'cocycle', 'equiv')"),
+])
+def test_usage_errors_print_one_json_document(capsys, argv, detail):
+    assert run(capsys, *argv) == (2, {"error": "ParseError", "detail": detail})
+
+
+def test_help_still_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["obstruct", "--help"]) == 0
+    assert "usage: ordo obstruct" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["axioms"], ["cocycle", "--x", "s1 s2 s1 s1 s2 s1"]])
+@pytest.mark.parametrize("count", [10_001, 10 ** 30])
+def test_sample_count_past_the_limit_exit_2_quickly(capsys, dehornoy3, command, count):
+    detail = run_exit_2_quickly(capsys, command[0], "--ordering", dehornoy3, *command[1:],
+                                "--samples", str(count))
+    assert detail == f"sample count {count} is past the limit of 10000 (MAX_SAMPLES)"

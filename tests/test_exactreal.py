@@ -1,9 +1,11 @@
 """Exact constant arithmetic: canonical forms, sign, floor, Q-rank."""
 
+import collections
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -14,6 +16,7 @@ from ordo.exactreal import (
     RealConstant,
     combine,
     div_by_rational,
+    dots_floor,
     format_rational,
     mod_one,
     parse_rational,
@@ -214,3 +217,83 @@ def test_format_rational_names_digit_count_past_the_string_limit():
     assert format_rational(10 ** 5000 - 1) == "<integer of 5000 digits>"
     assert format_rational(Fraction(-(10 ** 4400) - 1, 3)) == "-<integer of 4401 digits>/3"
     assert str(SQRT2.scale(Fraction(10 ** 6000))) == "<integer of 6001 digits>*sqrt(2)"
+
+
+# -- the integer floor engine against an mpmath oracle ----------------------------
+
+
+def _exact_floor(dots, q):
+    """Floor of sum d*sqrt(m) / q: integer division for rational dots, else
+    mpmath (sympy's arbitrary-precision backend) at four times the bits of the
+    inputs, refused when the value lies too close to an integer to tell.
+
+    sympy.floor itself is no oracle here: it floors the terms of a sum it has
+    distributed a factor over, and returns 143901428080 for the dots below,
+    whose value is 143901428081.92."""
+    if all(m == 1 for m, _ in dots):
+        return sum(d for _, d in dots) // q
+    bits = 4 * max([abs(d).bit_length() for _, d in dots] + [abs(q).bit_length()]) + 256
+    with mpmath.workprec(bits):
+        value = mpmath.fsum(mpmath.mpf(d) * mpmath.sqrt(m) for m, d in dots) / q
+        low = int(mpmath.floor(value))
+        margin = mpmath.mpf(2) ** -(bits // 2)
+        assert margin < value - low < 1 - margin, "the oracle cannot tell"
+    return low
+
+
+def _random_dots(rng, digits):
+    radicands = rng.sample((1, 2, 3, 5, 6, 7, 10, 11), rng.randint(0, 4))
+    dots = [(m, rng.randint(-10 ** digits, 10 ** digits)) for m in sorted(radicands)]
+    return [(m, d) for m, d in dots if d]
+
+
+def test_dots_floor_where_sympy_floor_splits_the_sum():
+    dots = [(6, -822262667669), (7, -862974979277), (10, -415780865352)]
+    assert dots_floor(dots, -39) == 143901428081 == _exact_floor(dots, -39)
+
+
+def test_dots_floor_matches_the_oracle_on_random_dots():
+    rng = random.Random(4300)
+    seen = collections.Counter()
+    for _ in range(600):
+        digits = rng.choice((1, 3, 12, 40))
+        dots = _random_dots(rng, digits)
+        q = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, digits + 1))
+        assert dots_floor(dots, q) == _exact_floor(dots, q), (dots, q)
+        seen["negative_q" if q < 0 else "positive_q"] += 1
+        seen["irrational" if any(m != 1 for m, _ in dots) else "rational"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_dots_floor_matches_the_oracle_near_the_digit_limit():
+    rng = random.Random(4299)
+    for _ in range(12):
+        dots = _random_dots(rng, rng.randint(4200, 4299)) or [(2, 10 ** 4299 - 1)]
+        q = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(0, 4299))
+        assert dots_floor(dots, q) == _exact_floor(dots, q), (len(dots), q.bit_length())
+
+
+def test_dots_floor_integer_values_and_pell_margins():
+    for q in (1, -1, 3, -3, 10 ** 4299, -(10 ** 4299)):
+        for k in (-5, 0, 7):
+            assert dots_floor([(1, k * q)] if k else [], q) == k
+            assert dots_floor([(1, k * q + 1)], q) == (k * q + 1) // q
+    # x - y*sqrt(2) = 1/(x + y*sqrt(2)): just above 0, so its floor needs
+    # far more bits than the coefficients have.
+    x, y = 3, 2
+    while y.bit_length() <= 4000:
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    for q in (1, -1, 7, -7):
+        dots = [(1, x), (2, -y)]
+        assert dots_floor(dots, q) == (0 if q > 0 else -1) == _exact_floor(dots, q)
+        assert dots_floor([(1, -x), (2, y)], q) == (-1 if q > 0 else 0)
+
+
+def test_floor_of_constants_matches_the_oracle():
+    rng = random.Random(91)
+    for _ in range(300):
+        c = const(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 60)),
+                  r2=Fraction(rng.randint(-900, 900), rng.randint(1, 9)),
+                  r3=Fraction(rng.randint(-900, 900), rng.randint(1, 9)) * (rng.random() < 0.5))
+        scale = math.lcm(*(q.denominator for _, q in c.terms))
+        assert c.floor() == _exact_floor([(m, int(q * scale)) for m, q in c.terms], scale), c

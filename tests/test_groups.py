@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ordo.errors import GroupMismatch, ParseError, UnsupportedInput
+from ordo.errors import GroupMismatch, OrdoError, ParseError, UnsupportedInput
+from ordo.exactreal import RealConstant, squarefree_split
 from ordo.groups import (
     MAX_BALL_ELEMENTS,
     MAX_BRAID_LETTERS,
@@ -226,3 +227,24 @@ def test_ball_limit_is_above_every_ball_in_use():
 def test_exponent_sum():
     assert parse_element("s1^2 s2^-1", B3).exponent_sum() == 1
     assert full_twist(3).exponent_sum() == 6
+
+
+HUGE = 10 ** 5000
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: squarefree_split(-HUGE), ParseError),
+    (lambda: RealConstant.from_terms({-HUGE: 1}), ParseError),
+    (lambda: BraidWord(B3, ((HUGE, 1),)), ParseError),
+    (lambda: BraidWord(B3, ((-HUGE, 1),)), ParseError),
+    (lambda: BraidWord(B3, ((1, HUGE),)), ParseError),
+    (lambda: half_twist(-HUGE), ParseError),
+    (lambda: half_twist(HUGE), UnsupportedInput),
+], ids=["squarefree_split", "from_terms", "braid_index", "braid_negative_index",
+        "braid_exponent", "half_twist_negative", "half_twist_positive"])
+def test_integers_past_the_string_limit_in_messages_raise_ordo_errors(call, error):
+    # Formatting such an integer with str() raises ValueError; no message may.
+    with pytest.raises(OrdoError) as exc:
+        call()
+    assert type(exc.value) is error
+    assert "<integer of 5001 digits>" in str(exc.value)

@@ -30,6 +30,7 @@ from ordo.orderings import (
     is_cofinal,
     is_dense,
     is_right_invariant,
+    level_kernels,
     locate,
     main_generator_sign,
     ordering_from_json,
@@ -762,6 +763,43 @@ def test_flag_sign_cofinality_and_stable_value_match_sympy_first_level():
                 assert sympy.simplify(_sympy_value(stable_exact(flag, x, h)) - want_value) == 0
                 branches["value"] += 1
     assert all(count > 0 for count in branches.values()), branches
+
+
+def test_is_cofinal_matches_sympy_first_level_with_and_without_generators():
+    rng = random.Random(77)
+    outcomes = collections.Counter()
+    for _ in range(80):
+        rank = rng.randint(1, 3)
+        levels = [[_random_constant(rng) for _ in range(rank)]
+                  for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            # A first level that sees nothing: no generator is seen before level 2.
+            levels.insert(0, [RealConstant.rational(0)] * rank)
+        # Rank-deficient flags too: an element seen at no level counts as seen last.
+        flag = FlagOrdering.create(levels, check=False)
+        group = flag.group
+        coords_pool = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(5)]
+        for kernel in level_kernels(flag):  # elements first seen at each later level
+            coords_pool += [[sum(rng.randint(-2, 2) * v[i] for v in kernel) for i in range(rank)]
+                            for _ in range(2)]
+        elements = [LatticeElement(group, tuple(c)) for c in coords_pool]
+        units = group.generators()
+
+        def level_of(g):
+            found = _sympy_first_level(flag, g.coords)
+            return math.inf if found is None else found[0]
+
+        for x in elements:
+            if x.is_identity:
+                continue
+            gens = rng.sample(elements, rng.randint(0, 3))
+            want = Decision.YES if all(level_of(x) <= level_of(h) for h in gens) else Decision.NO
+            assert is_cofinal(flag, x, gens) == want, (flag.levels, x, gens)
+            want = Decision.YES if all(level_of(x) <= level_of(h) for h in units) else Decision.NO
+            assert is_cofinal(flag, x) == want == is_cofinal(flag, x, units), (flag.levels, x)
+            outcomes[want, all(c.is_zero for c in levels[0])] += 1
+    assert all(outcomes[want, blind] > 5 for want in (Decision.YES, Decision.NO)
+               for blind in (False, True)), outcomes
 
 
 def test_right_invariance_search_to_its_cap_ends_unknown_without_witness():

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
@@ -228,6 +229,85 @@ def test_flag_floor_matches_search_on_random_flags():
                  "tie_depth_1", "tie_depth_2", "positive_anchor", "negative_anchor",
                  "later_anchor"):
         assert cases[case] > 0, cases
+
+
+BEYOND_CAP = 10 ** 22 + 7
+
+
+def _closed_form(ratio, s):
+    """Floor (s = 1) or ceiling (s = -1) of an irrational ratio, by mpmath at a
+    precision past its coefficients (independent of the integer floor engine)."""
+    bits = 4 * max(max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+                   for _, q in ratio.terms) + 256
+    with mpmath.workprec(bits):
+        value = mpmath.fsum(mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(m)
+                            for m, q in ratio.terms)
+        margin = mpmath.mpf(2) ** -(bits // 2)
+        assert margin < value - mpmath.floor(value) < 1 - margin, "the oracle cannot tell"
+        return int(mpmath.floor(value)) if s > 0 else int(mpmath.ceil(value))
+
+
+def test_integer_flag_floor_matches_search_on_300_flags():
+    rng = random.Random(1313)
+    cases = Counter()
+    flags = 0
+    while flags < 300:
+        rank = rng.randint(1, 4)
+        levels = [[_random_level_constant(rng) for _ in range(rank)]
+                  for _ in range(rng.randint(1, 4))]
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:
+            continue
+        flags += 1
+        group = flag.group
+        chain = [[tuple(int(i == k) for i in range(rank)) for k in range(rank)]]
+        chain += [kernel for kernel in level_kernels(flag) if kernel]
+        # A unit anchor often pairs to a rational constant at a level with
+        # irrational ones, so elements pair irrationally there.
+        anchors = [LatticeElement(group, _combination(rng, chain[rng.randrange(len(chain))], rank))
+                   for _ in range(3)]
+        anchors.append(LatticeElement(group, chain[0][rng.randrange(rank)]) ** rng.choice((1, -1)))
+        for x in anchors:
+            if x.is_identity:
+                continue
+            ctx = AnchorContext(flag, x, cap=1 << 20, require_cofinal=False)
+            s = ctx.anchor_sign
+            j = flag.first_level(x)[0]
+            hs = [LatticeElement(group, tuple(rng.randint(-6, 6) for _ in range(rank)))
+                  for _ in range(2)]
+            for depth in range(j + 1, len(chain)):
+                hs.append(x ** rng.randint(-4, 4) * LatticeElement(
+                    group, _combination(rng, chain[depth], rank)))
+            for h in hs:
+                want = _floor_or_error(_search_floor, ctx, h)
+                assert _floor_or_error(power_floor, ctx, h) == want, (flag.levels, x, h)
+                cases["positive_anchor" if s > 0 else "negative_anchor"] += 1
+                if want is NotBracketedWithinCap:
+                    cases["not_bracketed"] += 1
+                    continue
+                ratio = _pairing_ratio(flag, x, h, NotBracketedWithinCap)
+                if ratio is None:
+                    cases["irrational_anchor"] += 1
+                    continue
+                # Left multiplication by x^K shifts every floor by K: past the cap.
+                assert power_floor(ctx, x ** BEYOND_CAP * h) == BEYOND_CAP + want
+                cases["beyond_cap"] += 1
+                if not ratio.is_rational:
+                    cases["irrational_element"] += 1
+                    big = x ** BEYOND_CAP * h ** BEYOND_CAP
+                    assert power_floor(ctx, big) == _closed_form(
+                        _pairing_ratio(flag, x, big, NotBracketedWithinCap), s)
+                elif ratio.as_rational().denominator != 1:
+                    cases["fraction"] += 1
+                elif want == ratio.as_rational() - s:
+                    cases["integer_ratio_n_minus_s"] += 1
+                else:
+                    cases["integer_ratio"] += 1
+    for case in ("positive_anchor", "negative_anchor", "not_bracketed", "irrational_anchor",
+                 "beyond_cap", "irrational_element", "fraction", "integer_ratio_n_minus_s",
+                 "integer_ratio"):
+        assert cases[case] > 20, cases
 
 
 @pytest.mark.parametrize("anchor, element, want", [
