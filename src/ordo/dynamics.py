@@ -4,11 +4,15 @@ The realization table assigns exact rationals to a finite enumeration
 (identity first) by the inductive rule: a new element beyond the current
 maximum gets max+1, below the minimum gets min-1, and otherwise the midpoint
 of its immediate neighbours; the assignment order-embeds the enumerated
-elements into Q and never revises earlier values.  The partial action
-check compares integer ranks of g_i and g*g_i.  Braid stations form a prefix
-tree (a station's parent has its word minus the last letter), so key(g*g_i)
-is one letter acting on key(g*parent); roots and lattice stations are keyed
-by ``key_times``.
+elements into Q and never revises earlier values.  Braid stations form a
+prefix forest (a station's parent has its word minus the last letter).
+``realize`` sorts the whole enumeration first: a station g = p*l lies above
+p iff the letter l is positive, so it gallops from p's place in that
+direction, and each probe acts only the letters of the station it meets.
+The rule is then replayed in enumeration order on integer ranks.  The
+partial action check compares integer ranks of g_i and g*g_i, keying
+g*g_i as one letter acting on key(g*parent); roots and lattice stations are
+keyed by ``key_times``.
 
 For a central cofinal anchor x the floors split every element h as
 x^{floor(h)} times a remainder in the floor-zero stratum, and
@@ -17,8 +21,9 @@ x^{floor(h)} times a remainder in the floor-zero stratum, and
 
 with theta an order-embedding of the stratum into [0,1) realizes the group
 on the line with x acting as translation by one; quotienting by that
-translation samples a circle action.  The normalized lift of the circle map
-of f moves 0 to t'(f) - floor(f), and composing lifts measures an integer
+translation samples a circle action, which floors each element once (by
+its key) and keys each remainder from the cached anchor power.  The
+normalized lift of the circle map of f moves 0 to t'(f) - floor(f), and composing lifts measures an integer
 cocycle which must equal minus the quasimorphism coboundary: this is the
 cochain-level form of "the rotation class is minus the Euler class".
 
@@ -31,7 +36,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -45,6 +51,7 @@ from .errors import (
 )
 from .exactreal import format_rational
 from .groups import (
+    BraidWord,
     Element,
     braid_words_up_to,
     check_sample_count,
@@ -76,13 +83,14 @@ class RealizationTable:
     values: tuple[Fraction, ...]
 
     @cached_property
-    def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, int]],
-                               list[tuple[int, int, tuple]]]:
+    def _forest(self) -> list[tuple[int, int, tuple]]:
+        return _station_forest(self.elements)
+
+    @cached_property
+    def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, int]]]:
         # The distinct values in increasing order (ranked as integers over a
-        # common denominator), the rank of each key's value, the (rank,
-        # station) pairs in value order, and the (station, parent, last
-        # letter) tree, parents first and -1 for a root; a station is a
-        # position in self.elements.
+        # common denominator), the rank of each key's value, and the (rank,
+        # station) pairs in value order; a station is a position in self.elements.
         scale = math.lcm(*(t.denominator for t in self.values))
         scaled = [t.numerator * (scale // t.denominator) for t in self.values]
         rank = {v: r for r, v in enumerate(sorted(set(scaled)))}
@@ -90,20 +98,13 @@ class RealizationTable:
         distinct = [Fraction()] * len(rank)
         for t, r in zip(self.values, ranks):
             distinct[r] = t
-        if self.cone.group.is_abelian:
-            tree = [(i, -1, ()) for i in range(len(self.elements))]
-        else:
-            position = {g.letters: i for i, g in enumerate(self.elements)}
-            tree = sorted(((i, position.get(g.letters[:-1], -1) if g.letters else -1,
-                            g.letters[-1:]) for i, g in enumerate(self.elements)),
-                          key=lambda node: len(self.elements[node[0]].letters))
         return (distinct, {g.key: r for g, r in zip(self.elements, ranks)},
-                sorted(zip(ranks, range(len(ranks))), key=itemgetter(0)), tree)
+                sorted(zip(ranks, range(len(ranks))), key=itemgetter(0)))
 
     def lookup(self, g: Element) -> Fraction | None:
         """Value of g if it is enumerated (as a group element, whatever its word)."""
         check_group(self.cone, g)
-        distinct, rank_of, _, _ = self._ranked
+        distinct, rank_of, _ = self._ranked
         return distinct[rank_of[g.key]] if g.key in rank_of else None
 
     def to_json(self) -> dict:
@@ -113,38 +114,92 @@ class RealizationTable:
         }
 
 
+def _station_forest(elements: Sequence[Element]) -> list[tuple[int, int, tuple]]:
+    """The (station, parent, last letter) prefix forest in depth-first preorder,
+    roots and siblings in enumeration order.  A braid station's parent is the
+    station whose word is its word minus the last letter; lattice stations and
+    stations without one are roots, with parent -1."""
+    position = {g.letters: i for i, g in enumerate(elements) if isinstance(g, BraidWord)}
+    children: list[list[int]] = [[] for _ in elements]
+    roots: list[int] = []
+    for i, g in enumerate(elements):
+        parent = position.get(g.letters[:-1], -1) if isinstance(g, BraidWord) and g.letters else -1
+        (children[parent] if parent >= 0 else roots).append(i)
+    forest, stack = [], [(i, -1, ()) for i in reversed(roots)]
+    while stack:
+        node = stack.pop()
+        forest.append(node)
+        stack.extend((c, node[0], elements[c].letters[-1:]) for c in reversed(children[node[0]]))
+    return forest
+
+
 def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
     """Run the inductive assignment over the enumeration.
 
     The enumeration must start with the identity and contain no repeated
     group elements (braid words are compared as braids, not as words).
+    First the whole enumeration is sorted, walking its prefix forest: a
+    station g = p*l lies above its parent p iff l is positive, so it gallops
+    from p's place in that direction; a root is binary-searched.  Then the
+    values are replayed in enumeration order on the integer ranks.
     """
     if not enumeration:
         raise UnsupportedInput("enumeration must not be empty")
     first = enumeration[0]
     if cone_sign(cone, first) != 0:
         raise UnsupportedInput("enumeration must start with the identity")
-
-    ordered: list[Element] = []  # kept sorted by the cone
-    stations: list[Fraction] = []  # parallel to ordered
-    values: list[Fraction] = []
+    seen: dict = {}
     for i, g in enumerate(enumeration):
-        lo, found = locate(cone, ordered, g)
-        if found:
-            raise UnsupportedInput(
-                f"duplicate element at position {i}: {g.render()!r}")
-        if not ordered:
+        if g.group is not cone.group and g.group != cone.group:
+            cone.sign_product(g.inverse(), first)  # the cone's own GroupMismatch
+            check_group(cone, g)
+        if seen.setdefault(g.key, i) != i:
+            raise UnsupportedInput(f"duplicate element at position {i}: {g.render()!r}")
+
+    def above(j: int) -> bool:  # order[j] > g
+        return cone.sign_product(g_inv, enumeration[order[j]]) > 0
+
+    forest = _station_forest(enumeration)
+    order: list[int] = []  # stations sorted by the cone
+    path: list[list[int]] = []  # [station, index in order] from a root to the last placed
+    letter_sign: dict[tuple, int] = {}
+    for i, parent, letter in forest:
+        g_inv, lo, hi = enumeration[i].inverse(), -1, len(order)  # order[lo] < g < order[hi]
+        while path and path[-1][0] != parent:
+            path.pop()
+        if path:
+            if letter not in letter_sign:
+                letter_sign[letter] = cone_sign(cone, BraidWord._trusted(cone.group, letter))
+            start, step = path[-1][1], letter_sign[letter]
+            lo, hi = (start, hi) if step > 0 else (lo, start)
+            while lo < (j := start + step) < hi:
+                lo, hi = (lo, j) if above(j) else (j, hi)
+                step *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        order.insert(hi, i)
+        for node in path:
+            node[1] += node[1] >= hi
+        path.append([i, hi])
+
+    placed: list[int] = []  # ranks of the stations assigned so far, sorted
+    stations: list[Fraction] = []  # parallel to placed
+    values: list[Fraction] = []
+    for r in sorted(range(len(order)), key=order.__getitem__):  # ranks in enumeration order
+        k = bisect_left(placed, r)
+        if not placed:
             t = Fraction(0)
-        elif lo == 0:
-            t = stations[0] - 1
-        elif lo == len(ordered):
-            t = stations[-1] + 1
+        elif 0 < k < len(placed):
+            t = (stations[k - 1] + stations[k]) / 2
         else:
-            t = (stations[lo - 1] + stations[lo]) / 2
-        ordered.insert(lo, g)
-        stations.insert(lo, t)
+            t = stations[0] - 1 if k == 0 else stations[-1] + 1
+        placed.insert(k, r)
+        stations.insert(k, t)
         values.append(t)
-    return RealizationTable(cone, tuple(enumeration), tuple(values))
+    table = RealizationTable(cone, tuple(enumeration), tuple(values))
+    table.__dict__["_forest"] = forest
+    return table
 
 
 def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
@@ -181,9 +236,9 @@ def partial_action_check(table: RealizationTable, g: Element) -> ActionCheck:
     order and their ranks compared.
     """
     check_group(table.cone, g)
-    distinct, rank_of, stations, tree = table._ranked
-    keys: list = [None] * len(tree)
-    for i, parent, letter in tree:
+    distinct, rank_of, stations = table._ranked
+    keys: list = [None] * len(table.elements)
+    for i, parent, letter in table._forest:
         keys[i] = (g.key_times(table.elements[i]) if parent < 0
                    else dynnikov_act(keys[parent], letter))
     pairs = [(r, image) for r, i in stations if (image := rank_of.get(keys[i])) is not None]
@@ -213,6 +268,7 @@ class SampledCircleAction:
     stratum: tuple[Element, ...]
     theta_values: tuple[Fraction, ...]
     stored: tuple[Element, ...]
+    _splits: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def cone(self) -> Cone:
@@ -223,10 +279,10 @@ class SampledCircleAction:
         return self.ctx.anchor
 
     def floor(self, h: Element) -> int:
-        return power_floor(self.ctx, h)
+        return _split(self.ctx, self._splits, h)[0]
 
     def remainder(self, h: Element) -> Element:
-        return self.ctx.power(-self.floor(h)) * h
+        return _split(self.ctx, self._splits, h)[1]
 
     @cached_property
     def _theta_of(self) -> dict[tuple[int, ...], Fraction]:
@@ -249,6 +305,18 @@ def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircl
     return circle_action_for_samples(cone, x, ball_enumeration(cone, radius))
 
 
+def _split(ctx: AnchorContext, splits: dict, h: Element) -> tuple[int, Element]:
+    """(floor(h), x^-floor(h) h), memoized in splits by h's key for elements of
+    the cone's own group; a braid remainder's key is h's letters acting on the
+    cached anchor power's key."""
+    found = splits.get(h.key)
+    if found is None or h.group is not ctx.cone.group:
+        power = ctx.power(-(n := power_floor(ctx, h)))
+        remainder = power * h if h.group.is_abelian else (power * h).with_key(power.key_times(h))
+        found = splits[h.key] = n, remainder
+    return found
+
+
 def circle_action_for_samples(cone: Cone, x: Element,
                               elements: Iterable[Element]) -> SampledCircleAction:
     """Sample the circle action with coverage for the given elements.
@@ -257,25 +325,38 @@ def circle_action_for_samples(cone: Cone, x: Element,
     remainder r has 1 <= r, so the identity (kept even if no sample has a
     trivial remainder) is least, and theta = rank / |stratum| puts it at 0.
     """
+    _check_circle_anchor(cone, x)
+    return _sample_circle(AnchorContext(cone, x), elements, {})
+
+
+def _check_circle_anchor(cone: Cone, x: Element) -> None:
     if not is_central_braid(cone, x):
         raise UnsupportedInput(
             f"anchor {x.render()!r} is not central; the circle quotient needs "
             "a central anchor")
     if is_cofinal(cone, x) != Decision.YES:
         raise UnsupportedInput("anchor must be certified cofinal")
-    ctx = AnchorContext(cone, x)
+
+
+def _sample_circle(ctx: AnchorContext, elements: Iterable[Element],
+                   splits: dict) -> SampledCircleAction:
+    """circle_action_for_samples on a checked anchor's context and its splits so far."""
+    cone = ctx.cone
     elements = tuple(elements)
     stratum: list[Element] = [cone.group.identity()]
+    present = {stratum[0].key}
     for h in elements:
-        s = ctx.power(-power_floor(ctx, h)) * h
-        i, found = locate(cone, stratum, s)
-        if i == 0 and not found:
+        s = _split(ctx, splits, h)[1]
+        if s.key in present:
+            continue
+        i, _ = locate(cone, stratum, s)
+        if i == 0:
             raise InvariantViolation(
                 f"remainder {s.render()!r} of {h.render()!r} sorts below the identity")
-        if not found:
-            stratum.insert(i, s)
+        stratum.insert(i, s)
+        present.add(s.key)
     theta = tuple(Fraction(i, len(stratum)) for i in range(len(stratum)))
-    return SampledCircleAction(ctx, tuple(stratum), theta, elements)
+    return SampledCircleAction(ctx, tuple(stratum), theta, elements, splits)
 
 
 def unit_translation_check(action: SampledCircleAction) -> ActionCheck:
@@ -344,14 +425,14 @@ def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
     rng = random.Random(seed)
     pairs = []
     needed: list[Element] = []
-    ctx = AnchorContext(cone, x)
+    ctx, splits = AnchorContext(cone, x), {}
     for _ in range(count):
         f = random_element(cone.group, rng, radius)
         g = random_element(cone.group, rng, radius)
         pairs.append((f, g))
-        remainder_g = ctx.power(-power_floor(ctx, g)) * g
-        needed.extend([g, f * g, f * remainder_g])
-    action = circle_action_for_samples(cone, x, needed)
+        needed.extend([g, f * g, f * _split(ctx, splits, g)[1]])
+    _check_circle_anchor(cone, x)
+    action = _sample_circle(ctx, needed, splits)
     passed, failures = 0, []
     for f, g in pairs:
         report = euler_identity_check(action, f, g)

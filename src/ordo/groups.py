@@ -60,11 +60,11 @@ class GroupRef:
 
     @staticmethod
     def free_abelian(rank: int) -> "GroupRef":
-        return GroupRef(FREE_ABELIAN, rank)
+        return _interned(FREE_ABELIAN, rank)
 
     @staticmethod
     def braid(strands: int) -> "GroupRef":
-        return GroupRef(BRAID, strands)
+        return _interned(BRAID, strands)
 
     @property
     def is_abelian(self) -> bool:
@@ -105,6 +105,17 @@ class GroupRef:
         if kind == BRAID:
             return GroupRef.braid(_json_int(obj, "strands"))
         raise ParseError(f"unknown group kind: {kind!r}")
+
+
+_INTERNED: dict[tuple[str, int], GroupRef] = {}
+
+
+def _interned(kind: str, n: int) -> GroupRef:
+    """One GroupRef per valid (kind, n) with n a plain int, so that group checks
+    mostly end at ``is``; any other n builds a fresh GroupRef."""
+    if type(n) is not int:
+        return GroupRef(kind, n)
+    return _INTERNED.get((kind, n)) or _INTERNED.setdefault((kind, n), GroupRef(kind, n))
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -297,7 +308,7 @@ Element = LatticeElement | BraidWord
 
 
 def _same_group(a: Element, b: Element) -> None:
-    if a.group != b.group:
+    if a.group is not b.group and a.group != b.group:
         raise GroupMismatch(f"elements of {a.group} and {b.group} cannot be combined")
 
 

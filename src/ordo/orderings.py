@@ -57,6 +57,7 @@ from .groups import (
     LatticeElement,
     braid_words_up_to,
     check_sample_count,
+    dynnikov_act,
     free_reduce,
     full_twist,
     parse_element,
@@ -92,7 +93,7 @@ class Cone:
 
 
 def check_group(cone: Cone, g: Element) -> None:
-    if g.group != cone.group:
+    if g.group is not cone.group and g.group != cone.group:
         raise GroupMismatch(f"element of {g.group} queried against cone over {cone.group}")
 
 
@@ -320,8 +321,10 @@ class DehornoyOrdering(Cone):
         return _dynnikov_sign(g.key)
 
     def sign_product(self, a: BraidWord, b: BraidWord) -> int:
-        check_group(self, a)
-        return _dynnikov_sign(a.key_times(b))
+        if a.group is not self.group or b.group is not self.group:
+            check_group(self, a)
+            return _dynnikov_sign(a.key_times(b))
+        return _dynnikov_sign(dynnikov_act(a.key, b.letters))
 
 
 def _dynnikov_sign(coords: tuple[int, ...]) -> int:

@@ -1,12 +1,23 @@
 """Line realizations, sampled circle actions, the Euler identity, equivalence."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ordo.errors import GroupMismatch, InvariantViolation, MissingOrbitPoint, UnsupportedInput
-from ordo.exactreal import RealConstant
+import ordo.groups as ordo_groups
+import ordo.orderings as ordo_orderings
+import ordo.quasimorph as ordo_quasimorph
+from ordo.cli import main
+from ordo.errors import (
+    GroupMismatch,
+    InvariantViolation,
+    MissingOrbitPoint,
+    OrdoError,
+    UnsupportedInput,
+)
+from ordo.exactreal import RealConstant, format_rational
 from ordo.groups import (
     BraidWord,
     GroupRef,
@@ -17,8 +28,19 @@ from ordo.groups import (
     parse_element,
     random_element,
 )
-from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, cone_sign, locate
-from ordo.quasimorph import power_floor
+from ordo.orderings import (
+    Cone,
+    DehornoyOrdering,
+    FlagOrdering,
+    act,
+    compare,
+    cone_sign,
+    handle_reduce,
+    locate,
+    main_generator_sign,
+    ordering_to_json,
+)
+from ordo.quasimorph import AnchorContext, power_floor
 from ordo.dynamics import (
     ActionCheck,
     RealizationTable,
@@ -42,7 +64,12 @@ LEX2 = FlagOrdering.lex(2)
 SQRT2_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2)]])
 DEHORNOY3 = DehornoyOrdering.create(3)
 DEHORNOY4 = DehornoyOrdering.create(4)
+DEHORNOY5 = DehornoyOrdering.create(5)
 CONJUGATED3 = act(DEHORNOY3, parse_element("s1 s2^-1", B3))
+CONJUGATED4 = act(DEHORNOY4, parse_element("s3 s2^-1 s1^-1", B4))
+FLAG3 = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(3), RealConstant.sqrt(2)],
+                             [RealConstant.rational(0), RealConstant.rational(1),
+                              RealConstant.rational(-2)]])
 
 
 def el(text, group=Z2):
@@ -107,6 +134,282 @@ def test_lookup_by_group_element():
     value = table.lookup(el("s1 s2 s1", B3))
     assert value is not None
     assert table.lookup(el("s2 s1 s2", B3)) == value
+
+
+# -- realize against the sequential binary insertion it replaced ------------
+
+
+def _realize_by_insertion(cone, enumeration):
+    """The inductive assignment one element at a time: each element is
+    binary-searched into the cone-sorted list of the elements before it."""
+    if not enumeration:
+        raise UnsupportedInput("enumeration must not be empty")
+    first = enumeration[0]
+    if cone_sign(cone, first) != 0:
+        raise UnsupportedInput("enumeration must start with the identity")
+    ordered, stations, values = [], [], []
+    for i, g in enumerate(enumeration):
+        lo, found = locate(cone, ordered, g)
+        if found:
+            raise UnsupportedInput(f"duplicate element at position {i}: {g.render()!r}")
+        if not ordered:
+            t = Fraction(0)
+        elif lo == 0:
+            t = stations[0] - 1
+        elif lo == len(ordered):
+            t = stations[-1] + 1
+        else:
+            t = (stations[lo - 1] + stations[lo]) / 2
+        ordered.insert(lo, g)
+        stations.insert(lo, t)
+        values.append(t)
+    return tuple(values)
+
+
+def _outcome(realizer, cone, enumeration):
+    """The values, or the class and text of the error raised."""
+    try:
+        result = realizer(cone, enumeration)
+    except OrdoError as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else result.values
+
+
+def _assert_matches_insertion(cone, enumeration):
+    expected = _outcome(_realize_by_insertion, cone, enumeration)
+    assert _outcome(realize, cone, enumeration) == expected
+    return expected
+
+
+class _SignedLevels(Cone):
+    """A Dehornoy-type ordering with a sign chosen per level: a braid is
+    positive when the lowest generator of its handle-free form appears with
+    the sign chosen for that index.  Every choice gives a left ordering
+    (products of braids at levels i < j stay at level i with i's sign), and
+    s_i is negative wherever its sign is -1."""
+
+    def __init__(self, group, signs):
+        self.group, self.signs = group, signs
+
+    def sign(self, g):
+        reduced = handle_reduce(g.letters, self.group.strands)
+        if not reduced:
+            return 0
+        return main_generator_sign(reduced) * self.signs[min(i for i, _ in reduced) - 1]
+
+
+SIGNED4 = _SignedLevels(B4, (1, -1, 1))
+SIGNED3 = _SignedLevels(B3, (-1, 1))
+
+
+def test_generator_signs_of_the_test_cones():
+    # Conjugates of s_i are Dehornoy-positive (property S), so conjugated
+    # cones keep every generator positive; the signed-level cones do not.
+    for cone in (CONJUGATED3, CONJUGATED4):
+        assert {cone_sign(cone, s) for s in cone.group.generators()} == {1}
+    assert [cone_sign(SIGNED4, s) for s in B4.generators()] == [1, -1, 1]
+    assert [cone_sign(SIGNED3, s) for s in B3.generators()] == [-1, 1]
+    for cone in (SIGNED3, SIGNED4):
+        ball = ball_enumeration(cone, 2)
+        for g in ball:
+            for h in ball:
+                if cone_sign(cone, g) > 0 and cone_sign(cone, h) > 0:
+                    assert cone_sign(cone, g * h) > 0
+
+
+@pytest.mark.parametrize("cone,radius", [
+    (DEHORNOY3, 5), (DEHORNOY4, 4), (DEHORNOY5, 3), (CONJUGATED3, 4), (CONJUGATED4, 3),
+    (SIGNED3, 4), (SIGNED4, 3), (LEX2, 4), (SQRT2_FLAG, 4), (FLAG3, 2),
+], ids=["B3", "B4", "B5", "conjugated_B3", "conjugated_B4", "signed_B3", "signed_B4",
+        "lex2", "sqrt2", "flag3"])
+def test_realize_matches_insertion_on_balls(cone, radius):
+    ball = ball_enumeration(cone, radius)
+    values = _assert_matches_insertion(cone, ball)
+    assert len(set(values)) == len(ball)
+    table = realize(cone, ball)
+    # Every braid station but the identity gallops from its parent.
+    roots = sum(parent < 0 for _, parent, _ in table._forest)
+    assert roots == (len(ball) if cone.group.is_abelian else 1)
+
+
+def test_realize_matches_insertion_on_shuffled_sub_enumerations():
+    rng = random.Random(1515)
+    cones = [DEHORNOY3, DEHORNOY4, CONJUGATED3, CONJUGATED4, SIGNED3, SIGNED4,
+             LEX2, SQRT2_FLAG, FLAG3]
+    pools = {id(cone): ball_enumeration(cone, 3 if cone.group.n < 4 else 2)[1:]
+             for cone in cones}
+    forests = 0
+    for case in range(300):
+        cone = cones[case % len(cones)]
+        if not cone.group.is_abelian and case % 2:
+            enumeration = _scattered_enumeration(cone, rng, rng.randint(2, 40), 5)
+        else:
+            pool = pools[id(cone)]
+            enumeration = [cone.group.identity(),
+                           *rng.sample(pool, rng.randint(0, min(len(pool), 60)))]
+        _assert_matches_insertion(cone, enumeration)
+        forests += sum(parent < 0 for _, parent, _ in realize(cone, enumeration)._forest) > 1
+    assert forests > 100
+
+
+def _identity_word(rng, group):
+    """A nonempty freely reduced word for the identity: a conjugated braid relation."""
+    i = rng.randint(1, group.n - 2)
+    relation = BraidWord.from_letters(group, ((i, 1), (i + 1, 1), (i, 1),
+                                              (i + 1, -1), (i, -1), (i + 1, -1)))
+    a = random_element(group, rng, 2)
+    return a * relation * a.inverse()
+
+
+def _hide_duplicates(rng, enumeration, count):
+    """Insert `count` new words for elements already enumerated, at random
+    positions after the first: braids get other words for the same braid."""
+    out = list(enumeration)
+    for _ in range(count):
+        g = rng.choice(out)
+        if isinstance(g, BraidWord):
+            g = BraidWord.from_letters(g.group, (g * _identity_word(rng, g.group)).letters)
+        out.insert(rng.randint(1, len(out)), g)
+    return out
+
+
+def test_realize_reports_hidden_duplicates_like_insertion():
+    rng = random.Random(77)
+    cones = [DEHORNOY3, DEHORNOY4, CONJUGATED3, SIGNED4, LEX2, SQRT2_FLAG]
+    for case in range(120):
+        cone = cones[case % len(cones)]
+        pool = ball_enumeration(cone, 2)
+        enumeration = [pool[0], *rng.sample(pool[1:], rng.randint(1, min(len(pool) - 1, 30)))]
+        hidden = _hide_duplicates(rng, enumeration, rng.randint(1, 3))
+        error, message = _assert_matches_insertion(cone, hidden)
+        assert error is UnsupportedInput and message.startswith("duplicate element at position")
+    # The identity itself under another word.
+    word = _identity_word(rng, B3)
+    assert word.letters
+    assert _assert_matches_insertion(DEHORNOY3, [B3.identity(), el("s1", B3), word]) == (
+        UnsupportedInput, f"duplicate element at position 2: {word.render()!r}")
+
+
+FOREIGN = {
+    "B3": [el("s1 s2", B4), LatticeElement(GroupRef.free_abelian(6), (0, 1) * 3)],
+    "Z2": [el("s1", B3), el("x1 x3", GroupRef.free_abelian(3))],
+}
+
+
+@pytest.mark.parametrize("cone", [DEHORNOY3, CONJUGATED3, SIGNED3, LEX2, SQRT2_FLAG],
+                         ids=["B3", "conjugated_B3", "signed_B3", "lex2", "sqrt2"])
+def test_realize_reports_foreign_elements_like_insertion(cone):
+    rng = random.Random(5)
+    ball = ball_enumeration(cone, 2)
+    foreigners = FOREIGN["Z2" if cone.group.is_abelian else "B3"]
+    twin = ball[3] if cone.group.is_abelian else \
+        BraidWord.from_letters(B3, (ball[3] * _identity_word(rng, B3)).letters)
+    for foreign in foreigners:
+        for f, d, first in ((2, 6, GroupMismatch), (6, 2, UnsupportedInput),
+                            (len(ball), 4, UnsupportedInput), (1, len(ball), GroupMismatch)):
+            enumeration = list(ball)
+            enumeration.insert(d, twin)
+            enumeration.insert(f, foreign)
+            error, message = _assert_matches_insertion(cone, enumeration)
+            assert error is first, message
+        assert _outcome(realize, cone, [foreign, *ball]) == \
+            _outcome(_realize_by_insertion, cone, [foreign, *ball])
+    for bad in ([], ball[1:], [ball[2], *ball]):
+        assert _outcome(realize, cone, bad) == _outcome(_realize_by_insertion, cone, bad)
+        assert _outcome(realize, cone, bad)[0] is UnsupportedInput
+
+
+def test_realize_accepts_equal_group_refs_that_are_not_interned():
+    twin = GroupRef("braid", 3)
+    assert twin == B3 and twin is not B3
+    ball = ball_enumeration(DEHORNOY3, 3)
+    copied = [BraidWord(twin, g.letters) for g in ball]
+    assert realize(DEHORNOY3, copied).values == realize(DEHORNOY3, ball).values
+    table = realize(DEHORNOY3, copied)
+    assert table.lookup(ball[5]) == table.values[5]
+    assert partial_action_check(table, ball[2]) == partial_action_check(
+        realize(DEHORNOY3, ball), copied[2])
+    action = circle_action_from_ball(DEHORNOY3, full_twist(3), 2)
+    for g in copied[:30]:
+        assert action.floor(g) == power_floor(action.ctx, g)
+
+
+def test_cli_realize_enumeration_file_matches_insertion(tmp_path, capsys):
+    rng = random.Random(21)
+    enumeration = _scattered_enumeration(CONJUGATED3, rng, 40, 5)
+    ordering = tmp_path / "ordering.json"
+    ordering.write_text(json.dumps(ordering_to_json(CONJUGATED3)))
+    path = tmp_path / "enumeration.json"
+    path.write_text(json.dumps([g.render() for g in enumeration]))
+    code = main(["realize", "--ordering", str(ordering), "--enumeration", str(path),
+                 "--act", "s1 s2^-1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    expected = _realize_by_insertion(CONJUGATED3, enumeration)
+    assert payload["values"] == [format_rational(v) for v in expected]
+    assert payload["action_check"]["passed"] is True
+    hidden = _hide_duplicates(rng, enumeration, 2)
+    path.write_text(json.dumps([g.render() for g in hidden]))
+    code = main(["realize", "--ordering", str(ordering), "--enumeration", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert (UnsupportedInput, payload["detail"]) == \
+        _outcome(_realize_by_insertion, CONJUGATED3, hidden)
+
+
+# -- work counts -------------------------------------------------------------
+
+
+def test_realize_probes_at_most_five_signs_per_ball_element(monkeypatch):
+    ball = ball_enumeration(DEHORNOY4, 4)
+    probes = []
+    sign_product = DehornoyOrdering.sign_product
+    monkeypatch.setattr(DehornoyOrdering, "sign_product",
+                        lambda self, a, b: probes.append(b) or sign_product(self, a, b))
+    realize(DEHORNOY4, ball)
+    assert len(probes) <= 5 * len(ball)
+
+
+@pytest.mark.parametrize("cone,x", [(DEHORNOY3, full_twist(3)), (DEHORNOY4, full_twist(4)),
+                                    (LEX2, el("x1"))], ids=["B3", "B4", "lex2"])
+def test_euler_survey_floors_each_element_once(monkeypatch, cone, x):
+    floored = []
+    monkeypatch.setattr("ordo.dynamics.power_floor",
+                        lambda ctx, h: floored.append(h.key) or power_floor(ctx, h))
+    survey = euler_cocycle_survey(cone, x, count=30, seed=8, radius=3)
+    assert survey.all_passed
+    assert floored and len(floored) == len(set(floored))
+
+
+@pytest.mark.parametrize("strands,conjugated,letters", [
+    (3, False, 618), (3, True, 828), (4, False, 636), (4, True, 1620),
+])
+def test_lone_power_floor_acts_no_extra_letters(monkeypatch, strands, conjugated, letters):
+    # A lone floor query acts the anchor powers' letters and h's letters once
+    # per probe, and nothing more: no memo of floors sits inside power_floor.
+    group = GroupRef.braid(strands)
+    rng = random.Random(200 + strands)
+    word: tuple = ()
+    while len(word) < 200:
+        word = BraidWord.from_letters(
+            group, word + ((rng.randint(1, strands - 1), rng.choice((1, -1))),)).letters
+    h = BraidWord(group, word)
+    if conjugated:
+        a = el("s1 s2^-1", group)
+        h = a * full_twist(strands) ** 12 * a.inverse()
+    acted = []
+    dynnikov_act = ordo_groups.dynnikov_act
+
+    def counting(coords, moves):
+        moves = tuple(moves)
+        acted.append(len(moves))
+        return dynnikov_act(coords, moves)
+
+    for module in (ordo_groups, ordo_quasimorph, ordo_orderings):
+        monkeypatch.setattr(module, "dynnikov_act", counting, raising=False)
+    ctx = AnchorContext(DehornoyOrdering(group), full_twist(strands))
+    power_floor(ctx, h)
+    assert sum(acted) == letters
 
 
 def test_partial_action_hand_example():
@@ -203,7 +506,7 @@ def test_partial_action_matches_the_sorting_check_off_the_ball(cone):
     for size, length in ((12, 3), (60, 5), (150, 7)):
         enumeration = _scattered_enumeration(cone, rng, size, length)
         table = realize(cone, enumeration)
-        tree = table._ranked[-1]
+        tree = table._forest
         roots = sum(parent < 0 for _, parent, _ in tree)
         assert roots < len(tree)
         forests += roots > 1
@@ -328,6 +631,17 @@ def test_keyed_lookups_reject_foreign_elements():
     lex_table = realize(LEX2, ball_enumeration(LEX2, 1))
     with pytest.raises(GroupMismatch):
         lex_table.lookup(LatticeElement(GroupRef.free_abelian(3), (0, 0, 0)))
+
+
+def test_memoized_floors_reject_foreign_elements():
+    action = circle_action_from_ball(DEHORNOY3, full_twist(3), 2)
+    s1 = el("s1", B3)
+    assert action.floor(s1) == 0 and action.remainder(s1) == s1
+    # A Z^6 vector spelling the key of s1 must not be read from the memo.
+    for foreign in (LatticeElement(GroupRef.free_abelian(6), s1.key), el("s1", B4)):
+        for call in (action.floor, action.remainder, action.t_prime):
+            with pytest.raises(GroupMismatch):
+                call(foreign)
 
 
 def test_circle_action_lex():

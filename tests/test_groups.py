@@ -21,7 +21,10 @@ from ordo.groups import (
     parse_element,
     random_element,
 )
+from ordo.dynamics import partial_action_check, realize
+from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, locate, ordering_from_json
 
+Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
 
@@ -128,6 +131,105 @@ def test_key_times_rejects_mixed_groups():
 def test_mixed_groups_rejected():
     with pytest.raises(GroupMismatch):
         parse_element("x1", Z2) * parse_element("x1", GroupRef.free_abelian(3))
+
+
+def test_group_refs_are_interned():
+    assert GroupRef.braid(3) is GroupRef.braid(3) is B3
+    assert GroupRef.free_abelian(2) is GroupRef.free_abelian(2) is Z2
+    assert GroupRef.free_abelian(3) is not GroupRef.braid(3)
+    assert GroupRef.from_json({"kind": "braid", "strands": 3}) is B3
+    assert GroupRef.from_json({"kind": "free_abelian", "rank": 2}) is Z2
+    assert GroupRef.from_json(B3.to_json()) is B3
+    assert ordering_from_json({"group": {"kind": "braid", "strands": 5},
+                               "ordering": {"type": "dehornoy"}}).group is GroupRef.braid(5)
+    assert DehornoyOrdering.create(4).group is GroupRef.braid(4)
+    assert FlagOrdering.lex(3).group is GroupRef.free_abelian(3)
+    assert parse_element("s1", B3).group is B3
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: GroupRef.braid(1), ParseError, "braid strand count must be >= 2, got 1"),
+    (lambda: GroupRef.braid(-3), ParseError, "braid strand count must be >= 2, got -3"),
+    (lambda: GroupRef.free_abelian(0), ParseError, "free abelian rank must be >= 1, got 0"),
+    (lambda: GroupRef.braid(65), UnsupportedInput,
+     "braid strand count 65 is past the limit of 64 (MAX_GROUP_N)"),
+    (lambda: GroupRef.free_abelian(10 ** 5000), UnsupportedInput,
+     "free abelian rank <integer of 5001 digits> is past the limit of 64 (MAX_GROUP_N)"),
+    (lambda: GroupRef("cyclic", 3), ParseError, "unknown group kind: 'cyclic'"),
+    (lambda: GroupRef.from_json({"kind": "cyclic", "n": 3}), ParseError,
+     "unknown group kind: 'cyclic'"),
+    (lambda: GroupRef.from_json({"kind": "braid", "strands": True}), ParseError,
+     "group field 'strands' must be an integer, got bool"),
+    (lambda: GroupRef.from_json({"kind": "braid"}), ParseError,
+     "braid strand count must be >= 2, got 0"),
+])
+def test_invalid_group_refs_raise_as_before(call, error, message):
+    for _ in range(2):  # a refused group is not remembered
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+def test_group_refs_of_other_number_types_are_built_as_before():
+    flag = GroupRef.free_abelian(True)
+    assert flag.n is True and flag == Z1 and hash(flag) == hash(Z1)
+    assert flag is not GroupRef.free_abelian(True)
+    assert type(GroupRef.free_abelian(1).n) is int
+    assert GroupRef.free_abelian(1) is Z1
+    assert LatticeElement(flag, (2,)) * LatticeElement(Z1, (3,)) == LatticeElement(Z1, (5,))
+    twin = GroupRef("braid", 3)
+    assert twin == B3 and twin is not B3
+    assert parse_element("s1", twin) * parse_element("s2", B3) == parse_element("s1 s2", B3)
+
+
+def _message(call):
+    with pytest.raises(GroupMismatch) as caught:
+        call()
+    return str(caught.value)
+
+
+B3_TEXT = "GroupRef(kind='braid', n=3)"
+B4_TEXT = "GroupRef(kind='braid', n=4)"
+Z2_TEXT = "GroupRef(kind='free_abelian', n=2)"
+Z3_TEXT = "GroupRef(kind='free_abelian', n=3)"
+QUERIED_B4_ON_B3 = f"element of {B4_TEXT} queried against cone over {B3_TEXT}"
+COMBINED_B3_B4 = f"elements of {B3_TEXT} and {B4_TEXT} cannot be combined"
+COMBINED_B4_B3 = f"elements of {B4_TEXT} and {B3_TEXT} cannot be combined"
+COMBINED_Z3_Z2 = f"elements of {Z3_TEXT} and {Z2_TEXT} cannot be combined"
+COMBINED_Z2_Z3 = f"elements of {Z2_TEXT} and {Z3_TEXT} cannot be combined"
+
+
+def test_mixed_group_calls_keep_their_messages():
+    dehornoy, conjugated, lex = (DehornoyOrdering.create(3),
+                                 act(DehornoyOrdering.create(3), parse_element("s1", B3)),
+                                 FlagOrdering.lex(2))
+    s1, t1 = parse_element("s1 s2", B3), parse_element("s1 s3", GroupRef.braid(4))
+    x1, y1 = parse_element("x1", Z2), parse_element("x1 x3", GroupRef.free_abelian(3))
+    ball = [B3.identity(), parse_element("s1", B3), parse_element("s2^-1", B3)]
+    lattice = [Z2.identity(), x1, parse_element("x2", Z2)]
+    table = realize(dehornoy, ball)
+    cases = [
+        (lambda: dehornoy.sign_product(t1, s1), QUERIED_B4_ON_B3),
+        (lambda: dehornoy.sign_product(s1, t1), COMBINED_B3_B4),
+        (lambda: dehornoy.sign_product(t1, t1), QUERIED_B4_ON_B3),
+        (lambda: conjugated.sign_product(s1, t1), COMBINED_B3_B4),
+        (lambda: lex.sign_product(y1, x1), COMBINED_Z3_Z2),
+        (lambda: compare(dehornoy, s1, t1), COMBINED_B3_B4),
+        (lambda: compare(dehornoy, t1, s1), QUERIED_B4_ON_B3),
+        (lambda: compare(conjugated, t1, s1), COMBINED_B4_B3),
+        (lambda: compare(lex, x1, y1), COMBINED_Z2_Z3),
+        (lambda: locate(dehornoy, ball, t1), QUERIED_B4_ON_B3),
+        (lambda: locate(conjugated, ball, t1), COMBINED_B4_B3),
+        (lambda: locate(lex, lattice, y1), COMBINED_Z3_Z2),
+        (lambda: realize(dehornoy, [t1, *ball]), QUERIED_B4_ON_B3),
+        (lambda: realize(dehornoy, [*ball, t1]), QUERIED_B4_ON_B3),
+        (lambda: realize(conjugated, [*ball, t1]), COMBINED_B4_B3),
+        (lambda: realize(lex, [*lattice, y1]), COMBINED_Z3_Z2),
+        (lambda: partial_action_check(table, t1), QUERIED_B4_ON_B3),
+        (lambda: partial_action_check(realize(lex, lattice), y1),
+         f"element of {Z3_TEXT} queried against cone over {Z2_TEXT}"),
+    ]
+    assert [_message(call) for call, _ in cases] == [message for _, message in cases]
 
 
 def test_half_and_full_twist():
