@@ -426,12 +426,12 @@ def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
     pairs = []
     needed: list[Element] = []
     ctx, splits = AnchorContext(cone, x), {}
+    _check_circle_anchor(cone, x)
     for _ in range(count):
         f = random_element(cone.group, rng, radius)
         g = random_element(cone.group, rng, radius)
         pairs.append((f, g))
         needed.extend([g, f * g, f * _split(ctx, splits, g)[1]])
-    _check_circle_anchor(cone, x)
     action = _sample_circle(ctx, needed, splits)
     passed, failures = 0, []
     for f, g in pairs:

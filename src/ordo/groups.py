@@ -136,6 +136,14 @@ class LatticeElement:
             raise ParseError(
                 f"coordinate length {len(self.coords)} does not match rank {self.group.n}")
 
+    @staticmethod
+    def _trusted(group: GroupRef, coords: tuple[int, ...]) -> "LatticeElement":
+        # Coordinates of the group's rank by construction.
+        element = object.__new__(LatticeElement)
+        object.__setattr__(element, "group", group)
+        object.__setattr__(element, "coords", coords)
+        return element
+
     @property
     def key(self) -> tuple[int, ...]:
         return self.coords
@@ -150,13 +158,13 @@ class LatticeElement:
         return not any(self.coords)
 
     def __mul__(self, other: "LatticeElement") -> "LatticeElement":
-        return LatticeElement(self.group, self.key_times(other))
+        return LatticeElement._trusted(self.group, self.key_times(other))
 
     def inverse(self) -> "LatticeElement":
-        return LatticeElement(self.group, tuple(-a for a in self.coords))
+        return LatticeElement._trusted(self.group, tuple(-a for a in self.coords))
 
     def __pow__(self, k: int) -> "LatticeElement":
-        return LatticeElement(self.group, tuple(k * a for a in self.coords))
+        return LatticeElement._trusted(self.group, tuple(k * a for a in self.coords))
 
     def render(self) -> str:
         return " ".join(

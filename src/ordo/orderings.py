@@ -19,10 +19,10 @@ same question by rewriting words; it is kept as an independent check of the
 coordinate sign.
 
 ``compare`` and ``locate`` are the order searches.  Both read the sign of a
-product through ``Cone.sign_product``, which the Dehornoy cone answers from
-``key_times`` without building the product word.  Whether an element lies
-in a finite set is a question of identity, not of order, and is answered by
-a dict on ``key``.
+product through ``Cone.sign_product``, which the Dehornoy and flag cones
+answer from ``key_times`` without building the product.  Whether an element
+lies in a finite set is a question of identity, not of order, and is
+answered by a dict on ``key``.
 
 Also here: restriction of flag orderings to sublattices, the conjugation
 action on cones, and the bounded/exact membership predicates (cofinality,
@@ -194,6 +194,12 @@ class FlagOrdering(Cone):
 
     def sign(self, g: LatticeElement) -> int:
         found = self.first_dots(g.coords)
+        return 0 if found is None else dots_sign(found[1])
+
+    def sign_product(self, a: LatticeElement, b: LatticeElement) -> int:
+        key = a.key_times(b)
+        check_group(self, a)
+        found = self.first_dots(key)
         return 0 if found is None else dots_sign(found[1])
 
     def first_dots(self, coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
@@ -462,18 +468,26 @@ def is_cofinal(cone: Cone, x: Element,
         raise GroupMismatch("anchor must live in the cone's group")
     if x.is_identity:
         raise AnchorIsIdentity("cofinality anchor must not be the identity")
+    check_generators(cone, generators)
+    if isinstance(cone, FlagOrdering):
+        return flag_cofinal(cone, cone.first_dots(x.coords), generators)
+    return Decision.YES if is_central_braid(cone, x) else Decision.UNKNOWN
+
+
+def check_generators(cone: Cone, generators: Sequence[Element] | None) -> None:
     if generators is not None and any(h.group != cone.group for h in generators):
         raise GroupMismatch("generators must live in the cone's group")
 
-    if isinstance(cone, FlagOrdering):
-        # Powers of x bracket h iff x is seen at a level no later than h's;
-        # an element seen at no level (the identity) counts as seen last.
-        seen = [len(cone.levels) if found is None else found[0]
-                for found in (cone.first_dots(g.coords) for g in [x, *(generators or ())])]
-        least = cone._generator_level if generators is None else min(seen[1:], default=seen[0])
-        return Decision.YES if seen[0] <= least else Decision.NO
 
-    return Decision.YES if is_central_braid(cone, x) else Decision.UNKNOWN
+def flag_cofinal(flag: FlagOrdering, anchor_dots: tuple | None,
+                 generators: Sequence[LatticeElement] | None) -> Decision:
+    """is_cofinal on a flag, from the anchor's ``first_dots`` scan."""
+    # Powers of x bracket h iff x is seen at a level no later than h's;
+    # an element seen at no level (the identity) counts as seen last.
+    seen = [len(flag.levels) if found is None else found[0]
+            for found in [anchor_dots, *(flag.first_dots(g.coords) for g in generators or ())]]
+    least = flag._generator_level if generators is None else min(seen[1:], default=seen[0])
+    return Decision.YES if seen[0] <= least else Decision.NO
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ from .errors import (
     int_text,
     printable_int,
 )
-from .exactreal import ONE, RealConstant, combine, dots_floor, format_rational
+from .exactreal import ONE, RealConstant, combine, dots_floor, dots_sign, format_rational
 from .groups import MAX_BRAID_LETTERS, BraidWord, Element, dynnikov_act, random_element
-from .orderings import Cone, Decision, FlagOrdering, cone_sign, is_cofinal
+from .orderings import Cone, Decision, FlagOrdering, check_generators, cone_sign, flag_cofinal
 
 DEFAULT_CAP = 1 << 62
 DEFAULT_APPROX_ORDER = 300
@@ -55,7 +55,9 @@ class AnchorContext:
     With require_cofinal the context refuses anchors certified non-cofinal
     (exact on flag orderings); without it a non-cofinal anchor surfaces
     later as NotBracketedWithinCap from the search itself.  Anchor powers
-    are built once per context (``power``).
+    are built once per context (``power``), and on a flag ordering so is the
+    anchor's level scan (``anchor_dots``), which gives its sign, its
+    cofinality and every floor's pairing ratio.
     """
 
     cone: Cone
@@ -74,12 +76,19 @@ class AnchorContext:
         if self.anchor_sign == 0:
             raise AnchorIsIdentity("anchor must not be the identity")
         if self.require_cofinal and isinstance(self.cone, FlagOrdering):
-            gens = list(self.generators) if self.generators is not None else None
-            if is_cofinal(self.cone, self.anchor, gens) == Decision.NO:
+            check_generators(self.cone, self.generators)
+            if flag_cofinal(self.cone, self.anchor_dots, self.generators) == Decision.NO:
                 raise NotCofinal("anchor is not cofinal for the requested subgroup")
 
     @cached_property
+    def anchor_dots(self) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+        """The flag cone's ``first_dots`` of the anchor."""
+        return self.cone.first_dots(self.anchor.coords)
+
+    @cached_property
     def anchor_sign(self) -> int:
+        if isinstance(self.cone, FlagOrdering):
+            return 0 if self.anchor_dots is None else dots_sign(self.anchor_dots[1])
         return cone_sign(self.cone, self.anchor)
 
     def power(self, n: int) -> Element:
@@ -119,12 +128,13 @@ def _max_true(pred: Callable[[int], bool], cap: int) -> int:
     return lo
 
 
-def _pairing_dots(flag: FlagOrdering, x: Element, h: Element,
+def _pairing_dots(flag: FlagOrdering, seen_x: tuple | None, h: Element,
                   blind: type[OrdoError]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """(q, dots): <v, h> / <v, x> = sum d*sqrt(m) / q at x's first level v, as the
-    level's scale cancels; None if x pairs irrationally there.  Raises `blind`
-    if h pairs nonzero at an earlier level (or x at none)."""
-    seen_x, seen_h = flag.first_dots(x.coords), flag.first_dots(h.coords)
+    level's scale cancels, from x's first_dots seen_x; None if x pairs
+    irrationally there.  Raises `blind` if h pairs nonzero at an earlier
+    level (or x at none)."""
+    seen_h = flag.first_dots(h.coords)
     if seen_h is not None and (seen_x is None or seen_h[0] < seen_x[0]):
         raise blind(f"element pairs nonzero at level {seen_h[0] + 1}, where the anchor is blind")
     if seen_x is None:
@@ -138,7 +148,7 @@ def _pairing_dots(flag: FlagOrdering, x: Element, h: Element,
 def _pairing_ratio(flag: FlagOrdering, x: Element, h: Element,
                    blind: type[OrdoError]) -> RealConstant | None:
     """<v, h> / <v, x> at x's first level v, as _pairing_dots."""
-    if (found := _pairing_dots(flag, x, h, blind)) is None:
+    if (found := _pairing_dots(flag, flag.first_dots(x.coords), h, blind)) is None:
         return None
     return RealConstant(tuple((m, Fraction(d, found[0])) for m, d in found[1]))
 
@@ -149,7 +159,7 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
     Compares h against anchor powers through the cone only; every query is
     sign(x^-N h), so the value depends on finitely many cone answers.
     """
-    cone, x, s = ctx.cone, ctx.anchor, ctx.anchor_sign
+    cone, s = ctx.cone, ctx.anchor_sign
     if h.group != cone.group:
         raise GroupMismatch("element must live in the cone's group")
 
@@ -157,7 +167,7 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
         return cone.sign_product(ctx.power(-n), h) >= 0
 
     if isinstance(cone, FlagOrdering):
-        if (found := _pairing_dots(cone, x, h, NotBracketedWithinCap)) is not None:
+        if (found := _pairing_dots(cone, ctx.anchor_dots, h, NotBracketedWithinCap)) is not None:
             # N is the floor (s = 1) or ceiling (s = -1) of the ratio
             # sum d*sqrt(m) / q, or ratio - s when lower levels decide an integer ratio.
             q, dots = found

@@ -267,12 +267,20 @@ def lex3(tmp_path):
 
 @pytest.mark.parametrize("command,ordering,x", [
     ("axioms", "lex3", None), ("axioms", "dehornoy3", None), ("cocycle", "dehornoy3", "s1"),
+    ("cocycle", "dehornoy3", "s1 s2 s1 s1 s2 s1"),
 ])
 def test_negative_radius_exit_2(capsys, request, command, ordering, x):
     argv = [command, "--ordering", request.getfixturevalue(ordering), "--radius", "-1"]
     if x is not None:
         argv += ["--x", x]
     assert run_exit_2(capsys, *argv)["error"] == "UnsupportedInput"
+
+
+@pytest.mark.parametrize("x", ["s1", "s2"])
+def test_cocycle_noncentral_anchor_exit_2_before_any_floor(capsys, dehornoy3, x):
+    detail = run_exit_2_quickly(capsys, "cocycle", "--ordering", dehornoy3, "--x", x,
+                                "--samples", "30", "--seed", "0")
+    assert detail == f"anchor {x!r} is not central; the circle quotient needs a central anchor"
 
 
 HUGE = "1" + "0" * 5000  # past Python's 4300-digit int-string limit

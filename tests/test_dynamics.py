@@ -381,6 +381,18 @@ def test_euler_survey_floors_each_element_once(monkeypatch, cone, x):
     assert floored and len(floored) == len(set(floored))
 
 
+@pytest.mark.parametrize("x", ["s1", "s2", "s1 s2^-1"])
+def test_euler_survey_checks_its_anchor_before_any_floor(monkeypatch, x):
+    floored = []
+    monkeypatch.setattr("ordo.dynamics.power_floor",
+                        lambda ctx, h: floored.append(h) or power_floor(ctx, h))
+    with pytest.raises(UnsupportedInput) as caught:
+        euler_cocycle_survey(DEHORNOY3, el(x, B3), count=30, seed=0, radius=3)
+    assert str(caught.value) == \
+        f"anchor {x!r} is not central; the circle quotient needs a central anchor"
+    assert floored == []
+
+
 @pytest.mark.parametrize("strands,conjugated,letters", [
     (3, False, 618), (3, True, 828), (4, False, 636), (4, True, 1620),
 ])

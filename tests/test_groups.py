@@ -193,6 +193,8 @@ B4_TEXT = "GroupRef(kind='braid', n=4)"
 Z2_TEXT = "GroupRef(kind='free_abelian', n=2)"
 Z3_TEXT = "GroupRef(kind='free_abelian', n=3)"
 QUERIED_B4_ON_B3 = f"element of {B4_TEXT} queried against cone over {B3_TEXT}"
+QUERIED_Z3_ON_Z2 = f"element of {Z3_TEXT} queried against cone over {Z2_TEXT}"
+QUERIED_B3_ON_Z2 = f"element of {B3_TEXT} queried against cone over {Z2_TEXT}"
 COMBINED_B3_B4 = f"elements of {B3_TEXT} and {B4_TEXT} cannot be combined"
 COMBINED_B4_B3 = f"elements of {B4_TEXT} and {B3_TEXT} cannot be combined"
 COMBINED_Z3_Z2 = f"elements of {Z3_TEXT} and {Z2_TEXT} cannot be combined"
@@ -214,6 +216,11 @@ def test_mixed_group_calls_keep_their_messages():
         (lambda: dehornoy.sign_product(t1, t1), QUERIED_B4_ON_B3),
         (lambda: conjugated.sign_product(s1, t1), COMBINED_B3_B4),
         (lambda: lex.sign_product(y1, x1), COMBINED_Z3_Z2),
+        (lambda: lex.sign_product(x1, y1), COMBINED_Z2_Z3),
+        (lambda: lex.sign_product(y1, y1), QUERIED_Z3_ON_Z2),
+        (lambda: lex.sign_product(s1, s1), QUERIED_B3_ON_Z2),
+        (lambda: x1 * y1, COMBINED_Z2_Z3),
+        (lambda: y1 * x1, COMBINED_Z3_Z2),
         (lambda: compare(dehornoy, s1, t1), COMBINED_B3_B4),
         (lambda: compare(dehornoy, t1, s1), QUERIED_B4_ON_B3),
         (lambda: compare(conjugated, t1, s1), COMBINED_B4_B3),
@@ -226,10 +233,27 @@ def test_mixed_group_calls_keep_their_messages():
         (lambda: realize(conjugated, [*ball, t1]), COMBINED_B4_B3),
         (lambda: realize(lex, [*lattice, y1]), COMBINED_Z3_Z2),
         (lambda: partial_action_check(table, t1), QUERIED_B4_ON_B3),
-        (lambda: partial_action_check(realize(lex, lattice), y1),
-         f"element of {Z3_TEXT} queried against cone over {Z2_TEXT}"),
+        (lambda: partial_action_check(realize(lex, lattice), y1), QUERIED_Z3_ON_Z2),
     ]
     assert [_message(call) for call, _ in cases] == [message for _, message in cases]
+
+
+def test_lattice_results_equal_validated_elements():
+    rng = random.Random(31)
+    for group in (Z1, Z2, GroupRef.free_abelian(5)):
+        for _ in range(200):
+            g, h = random_element(group, rng, 9), random_element(group, rng, 9)
+            k = rng.randint(-7, 7)
+            for built, coords in [(g * h, tuple(a + b for a, b in zip(g.coords, h.coords))),
+                                  (g.inverse(), tuple(-a for a in g.coords)),
+                                  (g ** k, tuple(k * a for a in g.coords))]:
+                validated = LatticeElement(group, coords)
+                assert type(built) is LatticeElement and built.group is group
+                assert built.coords == coords and type(built.coords) is tuple
+                assert built == validated and hash(built) == hash(validated)
+    with pytest.raises(ParseError) as caught:
+        LatticeElement(Z2, (1, 2, 3))
+    assert str(caught.value) == "coordinate length 3 does not match rank 2"
 
 
 def test_half_and_full_twist():

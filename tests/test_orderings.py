@@ -535,8 +535,16 @@ def _locate_by_compare(cone, ordered, g):
 B4 = GroupRef.braid(4)
 DEHORNOY4 = DehornoyOrdering.create(4)
 CONJUGATED3 = act(DEHORNOY3, br("s1 s2^-1 s1"))
-PRODUCT_CONES = [DEHORNOY3, DEHORNOY4, CONJUGATED3, SQRT2_FLAG, LEX3]
-PRODUCT_CONE_IDS = ["B3", "B4", "conjugated_B3", "sqrt2", "lex3"]
+THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2),
+                                    RealConstant.sqrt(3)]])
+IRRATIONAL_FIRST_FLAG = FlagOrdering.create(
+    [[RealConstant.rational(1), RealConstant.sqrt(2), RealConstant.rational(0)],
+     [RealConstant.sqrt(3), RealConstant.rational(1), RealConstant.rational(-1)]])
+RESTRICTED_FLAG = THREE_FLAG.restrict([(1, 0, 1), (0, 2, -1)])
+PRODUCT_CONES = [DEHORNOY3, DEHORNOY4, CONJUGATED3, SQRT2_FLAG, LEX3,
+                 THREE_FLAG, IRRATIONAL_FIRST_FLAG, RESTRICTED_FLAG]
+PRODUCT_CONE_IDS = ["B3", "B4", "conjugated_B3", "sqrt2", "lex3",
+                    "three", "irrational_first", "restricted"]
 
 
 def _same_element_other_word(g):

@@ -374,6 +374,52 @@ def test_flag_floor_certificate_is_checked(monkeypatch):
         power_floor(AnchorContext(SQRT2_FLAG, el("x1")), el("x2"))
 
 
+THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2),
+                                    RealConstant.sqrt(3)]])
+
+
+def _count_scans_and_builds(monkeypatch):
+    """Record the coordinates of every flag level scan and count validated lattice builds."""
+    scanned, built = [], []
+    first_dots, post_init = FlagOrdering.first_dots, LatticeElement.__post_init__
+    monkeypatch.setattr(FlagOrdering, "first_dots", lambda flag, coords:
+                        scanned.append(tuple(coords)) or first_dots(flag, coords))
+    monkeypatch.setattr(LatticeElement, "__post_init__",
+                        lambda g: built.append(g.coords) or post_init(g))
+    return scanned, built
+
+
+@pytest.mark.parametrize("require_cofinal", [True, False])
+@pytest.mark.parametrize("flag,x,generators", [
+    (LEX2, "x1", None), (LEX2, "x1^-3 x2", ("x1", "x2^2")), (SQRT2_FLAG, "x1", None),
+    (SQRT2_FLAG, "x1^-2", ("x2",)), (THREE_FLAG, "x1", None), (THREE_FLAG, "x1^-1", None),
+], ids=["lex2", "lex2_generators", "sqrt2", "sqrt2_negative", "three", "three_negative"])
+def test_flag_floor_work_counts(monkeypatch, require_cofinal, flag, x, generators):
+    # A context scans its anchor once (and each generator once when it checks
+    # cofinality); a floor scans h and its two certificate probes and validates
+    # no element; a defect, its context included, scans at most 10 times.
+    group = flag.group
+    rng = random.Random(41)
+    x = parse_element(x, group)
+    gens = None if generators is None else tuple(parse_element(g, group) for g in generators)
+    gen_scans = len(gens) if gens and require_cofinal else 0
+    samples = [random_element(group, rng, 30) for _ in range(60)]
+    scanned, built = _count_scans_and_builds(monkeypatch)
+    ctx = AnchorContext(flag, x, generators=gens, require_cofinal=require_cofinal)
+    assert scanned.count(x.coords) == 1
+    assert len(scanned) == 1 + gen_scans
+    for h in samples:
+        del scanned[:]
+        power_floor(ctx, h)
+        assert len(scanned) <= 3, h
+    for f, g in zip(samples, samples[1:]):
+        del scanned[:]
+        defect_cocycle(AnchorContext(flag, x, generators=gens, require_cofinal=require_cofinal),
+                       f, g)
+        assert len(scanned) <= 10 + gen_scans, (f, g)
+    assert built == []
+
+
 def test_context_rejects_noncofinal_flag_anchor():
     with pytest.raises(NotCofinal):
         AnchorContext(LEX2, el("x2"), generators=(el("x1"), el("x2")))
