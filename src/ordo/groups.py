@@ -183,6 +183,11 @@ def _check_letters(group: GroupRef, letters: tuple[tuple[int, int], ...]) -> Non
             raise ParseError(f"letter exponent must be +-1, got {int_text(e)}")
 
 
+def inverse_letters(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The letters of the inverse word: reversed, each exponent negated."""
+    return tuple([(i, -e) for i, e in reversed(letters)])  # a list is built faster than a generator
+
+
 def free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Cancel adjacent (i, e)(i, -e) pairs, cascading."""
     out: list[tuple[int, int]] = []
@@ -285,7 +290,7 @@ class BraidWord:
         return BraidWord._trusted(self.group, free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "BraidWord":
-        return BraidWord._trusted(self.group, tuple((i, -e) for i, e in reversed(self.letters)))
+        return BraidWord._trusted(self.group, inverse_letters(self.letters))
 
     def __pow__(self, k: int) -> "BraidWord":
         if k == 0:
@@ -365,6 +370,17 @@ def full_twist(n: int) -> BraidWord:
     """Square of the half twist; generates the center of the braid group."""
     delta = half_twist(n)
     return delta * delta
+
+
+def twist_key(n: int, k: int) -> tuple[int, ...]:
+    """The key of Delta^(2k) on n strands: for k != 0, a_i = sgn(k) (n - i),
+    b_1 = (n - 1)(1 - 2|k|), b_n = 1 + 2(n - 1)|k| and other b_i = 0."""
+    if k == 0:
+        return (0, 1) * n
+    s, m = (1, k) if k > 0 else (-1, -k)
+    key = [v for i in range(1, n + 1) for v in (s * (n - i), 0)]
+    key[1], key[-1] = (n - 1) * (1 - 2 * m), 1 + 2 * (n - 1) * m
+    return tuple(key)
 
 
 def random_element(group: GroupRef, rng: random.Random, radius: int) -> Element:

@@ -19,10 +19,14 @@ same question by rewriting words; it is kept as an independent check of the
 coordinate sign.
 
 ``compare`` and ``locate`` are the order searches.  Both read the sign of a
-product through ``Cone.sign_product``, which the Dehornoy and flag cones
-answer from ``key_times`` without building the product.  Whether an element
-lies in a finite set is a question of identity, not of order, and is
-answered by a dict on ``key``.
+product through ``Cone.sign_product``, which the flag, Dehornoy and
+conjugated cones answer without building the product.  A Dehornoy cone, and
+a cone conjugated from one, has a Dynnikov frame: a start key and tail
+letters, so that sign(g) is the sign of g's letters and then the tail acting
+on the start key.  On a frame a sign, a product sign or a comparison is one
+pass of the kernel over raw letters, and ``compare`` first drops the words'
+common prefix.  Whether an element lies in a finite set is a question of
+identity, not of order, and is answered by a dict on ``key``.
 
 Also here: restriction of flag orderings to sublattices, the conjugation
 action on cones, and the bounded/exact membership predicates (cofinality,
@@ -59,9 +63,10 @@ from .groups import (
     check_sample_count,
     dynnikov_act,
     free_reduce,
-    full_twist,
+    inverse_letters,
     parse_element,
     random_element,
+    twist_key,
 )
 
 DEFAULT_REDUCTION_STEPS = 400_000
@@ -83,6 +88,7 @@ class Cone:
     """Order oracle interface: a group plus a total sign function."""
 
     group: GroupRef
+    _frame: tuple[tuple[int, ...], Letters] | None = None  # the Dynnikov frame, if any
 
     def sign(self, g: Element) -> int:
         raise NotImplementedError
@@ -103,8 +109,18 @@ def cone_sign(cone: Cone, g: Element) -> int:
 
 
 def compare(cone: Cone, a: Element, b: Element) -> int:
-    """Sign of the order comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    return -cone.sign_product(a.inverse(), b)
+    """Sign of the order comparison: -1 if a < b, 0 if equal, +1 if a > b.
+
+    On a cone with a Dynnikov frame a common prefix p drops out, as
+    (p a')^-1 (p b') = a'^-1 b', whose letters act in one pass: no word is built."""
+    frame = cone._frame
+    if frame is None or a.group is not cone.group or b.group is not cone.group:
+        return -cone.sign_product(a.inverse(), b)
+    la, lb = a.letters, b.letters
+    c, n = 0, min(len(la), len(lb))
+    while c < n and la[c] == lb[c]:
+        c += 1
+    return -_dynnikov_sign(frame[0], inverse_letters(la[c:]) + lb[c:] + frame[1])
 
 
 def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
@@ -323,6 +339,10 @@ class DehornoyOrdering(Cone):
     def create(strands: int) -> "DehornoyOrdering":
         return DehornoyOrdering(GroupRef.braid(strands))
 
+    @cached_property
+    def _frame(self) -> tuple[tuple[int, ...], Letters]:
+        return (0, 1) * self.group.n, ()
+
     def sign(self, g: BraidWord) -> int:
         return _dynnikov_sign(g.key)
 
@@ -330,13 +350,16 @@ class DehornoyOrdering(Cone):
         if a.group is not self.group or b.group is not self.group:
             check_group(self, a)
             return _dynnikov_sign(a.key_times(b))
-        return _dynnikov_sign(dynnikov_act(a.key, b.letters))
+        return _dynnikov_sign(a.key, b.letters)
 
 
-def _dynnikov_sign(coords: tuple[int, ...]) -> int:
-    """First nonzero entry of (a1, b1 - 1, a2, b2 - 1, ...) of a braid's
-    Dynnikov coordinates (Dehornoy, "Efficient solutions to the braid
-    isotopy problem", Discrete Appl. Math. 156 (2008))."""
+def _dynnikov_sign(coords: tuple[int, ...], letters: Letters = ()) -> int:
+    """First nonzero entry of (a1, b1 - 1, a2, b2 - 1, ...) of the Dynnikov
+    coordinates moved by the letters: the Dehornoy sign of the braid with
+    that key (Dehornoy, "Efficient solutions to the braid isotopy problem",
+    Discrete Appl. Math. 156 (2008))."""
+    if letters:
+        coords = dynnikov_act(coords, letters)
     for k in range(0, len(coords), 2):
         a, b = coords[k], coords[k + 1]
         if a:
@@ -348,7 +371,10 @@ def _dynnikov_sign(coords: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class ConjugatedOrdering(Cone):
-    """sign(g) = sign_base(c g c^-1); the right action of c^-1 on cones."""
+    """sign(g) = sign_base(c g c^-1); the right action of c^-1 on cones.
+
+    Over a base frame (start key s, tail t) the frame is (s moved by c, c^-1 t),
+    so signs act their letters in one pass; other bases get the built words."""
 
     base: Cone
     conjugator: Element
@@ -359,8 +385,24 @@ class ConjugatedOrdering(Cone):
             raise GroupMismatch("conjugator must live in the cone's group")
         object.__setattr__(self, "group", self.base.group)
 
+    @cached_property
+    def _frame(self) -> tuple[tuple[int, ...], Letters] | None:
+        if (frame := self.base._frame) is None:
+            return None
+        c = self.conjugator.letters
+        return dynnikov_act(frame[0], c), inverse_letters(c) + frame[1]
+
     def sign(self, g: Element) -> int:
-        return self.base.sign_product(self.conjugator * g, self.conjugator.inverse())
+        frame = self._frame
+        if frame is None or g.group is not self.group:
+            return self.base.sign_product(self.conjugator * g, self.conjugator.inverse())
+        return _dynnikov_sign(frame[0], g.letters + frame[1])
+
+    def sign_product(self, a: Element, b: Element) -> int:
+        frame = self._frame
+        if frame is None or a.group is not self.group or b.group is not self.group:
+            return cone_sign(self, a * b)
+        return _dynnikov_sign(frame[0], a.letters + b.letters + frame[1])
 
 
 def act(cone: Cone, h: Element) -> Cone:
@@ -381,10 +423,10 @@ def is_central_braid(cone: Cone, x: Element) -> bool:
     """Whether x is a (nonzero or zero) power of the full twist, hence central."""
     if x.group.is_abelian or x.is_identity:
         return True
-    power, rest = divmod(x.exponent_sum(), x.group.strands * (x.group.strands - 1))
-    if rest:
-        return False
-    return cone.sign_product(x, full_twist(x.group.strands) ** -power) == 0
+    check_group(cone, x)
+    n = x.group.strands
+    power, rest = divmod(x.exponent_sum(), n * (n - 1))
+    return not rest and x.key == twist_key(n, power)
 
 
 # ---------------------------------------------------------------------------

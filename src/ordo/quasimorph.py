@@ -145,10 +145,10 @@ def _pairing_dots(flag: FlagOrdering, seen_x: tuple | None, h: Element,
     return anchor_dots[0][1], seen_h[1] if seen_h is not None and seen_h[0] == j else ()
 
 
-def _pairing_ratio(flag: FlagOrdering, x: Element, h: Element,
+def _pairing_ratio(flag: FlagOrdering, seen_x: tuple | None, h: Element,
                    blind: type[OrdoError]) -> RealConstant | None:
     """<v, h> / <v, x> at x's first level v, as _pairing_dots."""
-    if (found := _pairing_dots(flag, flag.first_dots(x.coords), h, blind)) is None:
+    if (found := _pairing_dots(flag, seen_x, h, blind)) is None:
         return None
     return RealConstant(tuple((m, Fraction(d, found[0])) for m, d in found[1]))
 
@@ -229,7 +229,13 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
         raise GroupMismatch("anchor and element must live in the flag's group")
     if x.is_identity:
         raise AnchorIsIdentity("anchor must not be the identity")
-    ratio = _pairing_ratio(flag, x, h, NotCofinal)
+    return _exact_ratio(flag, x, flag.first_dots(x.coords), h)
+
+
+def _exact_ratio(flag: FlagOrdering, x: Element, seen_x: tuple | None,
+                 h: Element) -> RealConstant:
+    """stable_exact from x's ``first_dots`` scan seen_x, as a context holds it."""
+    ratio = _pairing_ratio(flag, seen_x, h, NotCofinal)
     if ratio is None:
         j, px = flag.first_level(x)
         raise UnsupportedInput(
@@ -263,7 +269,7 @@ def stable_approx(ctx: AnchorContext, h: Element, n: int) -> StableValue:
     approx = Fraction(power_floor(ctx, _order_power(h, n)), n)
     exact = None
     if isinstance(ctx.cone, FlagOrdering):
-        exact = stable_exact(ctx.cone, ctx.anchor, h)
+        exact = _exact_ratio(ctx.cone, ctx.anchor, ctx.anchor_dots, h)
     return StableValue(approx, Fraction(1, n), exact)
 
 
@@ -325,7 +331,7 @@ def _enclosure(ctx: AnchorContext, h: Element, n: int) -> Enclosure:
     """[lo, hi] around stable(h): the exact point on flag orderings, the
     certified window approx +- radius at order n on braid cones."""
     if isinstance(ctx.cone, FlagOrdering):
-        value = stable_exact(ctx.cone, ctx.anchor, h)
+        value = _exact_ratio(ctx.cone, ctx.anchor, ctx.anchor_dots, h)
         return value, value
     v = stable_approx(ctx, h, n)
     return RealConstant.rational(v.approx - v.radius), RealConstant.rational(v.approx + v.radius)

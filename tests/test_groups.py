@@ -20,6 +20,7 @@ from ordo.groups import (
     half_twist,
     parse_element,
     random_element,
+    twist_key,
 )
 from ordo.dynamics import partial_action_check, realize
 from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, locate, ordering_from_json
@@ -262,6 +263,18 @@ def test_half_and_full_twist():
     assert full_twist(3) == parse_element("s1 s2 s1", B3) ** 2
     for n in range(2, 6):
         assert len(full_twist(n)) == n * (n - 1)
+
+
+def test_twist_key_closed_form_matches_acted_letters():
+    for n in range(2, 11):
+        twist, base = full_twist(n), (0, 1) * n
+        assert twist_key(n, 0) == base == GroupRef.braid(n).identity().key
+        up = down = base
+        for k in range(1, 201):
+            up = dynnikov_act(up, twist.letters)
+            down = dynnikov_act(down, twist.inverse().letters)
+            assert twist_key(n, k) == up, (n, k)
+            assert twist_key(n, -k) == down, (n, -k)
 
 
 def test_render_parse_round_trip():

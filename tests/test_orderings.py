@@ -12,9 +12,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import ordo.groups as ordo_groups
+import ordo.orderings as ordo_orderings
 from ordo.errors import AnchorIsIdentity, GroupMismatch, NotCofinal, UnsupportedInput
 from ordo.exactreal import RealConstant, linear_combination
-from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element, random_element
+from ordo.groups import BraidWord, GroupRef, LatticeElement, full_twist, parse_element, random_element
 from ordo.orderings import (
     ConjugatedOrdering,
     Decision,
@@ -228,6 +230,42 @@ def test_full_twist_is_central_for_oracle():
     assert is_central_braid(DEHORNOY3, full_twist(3))
     assert is_central_braid(DEHORNOY3, full_twist(3) ** -2)
     assert not is_central_braid(DEHORNOY3, br("s1"))
+
+
+def _is_central_by_words(cone, x):
+    """The centrality check as it was: x times the inverse twist power signs 0."""
+    if x.group.is_abelian or x.is_identity:
+        return True
+    n = x.group.strands
+    power, rest = divmod(x.exponent_sum(), n * (n - 1))
+    return not rest and cone.sign_product(x, full_twist(n) ** -power) == 0
+
+
+def test_central_braid_check_matches_the_word_building_oracle():
+    rng = random.Random(317)
+    checked = collections.Counter()
+    for strands in range(2, 7):
+        group = GroupRef.braid(strands)
+        cones = [DehornoyOrdering(group), act(DehornoyOrdering(group), random_element(group, rng, 5))]
+        twist = full_twist(strands)
+        for _ in range(60):
+            a, k = random_element(group, rng, 6), rng.randint(-4, 4)
+            zero_sum = parse_element("s1 s1", group) * group.generators()[-1] ** -2
+            candidates = [random_element(group, rng, 8), twist ** k, a * twist ** k * a.inverse(),
+                          twist ** k * zero_sum, _prefixed(a, twist ** k) * a.inverse()]
+            if strands >= 3:
+                candidates.append(_same_element_other_word(twist ** k))
+            for x in candidates:
+                for cone in cones:
+                    want = _is_central_by_words(cone, x)
+                    assert is_central_braid(cone, x) == want, (strands, x.render())
+                    checked[want] += 1
+    assert min(checked.values()) > 500, checked
+
+
+def test_central_braid_check_rejects_a_foreign_anchor():
+    with pytest.raises(GroupMismatch):
+        is_central_braid(DEHORNOY3, full_twist(4))
 
 
 def test_full_twist_commutes_with_generators():
@@ -599,6 +637,139 @@ def test_order_searches_reject_foreign_elements():
         compare(LEX2, z3, z3)
     with pytest.raises(GroupMismatch):
         locate(LEX2, [el("x1")], z3)
+    for cone in (CONJUGATED3, DEHORNOY3):
+        for foreign in (parse_element("s1", B4), el("x1")):
+            for call in (lambda: cone.sign_product(br("s1"), foreign),
+                         lambda: cone.sign_product(foreign, br("s1")),
+                         lambda: compare(cone, br("s1 s2"), foreign),
+                         lambda: cone_sign(cone, foreign)):
+                with pytest.raises(GroupMismatch):
+                    call()
+
+
+# -- one-pass Dynnikov comparisons -----------------------------------------------
+
+
+def _prefixed(prefix, word):
+    return BraidWord.from_letters(word.group, prefix.letters + word.letters)
+
+
+def _comparison_pairs(group, rng, count):
+    """Random pairs, and the cases the prefix cancellation must get right:
+    shared prefixes, a = b, equal braids written differently (from a shared
+    prefix on), the identity on either side and inverse pairs."""
+    identity = group.identity()
+    pairs = []
+    while len(pairs) < count:
+        a, b = random_element(group, rng, 10), random_element(group, rng, 10)
+        p = random_element(group, rng, 8)
+        pairs += [(a, b), (_prefixed(p, a), _prefixed(p, b)), (a, a), (_prefixed(p, a), p),
+                  (identity, a), (a, identity), (a, a.inverse()), (a.inverse(), a)]
+        if group.n >= 3:
+            rewritten = _same_element_other_word(a)
+            pairs += [(a, rewritten), (_prefixed(p, rewritten), _prefixed(p, a))]
+    return pairs
+
+
+def _word_sign(cone, g):
+    """The sign as it was read before one-pass frames: each conjugation builds
+    c g c^-1, down to the base's key acted from scratch."""
+    while isinstance(cone, ConjugatedOrdering):
+        g = cone.conjugator * g * cone.conjugator.inverse()
+        cone = cone.base
+    return cone.sign(BraidWord(g.group, g.letters))
+
+
+@pytest.mark.parametrize("strands", [2, 3, 4, 5, 6])
+def test_dehornoy_compare_matches_the_product_sign(strands):
+    cone = DehornoyOrdering.create(strands)
+    rng = random.Random(300 + strands)
+    pairs = _comparison_pairs(cone.group, rng, 2000)
+    signs = collections.Counter()
+    for a, b in pairs:
+        want = -cone.sign_product(a.inverse(), b)
+        assert compare(cone, a, b) == want, (a.render(), b.render())
+        signs[want] += 1
+    assert len(pairs) >= 2000 and min(signs.values()) > 200, signs
+
+
+CONJUGATED_CONES = [
+    CONJUGATED3,
+    act(act(DEHORNOY4, parse_element("s1 s3^-1 s2", B4)), parse_element("s2^-1 s1^2", B4)),
+    ConjugatedOrdering(ConjugatedOrdering(DEHORNOY3, br("s1")), br("s2^-1 s1")),
+    act(DehornoyOrdering.create(5), parse_element("s4 s3^-1 s1 s2^2", GroupRef.braid(5))),
+]
+CONJUGATED_IDS = ["product_cones_B3", "two_acts_B4", "nested_B3", "B5"]
+
+
+@pytest.mark.parametrize("cone", CONJUGATED_CONES, ids=CONJUGATED_IDS)
+def test_conjugated_signs_match_the_word_building_oracle(cone):
+    rng = random.Random(307)
+    for a, b in _comparison_pairs(cone.group, rng, 1000):
+        assert cone.sign(a) == cone_sign(cone, a) == _word_sign(cone, a), a.render()
+        assert cone.sign_product(a, b) == _word_sign(cone, a * b), (a.render(), b.render())
+        assert compare(cone, a, b) == -_word_sign(cone, a.inverse() * b), \
+            (a.render(), b.render())
+
+
+def test_conjugated_cone_over_a_frameless_base_builds_its_words():
+    # No Dynnikov frame under a flag: the conjugated cone asks the base.
+    cone = ConjugatedOrdering(SQRT2_FLAG, el("x1^2 x2^-1"))
+    rng = random.Random(311)
+    for _ in range(200):
+        a, b = random_element(Z2, rng, 6), random_element(Z2, rng, 6)
+        assert cone.sign(a) == SQRT2_FLAG.sign(a)
+        assert cone.sign_product(a, b) == SQRT2_FLAG.sign_product(a, b)
+        assert compare(cone, a, b) == compare(SQRT2_FLAG, a, b)
+
+
+def _count_kernel_letters_and_words(monkeypatch):
+    """Letters per dynnikov_act call, and every braid word built, trusted or validated."""
+    acted, built = [], []
+    kernel, trusted = ordo_groups.dynnikov_act, BraidWord._trusted
+    post_init = BraidWord.__post_init__
+
+    def counting(coords, letters):
+        letters = tuple(letters)
+        acted.append(len(letters))
+        return kernel(coords, letters)
+
+    for module in (ordo_groups, ordo_orderings):
+        monkeypatch.setattr(module, "dynnikov_act", counting)
+    monkeypatch.setattr(BraidWord, "_trusted", staticmethod(
+        lambda group, letters: built.append(letters) or trusted(group, letters)))
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: built.append(w.letters) or post_init(w))
+    return acted, built
+
+
+def _common_prefix(a, b):
+    return next((k for k, (x, y) in enumerate(zip(a.letters, b.letters)) if x != y),
+                min(len(a), len(b)))
+
+
+@pytest.mark.parametrize("cone", [DEHORNOY3, DEHORNOY4] + CONJUGATED_CONES,
+                         ids=["B3", "B4"] + CONJUGATED_IDS)
+def test_one_pass_signs_act_each_letter_once_and_build_no_word(monkeypatch, cone):
+    # compare acts |a| + |b| - 2c letters, c the common prefix; a conjugated
+    # sign |g| + |c| and a conjugated product sign |a| + |b| + |c|, c the
+    # conjugator.  One kernel call each (none for no letters), and no word.
+    rng = random.Random(313)
+    pairs = _comparison_pairs(cone.group, rng, 300)
+    conjugated = isinstance(cone, ConjugatedOrdering)
+    tail = sum(len(c.conjugator) for c in (cone, getattr(cone, "base", None))
+               if isinstance(c, ConjugatedOrdering))
+    cone.sign(cone.group.identity())  # the cone's frame is built once, before counting
+    acted, built = _count_kernel_letters_and_words(monkeypatch)
+    for a, b in pairs:
+        calls = [(lambda: compare(cone, a, b), len(a) + len(b) - 2 * _common_prefix(a, b) + tail)]
+        if conjugated:
+            calls += [(lambda: cone.sign(a), len(a) + tail),
+                      (lambda: cone.sign_product(a, b), len(a) + len(b) + tail)]
+        for call, letters in calls:
+            del acted[:]
+            call()
+            assert acted == ([letters] if letters else []), (a.render(), b.render())
+            assert built == []
 
 
 # -- the integer flag sign against the constant sign ---------------------------

@@ -23,6 +23,7 @@ from ordo.orderings import DehornoyOrdering, FlagOrdering, act, level_kernels
 from ordo.quasimorph import (
     AnchorContext,
     StableValue,
+    _enclosure,
     _max_true,
     _pairing_ratio,
     defect_cocycle,
@@ -163,7 +164,7 @@ def _floor_or_error(floor, ctx, h):
 def _floor_case(flag, x, h):
     """Which branch of the closed form (x, h) takes."""
     try:
-        ratio = _pairing_ratio(flag, x, h, NotBracketedWithinCap)
+        ratio = _pairing_ratio(flag, flag.first_dots(x.coords), h, NotBracketedWithinCap)
     except NotBracketedWithinCap:
         return "not_bracketed"
     if ratio is None:
@@ -286,7 +287,7 @@ def test_integer_flag_floor_matches_search_on_300_flags():
                 if want is NotBracketedWithinCap:
                     cases["not_bracketed"] += 1
                     continue
-                ratio = _pairing_ratio(flag, x, h, NotBracketedWithinCap)
+                ratio = _pairing_ratio(flag, ctx.anchor_dots, h, NotBracketedWithinCap)
                 if ratio is None:
                     cases["irrational_anchor"] += 1
                     continue
@@ -297,7 +298,7 @@ def test_integer_flag_floor_matches_search_on_300_flags():
                     cases["irrational_element"] += 1
                     big = x ** BEYOND_CAP * h ** BEYOND_CAP
                     assert power_floor(ctx, big) == _closed_form(
-                        _pairing_ratio(flag, x, big, NotBracketedWithinCap), s)
+                        _pairing_ratio(flag, ctx.anchor_dots, big, NotBracketedWithinCap), s)
                 elif ratio.as_rational().denominator != 1:
                     cases["fraction"] += 1
                 elif want == ratio.as_rational() - s:
@@ -444,6 +445,40 @@ def test_stable_exact_rejects_noncofinal():
         stable_exact(LEX2, el("x2"), el("x1"))
 
 
+def _raised(call):
+    try:
+        call()
+    except (NotCofinal, UnsupportedInput) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("flag,x,h", [
+    (FlagOrdering.create([[RealConstant.sqrt(2), RealConstant.rational(1)]]), "x1", "x2"),
+    (FlagOrdering.create([[RealConstant.sqrt(2), RealConstant.rational(1)]]), "x1^-2 x2", "x1"),
+    (LEX2, "x2", "x1"), (LEX2, "x2^-1", "x1^3 x2"),
+], ids=["irrational", "irrational_mixed", "blind", "blind_negative"])
+def test_context_stable_values_raise_what_stable_exact_raises(flag, x, h):
+    # The context's values read its anchor scan, not a fresh one, and fail alike.
+    ctx = AnchorContext(flag, el(x), require_cofinal=False)
+    want = _raised(lambda: stable_exact(flag, el(x), el(h)))
+    assert want is not None
+    assert _raised(lambda: _enclosure(ctx, el(h), 5)) == want
+    if want[0] is UnsupportedInput:
+        assert _raised(lambda: stable_approx(ctx, el(h), 5)) == want
+
+
+def test_stable_map_properties_scan_the_anchor_once_per_context(monkeypatch):
+    x = el("x1")
+    scanned, _ = _count_scans_and_builds(monkeypatch)
+    report = stable_map_properties(AnchorContext(LEX2, x), seed=0)
+    assert len(report.checks) == 54
+    # One scan for the context, then one per enclosure: 6 samples, 6
+    # conjugates, 42 powers and 6 inverses, none of them of the anchor.
+    assert sum(coords is x.coords for coords in scanned) == 1
+    assert len(scanned) == 1 + 60
+
+
 def abs_leq_exact(value: RealConstant, bound: int | Fraction) -> bool:
     upper = combine(ONE, value, Fraction(bound), -1)
     lower = combine(value, ONE, 1, Fraction(bound))
@@ -559,8 +594,8 @@ PROPERTY_NAMES = {"conjugation_invariance", "homogeneity", "bounded_sums"}
 
 def test_stable_map_properties_catch_an_inconsistent_exact_value(monkeypatch):
     values = itertools.count(10)
-    monkeypatch.setattr("ordo.quasimorph.stable_exact",
-                        lambda flag, x, h: RealConstant.rational(next(values)))
+    monkeypatch.setattr("ordo.quasimorph._exact_ratio",
+                        lambda flag, x, seen_x, h: RealConstant.rational(next(values)))
     report = stable_map_properties(AnchorContext(SQRT2_FLAG, el("x1")), seed=1)
     assert not report.passed
     assert {c.name for c in report.failures} == PROPERTY_NAMES
