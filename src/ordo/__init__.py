@@ -40,7 +40,6 @@ from .orderings import (
     is_dense,
     is_right_invariant,
     level_kernels,
-    locate,
     ordering_from_json,
     ordering_to_json,
 )

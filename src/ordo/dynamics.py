@@ -6,13 +6,14 @@ maximum gets max+1, below the minimum gets min-1, and otherwise the midpoint
 of its immediate neighbours; the assignment order-embeds the enumerated
 elements into Q and never revises earlier values.  Braid stations form a
 prefix forest (a station's parent has its word minus the last letter).
-``realize`` sorts the whole enumeration first: a station g = p*l lies above
-p iff the letter l is positive, so it gallops from p's place in that
-direction, and each probe acts only the letters of the station it meets.
-The rule is then replayed in enumeration order on integer ranks.  The
-partial action check compares integer ranks of g_i and g*g_i, keying
-g*g_i as one letter acting on key(g*parent); roots and lattice stations are
-keyed by ``key_times``.
+One search sorts elements by the cone, walking that forest: a station
+g = p*l lies above p iff the letter l is positive, so it gallops from p's
+place in that direction, and each probe acts only the letters of the
+station it meets.  ``realize`` sorts the whole enumeration with it, then
+replays the rule in enumeration order on integer ranks.  The partial
+action check compares integer ranks of g_i and g*g_i, keying g*g_i as one
+letter acting on key(g*parent); roots and lattice stations are keyed
+by ``key_times``.
 
 For a central cofinal anchor x the floors split every element h as
 x^{floor(h)} times a remainder in the floor-zero stratum, and
@@ -22,8 +23,9 @@ x^{floor(h)} times a remainder in the floor-zero stratum, and
 with theta an order-embedding of the stratum into [0,1) realizes the group
 on the line with x acting as translation by one; quotienting by that
 translation samples a circle action, which floors each element once (by
-its key) and keys each remainder from the cached anchor power.  The
-normalized lift of the circle map of f moves 0 to t'(f) - floor(f), and composing lifts measures an integer
+its key), keys each remainder from the cached anchor power, and sorts the
+distinct remainders with the same forest search.  The normalized lift of
+the circle map of f moves 0 to t'(f) - floor(f), and composing lifts measures an integer
 cocycle which must equal minus the quasimorphism coboundary: this is the
 cochain-level form of "the rotation class is minus the Euler class".
 
@@ -68,7 +70,6 @@ from .orderings import (
     is_central_braid,
     is_cofinal,
     is_dense,
-    locate,
 )
 from .quasimorph import DEFAULT_APPROX_ORDER, AnchorContext, power_floor
 from .cohmaps import RotationClass, rotation_class, unwrap_central_conjugation
@@ -133,38 +134,21 @@ def _station_forest(elements: Sequence[Element]) -> list[tuple[int, int, tuple]]
     return forest
 
 
-def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
-    """Run the inductive assignment over the enumeration.
-
-    The enumeration must start with the identity and contain no repeated
-    group elements (braid words are compared as braids, not as words).
-    First the whole enumeration is sorted, walking its prefix forest: a
-    station g = p*l lies above its parent p iff l is positive, so it gallops
-    from p's place in that direction; a root is binary-searched.  Then the
-    values are replayed in enumeration order on the integer ranks.
-    """
-    if not enumeration:
-        raise UnsupportedInput("enumeration must not be empty")
-    first = enumeration[0]
-    if cone_sign(cone, first) != 0:
-        raise UnsupportedInput("enumeration must start with the identity")
-    seen: dict = {}
-    for i, g in enumerate(enumeration):
-        if g.group is not cone.group and g.group != cone.group:
-            cone.sign_product(g.inverse(), first)  # the cone's own GroupMismatch
-            check_group(cone, g)
-        if seen.setdefault(g.key, i) != i:
-            raise UnsupportedInput(f"duplicate element at position {i}: {g.render()!r}")
+def _forest_sort(cone: Cone, elements: Sequence[Element],
+                 forest: list[tuple[int, int, tuple]]) -> list[int]:
+    """The stations of distinct elements sorted by the cone, walking their
+    prefix forest: a station g = p*l lies above its parent p iff the letter l
+    is positive, so it gallops from p's place in that direction; a root is
+    binary-searched.  Each probe reads sign(g^-1 m) for the station m met."""
 
     def above(j: int) -> bool:  # order[j] > g
-        return cone.sign_product(g_inv, enumeration[order[j]]) > 0
+        return cone.sign_product(g_inv, elements[order[j]]) > 0
 
-    forest = _station_forest(enumeration)
     order: list[int] = []  # stations sorted by the cone
     path: list[list[int]] = []  # [station, index in order] from a root to the last placed
     letter_sign: dict[tuple, int] = {}
     for i, parent, letter in forest:
-        g_inv, lo, hi = enumeration[i].inverse(), -1, len(order)  # order[lo] < g < order[hi]
+        g_inv, lo, hi = elements[i].inverse(), -1, len(order)  # order[lo] < g < order[hi]
         while path and path[-1][0] != parent:
             path.pop()
         if path:
@@ -182,7 +166,33 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
         for node in path:
             node[1] += node[1] >= hi
         path.append([i, hi])
+    return order
 
+
+def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
+    """Run the inductive assignment over the enumeration.
+
+    The enumeration must start with the identity and contain no repeated
+    group elements (braid words are compared as braids, not as words).
+    First the whole enumeration is sorted over its prefix forest
+    (``_forest_sort``), then the values are replayed in enumeration order on
+    the integer ranks.
+    """
+    if not enumeration:
+        raise UnsupportedInput("enumeration must not be empty")
+    first = enumeration[0]
+    if cone_sign(cone, first) != 0:
+        raise UnsupportedInput("enumeration must start with the identity")
+    seen: dict = {}
+    for i, g in enumerate(enumeration):
+        if g.group is not cone.group and g.group != cone.group:
+            cone.sign_product(g.inverse(), first)  # the cone's own GroupMismatch
+            check_group(cone, g)
+        if seen.setdefault(g.key, i) != i:
+            raise UnsupportedInput(f"duplicate element at position {i}: {g.render()!r}")
+
+    forest = _station_forest(enumeration)
+    order = _forest_sort(cone, enumeration, forest)
     placed: list[int] = []  # ranks of the stations assigned so far, sorted
     stations: list[Fraction] = []  # parallel to placed
     values: list[Fraction] = []
@@ -343,20 +353,21 @@ def _sample_circle(ctx: AnchorContext, elements: Iterable[Element],
     """circle_action_for_samples on a checked anchor's context and its splits so far."""
     cone = ctx.cone
     elements = tuple(elements)
-    stratum: list[Element] = [cone.group.identity()]
-    present = {stratum[0].key}
+    identity = cone.group.identity()
+    first = {identity.key: (identity, identity)}  # remainder and its first sample, by key
     for h in elements:
         s = _split(ctx, splits, h)[1]
-        if s.key in present:
-            continue
-        i, _ = locate(cone, stratum, s)
-        if i == 0:
-            raise InvariantViolation(
-                f"remainder {s.render()!r} of {h.render()!r} sorts below the identity")
-        stratum.insert(i, s)
-        present.add(s.key)
+        first.setdefault(s.key, (s, h))
+    found = list(first.values())
+    remainders = [s for s, _ in found]
+    order = _forest_sort(cone, remainders, _station_forest(remainders))
+    if below := order[:order.index(0)]:
+        s, h = found[min(below)]
+        raise InvariantViolation(
+            f"remainder {s.render()!r} of {h.render()!r} sorts below the identity")
+    stratum = tuple(remainders[i] for i in order)
     theta = tuple(Fraction(i, len(stratum)) for i in range(len(stratum)))
-    return SampledCircleAction(ctx, tuple(stratum), theta, elements, splits)
+    return SampledCircleAction(ctx, stratum, theta, elements, splits)
 
 
 def unit_translation_check(action: SampledCircleAction) -> ActionCheck:

@@ -413,7 +413,9 @@ def check_ball_size(group: GroupRef, radius: int) -> None:
 
 
 def check_sample_count(count: int) -> None:
-    """Refuse a sampled check of more than MAX_SAMPLES draws."""
+    """Refuse a sampled check of fewer than 0 or more than MAX_SAMPLES draws."""
+    if count < 0:
+        raise UnsupportedInput(f"sample count {int_text(count)} is negative")
     if count > MAX_SAMPLES:
         raise UnsupportedInput(f"sample count {int_text(count)} is past the limit of "
                                f"{MAX_SAMPLES} (MAX_SAMPLES)")

@@ -18,15 +18,16 @@ integer arithmetic linear in the word length.  Handle reduction decides the
 same question by rewriting words; it is kept as an independent check of the
 coordinate sign.
 
-``compare`` and ``locate`` are the order searches.  Both read the sign of a
-product through ``Cone.sign_product``, which the flag, Dehornoy and
-conjugated cones answer without building the product.  A Dehornoy cone, and
-a cone conjugated from one, has a Dynnikov frame: a start key and tail
-letters, so that sign(g) is the sign of g's letters and then the tail acting
-on the start key.  On a frame a sign, a product sign or a comparison is one
-pass of the kernel over raw letters, and ``compare`` first drops the words'
-common prefix.  Whether an element lies in a finite set is a question of
-identity, not of order, and is answered by a dict on ``key``.
+``compare`` reads the sign of a product through ``Cone.sign_product``, which
+the flag, Dehornoy and conjugated cones answer without building the
+product; the one search that sorts elements by a cone is in ``dynamics``.
+A Dehornoy cone, and a cone conjugated from one, has a Dynnikov frame: a
+start key and tail letters, so that sign(g) is the sign of g's letters and
+then the tail acting on the start key.  On a frame a sign, a product sign or
+a comparison is one pass of the kernel over raw letters, and ``compare``
+first drops the words' common prefix.  Whether an element lies in a finite
+set is a question of identity, not of order, and is answered by a dict on
+``key``.
 
 Also here: restriction of flag orderings to sublattices, the conjugation
 action on cones, and the bounded/exact membership predicates (cofinality,
@@ -121,28 +122,6 @@ def compare(cone: Cone, a: Element, b: Element) -> int:
     while c < n and la[c] == lb[c]:
         c += 1
     return -_dynnikov_sign(frame[0], inverse_letters(la[c:]) + lb[c:] + frame[1])
-
-
-def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
-    """Where g falls in a list sorted by the cone: (index, found).
-
-    Midpoint binary search.  g is inverted once and each probe m reads
-    sign(g^-1 m), which is compare(m, g) by LO2.  When g is present (as a
-    group element, whatever its word) index is its position; otherwise it
-    is the position at which inserting g keeps the list sorted.
-    """
-    g_inv = g.inverse()
-    lo, hi = 0, len(ordered)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = cone.sign_product(g_inv, ordered[mid])
-        if c == 0:
-            return mid, True
-        if c < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo, False
 
 
 # ---------------------------------------------------------------------------

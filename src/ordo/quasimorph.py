@@ -41,7 +41,14 @@ from .errors import (
     printable_int,
 )
 from .exactreal import ONE, RealConstant, combine, dots_floor, dots_sign, format_rational
-from .groups import MAX_BRAID_LETTERS, BraidWord, Element, dynnikov_act, random_element
+from .groups import (
+    MAX_BRAID_LETTERS,
+    BraidWord,
+    Element,
+    check_sample_count,
+    dynnikov_act,
+    random_element,
+)
 from .orderings import Cone, Decision, FlagOrdering, check_generators, cone_sign, flag_cofinal
 
 DEFAULT_CAP = 1 << 62
@@ -145,14 +152,6 @@ def _pairing_dots(flag: FlagOrdering, seen_x: tuple | None, h: Element,
     return anchor_dots[0][1], seen_h[1] if seen_h is not None and seen_h[0] == j else ()
 
 
-def _pairing_ratio(flag: FlagOrdering, seen_x: tuple | None, h: Element,
-                   blind: type[OrdoError]) -> RealConstant | None:
-    """<v, h> / <v, x> at x's first level v, as _pairing_dots."""
-    if (found := _pairing_dots(flag, seen_x, h, blind)) is None:
-        return None
-    return RealConstant(tuple((m, Fraction(d, found[0])) for m, d in found[1]))
-
-
 def power_floor(ctx: AnchorContext, h: Element) -> int:
     """The bracketing integer of h: closed-form on flags, else a capped search.
 
@@ -234,14 +233,14 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
 
 def _exact_ratio(flag: FlagOrdering, x: Element, seen_x: tuple | None,
                  h: Element) -> RealConstant:
-    """stable_exact from x's ``first_dots`` scan seen_x, as a context holds it."""
-    ratio = _pairing_ratio(flag, seen_x, h, NotCofinal)
-    if ratio is None:
-        j, px = flag.first_level(x)
+    """stable_exact from x's ``first_dots`` scan seen_x, as a context holds it:
+    <v, h> / <v, x> at x's first level v, as _pairing_dots."""
+    if (found := _pairing_dots(flag, seen_x, h, NotCofinal)) is None:
         raise UnsupportedInput(
-            f"anchor pairing {px} at level {j + 1} is irrational; "
-            "rescale the flag so the anchor pairing is rational")
-    return ratio
+            f"anchor pairing {flag.level_pairing(seen_x[0], x)} at level {seen_x[0] + 1} is "
+            "irrational; rescale the flag so the anchor pairing is rational")
+    q, dots = found
+    return RealConstant(tuple((m, Fraction(d, q)) for m, d in dots))
 
 
 def _bounded_power(h: Element, n: int, what: str) -> Element:
@@ -348,6 +347,7 @@ def stable_map_properties(ctx: AnchorContext, seed: int = 0, sample_count: int =
     A check passes when its two enclosures meet, which on flags is exact
     equality or an exact inequality.
     """
+    check_sample_count(sample_count)
     rng = random.Random(seed)
     group = ctx.cone.group
     elements = [random_element(group, rng, radius) for _ in range(sample_count)]

@@ -1,20 +1,25 @@
-"""The benchmark's tracer still binds the names it wraps.
+"""The benchmark still finds the names it uses.
 
-perfbench/tracing.py wraps ordo's layers from outside the package, by name.
-A renamed method would only break traced benchmark runs; this test runs one
-call per wrapped layer under the tracer and checks both the answers and the
-span counts.
+perfbench/tracing.py wraps ordo's layers from outside the package, by name,
+and perfbench/runner.py calls the package's exports as ``self.ordo.<name>``.
+A renamed method or a dropped export would only break benchmark runs.  One
+test runs one call per wrapped layer under the tracer and checks both the
+answers and the span counts; another scans the runner's source for the
+exports it reads.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
+import ordo
 import ordo.cli  # noqa: F401  (the tracer looks up every layer module, the CLI included)
 from ordo import exactreal, orderings, quasimorph
 from ordo.exactreal import RealConstant
 from ordo.groups import GroupRef, parse_element
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -50,3 +55,9 @@ def test_tracer_binds_every_traced_name():
     for name in ("orderings.flag_sign.calls", "exactreal.interval.calls",
                  "orderings.compare.calls"):
         assert figures[name] > 0, name
+
+
+def test_runner_reads_only_names_the_package_exports():
+    names = set(re.findall(r"self\.ordo\.(\w+)", (PERFBENCH / "runner.py").read_text()))
+    assert {"compare", "is_dense", "realize", "euler_cocycle_survey"} <= names
+    assert [name for name in sorted(names) if not hasattr(ordo, name)] == []

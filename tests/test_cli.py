@@ -584,3 +584,19 @@ def test_sample_count_past_the_limit_exit_2_quickly(capsys, dehornoy3, command, 
     detail = run_exit_2_quickly(capsys, command[0], "--ordering", dehornoy3, *command[1:],
                                 "--samples", str(count))
     assert detail == f"sample count {count} is past the limit of 10000 (MAX_SAMPLES)"
+
+
+@pytest.mark.parametrize("command", [["axioms"], ["cocycle", "--x", "s1 s2 s1 s1 s2 s1"]])
+@pytest.mark.parametrize("count", [-1, -4, -10 ** 30])
+def test_negative_sample_count_exit_2(capsys, dehornoy3, command, count):
+    detail = run_exit_2_quickly(capsys, command[0], "--ordering", dehornoy3, *command[1:],
+                                "--samples", str(count))
+    assert detail == f"sample count {count} is negative"
+
+
+def test_zero_samples_still_pass(capsys, dehornoy3):
+    code, payload = run(capsys, "axioms", "--ordering", dehornoy3, "--samples", "0")
+    assert code == 0 and payload["passed"] and payload["samples"] == 0
+    code, payload = run(capsys, "cocycle", "--ordering", dehornoy3, "--x", "s1 s2 s1 s1 s2 s1",
+                        "--samples", "0")
+    assert code == 0 and payload["total"] == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ordo.dynamics as ordo_dynamics
 import ordo.groups as ordo_groups
 import ordo.orderings as ordo_orderings
 import ordo.quasimorph as ordo_quasimorph
@@ -36,7 +37,6 @@ from ordo.orderings import (
     compare,
     cone_sign,
     handle_reduce,
-    locate,
     main_generator_sign,
     ordering_to_json,
 )
@@ -54,6 +54,8 @@ from ordo.dynamics import (
     realize,
     unit_translation_check,
 )
+
+from oracles import locate
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
@@ -696,6 +698,94 @@ def test_circle_action_wrong_floor_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr("ordo.dynamics.power_floor", lambda ctx, h: power_floor(ctx, h) + 1)
     with pytest.raises(InvariantViolation):
         circle_action_from_ball(LEX2, el("x1"), 2)
+
+
+# -- the circle stratum against the insertion it replaced -------------------
+
+
+def _stratum_by_insertion(ctx, elements, splits):
+    """The stratum and theta as built before the forest sort: each new
+    remainder is binary-searched into the cone-sorted remainders before it."""
+    cone = ctx.cone
+    stratum = [cone.group.identity()]
+    present = {stratum[0].key}
+    for h in elements:
+        s = ordo_dynamics._split(ctx, splits, h)[1]
+        if s.key in present:
+            continue
+        i, _ = locate(cone, stratum, s)
+        if i == 0:
+            raise InvariantViolation(
+                f"remainder {s.render()!r} of {h.render()!r} sorts below the identity")
+        stratum.insert(i, s)
+        present.add(s.key)
+    return tuple(stratum), tuple(Fraction(i, len(stratum)) for i in range(len(stratum)))
+
+
+@pytest.mark.parametrize("cone,x,radius", [
+    (DEHORNOY3, full_twist(3), 4), (DEHORNOY3, full_twist(3).inverse(), 3),
+    (DEHORNOY4, full_twist(4), 3), (DEHORNOY5, full_twist(5), 2),
+    (CONJUGATED3, full_twist(3), 3), (CONJUGATED4, full_twist(4), 2),
+    (LEX2, el("x1"), 2), (LEX2, el("x1^2 x2"), 2),
+], ids=["B3", "B3_inverse_twist", "B4", "B5", "conjugated_B3", "conjugated_B4", "lex2",
+        "lex2_x1^2x2"])
+def test_circle_stratum_matches_insertion_on_balls(cone, x, radius):
+    action = circle_action_from_ball(cone, x, radius)
+    assert (action.stratum, action.theta_values) == \
+        _stratum_by_insertion(AnchorContext(cone, x), action.stored, {})
+
+
+@pytest.mark.parametrize("cone,x", [(DEHORNOY3, full_twist(3)), (DEHORNOY4, full_twist(4))],
+                         ids=["B3", "B4"])
+def test_euler_survey_stratum_matches_insertion(monkeypatch, cone, x):
+    built = []
+    sample_circle = ordo_dynamics._sample_circle
+    monkeypatch.setattr(ordo_dynamics, "_sample_circle",
+                        lambda *args: built.append(sample_circle(*args)) or built[-1])
+    assert euler_cocycle_survey(cone, x, count=30, seed=5, radius=3).all_passed
+    (action,) = built
+    assert (action.stratum, action.theta_values) == \
+        _stratum_by_insertion(AnchorContext(cone, x), action.stored, {})
+
+
+@pytest.mark.parametrize("cone,x,radius", [
+    (DEHORNOY3, full_twist(3), 3), (CONJUGATED3, full_twist(3), 3), (LEX2, el("x1"), 2),
+], ids=["B3", "conjugated_B3", "lex2"])
+def test_remainder_below_the_identity_names_the_earliest_sample(monkeypatch, cone, x, radius):
+    ball = ball_enumeration(cone, radius)
+    for bumped in ([ball[7]], [ball[-1], ball[12]], ball[20:5:-3]):
+        keys = {h.key for h in bumped}
+        monkeypatch.setattr("ordo.dynamics.power_floor",
+                            lambda ctx, h: power_floor(ctx, h) + (h.key in keys))
+        with pytest.raises(InvariantViolation) as got:
+            circle_action_for_samples(cone, x, ball)
+        with pytest.raises(InvariantViolation) as want:
+            _stratum_by_insertion(AnchorContext(cone, x), ball, {})
+        earliest = min(bumped, key=ball.index)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f" of {earliest.render()!r} sorts below the identity")
+
+
+@pytest.mark.parametrize("cone,x,radius", [
+    (DEHORNOY3, full_twist(3), 4), (DEHORNOY4, full_twist(4), 3),
+], ids=["B3_r4", "B4_r3"])
+def test_circle_stratum_sort_probes_fewer_than_insertion(monkeypatch, cone, x, radius):
+    ball = ball_enumeration(cone, radius)
+    ctx, splits = AnchorContext(cone, x), {}
+    for h in ball:  # the floors first, so that only the sorts are counted
+        ordo_dynamics._split(ctx, splits, h)
+    probes = []
+    sign_product = DehornoyOrdering.sign_product
+    monkeypatch.setattr(DehornoyOrdering, "sign_product",
+                        lambda self, a, b: probes.append(b) or sign_product(self, a, b))
+    ordo_dynamics._sample_circle(ctx, ball, splits)
+    walked = len(probes)
+    probes.clear()
+    _stratum_by_insertion(ctx, ball, splits)
+    # Remainders share their anchor power's letters, so most gallop from a
+    # parent: about half of insertion's probes (215 of 474 on B3, 387 of 749
+    # on B4), where bisecting every remainder as a root takes nearly all.
+    assert 0 < 5 * walked <= 3 * len(probes)
 
 
 def test_circle_action_anchor_station():

@@ -23,7 +23,9 @@ from ordo.groups import (
     twist_key,
 )
 from ordo.dynamics import partial_action_check, realize
-from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, locate, ordering_from_json
+from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, ordering_from_json
+
+from oracles import locate
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)

@@ -33,12 +33,13 @@ from ordo.orderings import (
     is_dense,
     is_right_invariant,
     level_kernels,
-    locate,
     main_generator_sign,
     ordering_from_json,
     ordering_to_json,
 )
 from ordo.quasimorph import stable_exact
+
+from oracles import locate
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)

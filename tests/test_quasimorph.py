@@ -25,7 +25,8 @@ from ordo.quasimorph import (
     StableValue,
     _enclosure,
     _max_true,
-    _pairing_ratio,
+    _exact_ratio,
+    _pairing_dots,
     defect_cocycle,
     power_floor,
     stable_approx,
@@ -161,10 +162,18 @@ def _floor_or_error(floor, ctx, h):
         return NotBracketedWithinCap
 
 
+def _pairing_ratio(flag, seen_x, h):
+    """<v, h> / <v, x> at x's first level v, or None when x pairs irrationally
+    there; NotBracketedWithinCap when h pairs nonzero at an earlier level."""
+    if (found := _pairing_dots(flag, seen_x, h, NotBracketedWithinCap)) is None:
+        return None
+    return RealConstant(tuple((m, Fraction(d, found[0])) for m, d in found[1]))
+
+
 def _floor_case(flag, x, h):
     """Which branch of the closed form (x, h) takes."""
     try:
-        ratio = _pairing_ratio(flag, flag.first_dots(x.coords), h, NotBracketedWithinCap)
+        ratio = _pairing_ratio(flag, flag.first_dots(x.coords), h)
     except NotBracketedWithinCap:
         return "not_bracketed"
     if ratio is None:
@@ -287,7 +296,7 @@ def test_integer_flag_floor_matches_search_on_300_flags():
                 if want is NotBracketedWithinCap:
                     cases["not_bracketed"] += 1
                     continue
-                ratio = _pairing_ratio(flag, ctx.anchor_dots, h, NotBracketedWithinCap)
+                ratio = _pairing_ratio(flag, ctx.anchor_dots, h)
                 if ratio is None:
                     cases["irrational_anchor"] += 1
                     continue
@@ -298,7 +307,7 @@ def test_integer_flag_floor_matches_search_on_300_flags():
                     cases["irrational_element"] += 1
                     big = x ** BEYOND_CAP * h ** BEYOND_CAP
                     assert power_floor(ctx, big) == _closed_form(
-                        _pairing_ratio(flag, ctx.anchor_dots, big, NotBracketedWithinCap), s)
+                        _pairing_ratio(flag, ctx.anchor_dots, big), s)
                 elif ratio.as_rational().denominator != 1:
                     cases["fraction"] += 1
                 elif want == ratio.as_rational() - s:
@@ -440,6 +449,25 @@ def test_stable_exact_rejects_irrational_anchor_pairing():
         stable_exact(flag, el("x1"), el("x2"))
 
 
+@pytest.mark.parametrize("levels,x,text", [
+    ([[0, 1], [RealConstant.sqrt(3), 1]], "x1", "sqrt(3) at level 2"),
+    ([[0, 1], [RealConstant.sqrt(3), 1]], "x1^-2", "-2*sqrt(3) at level 2"),
+    ([[RealConstant.sqrt(2), 1]], "x1^-2 x2", "1 - 2*sqrt(2) at level 1"),
+])
+def test_irrational_anchor_message_names_the_pairing_and_level(levels, x, text):
+    flag = FlagOrdering.create([[c if isinstance(c, RealConstant) else RealConstant.rational(c)
+                                 for c in level] for level in levels])
+    want = (f"anchor pairing {text} is irrational; "
+            "rescale the flag so the anchor pairing is rational")
+    ctx = AnchorContext(flag, el(x), require_cofinal=False)
+    for call in (lambda: stable_exact(flag, el(x), el("x1")),
+                 lambda: _exact_ratio(flag, el(x), ctx.anchor_dots, el("x1^3")),
+                 lambda: _enclosure(ctx, el("x1^-2"), 5)):
+        with pytest.raises(UnsupportedInput) as info:
+            call()
+        assert str(info.value) == want
+
+
 def test_stable_exact_rejects_noncofinal():
     with pytest.raises(NotCofinal):
         stable_exact(LEX2, el("x2"), el("x1"))
@@ -477,6 +505,16 @@ def test_stable_map_properties_scan_the_anchor_once_per_context(monkeypatch):
     # conjugates, 42 powers and 6 inverses, none of them of the anchor.
     assert sum(coords is x.coords for coords in scanned) == 1
     assert len(scanned) == 1 + 60
+
+
+@pytest.mark.parametrize("count,detail", [
+    (-3, "sample count -3 is negative"),
+    (10_001, "sample count 10001 is past the limit of 10000 (MAX_SAMPLES)"),
+])
+def test_stable_map_properties_checks_the_sample_count(count, detail):
+    with pytest.raises(UnsupportedInput) as info:
+        stable_map_properties(AnchorContext(LEX2, el("x1")), sample_count=count)
+    assert str(info.value) == detail
 
 
 def abs_leq_exact(value: RealConstant, bound: int | Fraction) -> bool:
