@@ -185,8 +185,7 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
         raise UnsupportedInput("enumeration must start with the identity")
     seen: dict = {}
     for i, g in enumerate(enumeration):
-        if g.group is not cone.group and g.group != cone.group:
-            cone.sign_product(g.inverse(), first)  # the cone's own GroupMismatch
+        if g.group is not cone.group:
             check_group(cone, g)
         if seen.setdefault(g.key, i) != i:
             raise UnsupportedInput(f"duplicate element at position {i}: {g.render()!r}")
@@ -316,11 +315,12 @@ def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircl
 
 
 def _split(ctx: AnchorContext, splits: dict, h: Element) -> tuple[int, Element]:
-    """(floor(h), x^-floor(h) h), memoized in splits by h's key for elements of
-    the cone's own group; a braid remainder's key is h's letters acting on the
-    cached anchor power's key."""
+    """(floor(h), x^-floor(h) h), memoized in splits by h's key; a braid
+    remainder's key is h's letters acting on the cached anchor power's key."""
+    if h.group is not ctx.cone.group:
+        check_group(ctx.cone, h)
     found = splits.get(h.key)
-    if found is None or h.group is not ctx.cone.group:
+    if found is None:
         power = ctx.power(-(n := power_floor(ctx, h)))
         remainder = power * h if h.group.is_abelian else (power * h).with_key(power.key_times(h))
         found = splits[h.key] = n, remainder
@@ -335,17 +335,18 @@ def circle_action_for_samples(cone: Cone, x: Element,
     remainder r has 1 <= r, so the identity (kept even if no sample has a
     trivial remainder) is least, and theta = rank / |stratum| puts it at 0.
     """
-    _check_circle_anchor(cone, x)
-    return _sample_circle(AnchorContext(cone, x), elements, {})
+    return _sample_circle(_circle_context(cone, x), elements, {})
 
 
-def _check_circle_anchor(cone: Cone, x: Element) -> None:
+def _circle_context(cone: Cone, x: Element) -> AnchorContext:
+    """x's context, refused unless x is central: the context refuses a
+    non-cofinal flag anchor, and a central braid anchor is cofinal."""
+    ctx = AnchorContext(cone, x)
     if not is_central_braid(cone, x):
         raise UnsupportedInput(
             f"anchor {x.render()!r} is not central; the circle quotient needs "
             "a central anchor")
-    if is_cofinal(cone, x) != Decision.YES:
-        raise UnsupportedInput("anchor must be certified cofinal")
+    return ctx
 
 
 def _sample_circle(ctx: AnchorContext, elements: Iterable[Element],
@@ -436,8 +437,7 @@ def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
     rng = random.Random(seed)
     pairs = []
     needed: list[Element] = []
-    ctx, splits = AnchorContext(cone, x), {}
-    _check_circle_anchor(cone, x)
+    ctx, splits = _circle_context(cone, x), {}
     for _ in range(count):
         f = random_element(cone.group, rng, radius)
         g = random_element(cone.group, rng, radius)

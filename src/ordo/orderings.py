@@ -20,18 +20,19 @@ coordinate sign.
 
 ``compare`` reads the sign of a product through ``Cone.sign_product``, which
 the flag, Dehornoy and conjugated cones answer without building the
-product; the one search that sorts elements by a cone is in ``dynamics``.
-A Dehornoy cone, and a cone conjugated from one, has a Dynnikov frame: a
-start key and tail letters, so that sign(g) is the sign of g's letters and
-then the tail acting on the start key.  On a frame a sign, a product sign or
-a comparison is one pass of the kernel over raw letters, and ``compare``
-first drops the words' common prefix.  Whether an element lies in a finite
-set is a question of identity, not of order, and is answered by a dict on
-``key``.
+product, and ``check_group`` names the first operand of a foreign group;
+the one search that sorts elements by a cone is in ``dynamics``.  A
+Dehornoy cone, and a cone conjugated from one, has a Dynnikov frame, its
+only sign path: a start key and tail letters, so that sign(g) is the sign
+of g's letters and then the tail acting on the start key.  On a frame a
+sign, a product sign or a comparison is one pass of the kernel over raw
+letters, and ``compare`` first drops the words' common prefix.  Whether an
+element lies in a finite set is a question of identity, not of order, and
+is answered by a dict on ``key``.
 
-Also here: restriction of flag orderings to sublattices, the conjugation
-action on cones, and the bounded/exact membership predicates (cofinality,
-right-invariance under an anchor, density).
+Also here: restriction of flag orderings to sublattices, conjugates of the
+Dehornoy cone (``act`` returns a flag as is), and the bounded/exact
+membership predicates (cofinality, right-invariance under an anchor, density).
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class Cone:
 
     def sign_product(self, a: Element, b: Element) -> int:
         """sign(a * b); a cone that can read it without the product overrides this."""
-        return cone_sign(self, a * b)
+        check_group(self, a)
+        check_group(self, b)
+        return self.sign(a * b)
 
 
 def check_group(cone: Cone, g: Element) -> None:
@@ -115,8 +118,11 @@ def compare(cone: Cone, a: Element, b: Element) -> int:
     On a cone with a Dynnikov frame a common prefix p drops out, as
     (p a')^-1 (p b') = a'^-1 b', whose letters act in one pass: no word is built."""
     frame = cone._frame
-    if frame is None or a.group is not cone.group or b.group is not cone.group:
+    if frame is None:
         return -cone.sign_product(a.inverse(), b)
+    if a.group is not cone.group or b.group is not cone.group:
+        check_group(cone, a)
+        check_group(cone, b)
     la, lb = a.letters, b.letters
     c, n = 0, min(len(la), len(lb))
     while c < n and la[c] == lb[c]:
@@ -144,20 +150,19 @@ class FlagOrdering(Cone):
                     f"level length {len(level)} does not match rank {self.group.rank}")
 
     @staticmethod
-    def create(levels: Sequence[Sequence[RealConstant]], check: bool = True) -> "FlagOrdering":
+    def create(levels: Sequence[Sequence[RealConstant]]) -> "FlagOrdering":
         if not levels:
             raise ParseError("a flag ordering needs at least one level")
         rank = len(levels[0])
         flag = FlagOrdering(GroupRef.free_abelian(rank), tuple(tuple(lv) for lv in levels))
-        if check and not flag.is_total():
+        if not flag.is_total():
             raise UnsupportedInput(
                 "flag is rank-deficient: some nonzero vector pairs to zero at every level")
         return flag
 
     @staticmethod
-    def from_rational_rows(rows: Sequence[Sequence[int | Fraction]], check: bool = True) -> "FlagOrdering":
-        levels = [[RealConstant.rational(x) for x in row] for row in rows]
-        return FlagOrdering.create(levels, check=check)
+    def from_rational_rows(rows: Sequence[Sequence[int | Fraction]]) -> "FlagOrdering":
+        return FlagOrdering.create([[RealConstant.rational(x) for x in row] for row in rows])
 
     @staticmethod
     def lex(rank: int) -> "FlagOrdering":
@@ -192,9 +197,10 @@ class FlagOrdering(Cone):
         return 0 if found is None else dots_sign(found[1])
 
     def sign_product(self, a: LatticeElement, b: LatticeElement) -> int:
-        key = a.key_times(b)
-        check_group(self, a)
-        found = self.first_dots(key)
+        if a.group is not self.group or b.group is not self.group:
+            check_group(self, a)
+            check_group(self, b)
+        found = self.first_dots(a.key_times(b))
         return 0 if found is None else dots_sign(found[1])
 
     def first_dots(self, coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
@@ -204,12 +210,6 @@ class FlagOrdering(Cone):
             if dots := _level_dots(rows, coords):
                 return j, dots
         return None
-
-    def first_level(self, g: LatticeElement | Sequence[int]) -> tuple[int, RealConstant] | None:
-        """(j, pairing) at the first level j where g pairs nonzero, as first_dots."""
-        coords = g.coords if isinstance(g, LatticeElement) else g
-        found = self.first_dots(coords)
-        return None if found is None else (found[0], self.level_pairing(found[0], coords))
 
     def level_pairing(self, j: int, g: LatticeElement | Sequence[int]) -> RealConstant:
         coords = g.coords if isinstance(g, LatticeElement) else g
@@ -232,7 +232,7 @@ class FlagOrdering(Cone):
             new_level = tuple(self.level_pairing(j, col) for col in columns)
             if any(not c.is_zero for c in new_level):
                 new_levels.append(new_level)
-        restricted = FlagOrdering.create(new_levels, check=False)
+        restricted = FlagOrdering(GroupRef.free_abelian(len(columns)), tuple(new_levels))
         if not restricted.is_total():
             raise InvariantViolation("restriction of a total flag lost totality")
         return restricted
@@ -328,7 +328,7 @@ class DehornoyOrdering(Cone):
     def sign_product(self, a: BraidWord, b: BraidWord) -> int:
         if a.group is not self.group or b.group is not self.group:
             check_group(self, a)
-            return _dynnikov_sign(a.key_times(b))
+            check_group(self, b)
         return _dynnikov_sign(a.key, b.letters)
 
 
@@ -352,8 +352,8 @@ def _dynnikov_sign(coords: tuple[int, ...], letters: Letters = ()) -> int:
 class ConjugatedOrdering(Cone):
     """sign(g) = sign_base(c g c^-1); the right action of c^-1 on cones.
 
-    Over a base frame (start key s, tail t) the frame is (s moved by c, c^-1 t),
-    so signs act their letters in one pass; other bases get the built words."""
+    The base has a Dynnikov frame (start key s, tail t), and the conjugate's
+    frame is (s moved by c, c^-1 t), so signs act their letters in one pass."""
 
     base: Cone
     conjugator: Element
@@ -362,25 +362,23 @@ class ConjugatedOrdering(Cone):
     def __post_init__(self) -> None:
         if self.conjugator.group != self.base.group:
             raise GroupMismatch("conjugator must live in the cone's group")
-        object.__setattr__(self, "group", self.base.group)
-
-    @cached_property
-    def _frame(self) -> tuple[tuple[int, ...], Letters] | None:
         if (frame := self.base._frame) is None:
-            return None
+            raise UnsupportedInput(f"{type(self.base).__name__} has no Dynnikov frame to conjugate")
         c = self.conjugator.letters
-        return dynnikov_act(frame[0], c), inverse_letters(c) + frame[1]
+        object.__setattr__(self, "group", self.base.group)
+        self.__dict__["_frame"] = dynnikov_act(frame[0], c), inverse_letters(c) + frame[1]
 
-    def sign(self, g: Element) -> int:
+    def sign(self, g: BraidWord) -> int:
+        if g.group is not self.group:
+            check_group(self, g)
         frame = self._frame
-        if frame is None or g.group is not self.group:
-            return self.base.sign_product(self.conjugator * g, self.conjugator.inverse())
         return _dynnikov_sign(frame[0], g.letters + frame[1])
 
-    def sign_product(self, a: Element, b: Element) -> int:
+    def sign_product(self, a: BraidWord, b: BraidWord) -> int:
+        if a.group is not self.group or b.group is not self.group:
+            check_group(self, a)
+            check_group(self, b)
         frame = self._frame
-        if frame is None or a.group is not self.group or b.group is not self.group:
-            return cone_sign(self, a * b)
         return _dynnikov_sign(frame[0], a.letters + b.letters + frame[1])
 
 

@@ -367,7 +367,8 @@ def stable_map_properties(ctx: AnchorContext, seed: int = 0, sample_count: int =
     # Homogeneity: stable(h^M) = M * stable(h); a negative M swaps the ends.
     for h, (lo, hi) in zip(elements, singles):
         for m in powers:
-            whole = _enclosure(ctx, h ** m, max(1, approx_n // max(1, abs(m))))
+            whole = _enclosure(ctx, _bounded_power(h, m, "homogeneity"),
+                               max(1, approx_n // max(1, abs(m))))
             scaled = (lo.scale(m), hi.scale(m)) if m >= 0 else (hi.scale(m), lo.scale(m))
             check("homogeneity", h, whole, scaled)
 

@@ -1,16 +1,22 @@
-"""Order searches kept as test oracles for the production paths.
+"""Algorithms kept as test oracles for the production paths, and test-only
+constructors.
 
 ``locate`` is the midpoint binary search the circle stratum was once built
 with; ``dynamics._forest_sort`` replaced it.  Tests compare the production
-sorts, lookups and work counts against it.
+sorts, lookups and work counts against it.  ``word_sign`` is the conjugated
+sign as it was read before Dynnikov frames, by building c g c^-1.
+``first_level`` reads a flag's first nonzero level and its exact pairing,
+and ``unchecked_flag`` builds a flag without the totality check, for the
+rank-deficient flags the tests need.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ordo.groups import Element
-from ordo.orderings import Cone
+from ordo.exactreal import RealConstant
+from ordo.groups import BraidWord, Element, GroupRef, LatticeElement
+from ordo.orderings import Cone, ConjugatedOrdering, FlagOrdering
 
 
 def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
@@ -33,3 +39,23 @@ def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, boo
         else:
             hi = mid
     return lo, False
+
+
+def word_sign(cone: Cone, g: BraidWord) -> int:
+    """The sign read by building words: each conjugation builds c g c^-1, down
+    to the base's key acted from scratch on a freshly validated word."""
+    while isinstance(cone, ConjugatedOrdering):
+        g = cone.conjugator * g * cone.conjugator.inverse()
+        cone = cone.base
+    return cone.sign(BraidWord(g.group, g.letters))
+
+
+def first_level(flag: FlagOrdering, g: LatticeElement) -> tuple[int, RealConstant] | None:
+    """(j, pairing) at the first level j where g pairs nonzero; None when there is none."""
+    found = flag.first_dots(g.coords)
+    return None if found is None else (found[0], flag.level_pairing(found[0], g))
+
+
+def unchecked_flag(levels: Sequence[Sequence[RealConstant]]) -> FlagOrdering:
+    """A flag of these levels, total or not."""
+    return FlagOrdering(GroupRef.free_abelian(len(levels[0])), tuple(map(tuple, levels)))

@@ -31,6 +31,8 @@ from ordo.dynamics import (
 )
 from ordo.errors import NotCofinal, UnsupportedInput
 
+from oracles import unchecked_flag
+
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
 B3 = GroupRef.braid(3)
@@ -128,13 +130,13 @@ def _random_flag_for_agreement(rng, rank):
         level = [RealConstant.rational(rng.choice([1, 2]))]
         level += [RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.randint(-2, 2)})
                   for _ in range(rank - 1)]
-        flag = FlagOrdering.create([level], check=False)
+        flag = unchecked_flag([level])
         return flag if flag.is_total() else None
     first = [RealConstant.rational(rng.choice([1, 2]))]
     first += [RealConstant.rational(rng.randint(-2, 2)) for _ in range(rank - 1)]
     rest = [[RealConstant.rational(1 if j == i else 0) for j in range(rank)]
             for i in range(1, rank)]
-    flag = FlagOrdering.create([first] + rest, check=False)
+    flag = unchecked_flag([first] + rest)
     return flag if flag.is_total() else None
 
 
@@ -194,10 +196,10 @@ def test_criterion_6_sikora_consistency():
             q = rng.randint(-4, 4)
             if (p, q) == (0, 0):
                 continue
-            flag = FlagOrdering.create(
+            flag = unchecked_flag(
                 [[RealConstant.rational(p), RealConstant.rational(q)],
                  [RealConstant.rational(rng.randint(-2, 2)),
-                  RealConstant.rational(rng.randint(1, 3))]], check=False)
+                  RealConstant.rational(rng.randint(1, 3))]])
             if not flag.is_total():
                 continue
         else:
@@ -205,7 +207,7 @@ def test_criterion_6_sikora_consistency():
                      RealConstant.from_terms({1: rng.randint(-3, 3),
                                               2: rng.choice([1, -1, 2]),
                                               3: rng.randint(-2, 2)})]
-            flag = FlagOrdering.create([first], check=False)
+            flag = unchecked_flag([first])
             if not flag.is_total():
                 continue
         point = sikora_coordinate(flag)

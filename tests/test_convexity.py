@@ -22,6 +22,8 @@ from ordo.convexity import (
     word_constraints,
 )
 
+from oracles import unchecked_flag
+
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
 LEX2 = FlagOrdering.lex(2)
@@ -203,13 +205,13 @@ def random_flag(rng, rank):
         level = [RealConstant.rational(rng.randint(1, 3))]
         level += [RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.randint(-2, 2)})
                   for _ in range(rank - 1)]
-        flag = FlagOrdering.create([level], check=False)
+        flag = unchecked_flag([level])
         return flag if flag.is_total() else None
     first = [RealConstant.rational(rng.randint(1, 2))]
     first += [RealConstant.rational(rng.randint(-2, 2)) for _ in range(rank - 1)]
     rest = [[RealConstant.rational(1 if j == i else 0) for j in range(rank)]
             for i in range(1, rank)]
-    flag = FlagOrdering.create([first] + rest, check=False)
+    flag = unchecked_flag([first] + rest)
     return flag if flag.is_total() else None
 
 
@@ -328,14 +330,13 @@ def test_sikora_criterion_consistency_on_z2():
             p_dir, q_dir = rng.randint(-3, 3), rng.randint(-3, 3)
             if (p_dir, q_dir) == (0, 0) or p_dir == 0:
                 continue
-            flag = FlagOrdering.create(
+            flag = unchecked_flag(
                 [[RealConstant.rational(p_dir), RealConstant.rational(q_dir)],
-                 [RealConstant.rational(0), RealConstant.rational(1)]], check=False)
+                 [RealConstant.rational(0), RealConstant.rational(1)]])
         else:
-            flag = FlagOrdering.create(
+            flag = unchecked_flag(
                 [[RealConstant.rational(rng.choice([1, 2])),
-                  RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.choice([1, -1])})]],
-                check=False)
+                  RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.choice([1, -1])})]])
         if not flag.is_total():
             continue
         point = sikora_coordinate(flag)

@@ -12,9 +12,11 @@ import ordo.orderings as ordo_orderings
 import ordo.quasimorph as ordo_quasimorph
 from ordo.cli import main
 from ordo.errors import (
+    AnchorIsIdentity,
     GroupMismatch,
     InvariantViolation,
     MissingOrbitPoint,
+    NotCofinal,
     OrdoError,
     UnsupportedInput,
 )
@@ -217,6 +219,9 @@ def test_generator_signs_of_the_test_cones():
             for h in ball:
                 if cone_sign(cone, g) > 0 and cone_sign(cone, h) > 0:
                     assert cone_sign(cone, g * h) > 0
+        # They have no Dynnikov frame, so they cannot be conjugated.
+        with pytest.raises(UnsupportedInput):
+            act(cone, ball[1])
 
 
 @pytest.mark.parametrize("cone,radius", [
@@ -800,8 +805,13 @@ def test_circle_action_requires_central_anchor():
 
 
 def test_circle_action_requires_cofinal_anchor():
-    with pytest.raises(UnsupportedInput):
-        circle_action_from_ball(LEX2, el("x2"), 2)
+    # The sampled action and the Euler survey refuse a bad anchor alike.
+    for x, error in ((el("x2"), NotCofinal), (Z2.identity(), AnchorIsIdentity)):
+        with pytest.raises(error) as sampled:
+            circle_action_from_ball(LEX2, x, 2)
+        with pytest.raises(error) as surveyed:
+            euler_cocycle_survey(LEX2, x, count=3, seed=0)
+        assert str(sampled.value) == str(surveyed.value)
 
 
 def test_theta_missing_point():

@@ -22,8 +22,8 @@ from ordo.groups import (
     random_element,
     twist_key,
 )
-from ordo.dynamics import partial_action_check, realize
-from ordo.orderings import DehornoyOrdering, FlagOrdering, act, compare, ordering_from_json
+from ordo.dynamics import circle_action_from_ball, partial_action_check, realize
+from ordo.orderings import Cone, DehornoyOrdering, FlagOrdering, act, compare, ordering_from_json
 
 from oracles import locate
 
@@ -198,45 +198,65 @@ Z3_TEXT = "GroupRef(kind='free_abelian', n=3)"
 QUERIED_B4_ON_B3 = f"element of {B4_TEXT} queried against cone over {B3_TEXT}"
 QUERIED_Z3_ON_Z2 = f"element of {Z3_TEXT} queried against cone over {Z2_TEXT}"
 QUERIED_B3_ON_Z2 = f"element of {B3_TEXT} queried against cone over {Z2_TEXT}"
-COMBINED_B3_B4 = f"elements of {B3_TEXT} and {B4_TEXT} cannot be combined"
-COMBINED_B4_B3 = f"elements of {B4_TEXT} and {B3_TEXT} cannot be combined"
+QUERIED_Z2_ON_B3 = f"element of {Z2_TEXT} queried against cone over {B3_TEXT}"
 COMBINED_Z3_Z2 = f"elements of {Z3_TEXT} and {Z2_TEXT} cannot be combined"
 COMBINED_Z2_Z3 = f"elements of {Z2_TEXT} and {Z3_TEXT} cannot be combined"
 
 
-def test_mixed_group_calls_keep_their_messages():
+class _ProductFree(Cone):
+    """A cone with a sign and no sign_product of its own."""
+
+    def __init__(self, base):
+        self.group, self.sign = base.group, base.sign
+
+
+def test_mixed_group_calls_name_the_foreign_operand():
+    # Every cone call names its first foreign operand; only a product of two
+    # elements says that they cannot be combined.
     dehornoy, conjugated, lex = (DehornoyOrdering.create(3),
                                  act(DehornoyOrdering.create(3), parse_element("s1", B3)),
                                  FlagOrdering.lex(2))
+    plain = _ProductFree(dehornoy)
     s1, t1 = parse_element("s1 s2", B3), parse_element("s1 s3", GroupRef.braid(4))
     x1, y1 = parse_element("x1", Z2), parse_element("x1 x3", GroupRef.free_abelian(3))
     ball = [B3.identity(), parse_element("s1", B3), parse_element("s2^-1", B3)]
     lattice = [Z2.identity(), x1, parse_element("x2", Z2)]
     table = realize(dehornoy, ball)
+    b2, z4 = GroupRef.braid(2), GroupRef.free_abelian(4)
+    action = circle_action_from_ball(DehornoyOrdering(b2), full_twist(2), 2)
+    # A lattice element whose coordinates are the key of a memoized B2 split.
+    lookalike = LatticeElement(z4, action.stored[1].key)
     cases = [
         (lambda: dehornoy.sign_product(t1, s1), QUERIED_B4_ON_B3),
-        (lambda: dehornoy.sign_product(s1, t1), COMBINED_B3_B4),
+        (lambda: dehornoy.sign_product(s1, t1), QUERIED_B4_ON_B3),
         (lambda: dehornoy.sign_product(t1, t1), QUERIED_B4_ON_B3),
-        (lambda: conjugated.sign_product(s1, t1), COMBINED_B3_B4),
-        (lambda: lex.sign_product(y1, x1), COMBINED_Z3_Z2),
-        (lambda: lex.sign_product(x1, y1), COMBINED_Z2_Z3),
+        (lambda: conjugated.sign(t1), QUERIED_B4_ON_B3),
+        (lambda: conjugated.sign_product(s1, t1), QUERIED_B4_ON_B3),
+        (lambda: conjugated.sign_product(t1, x1), QUERIED_B4_ON_B3),
+        (lambda: plain.sign_product(s1, t1), QUERIED_B4_ON_B3),
+        (lambda: plain.sign_product(x1, t1), QUERIED_Z2_ON_B3),
+        (lambda: lex.sign_product(y1, x1), QUERIED_Z3_ON_Z2),
+        (lambda: lex.sign_product(x1, y1), QUERIED_Z3_ON_Z2),
         (lambda: lex.sign_product(y1, y1), QUERIED_Z3_ON_Z2),
         (lambda: lex.sign_product(s1, s1), QUERIED_B3_ON_Z2),
         (lambda: x1 * y1, COMBINED_Z2_Z3),
         (lambda: y1 * x1, COMBINED_Z3_Z2),
-        (lambda: compare(dehornoy, s1, t1), COMBINED_B3_B4),
+        (lambda: compare(dehornoy, s1, t1), QUERIED_B4_ON_B3),
         (lambda: compare(dehornoy, t1, s1), QUERIED_B4_ON_B3),
-        (lambda: compare(conjugated, t1, s1), COMBINED_B4_B3),
-        (lambda: compare(lex, x1, y1), COMBINED_Z2_Z3),
+        (lambda: compare(conjugated, t1, s1), QUERIED_B4_ON_B3),
+        (lambda: compare(plain, s1, t1), QUERIED_B4_ON_B3),
+        (lambda: compare(lex, x1, y1), QUERIED_Z3_ON_Z2),
+        (lambda: compare(lex, x1, s1), QUERIED_B3_ON_Z2),
         (lambda: locate(dehornoy, ball, t1), QUERIED_B4_ON_B3),
-        (lambda: locate(conjugated, ball, t1), COMBINED_B4_B3),
-        (lambda: locate(lex, lattice, y1), COMBINED_Z3_Z2),
+        (lambda: locate(conjugated, ball, t1), QUERIED_B4_ON_B3),
+        (lambda: locate(lex, lattice, y1), QUERIED_Z3_ON_Z2),
         (lambda: realize(dehornoy, [t1, *ball]), QUERIED_B4_ON_B3),
         (lambda: realize(dehornoy, [*ball, t1]), QUERIED_B4_ON_B3),
-        (lambda: realize(conjugated, [*ball, t1]), COMBINED_B4_B3),
-        (lambda: realize(lex, [*lattice, y1]), COMBINED_Z3_Z2),
+        (lambda: realize(conjugated, [*ball, t1]), QUERIED_B4_ON_B3),
+        (lambda: realize(lex, [*lattice, y1]), QUERIED_Z3_ON_Z2),
         (lambda: partial_action_check(table, t1), QUERIED_B4_ON_B3),
         (lambda: partial_action_check(realize(lex, lattice), y1), QUERIED_Z3_ON_Z2),
+        (lambda: action.floor(lookalike), f"element of {z4} queried against cone over {b2}"),
     ]
     assert [_message(call) for call, _ in cases] == [message for _, message in cases]
 

@@ -39,7 +39,7 @@ from ordo.orderings import (
 )
 from ordo.quasimorph import stable_exact
 
-from oracles import locate
+from oracles import first_level, locate, unchecked_flag, word_sign
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
@@ -141,10 +141,9 @@ def test_axioms_dehornoy_identity_braids_are_not_lo2_failures():
 
 def test_axioms_corrupted_flag_reports_kernel_witness():
     # Rank-deficient flag: both levels only see the first coordinate.
-    corrupted = FlagOrdering.create(
+    corrupted = unchecked_flag(
         [[RealConstant.rational(1), RealConstant.rational(0)],
-         [RealConstant.rational(2), RealConstant.rational(0)]],
-        check=False)
+         [RealConstant.rational(2), RealConstant.rational(0)]])
     report = axioms_check(corrupted, 50, seed=3)
     assert not report.passed
     assert report.kernel_witness is not None
@@ -451,7 +450,7 @@ def test_dense_random_rational_flags_betweenness_oracle():
                 for _ in range(rank + 1)]
         # A level pairing to zero everywhere, which the kernel chain skips.
         rows[rng.randrange(rank + 1)] = [Fraction(0)] * rank
-        flag = FlagOrdering.from_rational_rows(rows, check=False)
+        flag = unchecked_flag([[RealConstant.rational(x) for x in row] for row in rows])
         if not flag.is_total():
             continue
         ranks.pop()
@@ -672,13 +671,9 @@ def _comparison_pairs(group, rng, count):
     return pairs
 
 
-def _word_sign(cone, g):
-    """The sign as it was read before one-pass frames: each conjugation builds
-    c g c^-1, down to the base's key acted from scratch."""
-    while isinstance(cone, ConjugatedOrdering):
-        g = cone.conjugator * g * cone.conjugator.inverse()
-        cone = cone.base
-    return cone.sign(BraidWord(g.group, g.letters))
+def _twin(g):
+    """g over a braid group equal to its own but not the interned one."""
+    return BraidWord(GroupRef("braid", g.group.n), g.letters)
 
 
 @pytest.mark.parametrize("strands", [2, 3, 4, 5, 6])
@@ -705,23 +700,22 @@ CONJUGATED_IDS = ["product_cones_B3", "two_acts_B4", "nested_B3", "B5"]
 
 @pytest.mark.parametrize("cone", CONJUGATED_CONES, ids=CONJUGATED_IDS)
 def test_conjugated_signs_match_the_word_building_oracle(cone):
+    # Operands over an equal group that is not the interned one read the same signs.
     rng = random.Random(307)
     for a, b in _comparison_pairs(cone.group, rng, 1000):
-        assert cone.sign(a) == cone_sign(cone, a) == _word_sign(cone, a), a.render()
-        assert cone.sign_product(a, b) == _word_sign(cone, a * b), (a.render(), b.render())
-        assert compare(cone, a, b) == -_word_sign(cone, a.inverse() * b), \
-            (a.render(), b.render())
+        want = word_sign(cone, a), word_sign(cone, a * b), -word_sign(cone, a.inverse() * b)
+        for x, y in ((a, b), (_twin(a), _twin(b)), (a, _twin(b))):
+            got = cone_sign(cone, x), cone.sign_product(x, y), compare(cone, x, y)
+            assert cone.sign(x) == got[0] and got == want, (x.render(), y.render())
 
 
-def test_conjugated_cone_over_a_frameless_base_builds_its_words():
-    # No Dynnikov frame under a flag: the conjugated cone asks the base.
-    cone = ConjugatedOrdering(SQRT2_FLAG, el("x1^2 x2^-1"))
-    rng = random.Random(311)
-    for _ in range(200):
-        a, b = random_element(Z2, rng, 6), random_element(Z2, rng, 6)
-        assert cone.sign(a) == SQRT2_FLAG.sign(a)
-        assert cone.sign_product(a, b) == SQRT2_FLAG.sign_product(a, b)
-        assert compare(cone, a, b) == compare(SQRT2_FLAG, a, b)
+def test_conjugated_cone_over_a_frameless_base_is_refused():
+    # Only the Dehornoy cone and its conjugates have a Dynnikov frame; a flag
+    # is its own conjugate, as act returns it.
+    with pytest.raises(UnsupportedInput) as caught:
+        ConjugatedOrdering(SQRT2_FLAG, el("x1^2 x2^-1"))
+    assert str(caught.value) == "FlagOrdering has no Dynnikov frame to conjugate"
+    assert act(SQRT2_FLAG, el("x1^2 x2^-1")) is SQRT2_FLAG
 
 
 def _count_kernel_letters_and_words(monkeypatch):
@@ -760,11 +754,14 @@ def test_one_pass_signs_act_each_letter_once_and_build_no_word(monkeypatch, cone
     tail = sum(len(c.conjugator) for c in (cone, getattr(cone, "base", None))
                if isinstance(c, ConjugatedOrdering))
     cone.sign(cone.group.identity())  # the cone's frame is built once, before counting
+    # Each pair also as operands over an equal group that is not the interned one.
+    pairs += [(_twin(a), _twin(b)) for a, b in pairs]
     acted, built = _count_kernel_letters_and_words(monkeypatch)
     for a, b in pairs:
         calls = [(lambda: compare(cone, a, b), len(a) + len(b) - 2 * _common_prefix(a, b) + tail)]
         if conjugated:
             calls += [(lambda: cone.sign(a), len(a) + tail),
+                      (lambda: cone_sign(cone, a), len(a) + tail),
                       (lambda: cone.sign_product(a, b), len(a) + len(b) + tail)]
         for call, letters in calls:
             del acted[:]
@@ -795,10 +792,10 @@ def test_integer_flag_sign_matches_constant_sign():
         levels = [[RealConstant.from_terms({m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                             for m in (1, 2, 3, 5) if rng.random() < 0.6})
                    for _ in range(rank)] for _ in range(rng.randint(1, 4))]
-        flag = FlagOrdering.create(levels, check=False)
+        flag = unchecked_flag(levels)
         for _ in range(10):
             g = LatticeElement(flag.group, tuple(rng.randint(-9, 9) for _ in range(rank)))
-            found = flag.first_level(g)
+            found = first_level(flag, g)
             assert flag.sign(g) == (0 if found is None else found[1].sign())
             if found is not None:
                 assert found[1].sign() == _interval_sign(found[1])
@@ -840,7 +837,7 @@ def test_integer_flag_sign_on_pell_size_constants():
     }
     for coords, want in cases.items():
         g = LatticeElement(z3, coords)
-        pairing = flag.first_level(g)[1]
+        pairing = first_level(flag, g)[1]
         assert flag.sign(g) == want == pairing.sign() == _interval_sign(pairing), coords
         assert flag.sign(g.inverse()) == -want
 
@@ -956,7 +953,7 @@ def test_is_cofinal_matches_sympy_first_level_with_and_without_generators():
             # A first level that sees nothing: no generator is seen before level 2.
             levels.insert(0, [RealConstant.rational(0)] * rank)
         # Rank-deficient flags too: an element seen at no level counts as seen last.
-        flag = FlagOrdering.create(levels, check=False)
+        flag = unchecked_flag(levels)
         group = flag.group
         coords_pool = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(5)]
         for kernel in level_kernels(flag):  # elements first seen at each later level

@@ -12,6 +12,8 @@ import pytest
 from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
 from ordo.exactreal import ONE, RealConstant, combine
 from ordo.groups import (
+    MAX_BRAID_LETTERS,
+    BraidWord,
     GroupRef,
     LatticeElement,
     dynnikov_act,
@@ -33,6 +35,8 @@ from ordo.quasimorph import (
     stable_exact,
     stable_map_properties,
 )
+
+from oracles import first_level
 
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
@@ -178,10 +182,10 @@ def _floor_case(flag, x, h):
         return "not_bracketed"
     if ratio is None:
         return "irrational_anchor"
-    j = flag.first_level(x)[0]
+    j = first_level(flag, x)[0]
     if not ratio.is_rational or ratio.as_rational().denominator != 1:
         return "ratio"
-    rest = flag.first_level(x ** (-ratio.as_rational().numerator) * h)
+    rest = first_level(flag, x ** (-ratio.as_rational().numerator) * h)
     return "tie_identity" if rest is None else f"tie_depth_{rest[0] - j}"
 
 
@@ -223,7 +227,7 @@ def test_flag_floor_matches_search_on_random_flags():
             if x.is_identity:
                 continue
             ctx = AnchorContext(flag, x, cap=1 << 20, require_cofinal=False)
-            j = flag.first_level(x)[0]
+            j = first_level(flag, x)[0]
             hs = [LatticeElement(group, tuple(rng.randint(-6, 6) for _ in range(rank)))
                   for _ in range(3)]
             for depth in range(j, len(chain)):
@@ -283,7 +287,7 @@ def test_integer_flag_floor_matches_search_on_300_flags():
                 continue
             ctx = AnchorContext(flag, x, cap=1 << 20, require_cofinal=False)
             s = ctx.anchor_sign
-            j = flag.first_level(x)[0]
+            j = first_level(flag, x)[0]
             hs = [LatticeElement(group, tuple(rng.randint(-6, 6) for _ in range(rank)))
                   for _ in range(2)]
             for depth in range(j + 1, len(chain)):
@@ -625,6 +629,18 @@ def test_stable_map_properties_braid():
     report = stable_map_properties(twist_ctx(), seed=2, sample_count=3,
                                    approx_n=60, powers=(-2, -1, 0, 1, 2), radius=3)
     assert report.passed
+
+
+def test_stable_map_properties_refuse_a_long_homogeneity_power_unbuilt(monkeypatch):
+    fed = []  # letters each braid power feeds to free reduction
+    power = BraidWord.__pow__
+    monkeypatch.setattr(BraidWord, "__pow__",
+                        lambda h, k: fed.append(abs(k) * len(h.letters)) or power(h, k))
+    with pytest.raises(UnsupportedInput) as info:
+        stable_map_properties(twist_ctx(), seed=0, approx_n=60, powers=(2_000_000,))
+    assert str(info.value).startswith("homogeneity 2000000 power of a ")
+    assert str(info.value).endswith(f"-letter braid is longer than {MAX_BRAID_LETTERS} letters")
+    assert fed and max(fed) <= MAX_BRAID_LETTERS
 
 
 PROPERTY_NAMES = {"conjugation_invariance", "homogeneity", "bounded_sums"}
