@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput, parse_integer
 from .exactreal import RealConstant, format_rational, linear_combination, q_rank
-from .groups import BraidWord, Element, LatticeElement, braid_words_up_to, check_ball_size
+from .groups import BraidWord, Element, LatticeElement, braid_ball, check_ball_size
 from .orderings import (
     Cone,
     Decision,
@@ -241,7 +241,7 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
 
     member_keys = {p.key for p in powers}
     in_ball_powers = [p for p in powers if len(p.letters) <= radius * len(word.letters)]
-    outsiders = (g for g in braid_words_up_to(cone.group, radius) if g.key not in member_keys)
+    outsiders = (g for g in braid_ball(cone.group, radius) if g.key not in member_keys)
     return _squeezed(cone, in_ball_powers, outsiders)
 
 

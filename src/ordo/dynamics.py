@@ -9,11 +9,11 @@ prefix forest (a station's parent has its word minus the last letter).
 One search sorts elements by the cone, walking that forest: a station
 g = p*l lies above p iff the letter l is positive, so it gallops from p's
 place in that direction, and each probe acts only the letters of the
-station it meets.  ``realize`` sorts the whole enumeration with it, then
-replays the rule in enumeration order on integer ranks.  The partial
-action check compares integer ranks of g_i and g*g_i, keying g*g_i as one
-letter acting on key(g*parent); roots and lattice stations are keyed
-by ``key_times``.
+station it meets.  ``realize`` sorts the enumeration (by default a ball,
+walked by braid) with it, ranks its table by the sort, and replays the rule
+in enumeration order on integer ranks.  The partial action check compares
+integer ranks of g_i and g*g_i, keying g*g_i as one letter acting on
+key(g*parent); roots and lattice stations are keyed by ``key_times``.
 
 For a central cofinal anchor x the floors split every element h as
 x^{floor(h)} times a remainder in the floor-zero stratum, and
@@ -36,13 +36,11 @@ actions (semi-conjugate in general; conjugate on dense orderings).
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -55,7 +53,7 @@ from .exactreal import format_rational
 from .groups import (
     BraidWord,
     Element,
-    braid_words_up_to,
+    braid_ball,
     check_sample_count,
     coordinate_ball,
     dynnikov_act,
@@ -89,18 +87,13 @@ class RealizationTable:
 
     @cached_property
     def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, int]]]:
-        # The distinct values in increasing order (ranked as integers over a
-        # common denominator), the rank of each key's value, and the (rank,
-        # station) pairs in value order; a station is a position in self.elements.
-        scale = math.lcm(*(t.denominator for t in self.values))
-        scaled = [t.numerator * (scale // t.denominator) for t in self.values]
-        rank = {v: r for r, v in enumerate(sorted(set(scaled)))}
-        ranks = [rank[v] for v in scaled]
-        distinct = [Fraction()] * len(rank)
-        for t, r in zip(self.values, ranks):
-            distinct[r] = t
+        # The distinct values in increasing order, each key's rank, and the (rank, station)
+        # pairs in value order (a station indexes self.elements); ``realize`` hands these.
+        distinct = sorted(set(self.values))
+        rank = {t: r for r, t in enumerate(distinct)}
+        ranks = [rank[t] for t in self.values]
         return (distinct, {g.key: r for g, r in zip(self.elements, ranks)},
-                sorted(zip(ranks, range(len(ranks))), key=itemgetter(0)))
+                sorted(zip(ranks, range(len(ranks)))))
 
     def lookup(self, g: Element) -> Fraction | None:
         """Value of g if it is enumerated (as a group element, whatever its word)."""
@@ -208,22 +201,20 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
         values.append(t)
     table = RealizationTable(cone, tuple(enumeration), tuple(values))
     table.__dict__["_forest"] = forest
+    table.__dict__["_ranked"] = ([values[i] for i in order],  # rank r is station order[r]
+                                 {enumeration[i].key: r for r, i in enumerate(order)},
+                                 list(enumerate(order)))
     return table
 
 
 def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
     """Default enumeration: the radius ball in graded lexicographic order.
 
-    Coordinate ball for abelian groups, word-length ball for braid groups;
-    braid words are deduplicated on ``key``, keeping the first (shortest,
-    lexicographically earliest) representative of each element.
+    Coordinate ball for abelian groups, word-length ball for braid groups,
+    walked by braid (``braid_ball``): each braid once, as its first
+    (shortest, lexicographically earliest) word.
     """
-    if cone.group.is_abelian:
-        return list(coordinate_ball(cone.group, radius))
-    first: dict[tuple[int, ...], Element] = {}
-    for w in braid_words_up_to(cone.group, radius):
-        first.setdefault(w.key, w)
-    return list(first.values())
+    return (coordinate_ball if cone.group.is_abelian else braid_ball)(cone.group, radius)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ braids.  Equal keys mean equal elements, so finite sets of elements are
 dicts on ``key``.  ``a.key_times(b)`` is the key of a * b without building
 the product: the coordinate sum, or b's letters acting on a's coordinates.
 A braid word built where its key is already known (a parent's key moved by
-one letter, a power extending a shorter power) is handed it by ``with_key``.
+one letter in the ball walk ``braid_ball``, which keeps a word only when its
+key is new; a power extending a shorter power) is handed it by ``with_key``.
 
 The shared text grammar is whitespace-separated tokens ``x<k>`` (abelian) or
 ``s<k>`` (braid), each optionally suffixed ``^<signed integer>``; the empty
@@ -33,7 +34,7 @@ BRAID = "braid"
 _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
-MAX_BALL_ELEMENTS = 100_000  # the most points or words a ball enumeration builds
+MAX_BALL_ELEMENTS = 100_000  # the most points or freely reduced words a ball may hold
 MAX_SAMPLES = 10_000  # the most random draws a sampled check (axioms, cocycle) makes
 MAX_GROUP_N = 64  # the largest rank or strand count a group may have
 
@@ -429,22 +430,24 @@ def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:
     return [LatticeElement(group, c) for c in ordered]
 
 
-def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:
-    """All freely reduced words of length <= length, graded then lexicographic.
-
-    Each word is its parent (itself minus the last letter) times one letter,
-    so its key is the parent's key moved by that letter.  Distinct words may
-    represent equal braids; dedup on ``key`` where element identity matters.
-    """
-    check_ball_size(group, length)
+def braid_ball(group: GroupRef, radius: int) -> list[BraidWord]:
+    """Each braid of word length <= radius once, as its first freely reduced
+    word in graded lexicographic order, walked breadth first: a level extends
+    only the words kept at the level before, keeping a child whose key (the
+    letter acting on the parent's key) is new.  A first word minus its last
+    letter is a first word, so no braid is lost; ``check_ball_size`` counts words."""
+    check_ball_size(group, radius)
     alphabet = sorted((i, e) for i in range(1, group.n) for e in (1, -1))
     out: list[BraidWord] = [group.identity()]
-    frontier = out[:]
-    for _ in range(length):
+    seen, start = {out[0].key}, 0
+    for _ in range(radius):
         # Sorted parents, each followed by sorted letters: the level stays sorted.
-        frontier = [BraidWord._trusted(group, word.letters + (letter,))
-                    .with_key(dynnikov_act(word.key, (letter,)))
-                    for word in frontier for letter in alphabet
-                    if not word.letters or word.letters[-1] != (letter[0], -letter[1])]
-        out.extend(frontier)
+        start, frontier = len(out), out[start:]
+        for word in frontier:
+            letters, key = word.letters, word.key
+            back = (letters[-1][0], -letters[-1][1]) if letters else None
+            for letter in alphabet:
+                if letter != back and (child_key := dynnikov_act(key, (letter,))) not in seen:
+                    seen.add(child_key)
+                    out.append(BraidWord._trusted(group, letters + (letter,)).with_key(child_key))
     return out

@@ -61,7 +61,7 @@ from .groups import (
     Element,
     GroupRef,
     LatticeElement,
-    braid_words_up_to,
+    braid_ball,
     check_sample_count,
     dynnikov_act,
     free_reduce,
@@ -193,6 +193,8 @@ class FlagOrdering(Cone):
                      if any(any(row) for _, row in rows)), len(self.levels))
 
     def sign(self, g: LatticeElement) -> int:
+        if g.group is not self.group:
+            check_group(self, g)
         found = self.first_dots(g.coords)
         return 0 if found is None else dots_sign(found[1])
 
@@ -323,6 +325,8 @@ class DehornoyOrdering(Cone):
         return (0, 1) * self.group.n, ()
 
     def sign(self, g: BraidWord) -> int:
+        if g.group is not self.group:
+            check_group(self, g)
         return _dynnikov_sign(g.key)
 
     def sign_product(self, a: BraidWord, b: BraidWord) -> int:
@@ -605,15 +609,16 @@ def is_dense(cone: Cone, cap: int = 5) -> DensityVerdict:
 
     Exact for flag orderings: the final archimedean stratum is discrete iff
     it has rank 1, and then its generator, signed, is the minimal positive
-    element.  For braid cones only a bounded search is run and
-    the verdict stays Unknown, reporting the smallest positive found.
+    element.  For braid cones only a bounded search is run, one sign per
+    braid of the radius-cap ball (``braid_ball``), and the verdict stays
+    Unknown, reporting the smallest positive found.
     """
     if isinstance(cone, FlagOrdering):
         return _flag_density(cone)
     smallest: Element | None = None
-    for w in braid_words_up_to(cone.group, cap):
+    for w in braid_ball(cone.group, cap):
         # w < smallest reads sign(smallest^-1 w) < 0, with one inverse per new smallest.
-        if cone_sign(cone, w) > 0 and (smallest is None or cone.sign_product(smallest_inv, w) < 0):
+        if cone.sign(w) > 0 and (smallest is None or cone.sign_product(smallest_inv, w) < 0):
             smallest, smallest_inv = w, w.inverse()
     return DensityVerdict(Density.UNKNOWN, smallest_positive_seen=smallest)
 

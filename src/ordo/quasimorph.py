@@ -49,7 +49,8 @@ from .groups import (
     dynnikov_act,
     random_element,
 )
-from .orderings import Cone, Decision, FlagOrdering, check_generators, cone_sign, flag_cofinal
+from .orderings import (Cone, Decision, FlagOrdering, check_generators, check_group, cone_sign,
+                        flag_cofinal)
 
 DEFAULT_CAP = 1 << 62
 DEFAULT_APPROX_ORDER = 300
@@ -159,8 +160,8 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
     sign(x^-N h), so the value depends on finitely many cone answers.
     """
     cone, s = ctx.cone, ctx.anchor_sign
-    if h.group != cone.group:
-        raise GroupMismatch("element must live in the cone's group")
+    if h.group is not cone.group:
+        check_group(cone, h)
 
     def at_least(n: int) -> bool:
         return cone.sign_product(ctx.power(-n), h) >= 0

@@ -7,7 +7,9 @@ sorts, lookups and work counts against it.  ``word_sign`` is the conjugated
 sign as it was read before Dynnikov frames, by building c g c^-1.
 ``first_level`` reads a flag's first nonzero level and its exact pairing,
 and ``unchecked_flag`` builds a flag without the totality check, for the
-rank-deficient flags the tests need.
+rank-deficient flags the tests need.  ``braid_words_up_to`` lists every
+freely reduced word of a ball; deduplicated on key (``first_words``) it is
+how braid balls were built before ``groups.braid_ball`` walked them by braid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ordo.exactreal import RealConstant
-from ordo.groups import BraidWord, Element, GroupRef, LatticeElement
+from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, check_ball_size, dynnikov_act
 from ordo.orderings import Cone, ConjugatedOrdering, FlagOrdering
 
 
@@ -59,3 +61,32 @@ def first_level(flag: FlagOrdering, g: LatticeElement) -> tuple[int, RealConstan
 def unchecked_flag(levels: Sequence[Sequence[RealConstant]]) -> FlagOrdering:
     """A flag of these levels, total or not."""
     return FlagOrdering(GroupRef.free_abelian(len(levels[0])), tuple(map(tuple, levels)))
+
+
+def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:
+    """All freely reduced words of length <= length, graded then lexicographic.
+
+    Each word is its parent (itself minus the last letter) times one letter,
+    so its key is the parent's key moved by that letter.  Distinct words may
+    represent equal braids; dedup on ``key`` where element identity matters.
+    """
+    check_ball_size(group, length)
+    alphabet = sorted((i, e) for i in range(1, group.n) for e in (1, -1))
+    out: list[BraidWord] = [group.identity()]
+    frontier = out[:]
+    for _ in range(length):
+        # Sorted parents, each followed by sorted letters: the level stays sorted.
+        frontier = [BraidWord._trusted(group, word.letters + (letter,))
+                    .with_key(dynnikov_act(word.key, (letter,)))
+                    for word in frontier for letter in alphabet
+                    if not word.letters or word.letters[-1] != (letter[0], -letter[1])]
+        out.extend(frontier)
+    return out
+
+
+def first_words(group: GroupRef, length: int) -> list[BraidWord]:
+    """The words of ``braid_words_up_to`` deduplicated on key, first word kept."""
+    first: dict[tuple[int, ...], BraidWord] = {}
+    for w in braid_words_up_to(group, length):
+        first.setdefault(w.key, w)
+    return list(first.values())

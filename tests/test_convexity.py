@@ -7,7 +7,7 @@ import pytest
 
 from ordo.errors import NotCofinal, UnsupportedInput
 from ordo.exactreal import RealConstant
-from ordo.groups import GroupRef, braid_words_up_to, full_twist, parse_element
+from ordo.groups import GroupRef, full_twist, parse_element
 from ordo.orderings import DehornoyOrdering, FlagOrdering, act, cone_sign
 from ordo.convexity import (
     _MAX_CYCLIC_EXPONENT,
@@ -22,7 +22,7 @@ from ordo.convexity import (
     word_constraints,
 )
 
-from oracles import unchecked_flag
+from oracles import braid_words_up_to, unchecked_flag
 
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)

@@ -25,7 +25,6 @@ from ordo.groups import (
     BraidWord,
     GroupRef,
     LatticeElement,
-    braid_words_up_to,
     coordinate_ball,
     full_twist,
     parse_element,
@@ -57,7 +56,7 @@ from ordo.dynamics import (
     unit_translation_check,
 )
 
-from oracles import locate
+from oracles import braid_words_up_to, locate
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
@@ -561,6 +560,28 @@ def test_partial_action_rejects_foreign_elements():
             partial_action_check(table, foreign)
     with pytest.raises(GroupMismatch):
         partial_action_check(realize(LEX2, ball_enumeration(LEX2, 1)), z1("x1"))
+
+
+@pytest.mark.parametrize("cone,enumeration", [
+    (DEHORNOY3, 4), (DEHORNOY4, 4), (CONJUGATED3, 4), (LEX2, 3),
+    (DEHORNOY3, ["", "s1 s2 s1", "s2^-3", "s1^-1 s2 s1^2", "s2", "s2 s1^-1", "s1^2 s2^-1 s1",
+                 "s1^-1", "s2^-3 s1"]),
+], ids=["B3", "B4", "conjugated_B3", "lex2", "scattered_file"])
+def test_realized_ranks_equal_the_ranks_of_a_hand_built_table(cone, enumeration):
+    # realize hands its table the ranks its sort found; a table built from the
+    # same elements and values ranks them from the values.
+    if isinstance(enumeration, int):
+        enumeration = ball_enumeration(cone, enumeration)
+    else:
+        enumeration = [parse_element(text, cone.group) for text in enumeration]
+    table = realize(cone, enumeration)
+    assert "_ranked" in table.__dict__
+    distinct, rank_of, stations = table._ranked
+    rebuilt = RealizationTable(cone, table.elements, table.values)._ranked
+    assert (distinct, rank_of, stations) == rebuilt
+    assert [type(t) for t in distinct] == [Fraction] * len(table.elements)
+    assert partial_action_check(table, enumeration[2]) == \
+        partial_action_check(RealizationTable(cone, table.elements, table.values), enumeration[2])
 
 
 def test_ball_enumeration_dedupes_braids():

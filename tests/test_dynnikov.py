@@ -8,8 +8,10 @@ against ``main_generator_sign(handle_reduce(...))``.
 
 import random
 
-from ordo.groups import BraidWord, GroupRef, braid_words_up_to, parse_element
+from ordo.groups import BraidWord, GroupRef, parse_element
 from ordo.orderings import DehornoyOrdering, handle_reduce, main_generator_sign
+
+from oracles import braid_words_up_to
 
 
 def oracle_sign(word):

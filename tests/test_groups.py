@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ordo.groups as ordo_groups
 from ordo.errors import GroupMismatch, OrdoError, ParseError, UnsupportedInput
 from ordo.exactreal import RealConstant, squarefree_split
 from ordo.groups import (
@@ -12,7 +13,7 @@ from ordo.groups import (
     BraidWord,
     GroupRef,
     LatticeElement,
-    braid_words_up_to,
+    braid_ball,
     check_ball_size,
     coordinate_ball,
     dynnikov_act,
@@ -24,8 +25,9 @@ from ordo.groups import (
 )
 from ordo.dynamics import circle_action_from_ball, partial_action_check, realize
 from ordo.orderings import Cone, DehornoyOrdering, FlagOrdering, act, compare, ordering_from_json
+from ordo.quasimorph import AnchorContext, power_floor
 
-from oracles import locate
+from oracles import braid_words_up_to, first_words, locate
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
@@ -230,6 +232,9 @@ def test_mixed_group_calls_name_the_foreign_operand():
         (lambda: dehornoy.sign_product(t1, s1), QUERIED_B4_ON_B3),
         (lambda: dehornoy.sign_product(s1, t1), QUERIED_B4_ON_B3),
         (lambda: dehornoy.sign_product(t1, t1), QUERIED_B4_ON_B3),
+        (lambda: dehornoy.sign(parse_element("s3^-1", GroupRef.braid(4))), QUERIED_B4_ON_B3),
+        (lambda: lex.sign(parse_element("x3", GroupRef.free_abelian(3))), QUERIED_Z3_ON_Z2),
+        (lambda: lex.sign(s1), QUERIED_B3_ON_Z2),
         (lambda: conjugated.sign(t1), QUERIED_B4_ON_B3),
         (lambda: conjugated.sign_product(s1, t1), QUERIED_B4_ON_B3),
         (lambda: conjugated.sign_product(t1, x1), QUERIED_B4_ON_B3),
@@ -257,6 +262,8 @@ def test_mixed_group_calls_name_the_foreign_operand():
         (lambda: partial_action_check(table, t1), QUERIED_B4_ON_B3),
         (lambda: partial_action_check(realize(lex, lattice), y1), QUERIED_Z3_ON_Z2),
         (lambda: action.floor(lookalike), f"element of {z4} queried against cone over {b2}"),
+        (lambda: power_floor(AnchorContext(dehornoy, full_twist(3)), t1), QUERIED_B4_ON_B3),
+        (lambda: power_floor(AnchorContext(lex, x1), y1), QUERIED_Z3_ON_Z2),
     ]
     assert [_message(call) for call, _ in cases] == [message for _, message in cases]
 
@@ -347,6 +354,35 @@ def test_braid_words_up_to_keys_each_word_from_its_parent(strands):
         assert w.key == dynnikov_act((0, 1) * strands, w.letters), w.render()
 
 
+@pytest.mark.parametrize("strands,radius", [(2, 6), (3, 6), (4, 5), (5, 4), (6, 3)])
+def test_braid_ball_is_the_word_list_deduplicated_on_key(strands, radius):
+    group = GroupRef.braid(strands)
+    for r in range(radius + 1):
+        walked, oracle = braid_ball(group, r), first_words(group, r)
+        assert [w.letters for w in walked] == [w.letters for w in oracle]
+        assert [w.key for w in walked] == [w.key for w in oracle]
+        for w in walked:
+            assert w.key == dynnikov_act((0, 1) * strands, w.letters), w.render()
+
+
+@pytest.mark.parametrize("strands,radius,steps", [(3, 5, 346), (4, 4, 656)])
+def test_braid_ball_steps_once_per_kept_word_and_letter(monkeypatch, strands, radius, steps):
+    # One one-letter step per pair of a word kept below the last level and a
+    # letter that does not cancel its last; the word list takes one per word.
+    acted = []
+
+    def counting_act(coords, letters):
+        acted.append(len(letters))
+        return dynnikov_act(coords, letters)
+
+    monkeypatch.setattr(ordo_groups, "dynnikov_act", counting_act)
+    ball = braid_ball(GroupRef.braid(strands), radius)
+    parents = [w for w in ball if len(w) < radius]
+    assert set(acted) <= {0, 1}
+    assert sum(acted) == sum(2 * (strands - 1) - bool(w.letters) for w in parents) == steps
+    assert len(braid_words_up_to(GroupRef.braid(strands), radius)) - 1 > steps
+
+
 def _ball_count(group, radius):
     """Elements of the radius ball: lattice points, or freely reduced words."""
     if group.is_abelian:
@@ -359,10 +395,11 @@ def _ball_count(group, radius):
 @pytest.mark.parametrize("group", [GroupRef.free_abelian(1), Z2, GroupRef.free_abelian(3),
                                    GroupRef.braid(2), B3, GroupRef.braid(4)])
 def test_ball_sizes_are_counted_before_enumerating(group):
-    enumerate_ball = coordinate_ball if group.is_abelian else braid_words_up_to
+    # The braid walk is refused on the count of words, as the word list is.
+    enumerators = (coordinate_ball,) if group.is_abelian else (braid_words_up_to, braid_ball)
     for radius in range(-1, 4):
         check_ball_size(group, radius)
-        assert len(enumerate_ball(group, radius)) == _ball_count(group, radius)
+        assert len(enumerators[0](group, radius)) == _ball_count(group, radius)
     # The largest radius under the limit passes; one more is refused unbuilt,
     # and so is an astronomically large one.
     radius = 0
@@ -372,7 +409,7 @@ def test_ball_sizes_are_counted_before_enumerating(group):
         radius -= 1
     check_ball_size(group, radius)
     for too_big in (radius + 1, 10 ** 30):
-        for refuse in (check_ball_size, enumerate_ball):
+        for refuse in (check_ball_size, *enumerators):
             with pytest.raises(UnsupportedInput, match=str(MAX_BALL_ELEMENTS)):
                 refuse(group, too_big)
 

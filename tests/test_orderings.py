@@ -39,7 +39,7 @@ from ordo.orderings import (
 )
 from ordo.quasimorph import stable_exact
 
-from oracles import first_level, locate, unchecked_flag, word_sign
+from oracles import braid_words_up_to, first_level, locate, unchecked_flag, word_sign
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
@@ -469,6 +469,25 @@ def test_dense_dehornoy_unknown():
     verdict = is_dense(DEHORNOY3, cap=4)
     assert verdict.outcome == Density.UNKNOWN
     assert verdict.smallest_positive_seen is not None
+
+
+def _smallest_positive_word(cone, cap):
+    """The braid search of is_dense as it was, word by word: every word of the
+    ball signed; a later word of an equal braid never replaces the smallest."""
+    smallest = None
+    for w in braid_words_up_to(cone.group, cap):
+        if cone_sign(cone, w) > 0 and (smallest is None or compare(cone, w, smallest) < 0):
+            smallest = w
+    return smallest
+
+
+def test_dense_braid_search_matches_the_word_search():
+    cones = [(DehornoyOrdering.create(n), cap) for n, cap in ((2, 6), (3, 5), (4, 5), (5, 4))]
+    cones += [(cone, 4) for cone in CONJUGATED_CONES[:3]]
+    for cone, cap in cones:
+        verdict = is_dense(cone, cap)
+        assert verdict.outcome == Density.UNKNOWN
+        assert verdict.smallest_positive_seen.letters == _smallest_positive_word(cone, cap).letters
 
 
 # -- finite-data stability ------------------------------------------------------
