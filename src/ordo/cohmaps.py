@@ -18,7 +18,6 @@ coordinates for orderings of Z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,6 +53,7 @@ from .quasimorph import (
     stable_enclosure,
     stable_exact,
 )
+from .records import Record
 
 Component = RealConstant | StableValue
 
@@ -130,8 +130,7 @@ def component_to_json(c: Component) -> dict:
     return c.to_json()
 
 
-@dataclass(frozen=True)
-class RotationClass:
+class RotationClass(Record):
     """Mod-1 stable values on an abelianization basis; each entry in [0,1)."""
 
     components: tuple[Component, ...]
@@ -160,8 +159,7 @@ class RotationClass:
         }
 
 
-@dataclass(frozen=True)
-class TranslationValues:
+class TranslationValues(Record):
     """Unreduced stable values, or the infinity marker for non-cofinal anchors."""
 
     components: tuple[Component, ...] | None
@@ -227,8 +225,7 @@ def translation_values(cone: Cone, x: Element, basis: Sequence[Element] | None =
 # naturality under restriction
 
 
-@dataclass(frozen=True)
-class NaturalityReport:
+class NaturalityReport(Record):
     passed: bool
     sublattice_basis: tuple[tuple[int, ...], ...]
     pulled_back: tuple[RealConstant, ...]
@@ -340,8 +337,7 @@ def construct_from_translations(values: Sequence[RealConstant], x: LatticeElemen
 # doubled-circle coordinates for orderings of Z^2
 
 
-@dataclass(frozen=True)
-class SikoraPoint:
+class SikoraPoint(Record):
     """Direction of a rank-2 flag, with the side bit for rational directions.
 
     A rational direction (p, q) is stored primitive; the side records the

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -37,15 +36,16 @@ from .orderings import (
     Cone,
     Decision,
     FlagOrdering,
+    check_group,
     compare,
     is_cofinal,
     level_kernels,
 )
 from .quasimorph import stable_exact
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(Record):
     """k x n integer matrix; row i encodes the subgroup generator
     x_1^{e_i1} ... x_n^{e_in}.  Rows must be linearly independent."""
 
@@ -86,8 +86,7 @@ class ExponentMatrix:
         return linalg.row_hnf([list(r) for r in self.rows])
 
 
-@dataclass(frozen=True)
-class ConvexityVerdict:
+class ConvexityVerdict(Record):
     convex: bool
     failed_condition: int | None
     witness: str | None
@@ -163,8 +162,7 @@ def check_convex(flag: FlagOrdering, x: LatticeElement, matrix: ExponentMatrix) 
 # brute-force betweenness oracle
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(Record):
     violation: bool
     witness: Element | None = None
     below: Element | None = None
@@ -234,8 +232,7 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
     """
     if cone.group.is_abelian:
         raise UnsupportedInput("this oracle is for braid cones")
-    if word.group != cone.group:
-        raise GroupMismatch("subgroup word must live in the cone's group")
+    check_group(cone, word, "subgroup word")
 
     powers = [word ** k for k in range(-_MAX_CYCLIC_EXPONENT, _MAX_CYCLIC_EXPONENT + 1)]
 
@@ -252,8 +249,7 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
 _SYLLABLE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
-class WordExpression:
+class WordExpression(Record):
     """A product of syllables gen^exp; the syllable count drives the bound."""
 
     syllables: tuple[tuple[str, int], ...]
@@ -283,8 +279,7 @@ class WordExpression:
         return sums
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """|constant + coefficient * t| <= bound for one unknown stable value."""
 
     source: str
@@ -312,8 +307,7 @@ class Constraint:
                 f"<= {format_rational(self.bound)}")
 
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
+class ConstraintVerdict(Record):
     feasible: bool
     intervals: Mapping[str, tuple[Fraction, Fraction]]
     conflict: tuple[Constraint, Constraint] | None
@@ -400,8 +394,7 @@ def word_constraints(expressions: Sequence[WordExpression | str],
 # nesting of convex subgroups
 
 
-@dataclass(frozen=True)
-class NestingReport:
+class NestingReport(Record):
     passed: bool
     relations: tuple[str, ...]
 

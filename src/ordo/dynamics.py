@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -71,10 +70,10 @@ from .orderings import (
 )
 from .quasimorph import DEFAULT_APPROX_ORDER, AnchorContext, power_floor
 from .cohmaps import RotationClass, rotation_class, unwrap_central_conjugation
+from .records import Record
 
 
-@dataclass(frozen=True)
-class RealizationTable:
+class RealizationTable(Record):
     """Exact rational stations for a finite enumeration, identity at 0."""
 
     cone: Cone
@@ -217,8 +216,7 @@ def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
     return (coordinate_ball if cone.group.is_abelian else braid_ball)(cone.group, radius)
 
 
-@dataclass(frozen=True)
-class ActionCheck:
+class ActionCheck(Record):
     checked: int
     passed: bool
     failure: str | None = None
@@ -255,8 +253,7 @@ def partial_action_check(table: RealizationTable, g: Element) -> ActionCheck:
 # sampled circle actions
 
 
-@dataclass(frozen=True)
-class SampledCircleAction:
+class SampledCircleAction(Record):
     """Orbit data of the unit-translation normalization of an anchored cone.
 
     theta order-embeds the floor-zero stratum into [0,1) with the identity
@@ -268,7 +265,6 @@ class SampledCircleAction:
     stratum: tuple[Element, ...]
     theta_values: tuple[Fraction, ...]
     stored: tuple[Element, ...]
-    _splits: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def cone(self) -> Cone:
@@ -279,10 +275,10 @@ class SampledCircleAction:
         return self.ctx.anchor
 
     def floor(self, h: Element) -> int:
-        return _split(self.ctx, self._splits, h)[0]
+        return _split(self.ctx, h)[0]
 
     def remainder(self, h: Element) -> Element:
-        return _split(self.ctx, self._splits, h)[1]
+        return _split(self.ctx, h)[1]
 
     @cached_property
     def _theta_of(self) -> dict[tuple[int, ...], Fraction]:
@@ -305,16 +301,16 @@ def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircl
     return circle_action_for_samples(cone, x, ball_enumeration(cone, radius))
 
 
-def _split(ctx: AnchorContext, splits: dict, h: Element) -> tuple[int, Element]:
-    """(floor(h), x^-floor(h) h), memoized in splits by h's key; a braid
+def _split(ctx: AnchorContext, h: Element) -> tuple[int, Element]:
+    """(floor(h), x^-floor(h) h), memoized in the context by h's key; a braid
     remainder's key is h's letters acting on the cached anchor power's key."""
     if h.group is not ctx.cone.group:
         check_group(ctx.cone, h)
-    found = splits.get(h.key)
+    found = ctx._splits.get(h.key)
     if found is None:
         power = ctx.power(-(n := power_floor(ctx, h)))
         remainder = power * h if h.group.is_abelian else (power * h).with_key(power.key_times(h))
-        found = splits[h.key] = n, remainder
+        found = ctx._splits[h.key] = n, remainder
     return found
 
 
@@ -326,7 +322,7 @@ def circle_action_for_samples(cone: Cone, x: Element,
     remainder r has 1 <= r, so the identity (kept even if no sample has a
     trivial remainder) is least, and theta = rank / |stratum| puts it at 0.
     """
-    return _sample_circle(_circle_context(cone, x), elements, {})
+    return _sample_circle(_circle_context(cone, x), elements)
 
 
 def _circle_context(cone: Cone, x: Element) -> AnchorContext:
@@ -340,15 +336,14 @@ def _circle_context(cone: Cone, x: Element) -> AnchorContext:
     return ctx
 
 
-def _sample_circle(ctx: AnchorContext, elements: Iterable[Element],
-                   splits: dict) -> SampledCircleAction:
-    """circle_action_for_samples on a checked anchor's context and its splits so far."""
+def _sample_circle(ctx: AnchorContext, elements: Iterable[Element]) -> SampledCircleAction:
+    """circle_action_for_samples on a checked anchor's context."""
     cone = ctx.cone
     elements = tuple(elements)
     identity = cone.group.identity()
     first = {identity.key: (identity, identity)}  # remainder and its first sample, by key
     for h in elements:
-        s = _split(ctx, splits, h)[1]
+        s = _split(ctx, h)[1]
         first.setdefault(s.key, (s, h))
     found = list(first.values())
     remainders = [s for s, _ in found]
@@ -359,7 +354,7 @@ def _sample_circle(ctx: AnchorContext, elements: Iterable[Element],
             f"remainder {s.render()!r} of {h.render()!r} sorts below the identity")
     stratum = tuple(remainders[i] for i in order)
     theta = tuple(Fraction(i, len(stratum)) for i in range(len(stratum)))
-    return SampledCircleAction(ctx, stratum, theta, elements, splits)
+    return SampledCircleAction(ctx, stratum, theta, elements)
 
 
 def unit_translation_check(action: SampledCircleAction) -> ActionCheck:
@@ -379,8 +374,7 @@ def unit_translation_check(action: SampledCircleAction) -> ActionCheck:
 # the Euler cocycle identity
 
 
-@dataclass(frozen=True)
-class EulerIdentityReport:
+class EulerIdentityReport(Record):
     euler_cocycle: Fraction
     coboundary: int
     passed: bool
@@ -407,8 +401,7 @@ def euler_identity_check(action: SampledCircleAction, f: Element, g: Element) ->
     return EulerIdentityReport(euler, coboundary, euler == -coboundary)
 
 
-@dataclass(frozen=True)
-class EulerSurvey:
+class EulerSurvey(Record):
     total: int
     passed: int
     failures: tuple[str, ...]
@@ -424,17 +417,17 @@ class EulerSurvey:
 def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
                          radius: int = 3) -> EulerSurvey:
     """Run the identity over random pairs from the radius ball."""
-    check_sample_count(count)
+    check_sample_count(count, cone.group, radius)
     rng = random.Random(seed)
     pairs = []
     needed: list[Element] = []
-    ctx, splits = _circle_context(cone, x), {}
+    ctx = _circle_context(cone, x)
     for _ in range(count):
         f = random_element(cone.group, rng, radius)
         g = random_element(cone.group, rng, radius)
         pairs.append((f, g))
-        needed.extend([g, f * g, f * _split(ctx, splits, g)[1]])
-    action = _sample_circle(ctx, needed, splits)
+        needed.extend([g, f * g, f * _split(ctx, g)[1]])
+    action = _sample_circle(ctx, needed)
     passed, failures = 0, []
     for f, g in pairs:
         report = euler_identity_check(action, f, g)
@@ -451,8 +444,7 @@ def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
 # equivalence verdicts
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(Record):
     outcome: str  # "Equivalent" | "NotEquivalent" | "Unknown"
     mode: str  # "dynamical" | "semi-dynamical"
     reason: str | None = None

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import InvariantViolation, ParseError, UnsupportedInput, int_text, parse_integer
+from .records import Record, set_field
 
 Rational = int | Fraction
 
@@ -93,11 +93,13 @@ def dots_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
         bits *= 2
 
 
-@dataclass(frozen=True)
-class RealConstant:
+class RealConstant(Record):
     """Canonical form: sorted (radicand, coefficient) pairs, no zero coefficients."""
 
     terms: tuple[tuple[int, Fraction], ...]
+
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...]) -> None:
+        set_field(self, "terms", terms)
 
     @staticmethod
     def from_terms(terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]) -> "RealConstant":

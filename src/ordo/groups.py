@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .errors import GroupMismatch, ParseError, UnsupportedInput, int_text, parse_integer
+from .records import Record, set_field
 
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
@@ -36,11 +36,11 @@ _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
 MAX_BALL_ELEMENTS = 100_000  # the most points or freely reduced words a ball may hold
 MAX_SAMPLES = 10_000  # the most random draws a sampled check (axioms, cocycle) makes
+MAX_SAMPLE_LETTERS = 250_000  # the most samples x radius a sampled check makes on braids
 MAX_GROUP_N = 64  # the largest rank or strand count a group may have
 
 
-@dataclass(frozen=True)
-class GroupRef:
+class GroupRef(Record):
     """Which group we are in: FreeAbelian(rank n) or Braid(strands n)."""
 
     kind: str
@@ -58,6 +58,14 @@ class GroupRef:
         if self.n > MAX_GROUP_N:
             raise UnsupportedInput(
                 f"{what} {int_text(self.n)} is past the limit of {MAX_GROUP_N} (MAX_GROUP_N)")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.n) == (other.kind, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n))
 
     @staticmethod
     def free_abelian(rank: int) -> "GroupRef":
@@ -127,22 +135,22 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class LatticeElement:
+class LatticeElement(Record):
     group: GroupRef
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.group.n:
-            raise ParseError(
-                f"coordinate length {len(self.coords)} does not match rank {self.group.n}")
+    def __init__(self, group: GroupRef, coords: tuple[int, ...]) -> None:
+        set_field(self, "group", group)
+        set_field(self, "coords", coords)
+        if len(coords) != group.n:
+            raise ParseError(f"coordinate length {len(coords)} does not match rank {group.n}")
 
     @staticmethod
     def _trusted(group: GroupRef, coords: tuple[int, ...]) -> "LatticeElement":
         # Coordinates of the group's rank by construction.
         element = object.__new__(LatticeElement)
-        object.__setattr__(element, "group", group)
-        object.__setattr__(element, "coords", coords)
+        set_field(element, "group", group)
+        set_field(element, "coords", coords)
         return element
 
     @property
@@ -238,14 +246,15 @@ def dynnikov_act(coords: tuple[int, ...], letters: Iterable[tuple[int, int]]) ->
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     group: GroupRef
     letters: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        _check_letters(self.group, self.letters)
-        if self.letters != free_reduce(self.letters):
+    def __init__(self, group: GroupRef, letters: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "group", group)
+        set_field(self, "letters", letters)
+        _check_letters(group, letters)
+        if letters != free_reduce(letters):
             raise ParseError("braid word is not freely reduced")
 
     @staticmethod
@@ -258,8 +267,8 @@ class BraidWord:
     def _trusted(group: GroupRef, letters: tuple[tuple[int, int], ...]) -> "BraidWord":
         # Letters that are in range and freely reduced by construction.
         word = object.__new__(BraidWord)
-        object.__setattr__(word, "group", group)
-        object.__setattr__(word, "letters", letters)
+        set_field(word, "group", group)
+        set_field(word, "letters", letters)
         return word
 
     def with_key(self, key: tuple[int, ...]) -> "BraidWord":
@@ -413,13 +422,18 @@ def check_ball_size(group: GroupRef, radius: int) -> None:
                                f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")
 
 
-def check_sample_count(count: int) -> None:
-    """Refuse a sampled check of fewer than 0 or more than MAX_SAMPLES draws."""
+def check_sample_count(count: int, group: GroupRef, radius: int) -> None:
+    """Refuse a sampled check of fewer than 0 or more than MAX_SAMPLES draws, or of
+    count x radius past MAX_SAMPLE_LETTERS on braids (random_element refuses a radius)."""
     if count < 0:
         raise UnsupportedInput(f"sample count {int_text(count)} is negative")
     if count > MAX_SAMPLES:
         raise UnsupportedInput(f"sample count {int_text(count)} is past the limit of "
                                f"{MAX_SAMPLES} (MAX_SAMPLES)")
+    letters = 0 if group.is_abelian or radius > MAX_BRAID_LETTERS else count * radius
+    if letters > MAX_SAMPLE_LETTERS:
+        raise UnsupportedInput(f"{count} samples of radius {int_text(radius)} are past the "
+                               f"limit of {MAX_SAMPLE_LETTERS} letters (MAX_SAMPLE_LETTERS)")
 
 
 def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:

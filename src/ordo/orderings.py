@@ -40,7 +40,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -70,6 +69,7 @@ from .groups import (
     random_element,
     twist_key,
 )
+from .records import Record, set_field
 
 DEFAULT_REDUCTION_STEPS = 400_000
 
@@ -102,9 +102,9 @@ class Cone:
         return self.sign(a * b)
 
 
-def check_group(cone: Cone, g: Element) -> None:
+def check_group(cone: Cone, g: Element, role: str = "element") -> None:
     if g.group is not cone.group and g.group != cone.group:
-        raise GroupMismatch(f"element of {g.group} queried against cone over {cone.group}")
+        raise GroupMismatch(f"{role} of {g.group} queried against cone over {cone.group}")
 
 
 def cone_sign(cone: Cone, g: Element) -> int:
@@ -134,20 +134,19 @@ def compare(cone: Cone, a: Element, b: Element) -> int:
 # flag orderings of Z^n
 
 
-@dataclass(frozen=True)
-class FlagOrdering(Cone):
+class FlagOrdering(Cone, Record):
     """Lexicographic comparison against a flag of exact constant vectors, in integers."""
 
     group: GroupRef
     levels: tuple[tuple[RealConstant, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.group.is_abelian:
+    def __init__(self, group: GroupRef, levels: tuple[tuple[RealConstant, ...], ...]) -> None:
+        self.__dict__["group"], self.__dict__["levels"] = group, levels
+        if not group.is_abelian:
             raise ParseError("flag orderings are defined on free abelian groups")
-        for level in self.levels:
-            if len(level) != self.group.rank:
-                raise ParseError(
-                    f"level length {len(level)} does not match rank {self.group.rank}")
+        for level in levels:
+            if len(level) != group.rank:
+                raise ParseError(f"level length {len(level)} does not match rank {group.rank}")
 
     @staticmethod
     def create(levels: Sequence[Sequence[RealConstant]]) -> "FlagOrdering":
@@ -306,14 +305,14 @@ def main_generator_sign(reduced: Letters) -> int:
     return signs.pop()
 
 
-@dataclass(frozen=True)
-class DehornoyOrdering(Cone):
+class DehornoyOrdering(Cone, Record):
     """Order oracle for the braid group via sigma-positivity."""
 
     group: GroupRef
 
-    def __post_init__(self) -> None:
-        if self.group.is_abelian:
+    def __init__(self, group: GroupRef) -> None:
+        set_field(self, "group", group)
+        if group.is_abelian:
             raise ParseError("the Dehornoy ordering lives on braid groups")
 
     @staticmethod
@@ -352,8 +351,7 @@ def _dynnikov_sign(coords: tuple[int, ...], letters: Letters = ()) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ConjugatedOrdering(Cone):
+class ConjugatedOrdering(Cone, Record):
     """sign(g) = sign_base(c g c^-1); the right action of c^-1 on cones.
 
     The base has a Dynnikov frame (start key s, tail t), and the conjugate's
@@ -361,16 +359,15 @@ class ConjugatedOrdering(Cone):
 
     base: Cone
     conjugator: Element
-    group: GroupRef = field(init=False)
+    group: GroupRef
 
-    def __post_init__(self) -> None:
-        if self.conjugator.group != self.base.group:
-            raise GroupMismatch("conjugator must live in the cone's group")
-        if (frame := self.base._frame) is None:
-            raise UnsupportedInput(f"{type(self.base).__name__} has no Dynnikov frame to conjugate")
-        c = self.conjugator.letters
-        object.__setattr__(self, "group", self.base.group)
-        self.__dict__["_frame"] = dynnikov_act(frame[0], c), inverse_letters(c) + frame[1]
+    def __init__(self, base: Cone, conjugator: Element) -> None:
+        check_group(base, conjugator, "conjugator")
+        if (frame := base._frame) is None:
+            raise UnsupportedInput(f"{type(base).__name__} has no Dynnikov frame to conjugate")
+        c = conjugator.letters
+        self.__dict__.update(base=base, conjugator=conjugator, group=base.group,
+                             _frame=(dynnikov_act(frame[0], c), inverse_letters(c) + frame[1]))
 
     def sign(self, g: BraidWord) -> int:
         if g.group is not self.group:
@@ -391,8 +388,7 @@ def act(cone: Cone, h: Element) -> Cone:
 
     Conjugation is trivial in abelian groups, so the cone is returned as is.
     """
-    if h.group != cone.group:
-        raise GroupMismatch("conjugator must live in the cone's group")
+    check_group(cone, h, "conjugator")
     if cone.group.is_abelian:
         return cone
     if isinstance(cone, ConjugatedOrdering):
@@ -414,8 +410,7 @@ def is_central_braid(cone: Cone, x: Element) -> bool:
 # axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomsReport:
+class AxiomsReport(Record):
     passed: bool
     samples: int
     lo1_checked: int
@@ -441,7 +436,7 @@ def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> Axioms
     whose stacked expansion is rank-deficient the kernel vector found by
     exact linear algebra is reported even if sampling misses it.
     """
-    check_sample_count(samples)
+    check_sample_count(samples, cone.group, radius)
     rng = random.Random(seed)
     lo1_failures: list[str] = []
     lo2_failures: list[str] = []
@@ -487,8 +482,7 @@ def is_cofinal(cone: Cone, x: Element,
     without right-invariance (all generators of B_3 are bracketed by powers
     of s1, yet the full twist is not).
     """
-    if x.group != cone.group:
-        raise GroupMismatch("anchor must live in the cone's group")
+    check_group(cone, x, "anchor")
     if x.is_identity:
         raise AnchorIsIdentity("cofinality anchor must not be the identity")
     check_generators(cone, generators)
@@ -498,8 +492,8 @@ def is_cofinal(cone: Cone, x: Element,
 
 
 def check_generators(cone: Cone, generators: Sequence[Element] | None) -> None:
-    if generators is not None and any(h.group != cone.group for h in generators):
-        raise GroupMismatch("generators must live in the cone's group")
+    for h in generators or ():
+        check_group(cone, h, "generator")
 
 
 def flag_cofinal(flag: FlagOrdering, anchor_dots: tuple | None,
@@ -513,8 +507,7 @@ def flag_cofinal(flag: FlagOrdering, anchor_dots: tuple | None,
     return Decision.YES if seen[0] <= least else Decision.NO
 
 
-@dataclass(frozen=True)
-class InvarianceVerdict:
+class InvarianceVerdict(Record):
     outcome: Decision
     witness: Element | None = None
 
@@ -534,8 +527,7 @@ def is_right_invariant(cone: Cone, x: Element, cap: int = 5) -> InvarianceVerdic
     mismatch is a definite No.  A power of s_(n-1) has none under the
     Dehornoy cone.
     """
-    if x.group != cone.group:
-        raise GroupMismatch("anchor must live in the cone's group")
+    check_group(cone, x, "anchor")
     if is_central_braid(cone, x):
         return InvarianceVerdict(Decision.YES)
     if isinstance(cone, DehornoyOrdering) and \
@@ -562,8 +554,7 @@ def is_right_invariant(cone: Cone, x: Element, cap: int = 5) -> InvarianceVerdic
     return InvarianceVerdict(Decision.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
+class DensityVerdict(Record):
     outcome: Density
     minimal_positive: Element | None = None
     smallest_positive_seen: Element | None = None

@@ -24,14 +24,12 @@ irrational pairings.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
     AnchorIsIdentity,
-    GroupMismatch,
     InvariantViolation,
     NotBracketedWithinCap,
     NotCofinal,
@@ -51,13 +49,13 @@ from .groups import (
 )
 from .orderings import (Cone, Decision, FlagOrdering, check_generators, check_group, cone_sign,
                         flag_cofinal)
+from .records import Record
 
 DEFAULT_CAP = 1 << 62
 DEFAULT_APPROX_ORDER = 300
 
 
-@dataclass(frozen=True)
-class AnchorContext:
+class AnchorContext(Record):
     """A cone with a bracketing anchor and the subgroup the floors live on.
 
     With require_cofinal the context refuses anchors certified non-cofinal
@@ -65,27 +63,28 @@ class AnchorContext:
     later as NotBracketedWithinCap from the search itself.  Anchor powers
     are built once per context (``power``), and on a flag ordering so is the
     anchor's level scan (``anchor_dots``), which gives its sign, its
-    cofinality and every floor's pairing ratio.
+    cofinality and every floor's pairing ratio.  ``_splits`` memoizes the
+    circle action's floor splits (``dynamics._split``).
     """
 
     cone: Cone
     anchor: Element
-    generators: tuple[Element, ...] | None = None
-    cap: int = DEFAULT_CAP
-    require_cofinal: bool = True
-    _powers: dict[int, Element] = field(default_factory=dict, init=False, repr=False,
-                                        compare=False)
+    generators: tuple[Element, ...] | None
+    cap: int
+    require_cofinal: bool
 
-    def __post_init__(self) -> None:
-        if self.anchor.group != self.cone.group:
-            raise GroupMismatch("anchor must live in the cone's group")
-        if self.cap < 1:
+    def __init__(self, cone: Cone, anchor: Element, generators: tuple[Element, ...] | None = None,
+                 cap: int = DEFAULT_CAP, require_cofinal: bool = True) -> None:
+        self.__dict__.update(cone=cone, anchor=anchor, generators=generators, cap=cap,
+                             require_cofinal=require_cofinal, _powers={}, _splits={})
+        check_group(cone, anchor, "anchor")
+        if cap < 1:
             raise UnsupportedInput("search cap must be positive")
         if self.anchor_sign == 0:
             raise AnchorIsIdentity("anchor must not be the identity")
-        if self.require_cofinal and isinstance(self.cone, FlagOrdering):
-            check_generators(self.cone, self.generators)
-            if flag_cofinal(self.cone, self.anchor_dots, self.generators) == Decision.NO:
+        if require_cofinal and isinstance(cone, FlagOrdering):
+            check_generators(cone, generators)
+            if flag_cofinal(cone, self.anchor_dots, generators) == Decision.NO:
                 raise NotCofinal("anchor is not cofinal for the requested subgroup")
 
     @cached_property
@@ -186,8 +185,7 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
     return -_max_true(lambda m: at_least(-m), ctx.cap)
 
 
-@dataclass(frozen=True)
-class StableValue:
+class StableValue(Record):
     """A certified approximation, optionally with the exact value attached."""
 
     approx: Fraction
@@ -225,8 +223,8 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
     would take the ratio outside the supported constant field and are
     rejected rather than approximated.
     """
-    if x.group != flag.group or h.group != flag.group:
-        raise GroupMismatch("anchor and element must live in the flag's group")
+    check_group(flag, x, "anchor")
+    check_group(flag, h)
     if x.is_identity:
         raise AnchorIsIdentity("anchor must not be the identity")
     return _exact_ratio(flag, x, flag.first_dots(x.coords), h)
@@ -304,15 +302,13 @@ def defect_cocycle(ctx: AnchorContext, f: Element, g: Element) -> int:
 # stable-map property suite
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Record):
     name: str
     detail: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class StableMapReport:
+class StableMapReport(Record):
     checks: tuple[PropertyCheck, ...]
 
     @property
@@ -348,7 +344,7 @@ def stable_map_properties(ctx: AnchorContext, seed: int = 0, sample_count: int =
     A check passes when its two enclosures meet, which on flags is exact
     equality or an exact inequality.
     """
-    check_sample_count(sample_count)
+    check_sample_count(sample_count, ctx.cone.group, radius)
     rng = random.Random(seed)
     group = ctx.cone.group
     elements = [random_element(group, rng, radius) for _ in range(sample_count)]

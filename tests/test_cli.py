@@ -558,6 +558,17 @@ def test_braid_sampling_radius_past_the_limit_exit_2_quickly(capsys, dehornoy3, 
                       "of 100000 letters (MAX_BRAID_LETTERS)")
 
 
+@pytest.mark.parametrize("command", [["axioms"], ["cocycle", "--x", "s1 s2 s1 s1 s2 s1"]])
+@pytest.mark.parametrize("samples,radius", [(3, 100_000), (2501, 100), (10_000, 26)])
+def test_braid_samples_times_radius_past_the_limit_exit_2_quickly(capsys, dehornoy3, command,
+                                                                   samples, radius):
+    # Each knob is inside its own limit; their product, the letters drawn, is not.
+    detail = run_exit_2_quickly(capsys, command[0], "--ordering", dehornoy3, *command[1:],
+                                "--samples", str(samples), "--radius", str(radius))
+    assert detail == (f"{samples} samples of radius {radius} are past the limit "
+                      "of 250000 letters (MAX_SAMPLE_LETTERS)")
+
+
 @pytest.mark.parametrize("argv, detail", [
     (["obstruct"], "ordo obstruct: the following arguments are required: --expr"),
     (["obstruct", "--expr"], "ordo obstruct: argument --expr: expected one argument"),

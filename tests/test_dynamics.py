@@ -729,14 +729,14 @@ def test_circle_action_wrong_floor_is_an_invariant_violation(monkeypatch):
 # -- the circle stratum against the insertion it replaced -------------------
 
 
-def _stratum_by_insertion(ctx, elements, splits):
+def _stratum_by_insertion(ctx, elements):
     """The stratum and theta as built before the forest sort: each new
     remainder is binary-searched into the cone-sorted remainders before it."""
     cone = ctx.cone
     stratum = [cone.group.identity()]
     present = {stratum[0].key}
     for h in elements:
-        s = ordo_dynamics._split(ctx, splits, h)[1]
+        s = ordo_dynamics._split(ctx, h)[1]
         if s.key in present:
             continue
         i, _ = locate(cone, stratum, s)
@@ -758,7 +758,7 @@ def _stratum_by_insertion(ctx, elements, splits):
 def test_circle_stratum_matches_insertion_on_balls(cone, x, radius):
     action = circle_action_from_ball(cone, x, radius)
     assert (action.stratum, action.theta_values) == \
-        _stratum_by_insertion(AnchorContext(cone, x), action.stored, {})
+        _stratum_by_insertion(AnchorContext(cone, x), action.stored)
 
 
 @pytest.mark.parametrize("cone,x", [(DEHORNOY3, full_twist(3)), (DEHORNOY4, full_twist(4))],
@@ -771,7 +771,7 @@ def test_euler_survey_stratum_matches_insertion(monkeypatch, cone, x):
     assert euler_cocycle_survey(cone, x, count=30, seed=5, radius=3).all_passed
     (action,) = built
     assert (action.stratum, action.theta_values) == \
-        _stratum_by_insertion(AnchorContext(cone, x), action.stored, {})
+        _stratum_by_insertion(AnchorContext(cone, x), action.stored)
 
 
 @pytest.mark.parametrize("cone,x,radius", [
@@ -786,7 +786,7 @@ def test_remainder_below_the_identity_names_the_earliest_sample(monkeypatch, con
         with pytest.raises(InvariantViolation) as got:
             circle_action_for_samples(cone, x, ball)
         with pytest.raises(InvariantViolation) as want:
-            _stratum_by_insertion(AnchorContext(cone, x), ball, {})
+            _stratum_by_insertion(AnchorContext(cone, x), ball)
         earliest = min(bumped, key=ball.index)
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f" of {earliest.render()!r} sorts below the identity")
@@ -797,17 +797,17 @@ def test_remainder_below_the_identity_names_the_earliest_sample(monkeypatch, con
 ], ids=["B3_r4", "B4_r3"])
 def test_circle_stratum_sort_probes_fewer_than_insertion(monkeypatch, cone, x, radius):
     ball = ball_enumeration(cone, radius)
-    ctx, splits = AnchorContext(cone, x), {}
+    ctx = AnchorContext(cone, x)
     for h in ball:  # the floors first, so that only the sorts are counted
-        ordo_dynamics._split(ctx, splits, h)
+        ordo_dynamics._split(ctx, h)
     probes = []
     sign_product = DehornoyOrdering.sign_product
     monkeypatch.setattr(DehornoyOrdering, "sign_product",
                         lambda self, a, b: probes.append(b) or sign_product(self, a, b))
-    ordo_dynamics._sample_circle(ctx, ball, splits)
+    ordo_dynamics._sample_circle(ctx, ball)
     walked = len(probes)
     probes.clear()
-    _stratum_by_insertion(ctx, ball, splits)
+    _stratum_by_insertion(ctx, ball)
     # Remainders share their anchor power's letters, so most gallop from a
     # parent: about half of insertion's probes (215 of 474 on B3, 387 of 749
     # on B4), where bisecting every remainder as a root takes nearly all.

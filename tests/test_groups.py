@@ -10,11 +10,14 @@ from ordo.exactreal import RealConstant, squarefree_split
 from ordo.groups import (
     MAX_BALL_ELEMENTS,
     MAX_BRAID_LETTERS,
+    MAX_SAMPLE_LETTERS,
+    MAX_SAMPLES,
     BraidWord,
     GroupRef,
     LatticeElement,
     braid_ball,
     check_ball_size,
+    check_sample_count,
     coordinate_ball,
     dynnikov_act,
     full_twist,
@@ -24,8 +27,10 @@ from ordo.groups import (
     twist_key,
 )
 from ordo.dynamics import circle_action_from_ball, partial_action_check, realize
-from ordo.orderings import Cone, DehornoyOrdering, FlagOrdering, act, compare, ordering_from_json
-from ordo.quasimorph import AnchorContext, power_floor
+from ordo.convexity import brute_convex_cyclic_braid
+from ordo.orderings import (Cone, ConjugatedOrdering, DehornoyOrdering, FlagOrdering, act, compare,
+                            is_cofinal, is_right_invariant, ordering_from_json)
+from ordo.quasimorph import AnchorContext, power_floor, stable_exact
 
 from oracles import braid_words_up_to, first_words, locate
 
@@ -202,6 +207,10 @@ QUERIED_Z3_ON_Z2 = f"element of {Z3_TEXT} queried against cone over {Z2_TEXT}"
 QUERIED_B3_ON_Z2 = f"element of {B3_TEXT} queried against cone over {Z2_TEXT}"
 QUERIED_Z2_ON_B3 = f"element of {Z2_TEXT} queried against cone over {B3_TEXT}"
 COMBINED_Z3_Z2 = f"elements of {Z3_TEXT} and {Z2_TEXT} cannot be combined"
+ANCHOR_B4_ON_B3 = f"anchor of {B4_TEXT} queried against cone over {B3_TEXT}"
+ANCHOR_Z3_ON_Z2 = f"anchor of {Z3_TEXT} queried against cone over {Z2_TEXT}"
+CONJUGATOR_B4_ON_B3 = f"conjugator of {B4_TEXT} queried against cone over {B3_TEXT}"
+GENERATOR_Z3_ON_Z2 = f"generator of {Z3_TEXT} queried against cone over {Z2_TEXT}"
 COMBINED_Z2_Z3 = f"elements of {Z2_TEXT} and {Z3_TEXT} cannot be combined"
 
 
@@ -264,8 +273,54 @@ def test_mixed_group_calls_name_the_foreign_operand():
         (lambda: action.floor(lookalike), f"element of {z4} queried against cone over {b2}"),
         (lambda: power_floor(AnchorContext(dehornoy, full_twist(3)), t1), QUERIED_B4_ON_B3),
         (lambda: power_floor(AnchorContext(lex, x1), y1), QUERIED_Z3_ON_Z2),
+        # The role checks: anchors, conjugators, generators and subgroup words.
+        (lambda: AnchorContext(dehornoy, full_twist(4)), ANCHOR_B4_ON_B3),
+        (lambda: AnchorContext(lex, x1, generators=(x1, y1)), GENERATOR_Z3_ON_Z2),
+        (lambda: stable_exact(lex, y1, x1), ANCHOR_Z3_ON_Z2),
+        (lambda: stable_exact(lex, x1, y1), QUERIED_Z3_ON_Z2),
+        (lambda: ConjugatedOrdering(dehornoy, t1), CONJUGATOR_B4_ON_B3),
+        (lambda: act(dehornoy, t1), CONJUGATOR_B4_ON_B3),
+        (lambda: is_cofinal(dehornoy, t1), ANCHOR_B4_ON_B3),
+        (lambda: is_cofinal(lex, x1, [y1]), GENERATOR_Z3_ON_Z2),
+        (lambda: is_right_invariant(dehornoy, t1), ANCHOR_B4_ON_B3),
+        (lambda: brute_convex_cyclic_braid(dehornoy, t1, 2),
+         f"subgroup word of {B4_TEXT} queried against cone over {B3_TEXT}"),
     ]
     assert [_message(call) for call, _ in cases] == [message for _, message in cases]
+
+
+def test_sample_letters_limit_bounds_samples_times_radius_on_braids():
+    assert MAX_SAMPLE_LETTERS == 250_000
+    for group in (B3, GroupRef.braid(64)):
+        check_sample_count(2500, group, 100)
+        check_sample_count(MAX_SAMPLES, group, 25)
+        for count, radius in ((2501, 100), (3, 100_000), (MAX_SAMPLES, 26)):
+            with pytest.raises(UnsupportedInput) as caught:
+                check_sample_count(count, group, radius)
+            assert str(caught.value) == (f"{count} samples of radius {radius} are past the "
+                                         "limit of 250000 letters (MAX_SAMPLE_LETTERS)")
+    # No draws draw no letters; lattice draws are none; a radius past
+    # MAX_BRAID_LETTERS is refused by random_element, which names that limit.
+    check_sample_count(0, B3, 10 ** 9)
+    check_sample_count(MAX_SAMPLES, Z2, 10 ** 9)
+    check_sample_count(MAX_SAMPLES, B3, MAX_BRAID_LETTERS + 1)
+
+
+def test_role_checks_on_interned_groups_compare_no_groups(monkeypatch):
+    # Each role check is one `is` test when the groups are interned.
+    calls = []
+    eq = GroupRef.__eq__
+    monkeypatch.setattr(GroupRef, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
+    lex, dehornoy = FlagOrdering.lex(2), DehornoyOrdering.create(3)
+    x1, s1 = parse_element("x1", Z2), parse_element("s1", B3)
+    ctx = AnchorContext(lex, x1, generators=(x1, parse_element("x2", Z2)))
+    power_floor(ctx, parse_element("x1^5 x2", Z2))
+    stable_exact(lex, x1, parse_element("x1 x2", Z2))
+    is_cofinal(lex, x1, [x1])
+    is_right_invariant(dehornoy, full_twist(3))
+    act(act(dehornoy, s1), s1)
+    brute_convex_cyclic_braid(dehornoy, s1, 1)
+    assert calls == []
 
 
 def test_lattice_results_equal_validated_elements():

@@ -741,7 +741,7 @@ def _count_kernel_letters_and_words(monkeypatch):
     """Letters per dynnikov_act call, and every braid word built, trusted or validated."""
     acted, built = [], []
     kernel, trusted = ordo_groups.dynnikov_act, BraidWord._trusted
-    post_init = BraidWord.__post_init__
+    init = BraidWord.__init__
 
     def counting(coords, letters):
         letters = tuple(letters)
@@ -752,7 +752,8 @@ def _count_kernel_letters_and_words(monkeypatch):
         monkeypatch.setattr(module, "dynnikov_act", counting)
     monkeypatch.setattr(BraidWord, "_trusted", staticmethod(
         lambda group, letters: built.append(letters) or trusted(group, letters)))
-    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: built.append(w.letters) or post_init(w))
+    monkeypatch.setattr(BraidWord, "__init__",
+                        lambda w, group, letters: built.append(letters) or init(w, group, letters))
     return acted, built
 
 

@@ -395,11 +395,11 @@ THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2
 def _count_scans_and_builds(monkeypatch):
     """Record the coordinates of every flag level scan and count validated lattice builds."""
     scanned, built = [], []
-    first_dots, post_init = FlagOrdering.first_dots, LatticeElement.__post_init__
+    first_dots, init = FlagOrdering.first_dots, LatticeElement.__init__
     monkeypatch.setattr(FlagOrdering, "first_dots", lambda flag, coords:
                         scanned.append(tuple(coords)) or first_dots(flag, coords))
-    monkeypatch.setattr(LatticeElement, "__post_init__",
-                        lambda g: built.append(g.coords) or post_init(g))
+    monkeypatch.setattr(LatticeElement, "__init__",
+                        lambda g, group, coords: built.append(coords) or init(g, group, coords))
     return scanned, built
 
 
@@ -519,6 +519,17 @@ def test_stable_map_properties_checks_the_sample_count(count, detail):
     with pytest.raises(UnsupportedInput) as info:
         stable_map_properties(AnchorContext(LEX2, el("x1")), sample_count=count)
     assert str(info.value) == detail
+
+
+def test_stable_map_properties_bound_the_letters_drawn_on_braids():
+    ctx = AnchorContext(DehornoyOrdering.create(3), full_twist(3))
+    with pytest.raises(UnsupportedInput) as info:
+        stable_map_properties(ctx, sample_count=6, radius=50_000)
+    assert str(info.value) == ("6 samples of radius 50000 are past the limit "
+                               "of 250000 letters (MAX_SAMPLE_LETTERS)")
+    # Lattice draws are not letters: the same knobs pass on a flag.
+    assert stable_map_properties(AnchorContext(LEX2, el("x1")), sample_count=6,
+                                 radius=50_000).passed
 
 
 def abs_leq_exact(value: RealConstant, bound: int | Fraction) -> bool:
