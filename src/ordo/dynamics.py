@@ -209,9 +209,9 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
 def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
     """Default enumeration: the radius ball in graded lexicographic order.
 
-    Coordinate ball for abelian groups, word-length ball for braid groups,
-    walked by braid (``braid_ball``): each braid once, as its first
-    (shortest, lexicographically earliest) word.
+    Coordinate ball for abelian groups; for braid groups each braid of word
+    length <= radius once, as its first word (``braid_ball``).  A negative
+    radius or more than MAX_BALL_ELEMENTS elements raise UnsupportedInput.
     """
     return (coordinate_ball if cone.group.is_abelian else braid_ball)(cone.group, radius)
 

@@ -8,9 +8,9 @@ represents: the exponent vector for lattices, the Dynnikov coordinates for
 braids.  Equal keys mean equal elements, so finite sets of elements are
 dicts on ``key``.  ``a.key_times(b)`` is the key of a * b without building
 the product: the coordinate sum, or b's letters acting on a's coordinates.
-A braid word built where its key is already known (a parent's key moved by
-one letter in the ball walk ``braid_ball``, which keeps a word only when its
-key is new; a power extending a shorter power) is handed it by ``with_key``.
+A braid word built where its key is already known (a parent's key moved by a
+step in ``key_walk``, the one braid enumeration, which keeps a braid only when
+its key is new; a power extending a shorter power) is handed it by ``with_key``.
 
 The shared text grammar is whitespace-separated tokens ``x<k>`` (abelian) or
 ``s<k>`` (braid), each optionally suffixed ``^<signed integer>``; the empty
@@ -23,7 +23,7 @@ import itertools
 import random
 import re
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupMismatch, ParseError, UnsupportedInput, int_text, parse_integer
 from .records import Record, set_field
@@ -34,7 +34,7 @@ BRAID = "braid"
 _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
-MAX_BALL_ELEMENTS = 100_000  # the most points or freely reduced words a ball may hold
+MAX_BALL_ELEMENTS = 100_000  # the most lattice points or braids a ball may hold
 MAX_SAMPLES = 10_000  # the most random draws a sampled check (axioms, cocycle) makes
 MAX_SAMPLE_LETTERS = 250_000  # the most samples x radius a sampled check makes on braids
 MAX_GROUP_N = 64  # the largest rank or strand count a group may have
@@ -408,16 +408,11 @@ def random_element(group: GroupRef, rng: random.Random, radius: int) -> Element:
 
 
 def check_ball_size(group: GroupRef, radius: int) -> None:
-    """Refuse a radius ball of more than MAX_BALL_ELEMENTS elements, counted
-    unbuilt: (2r+1)^n lattice points, or 1 + sum_(k=1..r) 2(n-1)(2n-3)^(k-1)
-    freely reduced braid words.  A radius past the limit is counted as the
-    limit, which is refused all the same."""
-    r, n = max(min(radius, MAX_BALL_ELEMENTS), 0), group.n
-    if group.is_abelian:
-        size = (2 * r + 1) ** n
-    else:
-        size = 1 + 2 * r if n == 2 else 1 + (n - 1) * ((2 * n - 3) ** r - 1) // (n - 2)
-    if size > MAX_BALL_ELEMENTS:
+    """Refuse a negative radius, or a lattice ball of more than MAX_BALL_ELEMENTS
+    points, counted unbuilt as (2r+1)^n with the radius clipped to the limit."""
+    if radius < 0:
+        raise UnsupportedInput(f"ball radius {int_text(radius)} is negative")
+    if (2 * min(radius, MAX_BALL_ELEMENTS) + 1) ** group.n > MAX_BALL_ELEMENTS:
         raise UnsupportedInput(f"the radius-{int_text(radius)} ball holds more than "
                                f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")
 
@@ -444,24 +439,43 @@ def coordinate_ball(group: GroupRef, radius: int) -> list[LatticeElement]:
     return [LatticeElement(group, c) for c in ordered]
 
 
-def braid_ball(group: GroupRef, radius: int) -> list[BraidWord]:
-    """Each braid of word length <= radius once, as its first freely reduced
-    word in graded lexicographic order, walked breadth first: a level extends
-    only the words kept at the level before, keeping a child whose key (the
-    letter acting on the parent's key) is new.  A first word minus its last
-    letter is a first word, so no braid is lost; ``check_ball_size`` counts words."""
-    check_ball_size(group, radius)
-    alphabet = sorted((i, e) for i in range(1, group.n) for e in (1, -1))
-    out: list[BraidWord] = [group.identity()]
-    seen, start = {out[0].key}, 0
-    for _ in range(radius):
-        # Sorted parents, each followed by sorted letters: the level stays sorted.
-        start, frontier = len(out), out[start:]
-        for word in frontier:
+def key_walk(group: GroupRef, steps: Sequence[tuple[tuple[int, int], ...]],
+             radius: int) -> Iterator[BraidWord]:
+    """Each braid that is a product of at most radius steps once, breadth first.
+
+    Steps 2k and 2k+1 are mutual inverses, s1 and s1^-1 among them.  After the
+    identity, each level extends the braids kept at the level before by every
+    step but the inverse of the one that made the parent (that child is the
+    grandparent), keys a child as the step acting on the parent's key, and
+    keeps it, as the parent's word times the step, only when the key is new.
+    Past MAX_BALL_ELEMENTS kept braids, or 2r+1 powers of s1, it refuses."""
+    check_ball_size(GroupRef.free_abelian(1), radius)  # the powers of s1: a rank-1 ball
+    moves = [(j, step, (step[0][0], -step[0][1])) for j, step in enumerate(steps)]
+    after = [[m for m in moves if m[0] != j ^ 1] for j in range(len(steps))]  # all but j's inverse
+    level = [(group.identity(), moves)]  # kept braids, each with the moves that extend it
+    seen = {level[0][0].key}
+    yield level[0][0]
+    for length in range(1, radius + 1):
+        parents, level = level, []
+        for word, extend in parents:
             letters, key = word.letters, word.key
-            back = (letters[-1][0], -letters[-1][1]) if letters else None
-            for letter in alphabet:
-                if letter != back and (child_key := dynnikov_act(key, (letter,))) not in seen:
-                    seen.add(child_key)
-                    out.append(BraidWord._trusted(group, letters + (letter,)).with_key(child_key))
-    return out
+            for j, step, back in extend:
+                if (child_key := dynnikov_act(key, step)) in seen:
+                    continue
+                seen.add(child_key)
+                if len(seen) > MAX_BALL_ELEMENTS:
+                    raise UnsupportedInput(
+                        f"the radius-{radius} ball holds more than {MAX_BALL_ELEMENTS} elements "
+                        f"(MAX_BALL_ELEMENTS): {len(seen)} braids kept by length {length}")
+                joined = letters + step
+                if letters and letters[-1] == back:
+                    joined = free_reduce(joined)
+                level.append((BraidWord._trusted(group, joined).with_key(child_key), after[j]))
+                yield level[-1][0]
+
+
+def braid_ball(group: GroupRef, radius: int) -> list[BraidWord]:
+    """Each braid of word length <= radius once, as its first word in graded
+    lexicographic order: ``key_walk`` over the sorted letters keeps each level
+    sorted, and a first word minus its last letter is a first word."""
+    return list(key_walk(group, [((i, e),) for i in range(1, group.n) for e in (-1, 1)], radius))

@@ -65,6 +65,7 @@ from .groups import (
     dynnikov_act,
     free_reduce,
     inverse_letters,
+    key_walk,
     parse_element,
     random_element,
     twist_key,
@@ -282,9 +283,7 @@ def handle_reduce(letters: Iterable[tuple[int, int]], strands: int) -> Letters:
         body: list[tuple[int, int]] = []
         for k, d in word[p + 1:j]:
             if k == idx + 1:
-                body.append((k, -e))
-                body.append((idx, d))
-                body.append((k, e))
+                body += ((k, -e), (idx, d), (k, e))
             else:
                 body.append((k, d))
         word = list(free_reduce(word[:p] + body + word[j + 1:]))
@@ -512,20 +511,18 @@ class InvarianceVerdict(Record):
     witness: Element | None = None
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "witness": self.witness.render() if self.witness is not None else None,
-        }
+        return {"outcome": self.outcome.value,
+                "witness": None if self.witness is None else self.witness.render()}
 
 
 def is_right_invariant(cone: Cone, x: Element, cap: int = 5) -> InvarianceVerdict:
     """Does right multiplication by x preserve the order of the group?
 
     Yes without search for abelian groups and for central braid anchors.
-    Otherwise the braids z of length <= cap over the group's generators and
-    x (first words first) are checked for sign(z) == sign(x^-1 z x); a
-    mismatch is a definite No.  A power of s_(n-1) has none under the
-    Dehornoy cone.
+    Otherwise each braid z of ``key_walk`` over the generators, x and their
+    inverses, up to cap steps, is checked once for sign(z) == sign(x^-1 z x);
+    the first mismatch is a definite No.  A power of s_(n-1) has none under
+    the Dehornoy cone.  More than MAX_BALL_ELEMENTS braids are refused.
     """
     check_group(cone, x, "anchor")
     if is_central_braid(cone, x):
@@ -533,24 +530,13 @@ def is_right_invariant(cone: Cone, x: Element, cap: int = 5) -> InvarianceVerdic
     if isinstance(cone, DehornoyOrdering) and \
             x.key == (x.group.generators()[-1] ** x.exponent_sum()).key:
         return InvarianceVerdict(Decision.UNKNOWN)
-
-    alphabet = [h for g in cone.group.generators() + [x] for h in (g, g.inverse())]
+    steps = [h.letters for g in cone.group.generators() + [x] for h in (g, g.inverse())]
     x_inv = x.inverse()
-    frontier: list[Element] = [cone.group.identity()]
-    seen = {frontier[0].key}
-    for _ in range(cap):
-        next_frontier = []
-        for word in frontier:
-            for letter in alphabet:
-                key = word.key_times(letter)
-                if key in seen:
-                    continue
-                seen.add(key)
-                z = (word * letter).with_key(key)
-                if cone_sign(cone, z) != cone.sign_product(x_inv * z, x):
-                    return InvarianceVerdict(Decision.NO, z)
-                next_frontier.append(z)
-        frontier = next_frontier
+    walk = key_walk(cone.group, steps, cap)
+    next(walk)  # the identity
+    for z in walk:
+        if cone_sign(cone, z) != cone.sign_product(x_inv * z, x):
+            return InvarianceVerdict(Decision.NO, z)
     return InvarianceVerdict(Decision.UNKNOWN)
 
 

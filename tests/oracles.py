@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ordo.exactreal import RealConstant
-from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, check_ball_size, dynnikov_act
+from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, dynnikov_act
 from ordo.orderings import Cone, ConjugatedOrdering, FlagOrdering
 
 
@@ -69,8 +69,8 @@ def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:
     Each word is its parent (itself minus the last letter) times one letter,
     so its key is the parent's key moved by that letter.  Distinct words may
     represent equal braids; dedup on ``key`` where element identity matters.
+    There is no size limit: the caller keeps the (2n-3)^length words small.
     """
-    check_ball_size(group, length)
     alphabet = sorted((i, e) for i in range(1, group.n) for e in (1, -1))
     out: list[BraidWord] = [group.identity()]
     frontier = out[:]

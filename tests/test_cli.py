@@ -611,3 +611,24 @@ def test_zero_samples_still_pass(capsys, dehornoy3):
     code, payload = run(capsys, "cocycle", "--ordering", dehornoy3, "--x", "s1 s2 s1 s1 s2 s1",
                         "--samples", "0")
     assert code == 0 and payload["total"] == 0
+
+
+@pytest.mark.parametrize("ordering", ["dehornoy3", "sqrt2"])
+@pytest.mark.parametrize("radius", [-1, -10 ** 30])
+def test_negative_ball_radius_exit_2(capsys, request, ordering, radius):
+    # Braid and lattice balls refuse a negative radius alike.
+    detail = run_exit_2_quickly(capsys, "realize", "--ordering", request.getfixturevalue(ordering),
+                                "--ball", str(radius))
+    assert detail == f"ball radius {radius} is negative"
+
+
+def test_equiv_dynamical_on_seven_strands_is_unknown_not_dense(capsys, tmp_path):
+    # The density search walks the radius-5 ball of B7: 20 351 braids, well
+    # inside the ball limit, though 193 261 freely reduced words.
+    path = ordering_file(tmp_path, {"kind": "braid", "strands": 7}, {"type": "dehornoy"})
+    twist = "s1 s2 s3 s4 s5 s6 s1 s2 s3 s4 s5 s1 s2 s3 s4 s1 s2 s3 s1 s2 s1"
+    code, payload = run(capsys, "equiv", "--a", path, "--b", path, "--x", f"{twist} {twist}",
+                        "--mode", "dynamical")
+    assert code == 3
+    assert (payload["outcome"], payload["reason"]) == \
+        ("Unknown", "left: not dense (unknown_within_cap)")

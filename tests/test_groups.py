@@ -1,6 +1,7 @@
 """Element grammar, group laws, and braid constants."""
 
 import random
+import time
 
 import pytest
 
@@ -438,43 +439,73 @@ def test_braid_ball_steps_once_per_kept_word_and_letter(monkeypatch, strands, ra
     assert len(braid_words_up_to(GroupRef.braid(strands), radius)) - 1 > steps
 
 
-def _ball_count(group, radius):
-    """Elements of the radius ball: lattice points, or freely reduced words."""
-    if group.is_abelian:
-        return max(2 * radius + 1, 0) ** group.n
-    n, r = group.n, max(radius, 0)
-    # 1 + sum_(k=1..r) 2(n-1)(2n-3)^(k-1), a geometric sum unless n = 2.
-    return 1 + 2 * r if n == 2 else 1 + (n - 1) * ((2 * n - 3) ** r - 1) // (n - 2)
-
-
 @pytest.mark.parametrize("group", [GroupRef.free_abelian(1), Z2, GroupRef.free_abelian(3),
                                    GroupRef.braid(2), B3, GroupRef.braid(4)])
-def test_ball_sizes_are_counted_before_enumerating(group):
-    # The braid walk is refused on the count of words, as the word list is.
-    enumerators = (coordinate_ball,) if group.is_abelian else (braid_words_up_to, braid_ball)
-    for radius in range(-1, 4):
+def test_ball_sizes_are_counted_before_enumerating(monkeypatch, group):
+    # A negative radius is refused by both enumerations alike.
+    enumerate_ball = coordinate_ball if group.is_abelian else braid_ball
+    refusers = (check_ball_size, coordinate_ball) if group.is_abelian else (braid_ball,)
+    for refuse in refusers:
+        with pytest.raises(UnsupportedInput, match="ball radius -1 is negative"):
+            refuse(group, -1)
+    for radius in range(4):
+        count = (2 * radius + 1) ** group.n if group.is_abelian else \
+            len(first_words(group, radius))
+        assert len(enumerate_ball(group, radius)) == count
+    if group.is_abelian:
+        # The largest radius under the limit passes; one more is refused
+        # unbuilt, and so is an astronomically large one.
+        radius = int(MAX_BALL_ELEMENTS ** (1 / group.n) - 1) // 2
+        while (2 * radius + 3) ** group.n <= MAX_BALL_ELEMENTS:
+            radius += 1
         check_ball_size(group, radius)
-        assert len(enumerators[0](group, radius)) == _ball_count(group, radius)
-    # The largest radius under the limit passes; one more is refused unbuilt,
-    # and so is an astronomically large one.
-    radius = 0
-    while _ball_count(group, radius + 1) <= MAX_BALL_ELEMENTS:
-        radius += 1 if radius < 100 else 1000
-    while _ball_count(group, radius) > MAX_BALL_ELEMENTS:
-        radius -= 1
-    check_ball_size(group, radius)
-    for too_big in (radius + 1, 10 ** 30):
-        for refuse in (check_ball_size, *enumerators):
-            with pytest.raises(UnsupportedInput, match=str(MAX_BALL_ELEMENTS)):
-                refuse(group, too_big)
+        too_big = (radius + 1, 10 ** 30)
+    else:
+        # s1^k for |k| <= r are 2r + 1 braids of the ball, so a radius whose
+        # line of s1 powers passes the limit is refused before any braid is keyed.
+        too_big = (MAX_BALL_ELEMENTS // 2, 10 ** 30)
+        monkeypatch.setattr(ordo_groups, "dynnikov_act", None)
+    for radius in too_big:
+        for refuse in refusers:
+            with pytest.raises(UnsupportedInput, match=f"{MAX_BALL_ELEMENTS} elements "
+                                                       r"\(MAX_BALL_ELEMENTS\)$"):
+                refuse(group, radius)
 
 
 def test_ball_limit_is_above_every_ball_in_use():
-    # B4 radius 4 (937 words) is the largest ball of the benchmark; B5
-    # radius 5 is the largest word enumeration of the tests.
-    check_ball_size(GroupRef.braid(5), 5)
-    with pytest.raises(UnsupportedInput):
-        check_ball_size(GroupRef.braid(4), 12)
+    # B4 radius 4 (469 braids) is the largest ball of the benchmark; B7
+    # radius 5 (20 351 braids, 193 261 words), walked by the density search
+    # of ``ordo equiv --mode dynamical`` on B7, is the largest of the tests.
+    assert len(braid_ball(GroupRef.braid(4), 4)) == 469
+    assert len(braid_ball(GroupRef.braid(7), 5)) == 20_351 < MAX_BALL_ELEMENTS
+    with pytest.raises(UnsupportedInput, match="MAX_BALL_ELEMENTS"):
+        braid_ball(GroupRef.braid(4), 12)
+
+
+def test_braid_ball_on_seven_strands_is_the_word_list_deduplicated_on_key():
+    group = GroupRef.braid(7)
+    walked, oracle = braid_ball(group, 5), first_words(group, 5)
+    assert [w.letters for w in walked] == [w.letters for w in oracle]
+    assert [w.key for w in walked] == [w.key for w in oracle]
+
+
+@pytest.mark.parametrize("strands,radius", [(3, 40), (64, 3)])
+def test_braid_ball_is_refused_once_it_keeps_more_than_the_limit(strands, radius):
+    # Neither ball is refused up front; the walk stops at the first braid
+    # past the limit, at a length below the radius.
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedInput, match=rf"\(MAX_BALL_ELEMENTS\): "
+                                               rf"{MAX_BALL_ELEMENTS + 1} braids kept by length"):
+        braid_ball(GroupRef.braid(strands), radius)
+    assert time.perf_counter() - start < 3.0
+
+
+def test_braid_ball_limit_is_read_when_walking(monkeypatch):
+    monkeypatch.setattr(ordo_groups, "MAX_BALL_ELEMENTS", 262)
+    with pytest.raises(UnsupportedInput, match="more than 262 elements.*263 braids kept by length 5"):
+        braid_ball(B3, 5)
+    monkeypatch.setattr(ordo_groups, "MAX_BALL_ELEMENTS", 263)
+    assert len(braid_ball(B3, 5)) == 263
 
 
 def test_exponent_sum():

@@ -16,7 +16,8 @@ import ordo.groups as ordo_groups
 import ordo.orderings as ordo_orderings
 from ordo.errors import AnchorIsIdentity, GroupMismatch, NotCofinal, UnsupportedInput
 from ordo.exactreal import RealConstant, linear_combination
-from ordo.groups import BraidWord, GroupRef, LatticeElement, full_twist, parse_element, random_element
+from ordo.groups import (BraidWord, GroupRef, LatticeElement, dynnikov_act, full_twist, parse_element,
+                         random_element)
 from ordo.orderings import (
     ConjugatedOrdering,
     Decision,
@@ -370,7 +371,8 @@ def _anchor_words(n, length):
     (DehornoyOrdering.create(3), 4),
     (DehornoyOrdering.create(4), 3),
     (act(DehornoyOrdering.create(3), parse_element("s1 s2^-1 s1", B3)), 3),
-], ids=["B3", "B4", "conjugated_B3"])
+    (act(DehornoyOrdering.create(4), parse_element("s2 s3^-1", GroupRef.braid(4))), 3),
+], ids=["B3", "B4", "conjugated_B3", "conjugated_B4"])
 def test_right_invariant_matches_word_search(cone, cap):
     # Same outcome and witness word as the search over all words, on every
     # anchor up to length 3: the powers of s_(n-1) skip the search on the
@@ -387,6 +389,52 @@ def test_right_invariant_matches_word_search(cone, cap):
     assert outcomes[Decision.NO], outcomes
     # Every anchor of the conjugated cone has a witness, s2 included.
     assert bool(outcomes[Decision.UNKNOWN]) == isinstance(cone, DehornoyOrdering), outcomes
+
+
+@pytest.mark.parametrize("strands,cap", [(3, 4), (4, 3)])
+def test_right_invariance_acts_each_step_once_per_expanded_braid(monkeypatch, strands, cap):
+    # The twist times s_(n-1) has no witness, so the search expands every
+    # braid within cap - 1 steps.  The cone conjugated by the central twist
+    # signs on its Dynnikov frame, keying no BraidWord, so each nonempty act
+    # counted is a step of the walk: all 2(n-1)+2 steps at the root, and all
+    # but the one back to the parent at every other expanded braid.
+    twist = full_twist(strands)
+    cone = act(DehornoyOrdering.create(strands), twist)
+    x = twist * cone.group.generators()[-1]
+    steps = [h for g in cone.group.generators() + [x] for h in (g, g.inverse())]
+    level = [cone.group.identity()]
+    expanded = {level[0].key}
+    for _ in range(cap - 1):
+        level = [w * h for w in level for h in steps]
+        expanded.update(w.key for w in level)
+    assert x.key
+    acted = []
+
+    def counting_act(coords, letters):
+        acted.append(len(letters))
+        return dynnikov_act(coords, letters)
+
+    monkeypatch.setattr(ordo_groups, "dynnikov_act", counting_act)
+    verdict = is_right_invariant(cone, x, cap=cap)
+    assert (verdict.outcome, verdict.witness) == (Decision.UNKNOWN, None)
+    n_steps = 2 * (strands - 1) + 2
+    assert sum(1 for k in acted if k) == n_steps + (n_steps - 1) * (len(expanded) - 1)
+
+
+def test_right_invariance_search_past_the_ball_limit_is_refused(monkeypatch):
+    # The twist times s2 has no witness under the Dehornoy cone, so only the
+    # limit ends a search with a large cap.
+    x = full_twist(3) * br("s2")
+    assert is_right_invariant(DEHORNOY3, x, cap=3).outcome == Decision.UNKNOWN
+    monkeypatch.setattr(ordo_groups, "MAX_BALL_ELEMENTS", 100)
+    assert is_right_invariant(DEHORNOY3, x, cap=2).outcome == Decision.UNKNOWN
+    with pytest.raises(UnsupportedInput, match=r"more than 100 elements \(MAX_BALL_ELEMENTS\): "
+                                               r"101 braids kept by length 3"):
+        is_right_invariant(DEHORNOY3, x, cap=5)
+    # A cap whose s1 powers alone pass the limit is refused before the search.
+    with pytest.raises(UnsupportedInput, match=r"radius-50 ball holds more than 100 elements "
+                                               r"\(MAX_BALL_ELEMENTS\)$"):
+        is_right_invariant(DEHORNOY3, x, cap=50)
 
 
 def test_right_invariant_top_generator_power_skips_search(monkeypatch):

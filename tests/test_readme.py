@@ -1,0 +1,37 @@
+"""The README's limits cite constants that exist, at the values they have."""
+
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# A constant cited as `module.MAX_NAME`.
+CITED = re.compile(r"`(\w+)\.(MAX_\w+)`")
+# A decimal number (digit groups split by spaces, as in "100 000") and at
+# most one unit word just before the cited constant's parenthesis.
+STATED = re.compile(r"(?<!\S)(\d{1,3}(?: \d{3})*|\d+)(?: [a-z]+)? \(`(\w+)\.(MAX_\w+)`")
+
+
+def _limits_section() -> str:
+    text = README.read_text()
+    start = text.index("\n## Guarantees and limits\n")
+    end = text.find("\n## ", start + 1)
+    return " ".join(text[start:end if end >= 0 else len(text)].split())
+
+
+def _constant(module: str, name: str):
+    return getattr(importlib.import_module(f"ordo.{module}"), name, None)
+
+
+def test_readme_limits_cite_existing_constants_at_their_values():
+    section = _limits_section()
+    cited = set(CITED.findall(section))
+    assert {("groups", "MAX_BALL_ELEMENTS"), ("exactreal", "MAX_RADICAND")} <= cited
+    for module, name in cited:
+        assert _constant(module, name) is not None, f"{module}.{name}"
+    stated = STATED.findall(section)
+    assert {name for _, _, name in stated} >= {"MAX_BALL_ELEMENTS", "MAX_BRAID_LETTERS",
+                                              "MAX_SAMPLES", "MAX_GROUP_N"}
+    for number, module, name in stated:
+        assert int(number.replace(" ", "")) == _constant(module, name), \
+            f"{number} ({module}.{name})"
