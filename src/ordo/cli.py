@@ -36,7 +36,6 @@ from .cohmaps import (
 from .groups import GroupRef, parse_element
 from .orderings import FlagOrdering, axioms_check, ordering_from_json, ordering_to_json
 from .quasimorph import (
-    DEFAULT_APPROX_ORDER,
     DEFAULT_CAP,
     AnchorContext,
     power_floor,
@@ -101,14 +100,14 @@ def _parse_basis(args, cone):
 def _cmd_psi(args) -> int:
     cone = _load_ordering(args.ordering)
     x = parse_element(args.x, cone.group)
-    got = rotation_class(cone, x, basis=_parse_basis(args, cone), approx_order=args.n)
+    got = rotation_class(cone, x, basis=_parse_basis(args, cone))
     return _emit(got.to_json())
 
 
 def _cmd_psitilde(args) -> int:
     cone = _load_ordering(args.ordering)
     x = parse_element(args.x, cone.group)
-    got = translation_values(cone, x, basis=_parse_basis(args, cone), approx_order=args.n)
+    got = translation_values(cone, x, basis=_parse_basis(args, cone))
     return _emit(got.to_json())
 
 
@@ -244,14 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--basis", action="append")
-    p.add_argument("--n", type=int, default=DEFAULT_APPROX_ORDER,
-                   help="approximation order for braid cones")
 
     p = add("psitilde", _cmd_psitilde, "unreduced translation values, or infinity")
     p.add_argument("--ordering", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--basis", action="append")
-    p.add_argument("--n", type=int, default=DEFAULT_APPROX_ORDER)
 
     p = add("construct", _cmd_construct, "flag ordering with prescribed translation numbers")
     p.add_argument("--x", required=True)

@@ -5,9 +5,9 @@ mod 1, form the rotation class of an anchored ordering: a tuple in [0,1)^b
 that plays the role of a bounded-cohomology class whenever real bounded
 2-cohomology of the subgroup vanishes.  The unreduced tuple (with an
 infinity marker when the anchor is not cofinal) is the translation-value
-lift.  Flag orderings give exact constants; braid cones give certified
-intervals, and a reduction that cannot be decided at the working precision
-raises rather than guesses.
+lift.  Every component is an exact constant: a pairing ratio on flag
+orderings, and on braid cones, whose anchor is then a twist power, a
+fractional Dehn twist coefficient read off one short certified window.
 
 Also here: naturality of the class under restriction, the construction of a
 flag ordering realizing prescribed translation numbers (exactly those tuples
@@ -24,7 +24,6 @@ from typing import Sequence
 from . import linalg
 from .errors import (
     GroupMismatch,
-    IntervalUndecided,
     InvariantViolation,
     MembershipUnknown,
     NotCofinal,
@@ -34,28 +33,20 @@ from .errors import (
     printable_int,
 )
 from .exactreal import ONE, RealConstant, linear_combination, mod_one, q_rank
-from .groups import Element, GroupRef, LatticeElement
+from .groups import BraidWord, Element, GroupRef, LatticeElement, full_twist
 from .orderings import (
     Cone,
     ConjugatedOrdering,
     Decision,
+    DehornoyOrdering,
     FlagOrdering,
     cone_sign,
     is_central_braid,
     is_cofinal,
     is_right_invariant,
 )
-from .quasimorph import (
-    DEFAULT_APPROX_ORDER,
-    AnchorContext,
-    StableValue,
-    stable_approx,
-    stable_enclosure,
-    stable_exact,
-)
+from .quasimorph import AnchorContext, stable_enclosure, stable_exact
 from .records import Record
-
-Component = RealConstant | StableValue
 
 
 def default_basis(group: GroupRef) -> tuple[Element, ...]:
@@ -87,74 +78,58 @@ def unwrap_central_conjugation(cone: Cone, x: Element) -> Cone:
     """Peel conjugations off a cone when the anchor is central.
 
     Stable values are conjugation-invariant, so a conjugated cone has the
-    same translation invariants as its base whenever the anchor is central;
-    unwrapping keeps braid answers exact where possible.
+    same translation invariants as its base whenever the anchor is central.
     """
     while isinstance(cone, ConjugatedOrdering) and is_central_braid(cone, x):
         cone = cone.base
     return cone
 
 
-def _reduce_window_mod_one(low: Fraction, high: Fraction) -> StableValue:
-    if math.floor(low) != math.floor(high):
-        raise IntervalUndecided(
-            f"window [{low}, {high}] straddles an integer; "
-            "raise the approximation order")
-    shift = math.floor(low)
-    mid = (low + high) / 2 - shift
-    return StableValue(mid, (high - low) / 2)
+def _twist_values(cone: Cone, x: BraidWord, basis: Sequence[Element]) -> tuple[RealConstant, ...]:
+    """Exact stable values under a central anchor x = Delta^2j on n strands.
 
-
-def _component_in_unit_interval(c: Component) -> bool:
-    if isinstance(c, RealConstant):
-        return c.sign() >= 0 and (ONE - c).sign() > 0
-    return c.approx - c.radius >= 0 and c.approx + c.radius < 1
-
-
-def _components_equal(a: Component, b: Component) -> Decision:
-    if isinstance(a, RealConstant) and isinstance(b, RealConstant):
-        return Decision.YES if a == b else Decision.NO
-    if isinstance(b, RealConstant):
-        a, b = b, a
-    if isinstance(a, RealConstant):
-        # Exact against interval: disjoint proves difference, overlap proves nothing.
-        below = (a - ONE.scale(b.approx - b.radius)).sign() < 0
-        above = (a - ONE.scale(b.approx + b.radius)).sign() > 0
-        return Decision.NO if below or above else Decision.UNKNOWN
-    return Decision.UNKNOWN if a.overlaps(b) else Decision.NO
-
-
-def component_to_json(c: Component) -> dict:
-    if isinstance(c, RealConstant):
-        return {"exact": c.to_json()}
-    return c.to_json()
+    Under Delta^2 the Dehornoy stable value is the fractional Dehn twist
+    coefficient (Malyutin, "Twist number of (closed) braids", St. Petersburg
+    Math. J. 16, 2005), a rational of denominator at most n (Kazez-Roberts,
+    "Fractional Dehn twists in knot theory and contact topology", AGT 13,
+    2013).  Two such rationals lie at least 1/(n(n-1)) apart, so the window
+    of width 1/(n(n-1)+1) holds exactly one; under Delta^2j it is divided by j.
+    """
+    if not isinstance(cone, DehornoyOrdering):
+        raise UnsupportedInput(f"{type(cone).__name__} has no exact stable values")
+    n = cone.group.strands
+    ctx = AnchorContext(cone, full_twist(n))
+    j = x.exponent_sum() // (n * (n - 1))
+    values = []
+    for h in basis:
+        lo, hi = stable_enclosure(ctx, h, n * (n - 1) + 1)
+        inside = {f for q in range(1, n + 1) if (f := Fraction(math.ceil(lo * q), q)) <= hi}
+        if len(inside) != 1:
+            raise InvariantViolation(f"twist window [{lo}, {hi}] of {h.render()!r} holds "
+                                     f"{len(inside)} fractions of denominator at most {n}")
+        values.append(RealConstant.rational(inside.pop() / j))
+    return tuple(values)
 
 
 class RotationClass(Record):
     """Mod-1 stable values on an abelianization basis; each entry in [0,1)."""
 
-    components: tuple[Component, ...]
+    components: tuple[RealConstant, ...]
     basis: tuple[Element, ...]
 
     def __post_init__(self) -> None:
         for c in self.components:
-            if not _component_in_unit_interval(c):
+            if c.sign() < 0 or (ONE - c).sign() <= 0:
                 raise InvariantViolation(f"rotation class component {c} outside [0,1)")
 
     def equals(self, other: "RotationClass") -> Decision:
         if len(self.components) != len(other.components):
             raise GroupMismatch("rotation classes over different bases")
-        verdicts = [_components_equal(a, b)
-                    for a, b in zip(self.components, other.components)]
-        if any(v == Decision.NO for v in verdicts):
-            return Decision.NO
-        if all(v == Decision.YES for v in verdicts):
-            return Decision.YES
-        return Decision.UNKNOWN
+        return Decision.YES if self.components == other.components else Decision.NO
 
     def to_json(self) -> dict:
         return {
-            "components": [component_to_json(c) for c in self.components],
+            "components": [{"exact": c.to_json()} for c in self.components],
             "basis": [b.render() for b in self.basis],
         }
 
@@ -162,7 +137,7 @@ class RotationClass(Record):
 class TranslationValues(Record):
     """Unreduced stable values, or the infinity marker for non-cofinal anchors."""
 
-    components: tuple[Component, ...] | None
+    components: tuple[RealConstant, ...] | None
     basis: tuple[Element, ...]
 
     @property
@@ -174,51 +149,40 @@ class TranslationValues(Record):
             return {"infinity": True, "basis": [b.render() for b in self.basis]}
         return {
             "infinity": False,
-            "components": [component_to_json(c) for c in self.components],
+            "components": [{"exact": c.to_json()} for c in self.components],
             "basis": [b.render() for b in self.basis],
         }
 
 
-def _stable_components(cone: Cone, x: Element, basis: Sequence[Element],
-                       approx_order: int) -> tuple[Component, ...]:
+def _stable_components(cone: Cone, x: Element,
+                       basis: Sequence[Element]) -> tuple[RealConstant, ...]:
     if isinstance(cone, FlagOrdering):
         return tuple(stable_exact(cone, x, y) for y in basis)
-    ctx = AnchorContext(cone, x)
-    return tuple(stable_approx(ctx, y, approx_order) for y in basis)
+    return _twist_values(cone, x, basis)
 
 
-def rotation_class(cone: Cone, x: Element, basis: Sequence[Element] | None = None,
-                   approx_order: int = DEFAULT_APPROX_ORDER) -> RotationClass:
+def rotation_class(cone: Cone, x: Element,
+                   basis: Sequence[Element] | None = None) -> RotationClass:
     """Stable values of the basis, reduced mod 1.
 
     Requires the anchor to be order-compatible (right-invariance) and
     cofinal; an Unknown membership answer raises rather than guessing.
-    Braid components reduce their sharp one-sided enclosure, so a stable
-    value sitting exactly on an integer still reduces cleanly.
     """
     cone = unwrap_central_conjugation(cone, x)
     if not _anchor_is_cofinal(cone, x):
         raise NotCofinal(f"{x.render()!r} is not cofinal for the subgroup")
     basis = tuple(basis) if basis is not None else default_basis(cone.group)
-    if isinstance(cone, FlagOrdering):
-        reduced: tuple[Component, ...] = tuple(
-            mod_one(stable_exact(cone, x, y)) for y in basis)
-    else:
-        ctx = AnchorContext(cone, x)
-        reduced = tuple(
-            _reduce_window_mod_one(*stable_enclosure(ctx, y, approx_order))
-            for y in basis)
-    return RotationClass(reduced, basis)
+    return RotationClass(tuple(mod_one(c) for c in _stable_components(cone, x, basis)), basis)
 
 
-def translation_values(cone: Cone, x: Element, basis: Sequence[Element] | None = None,
-                       approx_order: int = DEFAULT_APPROX_ORDER) -> TranslationValues:
+def translation_values(cone: Cone, x: Element,
+                       basis: Sequence[Element] | None = None) -> TranslationValues:
     """The unreduced lift; non-cofinal anchors map to infinity."""
     cone = unwrap_central_conjugation(cone, x)
     basis = tuple(basis) if basis is not None else default_basis(cone.group)
     if not _anchor_is_cofinal(cone, x):
         return TranslationValues(None, basis)
-    return TranslationValues(_stable_components(cone, x, basis, approx_order), basis)
+    return TranslationValues(_stable_components(cone, x, basis), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ from .quasimorph import stable_exact
 from .records import Record
 
 
+_ENTRY_RE = re.compile(r"-?\d+")  # an exponent, as in a word expression's syllable
+
+
 class ExponentMatrix(Record):
     """k x n integer matrix; row i encodes the subgroup generator
     x_1^{e_i1} ... x_n^{e_in}.  Rows must be linearly independent."""
@@ -68,10 +71,9 @@ class ExponentMatrix(Record):
             entries = part.split()
             if not entries:
                 raise ParseError("empty exponent matrix row")
-            try:
-                rows.append(tuple(int(e) for e in entries))
-            except ValueError:
-                raise ParseError(f"bad exponent entry in {part!r}") from None
+            if not all(_ENTRY_RE.fullmatch(e) for e in entries):
+                raise ParseError(f"bad exponent entry in {part!r}")
+            rows.append(tuple(parse_integer(e) for e in entries))
         return ExponentMatrix(tuple(rows))
 
     @property

@@ -42,12 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import (
-    IntervalUndecided,
-    InvariantViolation,
-    MissingOrbitPoint,
-    UnsupportedInput,
-)
+from .errors import InvariantViolation, MissingOrbitPoint, UnsupportedInput
 from .exactreal import format_rational
 from .groups import (
     BraidWord,
@@ -68,7 +63,7 @@ from .orderings import (
     is_cofinal,
     is_dense,
 )
-from .quasimorph import DEFAULT_APPROX_ORDER, AnchorContext, power_floor
+from .quasimorph import AnchorContext, power_floor
 from .cohmaps import RotationClass, rotation_class, unwrap_central_conjugation
 from .records import Record
 
@@ -462,14 +457,11 @@ class EquivalenceVerdict(Record):
 
 
 def dynamically_equivalent(left: Cone, right: Cone, x: Element,
-                           mode: str = "dynamical",
-                           approx_order: int = DEFAULT_APPROX_ORDER) -> EquivalenceVerdict:
+                           mode: str = "dynamical") -> EquivalenceVerdict:
     """Equivalent iff the rotation classes agree exactly.
 
     Dynamical mode additionally demands both orderings be certified dense
     (conjugacy of the realizations); semi-dynamical mode drops density.
-    Certified-interval overlap proves nothing, so braid-backed comparisons
-    can return Unknown.
     """
     if mode not in ("dynamical", "semi-dynamical"):
         raise UnsupportedInput(f"unknown mode {mode!r}")
@@ -485,25 +477,12 @@ def dynamically_equivalent(left: Cone, right: Cone, x: Element,
             if density.outcome != Density.DENSE:
                 return EquivalenceVerdict(
                     "Unknown", mode, f"{side}: not dense ({density.outcome.value})")
+    left_class = rotation_class(left, x)
     # Conjugation invariance of the stable map: after peeling central
-    # conjugations, structurally equal cones have equal classes exactly.
+    # conjugations, structurally equal cones have equal classes.
     if unwrap_central_conjugation(left, x) == unwrap_central_conjugation(right, x):
-        try:
-            the_class = rotation_class(left, x, approx_order=approx_order)
-        except IntervalUndecided:
-            the_class = None
-        return EquivalenceVerdict("Equivalent", mode,
-                                  "same cone after unwinding conjugation",
-                                  the_class, the_class)
-    try:
-        left_class = rotation_class(left, x, approx_order=approx_order)
-        right_class = rotation_class(right, x, approx_order=approx_order)
-    except IntervalUndecided as exc:
-        return EquivalenceVerdict("Unknown", mode, str(exc))
-    answer = left_class.equals(right_class)
-    if answer == Decision.YES:
-        return EquivalenceVerdict("Equivalent", mode, None, left_class, right_class)
-    if answer == Decision.NO:
-        return EquivalenceVerdict("NotEquivalent", mode, None, left_class, right_class)
-    return EquivalenceVerdict("Unknown", mode, "certified intervals overlap",
-                              left_class, right_class)
+        return EquivalenceVerdict("Equivalent", mode, "same cone after unwinding conjugation",
+                                  left_class, left_class)
+    right_class = rotation_class(right, x)
+    outcome = "Equivalent" if left_class.equals(right_class) == Decision.YES else "NotEquivalent"
+    return EquivalenceVerdict(outcome, mode, None, left_class, right_class)

@@ -85,13 +85,6 @@ class MembershipUnknown(OrdoError):
     exit_code = 3
 
 
-class IntervalUndecided(OrdoError):
-    """A certified interval straddles a decision boundary."""
-
-    code = "IntervalUndecided"
-    exit_code = 3
-
-
 class HandleReductionLimit(OrdoError):
     """Handle reduction exceeded its step cap (guards against bugs, not theory)."""
 

@@ -35,6 +35,7 @@ _TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
 MAX_BALL_ELEMENTS = 100_000  # the most lattice points or braids a ball may hold
+MAX_BALL_LETTERS = 2_000_000  # the most letters the braids of a ball may hold together
 MAX_SAMPLES = 10_000  # the most random draws a sampled check (axioms, cocycle) makes
 MAX_SAMPLE_LETTERS = 250_000  # the most samples x radius a sampled check makes on braids
 MAX_GROUP_N = 64  # the largest rank or strand count a group may have
@@ -448,12 +449,14 @@ def key_walk(group: GroupRef, steps: Sequence[tuple[tuple[int, int], ...]],
     step but the inverse of the one that made the parent (that child is the
     grandparent), keys a child as the step acting on the parent's key, and
     keeps it, as the parent's word times the step, only when the key is new.
-    Past MAX_BALL_ELEMENTS kept braids, or 2r+1 powers of s1, it refuses."""
+    Past MAX_BALL_ELEMENTS kept braids, MAX_BALL_LETTERS letters in them, or
+    2r+1 powers of s1, it refuses."""
     check_ball_size(GroupRef.free_abelian(1), radius)  # the powers of s1: a rank-1 ball
     moves = [(j, step, (step[0][0], -step[0][1])) for j, step in enumerate(steps)]
     after = [[m for m in moves if m[0] != j ^ 1] for j in range(len(steps))]  # all but j's inverse
     level = [(group.identity(), moves)]  # kept braids, each with the moves that extend it
     seen = {level[0][0].key}
+    kept_letters = 0
     yield level[0][0]
     for length in range(1, radius + 1):
         parents, level = level, []
@@ -470,6 +473,11 @@ def key_walk(group: GroupRef, steps: Sequence[tuple[tuple[int, int], ...]],
                 joined = letters + step
                 if letters and letters[-1] == back:
                     joined = free_reduce(joined)
+                kept_letters += len(joined)
+                if kept_letters > MAX_BALL_LETTERS:
+                    raise UnsupportedInput(
+                        f"the radius-{radius} ball holds more than {MAX_BALL_LETTERS} letters "
+                        f"(MAX_BALL_LETTERS): {kept_letters} letters kept by length {length}")
                 level.append((BraidWord._trusted(group, joined).with_key(child_key), after[j]))
                 yield level[-1][0]
 

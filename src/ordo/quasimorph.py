@@ -203,9 +203,6 @@ class StableValue(Record):
                     f"exact value {self.exact} outside certified interval "
                     f"{self.approx} +- {self.radius}")
 
-    def overlaps(self, other: "StableValue") -> bool:
-        return abs(self.approx - other.approx) <= self.radius + other.radius
-
     def to_json(self) -> dict:
         return {
             "value": format_rational(self.approx),

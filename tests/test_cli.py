@@ -198,6 +198,22 @@ def test_equiv_modes(capsys, sqrt2, sqrt3, lex2):
     assert payload["outcome"] == "Equivalent"
 
 
+def test_equiv_conjugates_of_the_dehornoy_cone_exit_0(capsys, tmp_path):
+    group = {"kind": "braid", "strands": 3}
+    paths = []
+    for name, by in (("a", "s1 s2^-1"), ("b", "s2 s2 s1")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"group": group, "ordering": {
+            "type": "conjugated", "base": {"type": "dehornoy"}, "by": by}}))
+        paths.append(str(path))
+    code, payload = run(capsys, "equiv", "--a", paths[0], "--b", paths[1],
+                        "--x", "s1 s2 s1 s1 s2 s1", "--mode", "semi")
+    assert code == 0
+    assert payload["outcome"] == "Equivalent"
+    assert payload["left_class"] == payload["right_class"] == \
+        {"basis": ["s1"], "components": [{"exact": {}}]}
+
+
 def test_axioms_report(capsys, dehornoy3):
     code, payload = run(capsys, "axioms", "--ordering", dehornoy3,
                         "--samples", "200", "--seed", "3", "--radius", "5")
@@ -489,14 +505,23 @@ def test_rho_braid_floor_below_the_letter_limit_still_stops_at_the_cap(capsys, d
 
 
 def test_psitilde_braid_twist_anchor(capsys, dehornoy3):
-    # The braid branch of the lift: certified windows, never exact.
+    # The braid branch of the lift: exact fractional Dehn twist coefficients.
     code, payload = run(capsys, "psitilde", "--ordering", dehornoy3,
                         "--x", "s1 s2 s1 s1 s2 s1", "--basis", "s1", "--basis", "s1 s2")
     assert code == 0
-    assert payload == {
-        "infinity": False, "basis": ["s1", "s1 s2"],
-        "components": [{"exact": None, "radius": "1/300", "value": "0"},
-                       {"exact": None, "radius": "1/300", "value": "1/3"}]}
+    assert payload == {"infinity": False, "basis": ["s1", "s1 s2"],
+                       "components": [{"exact": {}}, {"exact": {"1": "1/3"}}]}
+    code, payload = run(capsys, "psi", "--ordering", dehornoy3, "--x", "s1 s2 s1 s1 s2 s1")
+    assert code == 0
+    assert payload == {"basis": ["s1"], "components": [{"exact": {}}]}
+
+
+@pytest.mark.parametrize("command", ["psi", "psitilde"])
+def test_psi_takes_no_approximation_order(capsys, dehornoy3, command):
+    # Braid components are exact, so no order is left to choose.
+    payload = run_exit_2(capsys, command, "--ordering", dehornoy3,
+                         "--x", "s1 s2 s1 s1 s2 s1", "--n", "5")
+    assert payload == {"error": "ParseError", "detail": "ordo: unrecognized arguments: --n 5"}
 
 
 def test_psi_undecided_right_invariance_exit_3(capsys, dehornoy3):
@@ -620,6 +645,26 @@ def test_negative_ball_radius_exit_2(capsys, request, ordering, radius):
     detail = run_exit_2_quickly(capsys, "realize", "--ordering", request.getfixturevalue(ordering),
                                 "--ball", str(radius))
     assert detail == f"ball radius {radius} is negative"
+
+
+def test_two_strand_ball_past_the_letter_limit_exit_2_quickly(capsys, tmp_path):
+    # The B2 ball is the line of s1 powers: the radius passes the element
+    # limit's up-front check, and the walk stops on the letters it keeps.
+    path = ordering_file(tmp_path, {"kind": "braid", "strands": 2}, {"type": "dehornoy"})
+    detail = run_exit_2_quickly(capsys, "realize", "--ordering", path, "--ball", "49999")
+    assert detail.startswith("the radius-49999 ball holds more than 2000000 letters "
+                             "(MAX_BALL_LETTERS): ")
+
+
+@pytest.mark.parametrize("subgroup, detail", [
+    ("3 2_0", "bad exponent entry in '3 2_0'"),
+    ("+3 2", "bad exponent entry in '+3 2'"),
+    ("1 0; 3 " + "7" * 5000, "integer literal of 5000 characters is too long"),
+])
+def test_convex_subgroup_entries_read_as_integer_literals(capsys, lex2, subgroup, detail):
+    payload = run_exit_2(capsys, "convex", "--ordering", lex2, "--x", "x1",
+                         "--subgroup", subgroup)
+    assert payload == {"error": "ParseError", "detail": detail}
 
 
 def test_equiv_dynamical_on_seven_strands_is_unknown_not_dense(capsys, tmp_path):

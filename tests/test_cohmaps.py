@@ -7,10 +7,11 @@ import pytest
 
 from ordo.errors import NotRealizable, UnsupportedInput
 from ordo.exactreal import ONE, RealConstant, combine, linear_combination, mod_one
-from ordo.groups import GroupRef, LatticeElement, full_twist, parse_element
+from ordo.groups import (BraidWord, GroupRef, LatticeElement, full_twist, parse_element,
+                         random_element)
 from ordo.linalg import clear_denominators, integer_kernel_basis
-from ordo.orderings import Decision, DehornoyOrdering, FlagOrdering, act
-from ordo.quasimorph import StableValue, stable_exact
+from ordo.orderings import Cone, Decision, DehornoyOrdering, FlagOrdering, act
+from ordo.quasimorph import AnchorContext, stable_enclosure, stable_exact
 from ordo.cohmaps import (
     construct_from_translations,
     is_realizable,
@@ -54,13 +55,10 @@ def test_rotation_class_sqrt2_flag():
 
 def test_rotation_class_dehornoy_first_generator():
     # Oracle: power floors of s1^N are 0 for N > 0 (powers of one generator
-    # never reach the full twist), so the stable value is exactly 0 and the
-    # sharp window [0, 1/N] reduces mod 1 without straddling.
-    got = rotation_class(DEHORNOY3, full_twist(3), approx_order=120)
-    (component,) = got.components
-    assert isinstance(component, StableValue)
-    assert component.approx - component.radius == 0
-    assert component.approx + component.radius == Fraction(1, 120)
+    # never reach the full twist), so the stable value is exactly 0.
+    got = rotation_class(DEHORNOY3, full_twist(3))
+    assert got.components == (rc(0),)
+    assert got.to_json() == {"components": [{"exact": {}}], "basis": ["s1"]}
 
 
 def test_rotation_class_membership_guard():
@@ -73,10 +71,11 @@ def test_rotation_class_membership_guard():
 
 def test_rotation_class_conjugated_cone_unwraps_to_exact():
     moved = act(DEHORNOY3, el("s1 s2", B3))
-    a = rotation_class(moved, full_twist(3), approx_order=60)
-    b = rotation_class(DEHORNOY3, full_twist(3), approx_order=60)
-    assert a.equals(b) != Decision.NO
-    assert a.components[0].approx == b.components[0].approx
+    basis = [el("s1 s2", B3)]
+    a = rotation_class(moved, full_twist(3), basis)
+    b = rotation_class(DEHORNOY3, full_twist(3), basis)
+    assert a.equals(b) == Decision.YES
+    assert a.components == (rc("1/3"),)
 
 
 def test_translation_values_sqrt2():
@@ -285,3 +284,60 @@ def test_rotation_class_components_stay_in_unit_interval():
         for c in rotation_class(flag, el("x1")).components:
             assert c.sign() >= 0
             assert (ONE - c).sign() > 0
+
+
+# ---------------------------------------------------------------------------
+# exact braid stable values: the fractional Dehn twist coefficient
+
+
+@pytest.mark.parametrize("j", [1, -1, 2, -2])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_braid_translation_values_lie_in_the_windows_of_the_given_cone(n, j):
+    # Differential: each exact value, read from one order n(n-1)+1 window
+    # under Delta^2 on the unwrapped Dehornoy cone, lies in the sharp windows
+    # at orders 2(n(n-1)+1) and 300 under the anchor Delta^2j on the cone as
+    # given, plain or conjugated; 126 words per case, 2016 in all.
+    group = GroupRef.braid(n)
+    rng = random.Random(100 * n + j)
+    x = full_twist(n) ** j
+    base = DehornoyOrdering(group)
+    for cone in (base, act(base, random_element(group, rng, 6))):
+        words = [random_element(group, rng, 12) for _ in range(63)]
+        values = translation_values(cone, x, words).components
+        ctx = AnchorContext(cone, x)
+        for h, value in zip(words, values):
+            exact = value.as_rational()
+            for order in (2 * (n * (n - 1) + 1), 300):
+                low, high = stable_enclosure(ctx, h, order)
+                assert low <= exact <= high, (h.render(), exact, order)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_periodic_braids_give_one_over_n_and_one_over_n_minus_one(n):
+    # (s1...s_(n-1))^n = (s1...s_(n-1) s1)^(n-1) = Delta^2, so the values are
+    # 1/n and 1/(n-1); the second has the largest denominator below n, which
+    # a bound of n-2 on the denominators would miss.
+    group = GroupRef.braid(n)
+    delta = BraidWord(group, tuple((i, 1) for i in range(1, n)))
+    epsilon = delta * el("s1", group)
+    assert (delta ** n).key == (epsilon ** (n - 1)).key == full_twist(n).key
+    got = translation_values(DehornoyOrdering(group), full_twist(n), [delta, epsilon])
+    assert got.components == (rc(Fraction(1, n)), rc(Fraction(1, n - 1)))
+    moved = act(DehornoyOrdering(group), delta)
+    assert rotation_class(moved, full_twist(n) ** -2, [delta]).components == \
+        (mod_one(rc(Fraction(-1, 2 * n))),)
+
+
+class _Opposite(Cone):
+    """The Dehornoy ordering of B3 reversed: a left ordering with no frame."""
+
+    group = B3
+
+    def sign(self, g):
+        return -DEHORNOY3.sign(g)
+
+
+@pytest.mark.parametrize("invariant", [rotation_class, translation_values])
+def test_braid_stable_values_refuse_a_cone_other_than_dehornoy(invariant):
+    with pytest.raises(UnsupportedInput, match="_Opposite has no exact stable values"):
+        invariant(_Opposite(), full_twist(3))

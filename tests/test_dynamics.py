@@ -893,9 +893,10 @@ def test_equivalence_semi_mode_allows_discrete():
 
 def test_equivalence_conjugate_braid_orderings():
     moved = act(DEHORNOY3, el("s1 s2^-1", B3))
-    verdict = dynamically_equivalent(DEHORNOY3, moved, full_twist(3),
-                                     mode="semi-dynamical", approx_order=60)
+    verdict = dynamically_equivalent(DEHORNOY3, moved, full_twist(3), mode="semi-dynamical")
     assert verdict.outcome == "Equivalent"
+    assert verdict.left_class.to_json() == {"components": [{"exact": {}}], "basis": ["s1"]}
+    assert verdict.right_class == verdict.left_class
 
 
 def test_equivalence_noncentral_anchor_unknown():

@@ -10,6 +10,7 @@ from ordo.errors import GroupMismatch, OrdoError, ParseError, UnsupportedInput
 from ordo.exactreal import RealConstant, squarefree_split
 from ordo.groups import (
     MAX_BALL_ELEMENTS,
+    MAX_BALL_LETTERS,
     MAX_BRAID_LETTERS,
     MAX_SAMPLE_LETTERS,
     MAX_SAMPLES,
@@ -505,6 +506,24 @@ def test_braid_ball_limit_is_read_when_walking(monkeypatch):
     with pytest.raises(UnsupportedInput, match="more than 262 elements.*263 braids kept by length 5"):
         braid_ball(B3, 5)
     monkeypatch.setattr(ordo_groups, "MAX_BALL_ELEMENTS", 263)
+    assert len(braid_ball(B3, 5)) == 263
+
+
+def test_braid_ball_letters_are_bounded_and_every_radius_5_ball_fits(monkeypatch):
+    # On B2 the ball is the 2r+1 powers of s1, about r^2 letters, so a radius
+    # the element limit lets through is refused on its letters, at length 1414.
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedInput, match=rf"more than {MAX_BALL_LETTERS} letters "
+                                               r"\(MAX_BALL_LETTERS\): \d+ letters kept by length 1414$"):
+        braid_ball(GroupRef.braid(2), MAX_BALL_ELEMENTS // 2 - 1)
+    assert time.perf_counter() - start < 1.0
+    # B9 radius 5 is the largest radius-5 ball below ten strands.
+    nine = braid_ball(GroupRef.braid(9), 5)
+    assert (len(nine), sum(len(w) for w in nine)) == (57_959, 278_874)
+    monkeypatch.setattr(ordo_groups, "MAX_BALL_LETTERS", 1129)
+    with pytest.raises(UnsupportedInput, match="more than 1129 letters.*1130 letters kept by length 5"):
+        braid_ball(B3, 5)
+    monkeypatch.setattr(ordo_groups, "MAX_BALL_LETTERS", 1130)
     assert len(braid_ball(B3, 5)) == 263
 
 

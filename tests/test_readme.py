@@ -30,8 +30,8 @@ def test_readme_limits_cite_existing_constants_at_their_values():
     for module, name in cited:
         assert _constant(module, name) is not None, f"{module}.{name}"
     stated = STATED.findall(section)
-    assert {name for _, _, name in stated} >= {"MAX_BALL_ELEMENTS", "MAX_BRAID_LETTERS",
-                                              "MAX_SAMPLES", "MAX_GROUP_N"}
+    assert {name for _, _, name in stated} >= {"MAX_BALL_ELEMENTS", "MAX_BALL_LETTERS",
+                                              "MAX_BRAID_LETTERS", "MAX_SAMPLES", "MAX_GROUP_N"}
     for number, module, name in stated:
         assert int(number.replace(" ", "")) == _constant(module, name), \
             f"{number} ({module}.{name})"
