@@ -45,7 +45,7 @@ from .quasimorph import stable_exact
 from .records import Record
 
 
-_ENTRY_RE = re.compile(r"-?\d+")  # an exponent, as in a word expression's syllable
+_ENTRY_RE = re.compile(r"-?[0-9]+")  # an exponent, as in a word expression's syllable
 
 
 class ExponentMatrix(Record):
@@ -248,7 +248,7 @@ def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> Brute
 # word-length constraints on stable values
 
 
-_SYLLABLE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_SYLLABLE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 
 class WordExpression(Record):

@@ -28,14 +28,15 @@ from .records import Record, set_field
 
 Rational = int | Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")  # [0-9]: int() reads any Unicode digit
+_RADICAND_RE = re.compile(r"-?[0-9]+")
 
 MAX_RADICAND = 1 << 32  # the largest radicand squarefree_split factors by trial division
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (no decimals, no whitespace)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"not a rational literal: {text!r}")
     numerator, _, denominator = text.partition("/")
     return Fraction(parse_integer(numerator), parse_integer(denominator or "1"))
@@ -229,13 +230,11 @@ class RealConstant(Record):
     def from_json(obj: Mapping[str, str]) -> "RealConstant":
         if not isinstance(obj, Mapping):
             raise ParseError(f"constant must be a JSON object, got {type(obj).__name__}")
-        terms = {}
+        terms = []  # pairs, not a dict: "2" and "02" sum as "2" and "8" do
         for key, value in obj.items():
-            try:
-                m = int(key)
-            except ValueError:
-                raise ParseError(f"bad radicand key: {key!r}") from None
-            terms[m] = parse_rational(value)
+            if not isinstance(key, str) or not _RADICAND_RE.fullmatch(key):
+                raise ParseError(f"bad radicand key: {key!r}")
+            terms.append((parse_integer(key), parse_rational(value)))
         return RealConstant.from_terms(terms)
 
 

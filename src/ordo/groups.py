@@ -31,7 +31,7 @@ from .records import Record, set_field
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
 
-_TOKEN_RE = re.compile(r"^([xs])([1-9]\d*)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"^([xs])([1-9][0-9]*)(?:\^(-?[0-9]+))?$")
 
 MAX_BRAID_LETTERS = 100_000  # the longest braid literal or stable-value power ordo builds
 MAX_BALL_ELEMENTS = 100_000  # the most lattice points or braids a ball may hold

@@ -195,14 +195,17 @@ class FlagOrdering(Cone, Record):
     def sign(self, g: LatticeElement) -> int:
         if g.group is not self.group:
             check_group(self, g)
-        found = self.first_dots(g.coords)
-        return 0 if found is None else dots_sign(found[1])
+        return self.coords_sign(g.coords)
 
     def sign_product(self, a: LatticeElement, b: LatticeElement) -> int:
         if a.group is not self.group or b.group is not self.group:
             check_group(self, a)
             check_group(self, b)
-        found = self.first_dots(a.key_times(b))
+        return self.coords_sign([p + q for p, q in zip(a.coords, b.coords)])
+
+    def coords_sign(self, coords: Sequence[int]) -> int:
+        """The sign of the lattice point with these coordinates: every flag sign query."""
+        found = self.first_dots(coords)
         return 0 if found is None else dots_sign(found[1])
 
     def first_dots(self, coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:

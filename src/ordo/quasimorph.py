@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -60,11 +59,11 @@ class AnchorContext(Record):
 
     With require_cofinal the context refuses anchors certified non-cofinal
     (exact on flag orderings); without it a non-cofinal anchor surfaces
-    later as NotBracketedWithinCap from the search itself.  Anchor powers
-    are built once per context (``power``), and on a flag ordering so is the
-    anchor's level scan (``anchor_dots``), which gives its sign, its
-    cofinality and every floor's pairing ratio.  ``_splits`` memoizes the
-    circle action's floor splits (``dynamics._split``).
+    later as NotBracketedWithinCap from the search itself.  The context reads
+    the anchor's sign (``anchor_sign``) when it is built, and on a flag its
+    level scan (``anchor_dots``, else None), which gives its cofinality and
+    every floor's pairing ratio.  Anchor powers are built once per context
+    (``power``); ``_splits`` memoizes the circle splits (``dynamics._split``).
     """
 
     cone: Cone
@@ -80,28 +79,20 @@ class AnchorContext(Record):
         check_group(cone, anchor, "anchor")
         if cap < 1:
             raise UnsupportedInput("search cap must be positive")
-        if self.anchor_sign == 0:
+        dots = cone.first_dots(anchor.coords) if isinstance(cone, FlagOrdering) else None
+        sign = dots_sign(dots[1]) if dots else cone_sign(cone, anchor)
+        self.__dict__.update(anchor_dots=dots, anchor_sign=sign)
+        if sign == 0:
             raise AnchorIsIdentity("anchor must not be the identity")
         if require_cofinal and isinstance(cone, FlagOrdering):
             check_generators(cone, generators)
-            if flag_cofinal(cone, self.anchor_dots, generators) == Decision.NO:
+            if flag_cofinal(cone, dots, generators) == Decision.NO:
                 raise NotCofinal("anchor is not cofinal for the requested subgroup")
 
-    @cached_property
-    def anchor_dots(self) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-        """The flag cone's ``first_dots`` of the anchor."""
-        return self.cone.first_dots(self.anchor.coords)
-
-    @cached_property
-    def anchor_sign(self) -> int:
-        if isinstance(self.cone, FlagOrdering):
-            return 0 if self.anchor_dots is None else dots_sign(self.anchor_dots[1])
-        return cone_sign(self.cone, self.anchor)
-
     def power(self, n: int) -> Element:
-        """x^n, bounded as a floor probe and built once per context.  A braid
-        power's key is |n - m| more anchor letters acting on the key of the
-        cached x^m of the same sign nearest below it (|m| < |n|)."""
+        """x^n, for braid floor probes and circle splits, bounded and built once
+        per context.  A braid power's key is |n - m| more anchor letters acting
+        on the key of the cached x^m of the same sign nearest below (|m| < |n|)."""
         power = self._powers.get(n)
         if power is None:
             power = self._powers[n] = _bounded_power(self.anchor, n, "floor probe")
@@ -156,16 +147,20 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
     """The bracketing integer of h: closed-form on flags, else a capped search.
 
     Compares h against anchor powers through the cone only; every query is
-    sign(x^-N h), so the value depends on finitely many cone answers.
+    sign(x^-N h), so the value depends on finitely many cone answers: on a flag
+    the sign of the lattice point h - N*x, with no element built, on a braid
+    read from the context's x^-N.
     """
     cone, s = ctx.cone, ctx.anchor_sign
     if h.group is not cone.group:
         check_group(cone, h)
 
-    def at_least(n: int) -> bool:
-        return cone.sign_product(ctx.power(-n), h) >= 0
-
     if isinstance(cone, FlagOrdering):
+        pairs = tuple(zip(h.coords, ctx.anchor.coords))
+
+        def at_least(n: int) -> bool:
+            return cone.coords_sign([a - n * b for a, b in pairs]) >= 0
+
         if (found := _pairing_dots(cone, ctx.anchor_dots, h, NotBracketedWithinCap)) is not None:
             # N is the floor (s = 1) or ceiling (s = -1) of the ratio
             # sum d*sqrt(m) / q, or ratio - s when lower levels decide an integer ratio.
@@ -180,6 +175,9 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
             if not certified:
                 raise InvariantViolation(f"flag floor {int_text(n)} failed its bracket certificate")
             return printable_int(n, "flag floor")
+    else:
+        def at_least(n: int) -> bool:
+            return cone.sign_product(ctx.power(-n), h) >= 0
     if s > 0:
         return _max_true(at_least, ctx.cap)
     return -_max_true(lambda m: at_least(-m), ctx.cap)

@@ -660,11 +660,27 @@ def test_two_strand_ball_past_the_letter_limit_exit_2_quickly(capsys, tmp_path):
     ("3 2_0", "bad exponent entry in '3 2_0'"),
     ("+3 2", "bad exponent entry in '+3 2'"),
     ("1 0; 3 " + "7" * 5000, "integer literal of 5000 characters is too long"),
+    ("\u0663 2", "bad exponent entry in '\u0663 2'"),
 ])
 def test_convex_subgroup_entries_read_as_integer_literals(capsys, lex2, subgroup, detail):
     payload = run_exit_2(capsys, "convex", "--ordering", lex2, "--x", "x1",
                          "--subgroup", subgroup)
     assert payload == {"error": "ParseError", "detail": detail}
+
+
+# Arabic-Indic digits (U+0661 one, U+0663 three), which int() reads as 1 and 3.
+@pytest.mark.parametrize("argv, detail", [
+    (["rho", "--x", "x1", "x2^\u0663"], "bad token 'x2^\u0663'"),
+    (["obstruct", "--anchor", "x", "--expr", "x^\u0663 y^2"], "bad syllable 'x^\u0663'"),
+    (["construct", "--x", "x1", "--tau", '[{"1": "\u0661"}]'],
+     "not a rational literal: '\u0661'"),
+    (["obstruct", "--anchor", "x", "--expr", "x y^2", "--pin", "y=\u0661/2"],
+     "not a rational literal: '\u0661/2'"),
+], ids=["rho_element", "obstruct_expr", "construct_tau", "obstruct_pin"])
+def test_integer_literals_take_ascii_digits_only(capsys, sqrt2, argv, detail):
+    if argv[0] == "rho":
+        argv = argv[:1] + ["--ordering", sqrt2] + argv[1:]
+    assert run_exit_2(capsys, *argv) == {"error": "ParseError", "detail": detail}
 
 
 def test_equiv_dynamical_on_seven_strands_is_unknown_not_dense(capsys, tmp_path):

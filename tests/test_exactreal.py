@@ -186,9 +186,22 @@ def test_json_round_trip():
 def test_parse_rational_rejects_decimals():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == Fraction(-7)
-    for bad in ["1.5", "", "1/0", "1/-2", "a", "1 /2"]:
+    for bad in ["1.5", "", "1/0", "1/-2", "a", "1 /2", "\u0661", "1/\u0662", "3\n"]:
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+
+def test_equal_radicand_keys_sum():
+    # "02" names radicand 2 as "2" does; "8" is 2*2*2.
+    assert RealConstant.from_json({"2": "1", "02": "3"}) == RealConstant.sqrt(2, 4)
+    assert RealConstant.from_json({"2": "1", "8": "3"}) == RealConstant.sqrt(2, 7)
+
+
+@pytest.mark.parametrize("key", ["\u0661", " 2", "2_0"])
+def test_radicand_keys_take_ascii_digits_only(key):
+    # int() reads each of these: as 1, 2 and 20.
+    with pytest.raises(ParseError, match="bad radicand key"):
+        RealConstant.from_json({key: "1"})
 
 
 def test_str_rendering():

@@ -372,18 +372,19 @@ def test_flag_floor_past_the_cap_is_exact():
 
 def test_flag_floor_certificate_is_checked(monkeypatch):
     # A cone answer contradicting the pairing ratio must not pass silently.
-    # Every floor probe asks the cone for sign(x^-N h) through sign_product.
+    # Every floor probe asks the cone for sign(x^-N h) through coords_sign,
+    # as the sign of the lattice point h - N*x.
     ctx = lex_ctx()
-    monkeypatch.setattr(FlagOrdering, "sign_product", lambda cone, a, b: 1)
+    monkeypatch.setattr(FlagOrdering, "coords_sign", lambda cone, coords: 1)
     with pytest.raises(InvariantViolation):
         power_floor(ctx, el("x1^3 x2"))
-    monkeypatch.setattr(FlagOrdering, "sign_product", lambda cone, a, b: -1)
+    monkeypatch.setattr(FlagOrdering, "coords_sign", lambda cone, coords: -1)
     with pytest.raises(InvariantViolation):
         power_floor(ctx, el("x1^3 x2"))
     # Only an integer ratio may fall one step below its floor: a cone that
     # drops floor(sqrt 2) = 1 to 0 contradicts the pairing ratio.
-    monkeypatch.setattr(FlagOrdering, "sign_product",
-                        lambda cone, a, b: 1 if (a * b).coords[0] >= 0 else -1)
+    monkeypatch.setattr(FlagOrdering, "coords_sign",
+                        lambda cone, coords: 1 if coords[0] >= 0 else -1)
     with pytest.raises(InvariantViolation):
         power_floor(AnchorContext(SQRT2_FLAG, el("x1")), el("x2"))
 
@@ -393,14 +394,23 @@ THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2
 
 
 def _count_scans_and_builds(monkeypatch):
-    """Record the coordinates of every flag level scan and count validated lattice builds."""
+    """Record the coordinates of every flag level scan and of every lattice
+    element built, validated or trusted."""
     scanned, built = [], []
-    first_dots, init = FlagOrdering.first_dots, LatticeElement.__init__
+    first_dots, init, trusted = (FlagOrdering.first_dots, LatticeElement.__init__,
+                                 LatticeElement._trusted)
     monkeypatch.setattr(FlagOrdering, "first_dots", lambda flag, coords:
                         scanned.append(tuple(coords)) or first_dots(flag, coords))
     monkeypatch.setattr(LatticeElement, "__init__",
                         lambda g, group, coords: built.append(coords) or init(g, group, coords))
+    monkeypatch.setattr(LatticeElement, "_trusted", staticmethod(
+        lambda group, coords: built.append(coords) or trusted(group, coords)))
     return scanned, built
+
+
+def _probe(x, h, n):
+    """The coordinates of x^-n h: the lattice point h - n*x."""
+    return tuple(a - n * b for a, b in zip(h.coords, x.coords))
 
 
 @pytest.mark.parametrize("require_cofinal", [True, False])
@@ -410,8 +420,9 @@ def _count_scans_and_builds(monkeypatch):
 ], ids=["lex2", "lex2_generators", "sqrt2", "sqrt2_negative", "three", "three_negative"])
 def test_flag_floor_work_counts(monkeypatch, require_cofinal, flag, x, generators):
     # A context scans its anchor once (and each generator once when it checks
-    # cofinality); a floor scans h and its two certificate probes and validates
-    # no element; a defect, its context included, scans at most 10 times.
+    # cofinality); a floor scans h and its two certificate probes, h - N*x and
+    # h - (N+s)*x, and builds no element; a defect, its context included, scans
+    # 10 times and builds only f*g.
     group = flag.group
     rng = random.Random(41)
     x = parse_element(x, group)
@@ -422,16 +433,72 @@ def test_flag_floor_work_counts(monkeypatch, require_cofinal, flag, x, generator
     ctx = AnchorContext(flag, x, generators=gens, require_cofinal=require_cofinal)
     assert scanned.count(x.coords) == 1
     assert len(scanned) == 1 + gen_scans
+    s = ctx.anchor_sign
     for h in samples:
         del scanned[:]
-        power_floor(ctx, h)
-        assert len(scanned) <= 3, h
+        n = power_floor(ctx, h)
+        assert scanned[0] == h.coords, h
+        assert sorted(scanned[1:]) == sorted([_probe(x, h, n), _probe(x, h, n + s)]), h
+        assert built == [], h
     for f, g in zip(samples, samples[1:]):
-        del scanned[:]
+        fg = f * g
+        del scanned[:], built[:]
         defect_cocycle(AnchorContext(flag, x, generators=gens, require_cofinal=require_cofinal),
                        f, g)
-        assert len(scanned) <= 10 + gen_scans, (f, g)
-    assert built == []
+        assert len(scanned) == 10 + gen_scans, (f, g)
+        assert built == [fg.coords], (f, g)
+
+
+def _product_floor(ctx, h):
+    """The floor searched on sign_product(x^-N, h), the probe before coordinates."""
+    cone, x = ctx.cone, ctx.anchor
+
+    def at_least(n):
+        return cone.sign_product(x ** -n, h) >= 0
+
+    if cone.sign(x) > 0:
+        return _max_true(at_least, ctx.cap)
+    return -_max_true(lambda m: at_least(-m), ctx.cap)
+
+
+def test_coordinate_probe_matches_the_product_probe():
+    rng = random.Random(2424)
+    flags = [LEX2, SQRT2_FLAG, THREE_FLAG]
+    while len(flags) < 40:
+        rank = rng.randint(1, 4)
+        try:
+            flags.append(FlagOrdering.create(
+                [[_random_level_constant(rng) for _ in range(rank)]
+                 for _ in range(rng.randint(1, 3))]))
+        except UnsupportedInput:
+            continue
+    cases = Counter()
+    for flag in flags:
+        group = flag.group
+        for _ in range(4):
+            x = random_element(group, rng, 4)
+            if x.is_identity:
+                continue
+            for anchor in (x, x.inverse()):
+                ctx = AnchorContext(flag, anchor, cap=1 << 40, require_cofinal=False)
+                dots = ctx.anchor_dots[1]
+                irrational = len(dots) > 1 or dots[0][0] != 1
+                for _ in range(3):
+                    h = anchor ** rng.randint(-50, 50) * random_element(group, rng, 12)
+                    floor = _floor_or_error(power_floor, ctx, h)
+                    assert floor == _floor_or_error(_product_floor, ctx, h), \
+                        (flag.levels, anchor, h)
+                    near = 0 if floor is NotBracketedWithinCap else floor
+                    for n in (near - 1, near, near + 1, rng.randint(-10 ** 6, 10 ** 6)):
+                        probe = flag.coords_sign(_probe(anchor, h, n))
+                        assert probe == flag.sign_product(anchor ** -n, h), (flag.levels, h, n)
+                        cases["probes"] += 1
+                    cases["negative_anchor" if ctx.anchor_sign < 0 else "positive_anchor"] += 1
+                    cases["not_bracketed" if floor is NotBracketedWithinCap else "floor"] += 1
+                    cases["irrational_anchor"] += irrational
+    assert cases["probes"] >= 500 and all(cases[case] > 10 for case in (
+        "negative_anchor", "positive_anchor", "not_bracketed", "floor",
+        "irrational_anchor")), cases
 
 
 def test_context_rejects_noncofinal_flag_anchor():
