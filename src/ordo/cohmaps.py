@@ -41,6 +41,7 @@ from .orderings import (
     DehornoyOrdering,
     FlagOrdering,
     cone_sign,
+    flag_only,
     is_central_braid,
     is_cofinal,
     is_right_invariant,
@@ -212,6 +213,7 @@ def naturality_check(flag: FlagOrdering, x: LatticeElement,
     The restricted ordering is taken on the lattice generated by the
     sublattice together with the anchor, so the anchor survives restriction.
     """
+    flag_only(flag.group, "naturality")
     columns = [k.coords for k in sublattice]
     ambient = translation_values(flag, x)
     if ambient.is_infinity:
@@ -245,15 +247,15 @@ def is_realizable(values: Sequence[RealConstant], x: LatticeElement) -> bool:
     return pairing == ONE
 
 
-def construct_from_translations(values: Sequence[RealConstant], x: LatticeElement,
-                                tiebreak: FlagOrdering | None = None) -> FlagOrdering:
+def construct_from_translations(values: Sequence[RealConstant], x: LatticeElement) -> FlagOrdering:
     """A flag ordering whose translation numbers at the anchor are the values.
 
     The first level is the prescribed vector itself; the remaining levels
-    order the integer kernel of the pairing, by default lexicographically in
-    the coordinates of its Hermite-form basis.  Read-back: the stable value
-    of e_i is values[i], and the rotation class is the values mod 1.
+    order the integer kernel of the pairing lexicographically in the
+    coordinates of its Hermite-form basis.  Read-back: the stable value of
+    e_i is values[i], and the rotation class is the values mod 1.
     """
+    flag_only(x.group, "construct")
     n = len(values)
     if x.group.rank != n:
         raise GroupMismatch("anchor rank does not match the value vector")
@@ -276,21 +278,7 @@ def construct_from_translations(values: Sequence[RealConstant], x: LatticeElemen
             raise InvariantViolation("kernel basis has no dual functionals")
         duals.append(dual)
 
-    levels: list[list[RealConstant]] = [list(values)]
-    if tiebreak is None:
-        for dual in duals:
-            levels.append([RealConstant.rational(c) for c in dual])
-    else:
-        if tiebreak.group.rank != len(basis_rows):
-            raise UnsupportedInput(
-                f"tiebreak rank {tiebreak.group.rank} does not match the kernel "
-                f"dimension {len(basis_rows)}")
-        for level in tiebreak.levels:
-            combined = [
-                linear_combination((dual[i], level[l]) for l, dual in enumerate(duals))
-                for i in range(n)]
-            levels.append(combined)
-
+    levels = [list(values)] + [[RealConstant.rational(c) for c in dual] for dual in duals]
     try:
         return FlagOrdering.create(levels)
     except UnsupportedInput as exc:
@@ -330,6 +318,7 @@ class SikoraPoint(Record):
 
 def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
     """The doubled-circle coordinate of a flag ordering of Z^2."""
+    flag_only(flag.group, "sikora")
     if flag.group.rank != 2:
         raise UnsupportedInput("doubled-circle coordinates need rank 2")
     # A level that pairs to zero everywhere does not affect the order.

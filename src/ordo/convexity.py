@@ -31,16 +31,8 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .errors import GroupMismatch, NotCofinal, ParseError, UnsupportedInput, parse_integer
 from .exactreal import RealConstant, format_rational, linear_combination, q_rank
-from .groups import BraidWord, Element, LatticeElement, braid_ball, check_ball_size
-from .orderings import (
-    Cone,
-    Decision,
-    FlagOrdering,
-    check_group,
-    compare,
-    is_cofinal,
-    level_kernels,
-)
+from .groups import Element, LatticeElement, check_ball_size
+from .orderings import Cone, Decision, FlagOrdering, compare, flag_only, is_cofinal, level_kernels
 from .quasimorph import stable_exact
 from .records import Record
 
@@ -122,6 +114,7 @@ def check_convex(flag: FlagOrdering, x: LatticeElement, matrix: ExponentMatrix) 
     Deeper level kernels are convex too but sit inside the first; certify
     them by restricting the ordering to the first kernel and re-anchoring.
     """
+    flag_only(flag.group, "convex")
     if matrix.n != flag.group.rank:
         raise GroupMismatch("exponent matrix width does not match the group rank")
     if matrix.k >= matrix.n:
@@ -190,8 +183,7 @@ def brute_convex(cone: Cone, matrix: ExponentMatrix, radius: int) -> BruteForceR
         raise UnsupportedInput("ball radius must be >= 1")
     if not cone.group.is_abelian:
         raise UnsupportedInput(
-            "the exponent-matrix oracle enumerates coordinate balls; "
-            "use brute_convex_cyclic_braid for braid cones")
+            "the exponent-matrix oracle enumerates coordinate balls of Z^n")
     if matrix.n != cone.group.rank:
         raise GroupMismatch("exponent matrix width does not match the group rank")
     check_ball_size(cone.group, radius)
@@ -221,27 +213,6 @@ def _squeezed(cone: Cone, members: Iterable[Element],
         if compare(cone, lowest, g) < 0 and compare(cone, g, highest) < 0:
             return BruteForceResult(True, g, lowest, highest)
     return BruteForceResult(False)
-
-
-_MAX_CYCLIC_EXPONENT = 6
-
-
-def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> BruteForceResult:
-    """Betweenness oracle for a cyclic braid subgroup on the word-length ball.
-
-    Membership in <word> is decided against word^k for |k| <= _MAX_CYCLIC_EXPONENT
-    by key (the braid's Dynnikov coordinates solve the word problem).
-    """
-    if cone.group.is_abelian:
-        raise UnsupportedInput("this oracle is for braid cones")
-    check_group(cone, word, "subgroup word")
-
-    powers = [word ** k for k in range(-_MAX_CYCLIC_EXPONENT, _MAX_CYCLIC_EXPONENT + 1)]
-
-    member_keys = {p.key for p in powers}
-    in_ball_powers = [p for p in powers if len(p.letters) <= radius * len(word.letters)]
-    outsiders = (g for g in braid_ball(cone.group, radius) if g.key not in member_keys)
-    return _squeezed(cone, in_ball_powers, outsiders)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ element lies in a finite set is a question of identity, not of order, and
 is answered by a dict on ``key``.
 
 Also here: restriction of flag orderings to sublattices, conjugates of the
-Dehornoy cone (``act`` returns a flag as is), and the bounded/exact
-membership predicates (cofinality, right-invariance under an anchor, density).
+Dehornoy cone (``act`` returns a flag as is), the bounded/exact
+membership predicates (cofinality, right-invariance under an anchor, density),
+and ``flag_only``, the one refusal of braid input by the computations
+defined on flag orderings only.
 """
 
 from __future__ import annotations
@@ -106,6 +108,23 @@ class Cone:
 def check_group(cone: Cone, g: Element, role: str = "element") -> None:
     if g.group is not cone.group and g.group != cone.group:
         raise GroupMismatch(f"{role} of {g.group} queried against cone over {cone.group}")
+
+
+_FLAG_ONLY = {
+    "construct": "the construction from translation numbers needs an anchor in Z^n",
+    "convex": "the convexity criterion needs a flag ordering",
+    "level_kernels": "level kernels need a flag ordering",
+    "naturality": "the naturality check needs a flag ordering",
+    "sikora": "sikora coordinates need a flag ordering of Z^2",
+    "stable_exact": "exact stable values need a flag ordering",
+}
+
+
+def flag_only(group: GroupRef, computation: str) -> None:
+    """Refuse a braid group for a computation defined on flag orderings of
+    Z^n only: a ParseError (exit 2) with the computation's refusal text."""
+    if not group.is_abelian:
+        raise ParseError(_FLAG_ONLY[computation])
 
 
 def cone_sign(cone: Cone, g: Element) -> int:
@@ -555,6 +574,7 @@ def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
     These are exactly the proper convex subgroups of a flag ordering; the
     fallback report when the convexity criterion's anchor is not cofinal.
     """
+    flag_only(flag.group, "level_kernels")
     stacked: list[list[int]] = []
     out = []
     for _, rows in flag._expansion:

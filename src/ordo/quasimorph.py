@@ -47,7 +47,7 @@ from .groups import (
     random_element,
 )
 from .orderings import (Cone, Decision, FlagOrdering, check_generators, check_group, cone_sign,
-                        flag_cofinal)
+                        flag_cofinal, flag_only)
 from .records import Record
 
 DEFAULT_CAP = 1 << 62
@@ -218,6 +218,7 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
     would take the ratio outside the supported constant field and are
     rejected rather than approximated.
     """
+    flag_only(flag.group, "stable_exact")
     check_group(flag, x, "anchor")
     check_group(flag, h)
     if x.is_identity:

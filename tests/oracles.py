@@ -10,15 +10,19 @@ and ``unchecked_flag`` builds a flag without the totality check, for the
 rank-deficient flags the tests need.  ``braid_words_up_to`` lists every
 freely reduced word of a ball; deduplicated on key (``first_words``) it is
 how braid balls were built before ``groups.braid_ball`` walked them by braid.
+``brute_convex_cyclic_braid`` is the betweenness oracle of ``convexity``
+for cyclic braid subgroups, whose only callers are tests.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from ordo.convexity import BruteForceResult, _squeezed
+from ordo.errors import UnsupportedInput
 from ordo.exactreal import RealConstant
-from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, dynnikov_act
-from ordo.orderings import Cone, ConjugatedOrdering, FlagOrdering
+from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, braid_ball, dynnikov_act
+from ordo.orderings import Cone, ConjugatedOrdering, FlagOrdering, check_group
 
 
 def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
@@ -90,3 +94,24 @@ def first_words(group: GroupRef, length: int) -> list[BraidWord]:
     for w in braid_words_up_to(group, length):
         first.setdefault(w.key, w)
     return list(first.values())
+
+
+_MAX_CYCLIC_EXPONENT = 6
+
+
+def brute_convex_cyclic_braid(cone: Cone, word: BraidWord, radius: int) -> BruteForceResult:
+    """Betweenness oracle for a cyclic braid subgroup on the word-length ball.
+
+    Membership in <word> is decided against word^k for |k| <= _MAX_CYCLIC_EXPONENT
+    by key (the braid's Dynnikov coordinates solve the word problem).
+    """
+    if cone.group.is_abelian:
+        raise UnsupportedInput("this oracle is for braid cones")
+    check_group(cone, word, "subgroup word")
+
+    powers = [word ** k for k in range(-_MAX_CYCLIC_EXPONENT, _MAX_CYCLIC_EXPONENT + 1)]
+
+    member_keys = {p.key for p in powers}
+    in_ball_powers = [p for p in powers if len(p.letters) <= radius * len(word.letters)]
+    outsiders = (g for g in braid_ball(cone.group, radius) if g.key not in member_keys)
+    return _squeezed(cone, in_ball_powers, outsiders)

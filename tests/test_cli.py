@@ -115,6 +115,15 @@ def test_construct_round_trip(capsys, tmp_path):
     assert psi_payload["components"][1] == {"exact": {"1": "-1", "2": "1"}}
 
 
+@pytest.mark.parametrize("target", ["missing/built.json", "."])
+def test_construct_out_unwritable_exit_2(capsys, tmp_path, target):
+    out = tmp_path / target
+    code, payload = run(capsys, "construct", "--x", "x1", "--tau", '[{"1": "1"}, {"2": "1"}]',
+                        "--out", str(out))
+    assert code == 2 and payload["error"] == "ParseError"
+    assert payload["detail"].startswith(f"cannot write {out}: ")
+
+
 def test_construct_rejects_bad_tau(capsys):
     code, payload = run(capsys, "construct", "--x", "x1", "--tau", '[{"1": "1/2"}, {}]')
     assert code == 2
@@ -603,6 +612,20 @@ def test_braid_samples_times_radius_past_the_limit_exit_2_quickly(capsys, dehorn
     (["nosuch"], "ordo: argument command: invalid choice: 'nosuch' (choose from 'axioms', "
      "'rho', 'stable', 'psi', 'psitilde', 'construct', 'sikora', 'convex', 'obstruct', "
      "'realize', 'cocycle', 'equiv')"),
+    # Each subcommand alone names its required arguments in declaration order.
+    (["axioms"], "ordo axioms: the following arguments are required: --ordering"),
+    (["rho"], "ordo rho: the following arguments are required: --ordering, --x, element"),
+    (["stable"], "ordo stable: the following arguments are required: --ordering, --x, --n, "
+     "element"),
+    (["psi"], "ordo psi: the following arguments are required: --ordering, --x"),
+    (["psitilde"], "ordo psitilde: the following arguments are required: --ordering, --x"),
+    (["construct"], "ordo construct: the following arguments are required: --x, --tau"),
+    (["sikora"], "ordo sikora: the following arguments are required: --ordering"),
+    (["convex"], "ordo convex: the following arguments are required: --ordering, --x, "
+     "--subgroup"),
+    (["realize"], "ordo realize: the following arguments are required: --ordering"),
+    (["cocycle"], "ordo cocycle: the following arguments are required: --ordering, --x"),
+    (["equiv"], "ordo equiv: the following arguments are required: --a, --b, --x"),
 ])
 def test_usage_errors_print_one_json_document(capsys, argv, detail):
     assert run(capsys, *argv) == (2, {"error": "ParseError", "detail": detail})

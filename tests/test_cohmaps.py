@@ -213,18 +213,6 @@ def test_construct_duals_vanish_off_the_pivots():
             assert all(dual[j] == 0 for j in range(n) if j not in pivots)
 
 
-def test_construct_custom_tiebreak():
-    z3 = GroupRef.free_abelian(3)
-    reversed_lex = FlagOrdering.from_rational_rows([[0, 1], [1, 0]])
-    flag = construct_from_translations([ONE, rc(0), rc(0)], el("x1", z3),
-                                       tiebreak=reversed_lex)
-    # Kernel basis (HNF) is (0,1,0), (0,0,1); reversed tiebreak puts x3 first.
-    assert flag.sign(el("x3 x2^-9", z3)) == 1
-    with pytest.raises(UnsupportedInput):
-        construct_from_translations([ONE, rc(0), rc(0)], el("x1", z3),
-                                    tiebreak=FlagOrdering.lex(1))
-
-
 def test_sikora_lex():
     point = sikora_coordinate(LEX2)
     assert point.kind == "rational"

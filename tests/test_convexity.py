@@ -10,19 +10,18 @@ from ordo.exactreal import RealConstant
 from ordo.groups import GroupRef, full_twist, parse_element
 from ordo.orderings import DehornoyOrdering, FlagOrdering, act, cone_sign
 from ordo.convexity import (
-    _MAX_CYCLIC_EXPONENT,
     _squeezed,
     ExponentMatrix,
     WordExpression,
     brute_convex,
-    brute_convex_cyclic_braid,
     check_convex,
     level_kernels,
     nesting_check,
     word_constraints,
 )
 
-from oracles import braid_words_up_to, unchecked_flag
+from oracles import (_MAX_CYCLIC_EXPONENT, braid_words_up_to, brute_convex_cyclic_braid,
+                     unchecked_flag)
 
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)

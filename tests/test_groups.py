@@ -29,12 +29,11 @@ from ordo.groups import (
     twist_key,
 )
 from ordo.dynamics import circle_action_from_ball, partial_action_check, realize
-from ordo.convexity import brute_convex_cyclic_braid
 from ordo.orderings import (Cone, ConjugatedOrdering, DehornoyOrdering, FlagOrdering, act, compare,
                             is_cofinal, is_right_invariant, ordering_from_json)
 from ordo.quasimorph import AnchorContext, power_floor, stable_exact
 
-from oracles import braid_words_up_to, first_words, locate
+from oracles import braid_words_up_to, brute_convex_cyclic_braid, first_words, locate
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)

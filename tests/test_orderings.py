@@ -14,8 +14,11 @@ import sympy
 
 import ordo.groups as ordo_groups
 import ordo.orderings as ordo_orderings
-from ordo.errors import AnchorIsIdentity, GroupMismatch, NotCofinal, UnsupportedInput
-from ordo.exactreal import RealConstant, linear_combination
+from ordo.cohmaps import construct_from_translations, naturality_check, sikora_coordinate
+from ordo.convexity import ExponentMatrix, check_convex
+from ordo.errors import (AnchorIsIdentity, GroupMismatch, NotCofinal, OrdoError, ParseError,
+                         UnsupportedInput)
+from ordo.exactreal import ONE, RealConstant, linear_combination
 from ordo.groups import (BraidWord, GroupRef, LatticeElement, dynnikov_act, full_twist, parse_element,
                          random_element)
 from ordo.orderings import (
@@ -1055,3 +1058,24 @@ def test_right_invariance_search_to_its_cap_ends_unknown_without_witness():
     assert verdict.to_json() == {"outcome": "unknown_within_cap", "witness": None}
     assert is_right_invariant(DEHORNOY3, br("s1"), cap=3).to_json() == {
         "outcome": "no", "witness": "s1^-1 s2"}
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: stable_exact(DEHORNOY3, full_twist(3), br("s1")),
+     "exact stable values need a flag ordering"),
+    (lambda: check_convex(DEHORNOY3, full_twist(3), ExponentMatrix.parse("1 0 0")),
+     "the convexity criterion needs a flag ordering"),
+    (lambda: level_kernels(DEHORNOY3), "level kernels need a flag ordering"),
+    (lambda: naturality_check(DEHORNOY3, full_twist(3), []),
+     "the naturality check needs a flag ordering"),
+    (lambda: sikora_coordinate(DehornoyOrdering.create(2)),
+     "sikora coordinates need a flag ordering of Z^2"),
+    (lambda: construct_from_translations([ONE, ONE], parse_element("s1", GroupRef.braid(2))),
+     "the construction from translation numbers needs an anchor in Z^n"),
+], ids=["stable_exact", "check_convex", "level_kernels", "naturality_check", "sikora_coordinate",
+        "construct_from_translations"])
+def test_flag_only_functions_refuse_braid_input_with_parse_error(call, refusal):
+    with pytest.raises(OrdoError) as caught:
+        call()
+    assert type(caught.value) is ParseError and caught.value.exit_code == 2
+    assert str(caught.value) == refusal
