@@ -27,7 +27,6 @@ from .groups import (
 )
 from .orderings import (
     Cone,
-    ConjugatedOrdering,
     Decision,
     DehornoyOrdering,
     Density,

@@ -36,24 +36,38 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# The most bytes an input file may hold; larger ones are refused before they are parsed.
+MAX_INPUT_BYTES = 16 * 1024 * 1024
+
+
 def _parse_json(text: str, context: str = ""):
     """json.loads, with any ValueError (malformed JSON, or a number past the
-    integer-string digit limit) turned into a ParseError."""
+    integer-string digit limit) or RecursionError (nesting past the
+    interpreter's depth) turned into a ParseError."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{context}{exc}") from exc
 
 
 def _file(path: str, text: str | None = None) -> str | None:
-    """The text of the file at path or, given text, write it there; a file
-    the system refuses is a ParseError."""
+    """The text of the file at path or, given text, write it there.  A file
+    the system refuses, one past MAX_INPUT_BYTES or one that is not UTF-8
+    is a ParseError; at most MAX_INPUT_BYTES + 1 bytes are read."""
     try:
-        if text is None:
-            return Path(path).read_text()
-        Path(path).write_text(text)
+        if text is not None:
+            Path(path).write_text(text)
+            return None
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot {'read' if text is None else 'write'} {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"{path} holds more than MAX_INPUT_BYTES = {MAX_INPUT_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_json(path: str):

@@ -36,7 +36,6 @@ from .exactreal import ONE, RealConstant, linear_combination, mod_one, q_rank
 from .groups import BraidWord, Element, GroupRef, LatticeElement, full_twist
 from .orderings import (
     Cone,
-    ConjugatedOrdering,
     Decision,
     DehornoyOrdering,
     FlagOrdering,
@@ -76,13 +75,15 @@ def _anchor_is_cofinal(cone: Cone, x: Element) -> bool:
 
 
 def unwrap_central_conjugation(cone: Cone, x: Element) -> Cone:
-    """Peel conjugations off a cone when the anchor is central.
+    """Drop a Dehornoy cone's conjugator when the anchor is central.
 
     Stable values are conjugation-invariant, so a conjugated cone has the
-    same translation invariants as its base whenever the anchor is central.
+    same translation invariants as the Dehornoy cone whenever the anchor is
+    central.
     """
-    while isinstance(cone, ConjugatedOrdering) and is_central_braid(cone, x):
-        cone = cone.base
+    if isinstance(cone, DehornoyOrdering) and cone.conjugator.letters and \
+            is_central_braid(cone, x):
+        return DehornoyOrdering(cone.group)
     return cone
 
 

@@ -19,22 +19,22 @@ same question by rewriting words; it is kept as an independent check of the
 coordinate sign.
 
 ``compare`` reads the sign of a product through ``Cone.sign_product``, which
-the flag, Dehornoy and conjugated cones answer without building the
-product, and ``check_group`` names the first operand of a foreign group;
-the one search that sorts elements by a cone is in ``dynamics``.  A
-Dehornoy cone, and a cone conjugated from one, has a Dynnikov frame, its
-only sign path: a start key and tail letters, so that sign(g) is the sign
-of g's letters and then the tail acting on the start key.  On a frame a
-sign, a product sign or a comparison is one pass of the kernel over raw
-letters, and ``compare`` first drops the words' common prefix.  Whether an
-element lies in a finite set is a question of identity, not of order, and
-is answered by a dict on ``key``.
+the flag and Dehornoy cones answer without building the product, and
+``check_group`` names the first operand of a foreign group; the one search
+that sorts elements by a cone is in ``dynamics``.  Every braid cone is the
+Dehornoy cone moved by one conjugator c (the identity by default), and its
+Dynnikov frame (key(c), c^-1's letters), built with the cone, is its only
+sign path: sign(g) is the sign of g's letters and then the tail acting on
+the start key.  On a frame a sign, a product sign or a comparison is one
+pass of the kernel over raw letters, and ``compare`` first drops the words'
+common prefix.  Whether an element lies in a finite set is a question of
+identity, not of order, and is answered by a dict on ``key``.
 
-Also here: restriction of flag orderings to sublattices, conjugates of the
-Dehornoy cone (``act`` returns a flag as is), the bounded/exact
-membership predicates (cofinality, right-invariance under an anchor, density),
-and ``flag_only``, the one refusal of braid input by the computations
-defined on flag orderings only.
+Also here: restriction of flag orderings to sublattices, ``act``, which
+moves a Dehornoy cone by composing conjugators and returns a flag as is,
+the bounded/exact membership predicates (cofinality, right-invariance under
+an anchor, density), and ``flag_only``, the one refusal of braid input by
+the computations defined on flag orderings only.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .groups import (
     random_element,
     twist_key,
 )
-from .records import Record, set_field
+from .records import Record
 
 DEFAULT_REDUCTION_STEPS = 400_000
 
@@ -327,32 +327,37 @@ def main_generator_sign(reduced: Letters) -> int:
 
 
 class DehornoyOrdering(Cone, Record):
-    """Order oracle for the braid group via sigma-positivity."""
+    """Order oracle for the braid group via sigma-positivity, moved by a
+    conjugator c: sign(g) is the sigma-sign of c g c^-1."""
 
     group: GroupRef
+    conjugator: BraidWord
 
-    def __init__(self, group: GroupRef) -> None:
-        set_field(self, "group", group)
+    def __init__(self, group: GroupRef, conjugator: BraidWord | None = None) -> None:
         if group.is_abelian:
             raise ParseError("the Dehornoy ordering lives on braid groups")
+        c = group.identity() if conjugator is None else conjugator
+        self.__dict__.update(group=group, conjugator=c)
+        check_group(self, c, "conjugator")
+        self.__dict__["_frame"] = c.key, inverse_letters(c.letters)
 
     @staticmethod
     def create(strands: int) -> "DehornoyOrdering":
         return DehornoyOrdering(GroupRef.braid(strands))
 
-    @cached_property
-    def _frame(self) -> tuple[tuple[int, ...], Letters]:
-        return (0, 1) * self.group.n, ()
-
     def sign(self, g: BraidWord) -> int:
         if g.group is not self.group:
             check_group(self, g)
-        return _dynnikov_sign(g.key)
+        start, tail = self._frame
+        return _dynnikov_sign(start, g.letters + tail) if tail else _dynnikov_sign(g.key)
 
     def sign_product(self, a: BraidWord, b: BraidWord) -> int:
         if a.group is not self.group or b.group is not self.group:
             check_group(self, a)
             check_group(self, b)
+        start, tail = self._frame
+        if tail:
+            return _dynnikov_sign(start, a.letters + b.letters + tail)
         return _dynnikov_sign(a.key, b.letters)
 
 
@@ -372,49 +377,18 @@ def _dynnikov_sign(coords: tuple[int, ...], letters: Letters = ()) -> int:
     return 0
 
 
-class ConjugatedOrdering(Cone, Record):
-    """sign(g) = sign_base(c g c^-1); the right action of c^-1 on cones.
-
-    The base has a Dynnikov frame (start key s, tail t), and the conjugate's
-    frame is (s moved by c, c^-1 t), so signs act their letters in one pass."""
-
-    base: Cone
-    conjugator: Element
-    group: GroupRef
-
-    def __init__(self, base: Cone, conjugator: Element) -> None:
-        check_group(base, conjugator, "conjugator")
-        if (frame := base._frame) is None:
-            raise UnsupportedInput(f"{type(base).__name__} has no Dynnikov frame to conjugate")
-        c = conjugator.letters
-        self.__dict__.update(base=base, conjugator=conjugator, group=base.group,
-                             _frame=(dynnikov_act(frame[0], c), inverse_letters(c) + frame[1]))
-
-    def sign(self, g: BraidWord) -> int:
-        if g.group is not self.group:
-            check_group(self, g)
-        frame = self._frame
-        return _dynnikov_sign(frame[0], g.letters + frame[1])
-
-    def sign_product(self, a: BraidWord, b: BraidWord) -> int:
-        if a.group is not self.group or b.group is not self.group:
-            check_group(self, a)
-            check_group(self, b)
-        frame = self._frame
-        return _dynnikov_sign(frame[0], a.letters + b.letters + frame[1])
-
-
 def act(cone: Cone, h: Element) -> Cone:
     """Move the cone by h: the new cone ranks g by the old rank of h g h^-1.
 
     Conjugation is trivial in abelian groups, so the cone is returned as is.
+    A Dehornoy cone with conjugator c becomes the one with conjugator c h.
     """
     check_group(cone, h, "conjugator")
     if cone.group.is_abelian:
         return cone
-    if isinstance(cone, ConjugatedOrdering):
-        return ConjugatedOrdering(cone.base, cone.conjugator * h)
-    return ConjugatedOrdering(cone, h)
+    if not isinstance(cone, DehornoyOrdering):
+        raise UnsupportedInput(f"{type(cone).__name__} has no Dynnikov frame to conjugate")
+    return DehornoyOrdering(cone.group, cone.conjugator * h)
 
 
 def is_central_braid(cone: Cone, x: Element) -> bool:
@@ -544,12 +518,12 @@ def is_right_invariant(cone: Cone, x: Element, cap: int = 5) -> InvarianceVerdic
     Otherwise each braid z of ``key_walk`` over the generators, x and their
     inverses, up to cap steps, is checked once for sign(z) == sign(x^-1 z x);
     the first mismatch is a definite No.  A power of s_(n-1) has none under
-    the Dehornoy cone.  More than MAX_BALL_ELEMENTS braids are refused.
+    the unconjugated Dehornoy cone.  More than MAX_BALL_ELEMENTS braids are refused.
     """
     check_group(cone, x, "anchor")
     if is_central_braid(cone, x):
         return InvarianceVerdict(Decision.YES)
-    if isinstance(cone, DehornoyOrdering) and \
+    if isinstance(cone, DehornoyOrdering) and not cone.conjugator.letters and \
             x.key == (x.group.generators()[-1] ** x.exponent_sum()).key:
         return InvarianceVerdict(Decision.UNKNOWN)
     steps = [h.letters for g in cone.group.generators() + [x] for h in (g, g.inverse())]
@@ -638,13 +612,10 @@ def _part_to_json(cone: Cone) -> dict:
             "levels": [[c.to_json() for c in level] for level in cone.levels],
         }
     if isinstance(cone, DehornoyOrdering):
-        return {"type": "dehornoy"}
-    if isinstance(cone, ConjugatedOrdering):
-        return {
-            "type": "conjugated",
-            "base": _part_to_json(cone.base),
-            "by": cone.conjugator.render(),
-        }
+        part = {"type": "dehornoy"}
+        if cone.conjugator.letters:
+            part = {"type": "conjugated", "base": part, "by": cone.conjugator.render()}
+        return part
     raise UnsupportedInput(f"cannot serialize cone of type {type(cone).__name__}")
 
 

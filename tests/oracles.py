@@ -22,7 +22,7 @@ from ordo.convexity import BruteForceResult, _squeezed
 from ordo.errors import UnsupportedInput
 from ordo.exactreal import RealConstant
 from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, braid_ball, dynnikov_act
-from ordo.orderings import Cone, ConjugatedOrdering, FlagOrdering, check_group
+from ordo.orderings import Cone, DehornoyOrdering, FlagOrdering, check_group
 
 
 def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
@@ -47,13 +47,11 @@ def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, boo
     return lo, False
 
 
-def word_sign(cone: Cone, g: BraidWord) -> int:
-    """The sign read by building words: each conjugation builds c g c^-1, down
-    to the base's key acted from scratch on a freshly validated word."""
-    while isinstance(cone, ConjugatedOrdering):
-        g = cone.conjugator * g * cone.conjugator.inverse()
-        cone = cone.base
-    return cone.sign(BraidWord(g.group, g.letters))
+def word_sign(cone: DehornoyOrdering, g: BraidWord) -> int:
+    """The sign read by building words: c g c^-1, c the conjugator, signed by
+    the unconjugated cone's key acted from scratch on a freshly validated word."""
+    c = cone.conjugator
+    return DehornoyOrdering(cone.group).sign(BraidWord(g.group, (c * g * c.inverse()).letters))
 
 
 def first_level(flag: FlagOrdering, g: LatticeElement) -> tuple[int, RealConstant] | None:

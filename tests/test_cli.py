@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ordo.cli import main
+from ordo.cli import MAX_INPUT_BYTES, main
 
 
 @pytest.fixture()
@@ -716,3 +716,49 @@ def test_equiv_dynamical_on_seven_strands_is_unknown_not_dense(capsys, tmp_path)
     assert code == 3
     assert (payload["outcome"], payload["reason"]) == \
         ("Unknown", "left: not dense (unknown_within_cap)")
+
+
+# Every option that names an input file, in a command that reads it.
+def _reading(option, path, lex2):
+    return {"--ordering": ["axioms", "--ordering", path, "--samples", "1"],
+            "--enumeration": ["realize", "--ordering", lex2, "--enumeration", path],
+            "--a": ["equiv", "--a", path, "--b", lex2, "--x", "x1"]}[option]
+
+
+@pytest.mark.parametrize("option", ["--ordering", "--enumeration", "--a"])
+def test_input_file_that_is_not_utf8_exit_2(capsys, tmp_path, lex2, option):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    payload = run_exit_2(capsys, *_reading(option, str(path), lex2))
+    assert payload == {"error": "ParseError", "detail": f"{path} is not UTF-8 text: 'utf-8' "
+                       "codec can't decode byte 0xff in position 0: invalid start byte"}
+
+
+@pytest.mark.parametrize("option", ["--ordering", "--enumeration", "--tau"])
+def test_json_nested_past_the_recursion_limit_exit_2(capsys, tmp_path, lex2, option):
+    text = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = (["construct", "--x", "x1", "--tau", text] if option == "--tau"
+            else _reading(option, str(path), lex2))
+    payload = run_exit_2(capsys, *argv)
+    assert payload["error"] == "ParseError"
+    assert "maximum recursion depth exceeded" in payload["detail"]
+
+
+def test_input_file_past_the_byte_limit_exit_2_quickly(capsys, tmp_path, lex2):
+    assert MAX_INPUT_BYTES == 16 * 1024 * 1024
+    # A document padded with whitespace to the limit is read; one byte more is not.
+    path = tmp_path / "padded.json"
+    doc = open(lex2, "rb").read()
+    path.write_bytes(doc + b" " * (MAX_INPUT_BYTES - len(doc)))
+    assert run(capsys, *_reading("--ordering", str(path), lex2))[0] == 0
+    with open(path, "ab") as out:
+        out.write(b" ")
+    for option in ("--ordering", "--enumeration", "--a"):
+        start = time.perf_counter()
+        payload = run_exit_2(capsys, *_reading(option, str(path), lex2))
+        assert time.perf_counter() - start < 2.0
+        assert payload == {"error": "ParseError",
+                           "detail": f"{path} holds more than MAX_INPUT_BYTES = 16777216 bytes"}
+    path.unlink()

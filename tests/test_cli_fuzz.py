@@ -3,7 +3,8 @@
 Hypothesis draws small B3, B4 and Z^2 inputs for the rho, stable, realize,
 axioms, sikora, cocycle, equiv, psi, psitilde, construct, convex and
 obstruct subcommands, mixing well-formed element tokens with malformed ones
-and huge exponents.  Each case must print exactly one JSON document on
+and huge exponents, and mutates the bytes of the golden commands' JSON
+inputs.  Each case must print exactly one JSON document on
 stdout, exit with 0, 2 or 3, and finish within CASE_SECONDS; a ball past
 the ball limit, and a group, radicand or braid sampling radius past its
 limit, must exit 2.  Runs are derandomized, so the examples are the same on
@@ -14,12 +15,15 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ordo.cli import main
+
+from test_golden_cli import CLI_CASES, ROOT
 
 # The slowest case seen takes about 2 s: a pseudo-Anosov braid anchor, whose
 # floor search runs until its probe reaches the 100000-letter limit.
@@ -35,15 +39,20 @@ ORDERINGS = {
     "conj_b3": {"group": {"kind": "braid", "strands": 3},
                 "ordering": {"type": "conjugated", "base": {"type": "dehornoy"},
                              "by": "s1 s2^-1"}},
+    "nested_b3": {"group": {"kind": "braid", "strands": 3},
+                  "ordering": {"type": "conjugated", "by": "s2",
+                               "base": {"type": "conjugated", "base": {"type": "dehornoy"},
+                                        "by": "s1 s2^-1"}}},
     "rank_deficient": {"group": {"kind": "free_abelian", "rank": 2},
                        "ordering": {"type": "flag", "levels": [[{"1": "1"}, {"1": "1"}]]}},
 }
 # Letter names and counts per ordering: (prefix, number of generators).
-ALPHABETS = {"b3": ("s", 2), "b4": ("s", 3), "conj_b3": ("s", 2),
+ALPHABETS = {"b3": ("s", 2), "b4": ("s", 3), "conj_b3": ("s", 2), "nested_b3": ("s", 2),
              "lex2": ("x", 2), "sqrt2": ("x", 2), "rank_deficient": ("x", 2)}
 
 # Central cofinal anchors, so that cocycle and equiv get past their checks.
 TWISTS = {"b3": "s1 s2 s1 s1 s2 s1", "conj_b3": "s1 s2 s1 s1 s2 s1",
+          "nested_b3": "s1 s2 s1 s1 s2 s1",
           "b4": "s1 s2 s3 s1 s2 s1^2 s2 s3 s1 s2 s1", "lex2": "x1", "sqrt2": "x1",
           "rank_deficient": "x1"}
 
@@ -375,3 +384,58 @@ def test_fuzz_sampling_radius(paths, data):
     code = _run(_with_paths(argv, paths))
     if radius > 10 ** 5 and name != "lex2":
         assert code == 2, argv
+
+
+# The options of the golden commands that take JSON: files, and construct's --tau text.
+FILE_OPTIONS = ("--ordering", "--a", "--b", "--enumeration")
+GOLDEN_INPUTS = [(argv, i) for argv, _ in CLI_CASES for i in range(1, len(argv))
+                 if argv[i - 1] in (*FILE_OPTIONS, "--tau")]
+BOM = b"\xef\xbb\xbf"
+INVALID_UTF8 = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """One to three of: truncation, a byte flip, a BOM, invalid UTF-8, deep
+    nesting, or a digit changed to another, so that some inputs still parse
+    and reach the computation."""
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["digit", "digit", "flip", "truncate", "bom", "invalid",
+                                     "nest"]))
+        if kind == "digit":
+            digits = [i for i, b in enumerate(data) if 0x30 <= b <= 0x39]
+            if digits:
+                at = digits[at % len(digits)]
+                data = data[:at] + bytes([draw(st.sampled_from(b"0123456789"))]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "bom":
+            data = BOM + data
+        elif kind == "invalid":
+            data = data[:at] + draw(st.sampled_from(INVALID_UTF8)) + data[at:]
+        elif kind == "nest":
+            data = data[:at] + b"[" * draw(st.sampled_from([2000, 100_000])) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_fuzz_golden_commands_on_mutated_input_bytes(mutation_dir, data):
+    argv, at = data.draw(st.sampled_from(GOLDEN_INPUTS))
+    argv = [str(ROOT / a) if i and argv[i - 1] in FILE_OPTIONS else a for i, a in enumerate(argv)]
+    if argv[at - 1] == "--tau":
+        # Command-line bytes that are not UTF-8 reach argv as surrogate escapes.
+        argv[at] = data.draw(_mutated(argv[at].encode())).decode("utf-8", "surrogateescape")
+    else:
+        path = mutation_dir / "input.json"
+        path.write_bytes(data.draw(_mutated(Path(argv[at]).read_bytes())))
+        argv[at] = str(path)
+    _run(argv)

@@ -29,8 +29,8 @@ from ordo.groups import (
     twist_key,
 )
 from ordo.dynamics import circle_action_from_ball, partial_action_check, realize
-from ordo.orderings import (Cone, ConjugatedOrdering, DehornoyOrdering, FlagOrdering, act, compare,
-                            is_cofinal, is_right_invariant, ordering_from_json)
+from ordo.orderings import (Cone, DehornoyOrdering, FlagOrdering, act, compare, is_cofinal,
+                            is_right_invariant, ordering_from_json)
 from ordo.quasimorph import AnchorContext, power_floor, stable_exact
 
 from oracles import braid_words_up_to, brute_convex_cyclic_braid, first_words, locate
@@ -279,7 +279,7 @@ def test_mixed_group_calls_name_the_foreign_operand():
         (lambda: AnchorContext(lex, x1, generators=(x1, y1)), GENERATOR_Z3_ON_Z2),
         (lambda: stable_exact(lex, y1, x1), ANCHOR_Z3_ON_Z2),
         (lambda: stable_exact(lex, x1, y1), QUERIED_Z3_ON_Z2),
-        (lambda: ConjugatedOrdering(dehornoy, t1), CONJUGATOR_B4_ON_B3),
+        (lambda: DehornoyOrdering(B3, t1), CONJUGATOR_B4_ON_B3),
         (lambda: act(dehornoy, t1), CONJUGATOR_B4_ON_B3),
         (lambda: is_cofinal(dehornoy, t1), ANCHOR_B4_ON_B3),
         (lambda: is_cofinal(lex, x1, [y1]), GENERATOR_Z3_ON_Z2),

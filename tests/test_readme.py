@@ -26,12 +26,14 @@ def _constant(module: str, name: str):
 def test_readme_limits_cite_existing_constants_at_their_values():
     section = _limits_section()
     cited = set(CITED.findall(section))
-    assert {("groups", "MAX_BALL_ELEMENTS"), ("exactreal", "MAX_RADICAND")} <= cited
+    assert {("groups", "MAX_BALL_ELEMENTS"), ("exactreal", "MAX_RADICAND"),
+            ("cli", "MAX_INPUT_BYTES")} <= cited
     for module, name in cited:
         assert _constant(module, name) is not None, f"{module}.{name}"
     stated = STATED.findall(section)
     assert {name for _, _, name in stated} >= {"MAX_BALL_ELEMENTS", "MAX_BALL_LETTERS",
-                                              "MAX_BRAID_LETTERS", "MAX_SAMPLES", "MAX_GROUP_N"}
+                                              "MAX_BRAID_LETTERS", "MAX_SAMPLES", "MAX_GROUP_N",
+                                              "MAX_INPUT_BYTES"}
     for number, module, name in stated:
         assert int(number.replace(" ", "")) == _constant(module, name), \
             f"{number} ({module}.{name})"

@@ -40,7 +40,6 @@ from ordo.exactreal import RealConstant
 from ordo.groups import BraidWord, GroupRef, LatticeElement, full_twist, parse_element
 from ordo.orderings import (
     AxiomsReport,
-    ConjugatedOrdering,
     Decision,
     DehornoyOrdering,
     Density,
@@ -82,11 +81,9 @@ RECORDS = [
      lambda i: ([((1, Fraction(1, 2)),), ((2, Fraction(3)),)][i],)),
     (FlagOrdering, (("group", REQUIRED), ("levels", REQUIRED)), {},
      lambda i: (Z2, ((THIRD, RealConstant.sqrt(2 + i)),))),
-    (DehornoyOrdering, (("group", REQUIRED),), {},
-     lambda i: (GroupRef.braid(3 + i),)),
-    (ConjugatedOrdering, (("base", REQUIRED), ("conjugator", REQUIRED)),
-     {"group": lambda rec: rec.base.group},
-     lambda i: (DEHORNOY3, [S1, S1.inverse()][i])),
+    # The conjugator's default, the identity of the group, depends on the group.
+    (DehornoyOrdering, (("group", REQUIRED), ("conjugator", REQUIRED)), {},
+     lambda i: (B3, [S1, B3.identity()][i])),
     (AxiomsReport, (("passed", REQUIRED), ("samples", REQUIRED), ("lo1_checked", REQUIRED),
                     ("lo1_failures", REQUIRED), ("lo2_failures", REQUIRED),
                     ("kernel_witness", REQUIRED)), {},
@@ -157,7 +154,6 @@ WARM = {
     SampledCircleAction: lambda action: [action.floor(h) for h in action.stored],
     RealizationTable: lambda table: table.lookup(table.elements[-1]),
     DehornoyOrdering: lambda cone: cone.sign(S1),
-    ConjugatedOrdering: lambda cone: cone.sign(S1),
 }
 
 
@@ -193,7 +189,7 @@ def test_the_table_covers_every_record_class():
                                   "convexity", "cohmaps")
                for obj in vars(getattr(ordo, module)).values()
                if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record}
-    assert classes == {cls for cls, *_ in RECORDS} and len(RECORDS) == 31
+    assert classes == {cls for cls, *_ in RECORDS} and len(RECORDS) == 30
 
 
 def test_no_module_imports_dataclasses():
