@@ -23,8 +23,8 @@ x^{floor(h)} times a remainder in the floor-zero stratum, and
 with theta an order-embedding of the stratum into [0,1) realizes the group
 on the line with x acting as translation by one; quotienting by that
 translation samples a circle action, which floors each element once (by
-its key), keys each remainder from the cached anchor power, and sorts the
-distinct remainders with the same forest search.  The normalized lift of
+its key), keys each remainder from the context's cached anchor-power key,
+and sorts the distinct remainders with the same forest search.  The normalized lift of
 the circle map of f moves 0 to t'(f) - floor(f), and composing lifts measures an integer
 cocycle which must equal minus the quasimorphism coboundary: this is the
 cochain-level form of "the rotation class is minus the Euler class".
@@ -51,6 +51,8 @@ from .groups import (
     check_sample_count,
     coordinate_ball,
     dynnikov_act,
+    free_reduce,
+    inverse_letters,
     random_element,
 )
 from .orderings import (
@@ -59,6 +61,7 @@ from .orderings import (
     Density,
     check_group,
     cone_sign,
+    frame_key,
     is_central_braid,
     is_cofinal,
     is_dense,
@@ -297,14 +300,21 @@ def circle_action_from_ball(cone: Cone, x: Element, radius: int) -> SampledCircl
 
 
 def _split(ctx: AnchorContext, h: Element) -> tuple[int, Element]:
-    """(floor(h), x^-floor(h) h), memoized in the context by h's key; a braid
-    remainder's key is h's letters acting on the cached anchor power's key."""
-    if h.group is not ctx.cone.group:
-        check_group(ctx.cone, h)
+    """(floor(h), x^-floor(h) h), memoized in the context by h's key.  A braid
+    remainder is built once, from letters, and keyed as the tail and h's letters
+    acting on the cached key(c x^-floor(h)): x is central, so c x^-N c^-1 = x^-N."""
+    cone = ctx.cone
+    if h.group is not cone.group:
+        check_group(cone, h)
     found = ctx._splits.get(h.key)
     if found is None:
-        power = ctx.power(-(n := power_floor(ctx, h)))
-        remainder = power * h if h.group.is_abelian else (power * h).with_key(power.key_times(h))
+        n = power_floor(ctx, h)
+        if h.group.is_abelian:
+            remainder = ctx.anchor ** -n * h
+        else:
+            unit = ctx.anchor.letters if n < 0 else inverse_letters(ctx.anchor.letters)
+            remainder = BraidWord._trusted(cone.group, free_reduce(unit * abs(n) + h.letters))
+            remainder.with_key(dynnikov_act(frame_key(cone, ctx.power_key(-n)), h.letters))
         found = ctx._splits[h.key] = n, remainder
     return found
 

@@ -10,7 +10,7 @@ dicts on ``key``.  ``a.key_times(b)`` is the key of a * b without building
 the product: the coordinate sum, or b's letters acting on a's coordinates.
 A braid word built where its key is already known (a parent's key moved by a
 step in ``key_walk``, the one braid enumeration, which keeps a braid only when
-its key is new; a power extending a shorter power) is handed it by ``with_key``.
+its key is new; a circle remainder keyed from a power key) is handed it by ``with_key``.
 
 The shared text grammar is whitespace-separated tokens ``x<k>`` (abelian) or
 ``s<k>`` (braid), each optionally suffixed ``^<signed integer>``; the empty

@@ -25,9 +25,9 @@ that sorts elements by a cone is in ``dynamics``.  Every braid cone is the
 Dehornoy cone moved by one conjugator c (the identity by default), and its
 Dynnikov frame (key(c), c^-1's letters), built with the cone, is its only
 sign path: sign(g) is the sign of g's letters and then the tail acting on
-the start key.  On a frame a sign, a product sign or a comparison is one
-pass of the kernel over raw letters, and ``compare`` first drops the words'
-common prefix.  Whether an element lies in a finite set is a question of
+the start key; floors read it only through ``frame_key``.  On a frame a sign,
+a product sign or a comparison is one pass of the kernel over raw letters,
+and ``compare`` first drops the words' common prefix.  Whether an element lies in a finite set is a question of
 identity, not of order, and is answered by a dict on ``key``.
 
 Also here: restriction of flag orderings to sublattices, ``act``, which
@@ -147,7 +147,7 @@ def compare(cone: Cone, a: Element, b: Element) -> int:
     c, n = 0, min(len(la), len(lb))
     while c < n and la[c] == lb[c]:
         c += 1
-    return -_dynnikov_sign(frame[0], inverse_letters(la[c:]) + lb[c:] + frame[1])
+    return -dynnikov_sign(frame[0], inverse_letters(la[c:]) + lb[c:] + frame[1])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ class DehornoyOrdering(Cone, Record):
         if g.group is not self.group:
             check_group(self, g)
         start, tail = self._frame
-        return _dynnikov_sign(start, g.letters + tail) if tail else _dynnikov_sign(g.key)
+        return dynnikov_sign(start, g.letters + tail) if tail else dynnikov_sign(g.key)
 
     def sign_product(self, a: BraidWord, b: BraidWord) -> int:
         if a.group is not self.group or b.group is not self.group:
@@ -357,11 +357,11 @@ class DehornoyOrdering(Cone, Record):
             check_group(self, b)
         start, tail = self._frame
         if tail:
-            return _dynnikov_sign(start, a.letters + b.letters + tail)
-        return _dynnikov_sign(a.key, b.letters)
+            return dynnikov_sign(start, a.letters + b.letters + tail)
+        return dynnikov_sign(a.key, b.letters)
 
 
-def _dynnikov_sign(coords: tuple[int, ...], letters: Letters = ()) -> int:
+def dynnikov_sign(coords: tuple[int, ...], letters: Letters = ()) -> int:
     """First nonzero entry of (a1, b1 - 1, a2, b2 - 1, ...) of the Dynnikov
     coordinates moved by the letters: the Dehornoy sign of the braid with
     that key (Dehornoy, "Efficient solutions to the braid isotopy problem",
@@ -391,11 +391,24 @@ def act(cone: Cone, h: Element) -> Cone:
     return DehornoyOrdering(cone.group, cone.conjugator * h)
 
 
+def frame_key(cone: Cone, key: tuple[int, ...] | None = None,
+              letters: Letters = ()) -> tuple[int, ...]:
+    """The one reading of a braid cone's frame outside this module.  With no
+    key: key(c), c the conjugator.  With key(c g): w's letters and then the
+    tail c^-1 act on it in one kernel pass, giving key(c g w c^-1), whose
+    ``dynnikov_sign`` is the cone's sign of g w (and key(g) when g is central
+    and w empty).  A braid cone with no frame is refused."""
+    if cone._frame is None:
+        raise UnsupportedInput(f"{type(cone).__name__} has no Dynnikov frame to read floors on")
+    start, tail = cone._frame
+    return start if key is None else dynnikov_act(key, letters + tail)
+
+
 def is_central_braid(cone: Cone, x: Element) -> bool:
-    """Whether x is a (nonzero or zero) power of the full twist, hence central."""
+    """Whether the anchor x is a (nonzero or zero) power of the full twist, hence central."""
     if x.group.is_abelian or x.is_identity:
         return True
-    check_group(cone, x)
+    check_group(cone, x, "anchor")
     n = x.group.strands
     power, rest = divmod(x.exponent_sum(), n * (n - 1))
     return not rest and x.key == twist_key(n, power)

@@ -17,7 +17,8 @@ power_floor(h^N)/N a certified approximation with radius 1/N.  On flag
 orderings the stable map is computed exactly as a pairing ratio, and, when
 the anchor pairs rationally, power_floor is closed-form at any size up to
 the integer-string digit limit: read off that ratio and certified by two
-cone queries.  The exponent cap bounds only the search on braids and
+cone queries.  The exponent cap bounds only the search on braids, whose
+probes act h's letters on cached Dynnikov keys of anchor powers, and on
 irrational pairings.
 """
 
@@ -44,10 +45,11 @@ from .groups import (
     Element,
     check_sample_count,
     dynnikov_act,
+    inverse_letters,
     random_element,
 )
-from .orderings import (Cone, Decision, FlagOrdering, check_generators, check_group, cone_sign,
-                        flag_cofinal, flag_only)
+from .orderings import (Cone, Decision, FlagOrdering, Letters, check_generators, check_group,
+                        cone_sign, dynnikov_sign, flag_cofinal, flag_only, frame_key)
 from .records import Record
 
 DEFAULT_CAP = 1 << 62
@@ -62,8 +64,10 @@ class AnchorContext(Record):
     later as NotBracketedWithinCap from the search itself.  The context reads
     the anchor's sign (``anchor_sign``) when it is built, and on a flag its
     level scan (``anchor_dots``, else None), which gives its cofinality and
-    every floor's pairing ratio.  Anchor powers are built once per context
-    (``power``); ``_splits`` memoizes the circle splits (``dynamics._split``).
+    every floor's pairing ratio.  On a braid cone it caches the Dynnikov keys
+    of the anchor powers, key(c x^n) with c the cone's conjugator
+    (``power_key``), and refuses a cone with no frame; ``_splits`` memoizes
+    the circle splits (``dynamics._split``).
     """
 
     cone: Cone
@@ -75,7 +79,8 @@ class AnchorContext(Record):
     def __init__(self, cone: Cone, anchor: Element, generators: tuple[Element, ...] | None = None,
                  cap: int = DEFAULT_CAP, require_cofinal: bool = True) -> None:
         self.__dict__.update(cone=cone, anchor=anchor, generators=generators, cap=cap,
-                             require_cofinal=require_cofinal, _powers={}, _splits={})
+                             require_cofinal=require_cofinal, _splits={},
+                             _keys={} if isinstance(cone, FlagOrdering) else {0: frame_key(cone)})
         check_group(cone, anchor, "anchor")
         if cap < 1:
             raise UnsupportedInput("search cap must be positive")
@@ -89,22 +94,24 @@ class AnchorContext(Record):
             if flag_cofinal(cone, dots, generators) == Decision.NO:
                 raise NotCofinal("anchor is not cofinal for the requested subgroup")
 
-    def power(self, n: int) -> Element:
-        """x^n, for braid floor probes and circle splits, bounded and built once
-        per context.  A braid power's key is |n - m| more anchor letters acting
-        on the key of the cached x^m of the same sign nearest below (|m| < |n|)."""
-        power = self._powers.get(n)
-        if power is None:
-            power = self._powers[n] = _bounded_power(self.anchor, n, "floor probe")
-            if isinstance(power, BraidWord) and n:
-                below = max((m for m in self._powers if 0 < m * n < n * n), key=abs, default=0)
-                unit = self.anchor if n > 0 else self.anchor.inverse()
-                power.with_key(dynnikov_act(self.power(below).key, unit.letters * abs(n - below)))
-        return power
+    def power_key(self, n: int) -> tuple[int, ...]:
+        """key(c x^n), c the braid cone's conjugator, cached per context: |n - m|
+        anchor letters act on the cached key(c x^m) of the same sign nearest below
+        (|m| < |n|).  An x^n past MAX_BRAID_LETTERS letters is refused unbuilt."""
+        key = self._keys.get(n)
+        if key is None:
+            _check_power(self.anchor, n, "floor probe")
+            below = max((m for m in self._keys if 0 <= m * n < n * n), key=abs)
+            unit = self.anchor.letters if n > 0 else inverse_letters(self.anchor.letters)
+            key = self._keys[n] = dynnikov_act(self._keys[below], unit * abs(n - below))
+        return key
 
 
-def _max_true(pred: Callable[[int], bool], cap: int) -> int:
-    """Largest N with pred(N), where pred holds on a down-closed set of Z."""
+def _max_true(pred: Callable[[int], bool], cap: int, sign: int = 1) -> int:
+    """Largest N with pred(N), where pred holds on a down-closed set of Z; with
+    sign -1 the least N with pred(N), where pred holds on an up-closed set."""
+    if sign < 0:
+        return -_max_true(lambda m: pred(-m), cap)
     if pred(0):
         lo, hi = 0, 1
         while pred(hi):
@@ -149,7 +156,7 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
     Compares h against anchor powers through the cone only; every query is
     sign(x^-N h), so the value depends on finitely many cone answers: on a flag
     the sign of the lattice point h - N*x, with no element built, on a braid
-    read from the context's x^-N.
+    h's letters and the frame's tail acting on the context's key(c x^-N).
     """
     cone, s = ctx.cone, ctx.anchor_sign
     if h.group is not cone.group:
@@ -175,12 +182,16 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
             if not certified:
                 raise InvariantViolation(f"flag floor {int_text(n)} failed its bracket certificate")
             return printable_int(n, "flag floor")
-    else:
-        def at_least(n: int) -> bool:
-            return cone.sign_product(ctx.power(-n), h) >= 0
-    if s > 0:
-        return _max_true(at_least, ctx.cap)
-    return -_max_true(lambda m: at_least(-m), ctx.cap)
+        return _max_true(at_least, ctx.cap, s)
+    return _letters_floor(ctx, h.letters)
+
+
+def _letters_floor(ctx: AnchorContext, letters: Letters) -> int:
+    """power_floor on a braid cone of the braid with these letters, reduced or
+    not: each probe is one kernel pass of the letters and the frame's tail."""
+    cone = ctx.cone
+    return _max_true(lambda n: dynnikov_sign(frame_key(cone, ctx.power_key(-n), letters)) >= 0,
+                     ctx.cap, ctx.anchor_sign)
 
 
 class StableValue(Record):
@@ -238,20 +249,29 @@ def _exact_ratio(flag: FlagOrdering, x: Element, seen_x: tuple | None,
     return RealConstant(tuple((m, Fraction(d, q)) for m, d in dots))
 
 
-def _bounded_power(h: Element, n: int, what: str) -> Element:
-    """h^n; a braid power longer than MAX_BRAID_LETTERS is refused unbuilt."""
+def _check_power(h: Element, n: int, what: str) -> None:
+    """Refuse h^n for a braid h longer than MAX_BRAID_LETTERS, from lengths alone."""
     if isinstance(h, BraidWord) and abs(n) * len(h.letters) > MAX_BRAID_LETTERS:
         raise UnsupportedInput(
             f"{what} {int_text(n)} power of a {len(h.letters)}-letter braid is longer "
             f"than {MAX_BRAID_LETTERS} letters")
-    return h ** n
 
 
-def _order_power(h: Element, n: int) -> Element:
-    """h^n for an approximation order n >= 1, bounded as _bounded_power."""
+def _order_floor(ctx: AnchorContext, h: Element, n: int) -> int:
+    """power_floor(h^n) at an approximation order n >= 1.  A braid h^n is not
+    built: with h = p u p^-1 and u cyclically reduced, each probe acts p, n
+    copies of u and p^-1, the letters of the reduced word of h^n."""
     if n < 1:
         raise UnsupportedInput("approximation order must be >= 1")
-    return _bounded_power(h, n, "order")
+    _check_power(h, n, "order")
+    if not isinstance(h, BraidWord):
+        return power_floor(ctx, h ** n)
+    if h.group is not ctx.cone.group:
+        check_group(ctx.cone, h)
+    w, k = h.letters, 0
+    while 2 * k + 1 < len(w) and w[k] == (w[-1 - k][0], -w[-1 - k][1]):
+        k += 1
+    return _letters_floor(ctx, w[:k] + w[k:len(w) - k] * n + w[len(w) - k:])
 
 
 def stable_approx(ctx: AnchorContext, h: Element, n: int) -> StableValue:
@@ -260,7 +280,7 @@ def stable_approx(ctx: AnchorContext, h: Element, n: int) -> StableValue:
     The radius follows from defect 1: floors of powers are superadditive up
     to 1 per split, so |stable(h) - floor(h^n)/n| <= 1/n.
     """
-    approx = Fraction(power_floor(ctx, _order_power(h, n)), n)
+    approx = Fraction(_order_floor(ctx, h, n), n)
     exact = None
     if isinstance(ctx.cone, FlagOrdering):
         exact = _exact_ratio(ctx.cone, ctx.anchor, ctx.anchor_dots, h)
@@ -275,7 +295,7 @@ def stable_enclosure(ctx: AnchorContext, h: Element, n: int) -> tuple[Fraction, 
     therefore lies in [floor(h^n)/n, (floor(h^n)+1)/n].  A negative anchor
     mirrors the window.  Both endpoints are attainable.
     """
-    value = power_floor(ctx, _order_power(h, n))
+    value = _order_floor(ctx, h, n)
     if ctx.anchor_sign > 0:
         return Fraction(value, n), Fraction(value + 1, n)
     return Fraction(value - 1, n), Fraction(value, n)
@@ -360,8 +380,8 @@ def stable_map_properties(ctx: AnchorContext, seed: int = 0, sample_count: int =
     # Homogeneity: stable(h^M) = M * stable(h); a negative M swaps the ends.
     for h, (lo, hi) in zip(elements, singles):
         for m in powers:
-            whole = _enclosure(ctx, _bounded_power(h, m, "homogeneity"),
-                               max(1, approx_n // max(1, abs(m))))
+            _check_power(h, m, "homogeneity")
+            whole = _enclosure(ctx, h ** m, max(1, approx_n // max(1, abs(m))))
             scaled = (lo.scale(m), hi.scale(m)) if m >= 0 else (hi.scale(m), lo.scale(m))
             check("homogeneity", h, whole, scaled)
 

@@ -5,6 +5,10 @@ constructors.
 with; ``dynamics._forest_sort`` replaced it.  Tests compare the production
 sorts, lookups and work counts against it.  ``word_sign`` is the conjugated
 sign as it was read before Dynnikov frames, by building c g c^-1.
+``word_floor`` and ``word_enclosure`` are the braid floor and stable window
+as they were read before anchor-power keys: each probe signs x^-N h with the
+power x^-N built as a word, and a window builds h^n.  The work-count
+guards read ``count_kernel_letters_and_words``.
 ``first_level`` reads a flag's first nonzero level and its exact pairing,
 and ``unchecked_flag`` builds a flag without the totality check, for the
 rank-deficient flags the tests need.  ``braid_words_up_to`` lists every
@@ -16,13 +20,19 @@ for cyclic braid subgroups, whose only callers are tests.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
+import ordo.groups as ordo_groups
+import ordo.orderings as ordo_orderings
+import ordo.quasimorph as ordo_quasimorph
 from ordo.convexity import BruteForceResult, _squeezed
 from ordo.errors import UnsupportedInput
 from ordo.exactreal import RealConstant
-from ordo.groups import BraidWord, Element, GroupRef, LatticeElement, braid_ball, dynnikov_act
+from ordo.groups import (MAX_BRAID_LETTERS, BraidWord, Element, GroupRef, LatticeElement,
+                         braid_ball, dynnikov_act)
 from ordo.orderings import Cone, DehornoyOrdering, FlagOrdering, check_group
+from ordo.quasimorph import AnchorContext, _max_true
 
 
 def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, bool]:
@@ -52,6 +62,60 @@ def word_sign(cone: DehornoyOrdering, g: BraidWord) -> int:
     the unconjugated cone's key acted from scratch on a freshly validated word."""
     c = cone.conjugator
     return DehornoyOrdering(cone.group).sign(BraidWord(g.group, (c * g * c.inverse()).letters))
+
+
+def bounded_power(h: BraidWord, n: int, what: str) -> BraidWord:
+    """h^n built as a word; one longer than MAX_BRAID_LETTERS is refused unbuilt."""
+    if abs(n) * len(h.letters) > MAX_BRAID_LETTERS:
+        raise UnsupportedInput(f"{what} {n} power of a {len(h.letters)}-letter braid is longer "
+                               f"than {MAX_BRAID_LETTERS} letters")
+    return h ** n
+
+
+def word_floor(ctx: AnchorContext, h: BraidWord) -> int:
+    """power_floor on a braid cone, each probe sign(x^-N h) read by
+    ``sign_product`` on the word x^-N, built once per search."""
+    check_group(ctx.cone, h)
+    powers: dict[int, BraidWord] = {}
+
+    def at_least(n: int) -> bool:
+        if -n not in powers:
+            powers[-n] = bounded_power(ctx.anchor, -n, "floor probe")
+        return ctx.cone.sign_product(powers[-n], h) >= 0
+
+    if ctx.anchor_sign > 0:
+        return _max_true(at_least, ctx.cap)
+    return -_max_true(lambda m: at_least(-m), ctx.cap)
+
+
+def word_enclosure(ctx: AnchorContext, h: BraidWord, n: int) -> tuple[Fraction, Fraction]:
+    """stable_enclosure on a braid cone, the floor of h^n read on the word h^n."""
+    if n < 1:
+        raise UnsupportedInput("approximation order must be >= 1")
+    value = word_floor(ctx, bounded_power(h, n, "order"))
+    if ctx.anchor_sign > 0:
+        return Fraction(value, n), Fraction(value + 1, n)
+    return Fraction(value - 1, n), Fraction(value, n)
+
+
+def count_kernel_letters_and_words(monkeypatch) -> tuple[list[int], list]:
+    """Letters per dynnikov_act call, and every braid word built, trusted or validated."""
+    acted, built = [], []
+    kernel, trusted = ordo_groups.dynnikov_act, BraidWord._trusted
+    init = BraidWord.__init__
+
+    def counting(coords, letters):
+        letters = tuple(letters)
+        acted.append(len(letters))
+        return kernel(coords, letters)
+
+    for module in (ordo_groups, ordo_orderings, ordo_quasimorph):
+        monkeypatch.setattr(module, "dynnikov_act", counting)
+    monkeypatch.setattr(BraidWord, "_trusted", staticmethod(
+        lambda group, letters: built.append(letters) or trusted(group, letters)))
+    monkeypatch.setattr(BraidWord, "__init__",
+                        lambda w, group, letters: built.append(letters) or init(w, group, letters))
+    return acted, built
 
 
 def first_level(flag: FlagOrdering, g: LatticeElement) -> tuple[int, RealConstant] | None:

@@ -506,6 +506,17 @@ def test_rho_braid_floor_probe_past_the_letter_limit_exit_2_quickly(capsys, deho
     assert "100000 letters" in payload["detail"]
 
 
+@pytest.mark.parametrize("element", ["s2 s1", "s1 s2 s1 s1 s2 s1"])
+def test_rho_pseudo_anosov_anchor_stops_at_the_letter_limit(capsys, dehornoy3, element):
+    # The keys of the powers of s1 s2^-1 grow to tens of thousands of bits;
+    # the probe limit ends the doubling search at 100000 letters.
+    start = time.perf_counter()
+    payload = run_exit_2(capsys, "rho", "--ordering", dehornoy3, "--x", "s1 s2^-1", element)
+    assert time.perf_counter() - start < 3.0
+    assert payload == {"error": "UnsupportedInput", "detail": "floor probe -65536 power of a "
+                       "2-letter braid is longer than 100000 letters"}
+
+
 def test_rho_braid_floor_below_the_letter_limit_still_stops_at_the_cap(capsys, dehornoy3):
     code, payload = run(capsys, "rho", "--ordering", dehornoy3, "--x", "s2",
                         "--cap", "65536", "s1")

@@ -28,7 +28,9 @@ from ordo.groups import (
     random_element,
     twist_key,
 )
-from ordo.dynamics import circle_action_from_ball, partial_action_check, realize
+from ordo.cohmaps import rotation_class, translation_values
+from ordo.dynamics import (circle_action_from_ball, dynamically_equivalent, partial_action_check,
+                           realize)
 from ordo.orderings import (Cone, DehornoyOrdering, FlagOrdering, act, compare, is_cofinal,
                             is_right_invariant, ordering_from_json)
 from ordo.quasimorph import AnchorContext, power_floor, stable_exact
@@ -305,6 +307,18 @@ def test_sample_letters_limit_bounds_samples_times_radius_on_braids():
     check_sample_count(0, B3, 10 ** 9)
     check_sample_count(MAX_SAMPLES, Z2, 10 ** 9)
     check_sample_count(MAX_SAMPLES, B3, MAX_BRAID_LETTERS + 1)
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["dehornoy", "conjugated"])
+def test_a_foreign_anchor_is_named_an_anchor_by_the_invariants(conjugated):
+    # The centrality test that these run first names the anchor's role too.
+    cone = DehornoyOrdering.create(3)
+    if conjugated:
+        cone = act(cone, parse_element("s1", B3))
+    s3 = parse_element("s3", GroupRef.braid(4))
+    for call in (lambda: rotation_class(cone, s3), lambda: translation_values(cone, s3),
+                 lambda: dynamically_equivalent(cone, cone, s3)):
+        assert _message(call) == ANCHOR_B4_ON_B3
 
 
 def test_role_checks_on_interned_groups_compare_no_groups(monkeypatch):

@@ -13,7 +13,6 @@ import pytest
 import sympy
 
 import ordo.groups as ordo_groups
-import ordo.orderings as ordo_orderings
 from ordo.cohmaps import construct_from_translations, naturality_check, sikora_coordinate
 from ordo.convexity import ExponentMatrix, check_convex
 from ordo.errors import (AnchorIsIdentity, GroupMismatch, NotCofinal, OrdoError, ParseError,
@@ -43,7 +42,8 @@ from ordo.orderings import (
 )
 from ordo.quasimorph import stable_exact
 
-from oracles import braid_words_up_to, first_level, locate, unchecked_flag, word_sign
+from oracles import (braid_words_up_to, count_kernel_letters_and_words, first_level, locate,
+                     unchecked_flag, word_sign)
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
@@ -824,26 +824,6 @@ def test_conjugated_cone_over_a_frameless_base_is_refused():
     assert act(SQRT2_FLAG, el("x1^2 x2^-1")) is SQRT2_FLAG
 
 
-def _count_kernel_letters_and_words(monkeypatch):
-    """Letters per dynnikov_act call, and every braid word built, trusted or validated."""
-    acted, built = [], []
-    kernel, trusted = ordo_groups.dynnikov_act, BraidWord._trusted
-    init = BraidWord.__init__
-
-    def counting(coords, letters):
-        letters = tuple(letters)
-        acted.append(len(letters))
-        return kernel(coords, letters)
-
-    for module in (ordo_groups, ordo_orderings):
-        monkeypatch.setattr(module, "dynnikov_act", counting)
-    monkeypatch.setattr(BraidWord, "_trusted", staticmethod(
-        lambda group, letters: built.append(letters) or trusted(group, letters)))
-    monkeypatch.setattr(BraidWord, "__init__",
-                        lambda w, group, letters: built.append(letters) or init(w, group, letters))
-    return acted, built
-
-
 def _common_prefix(a, b):
     return next((k for k, (x, y) in enumerate(zip(a.letters, b.letters)) if x != y),
                 min(len(a), len(b)))
@@ -862,7 +842,7 @@ def test_one_pass_signs_act_each_letter_once_and_build_no_word(monkeypatch, cone
     cone.sign(cone.group.identity())  # the cone's frame is built once, before counting
     # Each pair also as operands over an equal group that is not the interned one.
     pairs += [(_twin(a), _twin(b)) for a, b in pairs]
-    acted, built = _count_kernel_letters_and_words(monkeypatch)
+    acted, built = count_kernel_letters_and_words(monkeypatch)
     for a, b in pairs:
         calls = [(lambda: compare(cone, a, b), len(a) + len(b) - 2 * _common_prefix(a, b) + tail)]
         if conjugated:

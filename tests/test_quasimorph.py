@@ -5,10 +5,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import ordo
 from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
 from ordo.exactreal import ONE, RealConstant, combine
 from ordo.groups import (
@@ -21,8 +23,10 @@ from ordo.groups import (
     parse_element,
     random_element,
 )
-from ordo.orderings import DehornoyOrdering, FlagOrdering, act, level_kernels
+from ordo.orderings import (Cone, DehornoyOrdering, FlagOrdering, act, is_central_braid,
+                            level_kernels)
 from ordo.quasimorph import (
+    DEFAULT_CAP,
     AnchorContext,
     StableValue,
     _enclosure,
@@ -32,11 +36,12 @@ from ordo.quasimorph import (
     defect_cocycle,
     power_floor,
     stable_approx,
+    stable_enclosure,
     stable_exact,
     stable_map_properties,
 )
 
-from oracles import first_level
+from oracles import count_kernel_letters_and_words, first_level, word_enclosure, word_floor
 
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
@@ -151,12 +156,137 @@ def test_floor_through_cached_powers_matches_a_fresh_search(cone, anchor):
         want = _search_floor(AnchorContext(cone, anchor), h)
         assert power_floor(shared, h) == want
         assert power_floor(AnchorContext(cone, anchor), h) == want
-        assert shared.power(-want) == anchor ** -want
-    # Every power the searches left behind carries the key of its own word.
-    assert len(shared._powers) > 10
-    for n, power in shared._powers.items():
-        assert power == anchor ** n
-        assert power.key == dynnikov_act((0, 1) * cone.group.n, power.letters), n
+    # Every key the searches left behind is key(c x^n), acted from the word c x^n.
+    assert len(shared._keys) > 10
+    for n, key in shared._keys.items():
+        word = cone.conjugator * anchor ** n
+        assert key == dynnikov_act((0, 1) * cone.group.n, word.letters), n
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (NotBracketedWithinCap, UnsupportedInput) as exc:
+        return type(exc), str(exc)
+
+
+def _label(outcome):
+    """A value, or an error's type and the first word of its text."""
+    if isinstance(outcome, tuple) and isinstance(outcome[0], type):
+        return f"{outcome[0].__name__}: {outcome[1].split()[0]}"
+    return "value"
+
+
+def _differential_contexts(rng):
+    """(cone, anchor, cap, s1 only) on B3-B6: the Dehornoy cone and two
+    conjugated cones; central anchors Delta^2, Delta^-2 and Delta^4 under the
+    default cap, and a non-central anchor and its inverse under a small cap;
+    and s_(n-1)^+-1 under the default cap, which s1 outruns up to the probe limit."""
+    out = []
+    for n in (3, 4, 5, 6):
+        group = GroupRef.braid(n)
+        plain = DehornoyOrdering(group)
+        cones = [plain]
+        while len(cones) < 3:
+            if not (c := random_element(group, rng, 2 + 2 * len(cones))).is_identity:
+                cones.append(act(plain, c))
+        while (x := random_element(group, rng, 3)).is_identity or is_central_braid(plain, x):
+            pass
+        twist = full_twist(n)
+        s_last = BraidWord(group, ((n - 1, 1),))
+        anchors = [(twist, DEFAULT_CAP), (twist.inverse(), DEFAULT_CAP), (twist ** 2, DEFAULT_CAP),
+                   (x, rng.choice((16, 256))), (x.inverse(), rng.choice((16, 256)))]
+        out += [(cone, a, cap, False) for cone in cones for a, cap in anchors]
+        out += [(cone, a, DEFAULT_CAP, True) for cone in cones[:2] for a in (s_last, s_last.inverse())]
+    return out
+
+
+def test_key_probes_match_the_word_building_path():
+    # Floors and stable windows read on power keys against the path that
+    # builds x^-N and h^n as words: values, NotBracketedWithinCap and every
+    # refusal text agree, through a shared context and through fresh ones.
+    rng = random.Random(2701)
+    floors, windows = Counter(), Counter()
+    for cone, x, cap, s1_only in _differential_contexts(rng):
+        group = cone.group
+        shared = AnchorContext(cone, x, cap=cap, require_cofinal=False)
+        fresh = lambda: AnchorContext(cone, x, cap=cap, require_cofinal=False)  # noqa: E731
+        for _ in range(1 if s1_only else 20):
+            h = BraidWord(group, ((1, 1),)) if s1_only else \
+                x ** rng.randint(-6, 6) * random_element(group, rng, 8)
+            want = _outcome(lambda: word_floor(fresh(), h))
+            assert _outcome(lambda: power_floor(shared, h)) == want, (cone, x, h)
+            assert _outcome(lambda: power_floor(fresh(), h)) == want, (cone, x, h)
+            floors[_label(want)] += 1
+        for _ in range(0 if s1_only else 6):
+            h = random_element(group, rng, 6)
+            order = rng.randint(1, 12) if rng.random() < 0.8 else \
+                rng.choice((0, MAX_BRAID_LETTERS // max(1, len(h)) + 1))
+            want = _outcome(lambda: word_enclosure(fresh(), h, order))
+            assert _outcome(lambda: stable_enclosure(shared, h, order)) == want, (cone, x, h)
+            windows[_label(want)] += 1
+    assert sum(floors.values()) + sum(windows.values()) >= 1000
+    assert set(floors) == {"value", "NotBracketedWithinCap: no", "UnsupportedInput: floor"}, floors
+    assert set(windows) == {"value", "NotBracketedWithinCap: no", "UnsupportedInput: order",
+                            "UnsupportedInput: approximation"}, windows
+
+
+class _FramelessBraidCone(Cone):
+    """A braid cone with a sign of its own and no Dynnikov frame."""
+
+    group = B3
+    sign = DEHORNOY3.sign
+
+
+def test_a_context_over_a_frameless_braid_cone_is_refused_when_built():
+    with pytest.raises(UnsupportedInput) as caught:
+        AnchorContext(_FramelessBraidCone(), full_twist(3))
+    assert str(caught.value) == "_FramelessBraidCone has no Dynnikov frame to read floors on"
+
+
+def test_only_orderings_reads_the_frame_layout():
+    # Floors and circle splits reach a braid cone's frame through frame_key.
+    for module in ("quasimorph", "dynamics", "cohmaps", "convexity", "cli"):
+        assert "_frame" not in (Path(ordo.__file__).parent / f"{module}.py").read_text(), module
+
+
+WORK_CONES = [DehornoyOrdering.create(4),
+              act(DehornoyOrdering.create(4), parse_element("s1 s2^-1 s3", B4)), CONJUGATED3]
+
+
+@pytest.mark.parametrize("cone", WORK_CONES, ids=["B4", "conjugated_B4", "conjugated_B3"])
+def test_lone_floors_and_stable_windows_build_no_braid_word(monkeypatch, cone):
+    rng = random.Random(61)
+    x = full_twist(cone.group.n)
+    hs = [x ** rng.randint(-9, 9) * random_element(cone.group, rng, 10) for _ in range(10)]
+    acted, built = count_kernel_letters_and_words(monkeypatch)
+    for h in hs:
+        power_floor(AnchorContext(cone, x), h)
+        stable_enclosure(AnchorContext(cone, x), h, 12)
+        stable_approx(AnchorContext(cone, x), h, 12)
+    assert acted and built == []
+
+
+@pytest.mark.parametrize("cone", WORK_CONES, ids=["B4", "conjugated_B4", "conjugated_B3"])
+def test_a_probe_acts_h_and_the_tail_on_a_cached_key(monkeypatch, cone):
+    # Once a search has cached its power keys, each probe is one kernel pass
+    # of h's letters (of h^n's reduced word, for a window) and the tail.
+    rng = random.Random(62)
+    x, tail = full_twist(cone.group.n), len(cone.conjugator)
+    cases = []
+    for _ in range(10):
+        h = x ** rng.randint(-30, 30) * random_element(cone.group, rng, 10)
+        n = rng.randint(1, 9)
+        ctx = AnchorContext(cone, x)
+        cases.append((ctx, h, n, power_floor(ctx, h), stable_enclosure(ctx, h, n)))
+    acted, _ = count_kernel_letters_and_words(monkeypatch)
+    for ctx, h, n, floor, window in cases:
+        del acted[:]
+        assert power_floor(ctx, h) == floor
+        assert set(acted) == {len(h) + tail}
+        del acted[:]
+        assert stable_enclosure(ctx, h, n) == window
+        assert set(acted) == {len(h ** n) + tail}
 
 
 def _floor_or_error(floor, ctx, h):
@@ -715,7 +845,7 @@ def test_stable_map_properties_refuse_a_long_homogeneity_power_unbuilt(monkeypat
     monkeypatch.setattr(BraidWord, "__pow__",
                         lambda h, k: fed.append(abs(k) * len(h.letters)) or power(h, k))
     with pytest.raises(UnsupportedInput) as info:
-        stable_map_properties(twist_ctx(), seed=0, approx_n=60, powers=(2_000_000,))
+        stable_map_properties(twist_ctx(), seed=0, approx_n=60, powers=(2, 2_000_000))
     assert str(info.value).startswith("homogeneity 2000000 power of a ")
     assert str(info.value).endswith(f"-letter braid is longer than {MAX_BRAID_LETTERS} letters")
     assert fed and max(fed) <= MAX_BRAID_LETTERS

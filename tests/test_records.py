@@ -47,7 +47,8 @@ from ordo.orderings import (
     FlagOrdering,
     InvarianceVerdict,
 )
-from ordo.quasimorph import DEFAULT_CAP, AnchorContext, PropertyCheck, StableMapReport, StableValue
+from ordo.quasimorph import (DEFAULT_CAP, AnchorContext, PropertyCheck, StableMapReport,
+                             StableValue, power_floor)
 from ordo.records import Record
 
 Z2, B3 = GroupRef.free_abelian(2), GroupRef.braid(3)
@@ -95,7 +96,7 @@ RECORDS = [
      lambda i: (Density.UNKNOWN, None, [S1, S1.inverse()][i])),
     (AnchorContext, (("cone", REQUIRED), ("anchor", REQUIRED), ("generators", None),
                      ("cap", DEFAULT_CAP), ("require_cofinal", True)), {},
-     lambda i: (LEX2, [X1, X1.inverse()][i], (X1,), 1000 + i, False)),
+     lambda i: (DEHORNOY3, [S1, S1.inverse()][i], (S1,), 1000 + i, False)),
     (StableValue, (("approx", REQUIRED), ("radius", REQUIRED), ("exact", None)), {},
      lambda i: (Fraction(1, 3), Fraction(1, 10 + i), THIRD)),
     (PropertyCheck, (("name", REQUIRED), ("detail", REQUIRED), ("passed", REQUIRED)), {},
@@ -150,7 +151,7 @@ RECORDS = [
 
 # Caches a record fills on use, beyond its cached properties.
 WARM = {
-    AnchorContext: lambda ctx: ctx.power(3),
+    AnchorContext: lambda ctx: power_floor(ctx, ctx.anchor ** 3),
     SampledCircleAction: lambda action: [action.floor(h) for h in action.stored],
     RealizationTable: lambda table: table.lookup(table.elements[-1]),
     DehornoyOrdering: lambda cone: cone.sign(S1),
