@@ -8,10 +8,11 @@ elements into Q and never revises earlier values.  Braid stations form a
 prefix forest (a station's parent has its word minus the last letter).
 One search sorts elements by the cone, walking that forest: a station
 g = p*l lies above p iff the letter l is positive, so it gallops from p's
-place in that direction, and each probe acts only the letters of the
-station it meets.  ``realize`` sorts the enumeration (by default a ball,
-walked by braid) with it, ranks its table by the sort, and replays the rule
-in enumeration order on integer ranks.  The partial action check compares
+place in that direction, each probe acting only the letters after the
+prefix that station shares with g; p*l sits right beside p, unprobed,
+when l is the cone's least positive element or its inverse.  ``realize``
+sorts the enumeration (by default a ball) with it and replays the rule in
+enumeration order on the ranks, in dyadic integers.  The partial action check compares
 integer ranks of g_i and g*g_i, keying g*g_i as one letter acting on
 key(g*parent); roots and lattice stations are keyed by ``key_times``.
 
@@ -45,6 +46,7 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolation, MissingOrbitPoint, UnsupportedInput
 from .exactreal import format_rational
 from .groups import (
+    MAX_BALL_ELEMENTS,
     BraidWord,
     Element,
     braid_ball,
@@ -65,6 +67,7 @@ from .orderings import (
     is_central_braid,
     is_cofinal,
     is_dense,
+    quotient_sign,
 )
 from .quasimorph import AnchorContext, power_floor
 from .cohmaps import RotationClass, rotation_class, unwrap_central_conjugation
@@ -129,29 +132,31 @@ def _forest_sort(cone: Cone, elements: Sequence[Element],
     """The stations of distinct elements sorted by the cone, walking their
     prefix forest: a station g = p*l lies above its parent p iff the letter l
     is positive, so it gallops from p's place in that direction; a root is
-    binary-searched.  Each probe reads sign(g^-1 m) for the station m met."""
-
-    def above(j: int) -> bool:  # order[j] > g
-        return cone.sign_product(g_inv, elements[order[j]]) > 0
-
+    binary-searched.  Each probe reads sign(g^-1 m) for the station m met
+    (``quotient_sign``).  If l is the cone's least positive element or its
+    inverse, p*l is p's successor or predecessor, placed with no probe."""
     order: list[int] = []  # stations sorted by the cone
     path: list[list[int]] = []  # [station, index in order] from a root to the last placed
-    letter_sign: dict[tuple, int] = {}
+    steps: dict[tuple, tuple[int, bool]] = {}  # letter l -> (sign, whether l is least^+-1)
     for i, parent, letter in forest:
-        g_inv, lo, hi = elements[i].inverse(), -1, len(order)  # order[lo] < g < order[hi]
+        above = quotient_sign(cone, elements[i])  # reads sign(g^-1 m)
+        lo, hi = -1, len(order)  # order[lo] < g < order[hi]
         while path and path[-1][0] != parent:
             path.pop()
         if path:
-            if letter not in letter_sign:
-                letter_sign[letter] = cone_sign(cone, BraidWord._trusted(cone.group, letter))
-            start, step = path[-1][1], letter_sign[letter]
-            lo, hi = (start, hi) if step > 0 else (lo, start)
+            if letter not in steps:
+                word = BraidWord._trusted(cone.group, letter)
+                steps[letter] = (cone_sign(cone, word),
+                                 cone.least_key in (word.key, word.inverse().key))
+            start, (step, least) = path[-1][1], steps[letter]
+            lo, hi = (start, start + 1 if least else hi) if step > 0 else \
+                (start - 1 if least else lo, start)
             while lo < (j := start + step) < hi:
-                lo, hi = (lo, j) if above(j) else (j, hi)
+                lo, hi = (lo, j) if above(elements[order[j]]) > 0 else (j, hi)
                 step *= 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+            lo, hi = (lo, mid) if above(elements[order[mid]]) > 0 else (mid, hi)
         order.insert(hi, i)
         for node in path:
             node[1] += node[1] >= hi
@@ -159,19 +164,39 @@ def _forest_sort(cone: Cone, elements: Sequence[Element],
     return order
 
 
+def _replay(order: list[int]) -> list[Fraction]:
+    """The inductive rule in enumeration order on the ranks of a sort (station
+    order[r] has rank r), each station n / 2^e, e its midpoint-nesting depth."""
+    ranks = sorted(range(len(order)), key=order.__getitem__)  # in enumeration order
+    placed, stations, values = ranks[:1], [(0, 0)], [Fraction(0)]  # the identity at 0
+    for r in ranks[1:]:
+        k = bisect_left(placed, r)
+        if 0 < k < len(placed):
+            (a, ea), (b, eb) = stations[k - 1], stations[k]
+            e = max(ea, eb)
+            n, e = (a << e - ea) + (b << e - eb), e + 1
+        else:  # one past the least or the greatest
+            n, e = stations[k - 1 if k else 0]
+            n += (1 if k else -1) << e
+        placed.insert(k, r)
+        stations.insert(k, (n, e))
+        values.append(Fraction(n, 1 << e))
+    return values
+
+
 def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
     """Run the inductive assignment over the enumeration.
 
     The enumeration must start with the identity and contain no repeated
-    group elements (braid words are compared as braids, not as words).
-    First the whole enumeration is sorted over its prefix forest
-    (``_forest_sort``), then the values are replayed in enumeration order on
-    the integer ranks.
+    group elements (braid words are compared as braids, not as words), and
+    hold at most MAX_BALL_ELEMENTS elements.  First the whole enumeration is
+    sorted over its prefix forest (``_forest_sort``), then the values are
+    replayed in enumeration order on the integer ranks (``_replay``).
     """
+    check_enumeration_size(len(enumeration))
     if not enumeration:
         raise UnsupportedInput("enumeration must not be empty")
-    first = enumeration[0]
-    if cone_sign(cone, first) != 0:
+    if cone_sign(cone, enumeration[0]) != 0:
         raise UnsupportedInput("enumeration must start with the identity")
     seen: dict = {}
     for i, g in enumerate(enumeration):
@@ -182,26 +207,20 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
 
     forest = _station_forest(enumeration)
     order = _forest_sort(cone, enumeration, forest)
-    placed: list[int] = []  # ranks of the stations assigned so far, sorted
-    stations: list[Fraction] = []  # parallel to placed
-    values: list[Fraction] = []
-    for r in sorted(range(len(order)), key=order.__getitem__):  # ranks in enumeration order
-        k = bisect_left(placed, r)
-        if not placed:
-            t = Fraction(0)
-        elif 0 < k < len(placed):
-            t = (stations[k - 1] + stations[k]) / 2
-        else:
-            t = stations[0] - 1 if k == 0 else stations[-1] + 1
-        placed.insert(k, r)
-        stations.insert(k, t)
-        values.append(t)
+    values = _replay(order)
     table = RealizationTable(cone, tuple(enumeration), tuple(values))
     table.__dict__["_forest"] = forest
     table.__dict__["_ranked"] = ([values[i] for i in order],  # rank r is station order[r]
                                  {enumeration[i].key: r for r, i in enumerate(order)},
                                  list(enumerate(order)))
     return table
+
+
+def check_enumeration_size(count: int) -> None:
+    """Refuse an enumeration of more than MAX_BALL_ELEMENTS elements, counted unread."""
+    if count > MAX_BALL_ELEMENTS:
+        raise UnsupportedInput(f"an enumeration of {count} elements is past the limit of "
+                               f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")
 
 
 def ball_enumeration(cone: Cone, radius: int) -> list[Element]:

@@ -43,7 +43,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Rational) -> str:
-    q = Fraction(q)
     if q.denominator == 1:
         return int_text(q.numerator)
     return f"{int_text(q.numerator)}/{int_text(q.denominator)}"

@@ -43,9 +43,9 @@ import enum
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .errors import (
@@ -62,7 +62,6 @@ from .groups import (
     Element,
     GroupRef,
     LatticeElement,
-    braid_ball,
     check_sample_count,
     dynnikov_act,
     free_reduce,
@@ -94,6 +93,7 @@ class Cone:
 
     group: GroupRef
     _frame: tuple[tuple[int, ...], Letters] | None = None  # the Dynnikov frame, if any
+    least_key: tuple[int, ...] | None = None  # key of the least positive element, if known
 
     def sign(self, g: Element) -> int:
         raise NotImplementedError
@@ -144,10 +144,33 @@ def compare(cone: Cone, a: Element, b: Element) -> int:
         check_group(cone, a)
         check_group(cone, b)
     la, lb = a.letters, b.letters
+    c = _shared(la, lb)
+    return -dynnikov_sign(frame[0], inverse_letters(la[c:]) + lb[c:] + frame[1])
+
+
+def _shared(la: Letters, lb: Letters) -> int:  # the length of the common prefix
     c, n = 0, min(len(la), len(lb))
     while c < n and la[c] == lb[c]:
         c += 1
-    return -dynnikov_sign(frame[0], inverse_letters(la[c:]) + lb[c:] + frame[1])
+    return c
+
+
+def quotient_sign(cone: Cone, g: Element) -> Callable[[Element], int]:
+    """m -> sign(g^-1 m) = compare(m, g), for many m of the cone's group against one g.
+    On a frame the prefix q of g = q s and m = q t drops out: t's letters and the
+    tail act on key(c s^-1), cached per suffix s; a frameless cone reads ``sign_product``."""
+    if cone._frame is None:
+        return partial(cone.sign_product, g.inverse())
+    (start, tail), lg = cone._frame, g.letters
+    keys = {len(lg): start}  # k -> key(c s^-1), s g's letters from k on
+
+    def sign(m: BraidWord) -> int:
+        k = _shared(lg, m.letters)
+        if k not in keys:  # acted from the nearest longer suffix's key
+            a = min(a for a in keys if a > k)
+            keys[k] = dynnikov_act(keys[a], inverse_letters(lg[k:a]))
+        return dynnikov_sign(keys[k], m.letters[k:] + tail)
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +362,11 @@ class DehornoyOrdering(Cone, Record):
         c = group.identity() if conjugator is None else conjugator
         self.__dict__.update(group=group, conjugator=c)
         check_group(self, c, "conjugator")
-        self.__dict__["_frame"] = c.key, inverse_letters(c.letters)
+        tail = inverse_letters(c.letters)
+        # key(c^-1 s_(n-1) c), the least positive element (Dehornoy-Dynnikov-Rolfsen-Wiest).
+        least = dynnikov_act((0, 1) * group.n, tail + ((group.n - 1, 1),) + c.letters) if tail \
+            else (0, 1) * (group.n - 2) + (1, 0, 0, 2)  # key(s_(n-1)), with no kernel pass
+        self.__dict__.update(_frame=(c.key, tail), least_key=least)
 
     @staticmethod
     def create(strands: int) -> "DehornoyOrdering":
@@ -597,16 +624,20 @@ def is_dense(cone: Cone, cap: int = 5) -> DensityVerdict:
     Exact for flag orderings: the final archimedean stratum is discrete iff
     it has rank 1, and then its generator, signed, is the minimal positive
     element.  For braid cones only a bounded search is run, one sign per
-    braid of the radius-cap ball (``braid_ball``), and the verdict stays
-    Unknown, reporting the smallest positive found.
+    braid of the radius-cap ball, walked lazily as ``braid_ball`` walks it,
+    and the verdict stays Unknown, reporting the smallest positive found.
+    The walk stops at the cone's least positive element (``least_key``).
     """
     if isinstance(cone, FlagOrdering):
         return _flag_density(cone)
     smallest: Element | None = None
-    for w in braid_ball(cone.group, cap):
+    for w in key_walk(cone.group, [((i, e),) for i in range(1, cone.group.n) for e in (-1, 1)],
+                      cap):  # braid_ball's walk, lazily
         # w < smallest reads sign(smallest^-1 w) < 0, with one inverse per new smallest.
         if cone.sign(w) > 0 and (smallest is None or cone.sign_product(smallest_inv, w) < 0):
             smallest, smallest_inv = w, w.inverse()
+        if w.key == cone.least_key:  # no positive braid is smaller
+            break
     return DensityVerdict(Density.UNKNOWN, smallest_positive_seen=smallest)
 
 

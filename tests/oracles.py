@@ -3,7 +3,9 @@ constructors.
 
 ``locate`` is the midpoint binary search the circle stratum was once built
 with; ``dynamics._forest_sort`` replaced it.  Tests compare the production
-sorts, lookups and work counts against it.  ``word_sign`` is the conjugated
+sorts, lookups and work counts against it.  ``fraction_replay`` is the
+replay of ``realize`` on ``Fraction`` arithmetic that ``dynamics._replay``
+replaced with dyadic integers.  ``word_sign`` is the conjugated
 sign as it was read before Dynnikov frames, by building c g c^-1.
 ``word_floor`` and ``word_enclosure`` are the braid floor and stable window
 as they were read before anchor-power keys: each probe signs x^-N h with the
@@ -20,6 +22,7 @@ for cyclic braid subgroups, whose only callers are tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,6 +58,26 @@ def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, boo
         else:
             hi = mid
     return lo, False
+
+
+def fraction_replay(order: Sequence[int]) -> list[Fraction]:
+    """The inductive rule in enumeration order on the ranks of a sort (station
+    order[r] has rank r), each station a Fraction: a midpoint is (a + b) / 2."""
+    placed: list[int] = []  # ranks of the stations assigned so far, sorted
+    stations: list[Fraction] = []  # parallel to placed
+    values: list[Fraction] = []
+    for r in sorted(range(len(order)), key=order.__getitem__):  # ranks in enumeration order
+        k = bisect_left(placed, r)
+        if not placed:
+            t = Fraction(0)
+        elif 0 < k < len(placed):
+            t = (stations[k - 1] + stations[k]) / 2
+        else:
+            t = stations[0] - 1 if k == 0 else stations[-1] + 1
+        placed.insert(k, r)
+        stations.insert(k, t)
+        values.append(t)
+    return values
 
 
 def word_sign(cone: DehornoyOrdering, g: BraidWord) -> int:

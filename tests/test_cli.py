@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+import ordo.dynamics as ordo_dynamics
 from ordo.cli import MAX_INPUT_BYTES, main
+from ordo.groups import MAX_BALL_ELEMENTS
 
 
 @pytest.fixture()
@@ -178,6 +180,33 @@ def test_realize_custom_enumeration(capsys, lex2, tmp_path):
                         "--enumeration", str(enum_path))
     assert code == 0
     assert payload["values"] == ["0", "1", "-1", "2"]
+
+
+def test_realize_enumeration_one_past_the_ball_limit_exits_2_fast(capsys, lex2, tmp_path):
+    enum_path = tmp_path / "enum.json"
+    enum_path.write_text(json.dumps([""] + ["x1"] * MAX_BALL_ELEMENTS))
+    start = time.perf_counter()
+    code, payload = run(capsys, "realize", "--ordering", lex2, "--enumeration", str(enum_path))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert payload == {"error": "UnsupportedInput", "detail": (
+        f"an enumeration of {MAX_BALL_ELEMENTS + 1} elements is past the limit of "
+        f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")}
+
+
+def test_realize_enumeration_at_the_ball_limit_is_counted_before_it_is_parsed(
+        capsys, lex2, tmp_path, monkeypatch):
+    monkeypatch.setattr(ordo_dynamics, "MAX_BALL_ELEMENTS", 4)
+    enum_path = tmp_path / "enum.json"
+    enum_path.write_text(json.dumps(["", "x1", "x1^-1", "x1^2"]))
+    code, payload = run(capsys, "realize", "--ordering", lex2, "--enumeration", str(enum_path))
+    assert (code, payload["values"]) == (0, ["0", "1", "-1", "2"])
+    # One past the limit is refused before any expression is read, even a bad one.
+    enum_path.write_text(json.dumps(["", "x1", "x1^-1", "x1^2", "x9"]))
+    code, payload = run(capsys, "realize", "--ordering", lex2, "--enumeration", str(enum_path))
+    assert code == 2
+    assert payload["detail"] == \
+        "an enumeration of 5 elements is past the limit of 4 elements (MAX_BALL_ELEMENTS)"
 
 
 def test_cocycle_survey(capsys, lex2):
@@ -718,8 +747,8 @@ def test_integer_literals_take_ascii_digits_only(capsys, sqrt2, argv, detail):
 
 
 def test_equiv_dynamical_on_seven_strands_is_unknown_not_dense(capsys, tmp_path):
-    # The density search walks the radius-5 ball of B7: 20 351 braids, well
-    # inside the ball limit, though 193 261 freely reduced words.
+    # The density search stops at s6, the least positive braid, at the end of
+    # level 1 of the radius-5 ball of B7 (20 351 braids, all walked before).
     path = ordering_file(tmp_path, {"kind": "braid", "strands": 7}, {"type": "dehornoy"})
     twist = "s1 s2 s3 s4 s5 s6 s1 s2 s3 s4 s5 s1 s2 s3 s4 s1 s2 s3 s1 s2 s1"
     code, payload = run(capsys, "equiv", "--a", path, "--b", path, "--x", f"{twist} {twist}",

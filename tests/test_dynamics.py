@@ -56,7 +56,7 @@ from ordo.dynamics import (
     unit_translation_check,
 )
 
-from oracles import braid_words_up_to, locate
+from oracles import braid_words_up_to, count_kernel_letters_and_words, fraction_replay, locate
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
@@ -73,6 +73,21 @@ CONJUGATED4 = act(DEHORNOY4, parse_element("s3 s2^-1 s1^-1", B4))
 FLAG3 = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(3), RealConstant.sqrt(2)],
                              [RealConstant.rational(0), RealConstant.rational(1),
                               RealConstant.rational(-2)]])
+
+
+@pytest.fixture(autouse=True)
+def _replay_matches_the_fraction_oracle(monkeypatch):
+    """Every realization in this file, through the library or the CLI, replays
+    its values on Fractions as well, and the two value lists must be equal."""
+    replay = ordo_dynamics._replay
+
+    def checked(order):
+        values = replay(order)
+        assert values == fraction_replay(order)
+        assert {type(t) for t in values} == {Fraction}
+        return values
+
+    monkeypatch.setattr(ordo_dynamics, "_replay", checked)
 
 
 def el(text, group=Z2):
@@ -367,13 +382,79 @@ def test_cli_realize_enumeration_file_matches_insertion(tmp_path, capsys):
 
 
 def test_realize_probes_at_most_five_signs_per_ball_element(monkeypatch):
+    # Each sign probe is at most one kernel pass, and so is each suffix key it caches.
     ball = ball_enumeration(DEHORNOY4, 4)
-    probes = []
-    sign_product = DehornoyOrdering.sign_product
-    monkeypatch.setattr(DehornoyOrdering, "sign_product",
-                        lambda self, a, b: probes.append(b) or sign_product(self, a, b))
+    acted, _ = count_kernel_letters_and_words(monkeypatch)
     realize(DEHORNOY4, ball)
-    assert len(probes) <= 5 * len(ball)
+    assert 0 < len(acted) <= 5 * len(ball)
+
+
+def _count_probes(monkeypatch):
+    """The sign probes of every sort, one per call of a ``quotient_sign`` reader."""
+    probes = []
+    quotient_sign = ordo_dynamics.quotient_sign
+
+    def counting(cone, g):
+        sign = quotient_sign(cone, g)
+        return lambda m: probes.append(m) or sign(m)
+
+    monkeypatch.setattr(ordo_dynamics, "quotient_sign", counting)
+    return probes
+
+
+@pytest.mark.parametrize("cone,radius,most_probes,most_letters", [
+    (DEHORNOY3, 5, 823, 4000), (DEHORNOY4, 4, 1784, 7000),
+], ids=["B3", "B4"])
+def test_realize_sort_probes_and_letters(monkeypatch, cone, radius, most_probes, most_letters):
+    # Each s_(n-1)-child is placed beside its parent unprobed: 927 and 1946
+    # probes before.  A probe acts only the letters after the prefix the
+    # station shares with g, on a cached suffix key: acting all of the
+    # station's letters on key(g^-1) took 4984 and 8533 letters.
+    ball = ball_enumeration(cone, radius)
+    probes = _count_probes(monkeypatch)
+    acted, _ = count_kernel_letters_and_words(monkeypatch)
+    realize(cone, ball)
+    assert 0 < len(probes) <= most_probes
+    assert 0 < sum(acted) <= most_letters
+
+
+LEAST_CONES = [DehornoyOrdering.create(2), DEHORNOY3, DEHORNOY4, DEHORNOY5, CONJUGATED3,
+               CONJUGATED4, act(DEHORNOY3, el("s1", B3)), act(DEHORNOY4, el("s2^-1", B4)),
+               act(DEHORNOY5, el("s3", GroupRef.braid(5)))]
+
+
+@pytest.mark.parametrize("cone", LEAST_CONES, ids=[
+    "B2", "B3", "B4", "B5", "conjugated_B3", "conjugated_B4", "by_s1_B3", "by_s2^-1_B4",
+    "by_s3_B5"])
+def test_realized_tables_put_p_times_the_least_positive_right_after_p(cone):
+    n = cone.group.n
+    c = cone.conjugator
+    least = c.inverse() * el(f"s{n - 1}", cone.group) * c
+    assert least.key == cone.least_key
+    ball = ball_enumeration(cone, {2: 30, 3: 5, 4: 4, 5: 3}[n])
+    table = realize(cone, ball)
+    _, rank_of, _ = table._ranked
+    pairs = 0
+    for p in ball:
+        after = rank_of.get(p.key_times(least))
+        if after is not None:
+            assert after == rank_of[p.key] + 1, p.render()
+            pairs += 1
+    assert pairs >= 20
+
+
+def test_realize_refuses_an_enumeration_past_the_ball_limit(monkeypatch):
+    ball = ball_enumeration(DEHORNOY3, 3)
+    assert len(ball) > 21
+    values = realize(DEHORNOY3, ball).values
+    monkeypatch.setattr(ordo_dynamics, "MAX_BALL_ELEMENTS", 20)
+    assert realize(DEHORNOY3, ball[:20]).values == values[:20]  # the limit itself is kept
+    # One past the limit is refused before the identity, duplicates or groups are read.
+    for enumeration in (ball[:21], ball[1:22], [ball[1]] * 21, [el("x1")] * 21):
+        with pytest.raises(UnsupportedInput) as caught:
+            realize(DEHORNOY3, enumeration)
+        assert str(caught.value) == ("an enumeration of 21 elements is past the limit of "
+                                     "20 elements (MAX_BALL_ELEMENTS)")
 
 
 @pytest.mark.parametrize("cone,x", [(DEHORNOY3, full_twist(3)), (DEHORNOY4, full_twist(4)),
@@ -800,18 +881,16 @@ def test_circle_stratum_sort_probes_fewer_than_insertion(monkeypatch, cone, x, r
     ctx = AnchorContext(cone, x)
     for h in ball:  # the floors first, so that only the sorts are counted
         ordo_dynamics._split(ctx, h)
-    probes = []
-    sign_product = DehornoyOrdering.sign_product
-    monkeypatch.setattr(DehornoyOrdering, "sign_product",
-                        lambda self, a, b: probes.append(b) or sign_product(self, a, b))
+    acted, _ = count_kernel_letters_and_words(monkeypatch)
     ordo_dynamics._sample_circle(ctx, ball)
-    walked = len(probes)
-    probes.clear()
+    walked = len(acted)
+    acted.clear()
     _stratum_by_insertion(ctx, ball)
     # Remainders share their anchor power's letters, so most gallop from a
-    # parent: about half of insertion's probes (215 of 474 on B3, 387 of 749
+    # parent, and a probe acts only the letters after the prefix it shares:
+    # about half of insertion's kernel passes (232 of 561 on B3, 447 of 876
     # on B4), where bisecting every remainder as a root takes nearly all.
-    assert 0 < 5 * walked <= 3 * len(probes)
+    assert 0 < 5 * walked <= 3 * len(acted)
 
 
 def test_circle_action_anchor_station():

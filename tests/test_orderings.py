@@ -13,13 +13,14 @@ import pytest
 import sympy
 
 import ordo.groups as ordo_groups
+import ordo.orderings as ordo_orderings
 from ordo.cohmaps import construct_from_translations, naturality_check, sikora_coordinate
 from ordo.convexity import ExponentMatrix, check_convex
 from ordo.errors import (AnchorIsIdentity, GroupMismatch, NotCofinal, OrdoError, ParseError,
                          UnsupportedInput)
 from ordo.exactreal import ONE, RealConstant, linear_combination
-from ordo.groups import (BraidWord, GroupRef, LatticeElement, dynnikov_act, full_twist, parse_element,
-                         random_element)
+from ordo.groups import (BraidWord, GroupRef, LatticeElement, braid_ball, dynnikov_act, full_twist,
+                         parse_element, random_element)
 from ordo.orderings import (
     Cone,
     Decision,
@@ -539,6 +540,62 @@ def test_dense_braid_search_matches_the_word_search():
         verdict = is_dense(cone, cap)
         assert verdict.outcome == Density.UNKNOWN
         assert verdict.smallest_positive_seen.letters == _smallest_positive_word(cone, cap).letters
+
+
+def _braid(text, n):
+    return parse_element(text, GroupRef.braid(n))
+
+
+# Balls under the Dehornoy cone and conjugated cones, and whether the least
+# positive element c^-1 s_(n-1) c lies in the ball.
+LEAST_BALLS = [(DehornoyOrdering.create(n), radius, True)
+               for n, radius in ((2, 6), (3, 5), (4, 4), (5, 3))]
+LEAST_BALLS += [(act(DehornoyOrdering.create(n), _braid(c, n)), radius, inside)
+                for n, c, radius, inside in (
+    (2, "s1^3", 5, True), (3, "s1", 5, True), (3, "s2^-1 s1", 5, True), (4, "s2^-1", 4, True),
+    (4, "s1 s2", 4, True), (5, "s3", 3, True), (5, "s4 s3^-1 s1 s2^2", 3, False))]
+LEAST_IDS = ["B2", "B3", "B4", "B5", "B2_by_s1^3", "B3_by_s1", "B3_by_s2^-1s1", "B4_by_s2^-1",
+             "B4_by_s1s2", "B5_by_s3", "B5_far"]
+
+
+@pytest.mark.parametrize("cone,radius,inside", LEAST_BALLS, ids=LEAST_IDS)
+def test_least_positive_braid_of_a_ball_is_the_cones_least_element(cone, radius, inside):
+    n, c = cone.group.n, cone.conjugator
+    least = c.inverse() * _braid(f"s{n - 1}", n) * c
+    assert cone.least_key == least.key == BraidWord(cone.group, least.letters).key
+    ball = braid_ball(cone.group, radius)
+    smallest = None
+    for w in ball:  # brute force: every positive braid of the ball against every other
+        if cone_sign(cone, w) > 0:
+            assert compare(cone, least, w) <= 0, w.render()
+            if smallest is None or compare(cone, w, smallest) < 0:
+                smallest = w
+    assert any(w.key == least.key for w in ball) == inside
+    assert (smallest.key == least.key) == inside
+    assert is_dense(cone, radius).smallest_positive_seen == smallest
+
+
+def test_dense_walk_stops_at_the_least_positive_braid(monkeypatch):
+    # Under the unconjugated cone s_(n-1) is least; it ends level 1 of the
+    # walk, so the search keys the identity and the 2(n-1) letters only.
+    walked = []
+    key_walk = ordo_groups.key_walk
+
+    def counting(*args):
+        for w in key_walk(*args):
+            walked.append(w)
+            yield w
+
+    monkeypatch.setattr(ordo_groups, "key_walk", counting)
+    monkeypatch.setattr(ordo_orderings, "key_walk", counting)
+    for n in range(3, 8):
+        walked.clear()
+        verdict = is_dense(DehornoyOrdering.create(n), 5)
+        assert verdict.outcome == Density.UNKNOWN
+        assert verdict.smallest_positive_seen.letters == ((n - 1, 1),)
+        assert 0 < len(walked) <= 2 * (n - 1) + 1
+    # A cap whose ball is past MAX_BALL_ELEMENTS answers too, as the walk stops first.
+    assert is_dense(DehornoyOrdering.create(4), 40).smallest_positive_seen.render() == "s3"
 
 
 # -- finite-data stability ------------------------------------------------------
