@@ -121,7 +121,7 @@ class RotationClass(Record):
 
     def __post_init__(self) -> None:
         for c in self.components:
-            if c.sign() < 0 or (ONE - c).sign() <= 0:
+            if c.floor() != 0:
                 raise InvariantViolation(f"rotation class component {c} outside [0,1)")
 
     def equals(self, other: "RotationClass") -> Decision:

@@ -3,12 +3,15 @@
 A value is a finite sum  sum_m q_m * sqrt(m)  with rational coefficients q_m
 and squarefree positive radicands m (m = 1 is the rational part).  Since
 {sqrt(m) : m squarefree} is linearly independent over Q, the representation
-is canonical and a value is zero iff its term map is empty.  This gives
-decidable sign and floor: a nonzero value has a nonzero norm, so it is
-bounded away from zero and from every integer it does not equal, and
-dyadic refinement decides both with no precision cap; the bits it needs
-grow with the size of the coefficients.  ``dots_sign`` and ``dots_floor``,
-the one sign and the one floor engine, decide both on integer dots.
+is canonical and a value is zero iff its term map is empty.  Sign and floor
+are decided with no precision cap on integer dots (the value times its
+common denominator) by ``dots_sign`` and ``dots_floor``, the one sign and the
+one floor engine.  Most are closed-form: a sign of up to three terms compares
+squares, and a floor with at most one irrational term takes one ``isqrt``, as
+d*sqrt(m) is never an integer.  Longer sums refine dyadically, which ends as a
+nonzero value has a nonzero norm, so it is bounded away from zero and from
+every integer it does not equal; the bits it needs grow with the size of the
+coefficients.
 
 The span is closed under addition, negation and rational scaling, which is
 everything the rest of the package needs.  Multiplication of two irrational
@@ -65,15 +68,26 @@ def squarefree_split(m: int) -> tuple[int, int]:
 
 
 def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
-    """Sign of sum d*sqrt(m) over nonzero integers d and distinct squarefree m:
-    a^2*m1 against b^2*m2 for two terms of opposite signs, else dyadic
-    refinement, which ends as the square roots are independent over Q."""
+    """Sign of sum d*sqrt(m) over nonzero integers d and distinct squarefree m,
+    sorted by m.  Up to three terms it is closed-form: two terms a*sqrt(m1) and
+    b*sqrt(m2) of opposite signs compare a^2*m1 with b^2*m2; three compare
+    a*sqrt(m1) with the rest u = b*sqrt(m2) + c*sqrt(m3), and when a and u
+    differ in sign, a^2*m1 - u^2 is the two-term sum a^2*m1 - b^2*m2 - c^2*m3
+    - 2bc*sqrt(m2*m3).  Its radicand need not be squarefree: the two-term rule
+    compares squares only, and m2*m3 is no square.  Longer sums refine
+    dyadically, which ends as the square roots are independent over Q."""
     m1, a = dots[0] if dots else (1, 0)
     if len(dots) == 2:
         m2, b = dots[1]
         if (a > 0) != (b > 0) and b * b * m2 > a * a * m1:
             a = b
-    elif len(dots) > 2:
+    elif len(dots) == 3:
+        (m2, b), (m3, c) = dots[1:]
+        if (a > 0) != ((u := dots_sign(dots[1:])) > 0):
+            r, cross = a * a * m1 - b * b * m2 - c * c * m3, (m2 * m3, -2 * b * c)
+            if dots_sign(((1, r), cross) if r else (cross,)) < 0:
+                a = u
+    elif len(dots) > 3:
         slack, bits = sum(abs(d) for _, d in dots), 32
         # d*sqrt(m)*2^bits lies within |d| of d*isqrt(m << 2*bits).
         while abs(a := sum(d * math.isqrt(m << (2 * bits)) for m, d in dots)) < slack:
@@ -82,15 +96,27 @@ def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
 
 
 def dots_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
-    """Floor of sum d*sqrt(m) / q for dots as in dots_sign and an integer q != 0:
-    the refinement of dots_sign, until its slack window lies between two
-    multiples of q, which ends as an irrational value is no integer."""
-    slack, bits = sum(abs(d) for m, d in dots if m != 1), 32  # rational terms are exact
-    while True:
-        a, unit = sum(d * math.isqrt(m << (2 * bits)) for m, d in dots), q << bits
-        if (low := (a - slack) // unit) == (a + slack) // unit:
-            return low
-        bits *= 2
+    """Floor of sum d*sqrt(m) / q for dots as in dots_sign and an integer q != 0.
+    With at most one irrational term d*sqrt(m) it takes one isqrt: d*sqrt(m) is
+    no integer, so its floor is isqrt(d^2*m) for d > 0 and -isqrt(d^2*m) - 1 for
+    d < 0, and for q > 0 the floor of a value over q is the floor of its floor
+    over q (a negative q is mirrored).  Longer sums refine as dots_sign does,
+    until the slack window lies between two multiples of q."""
+    whole = dots[0][1] if dots and dots[0][0] == 1 else 0
+    surds = dots[1:] if whole else dots
+    if len(surds) > 1:
+        slack, bits = sum(abs(d) for _, d in surds), 32  # the rational term is exact
+        while True:
+            a, unit = sum(d * math.isqrt(m << (2 * bits)) for m, d in dots), q << bits
+            if (low := (a - slack) // unit) == (a + slack) // unit:
+                return low
+            bits *= 2
+    if q < 0:
+        whole, surds, q = -whole, [(m, -d) for m, d in surds], -q
+    for m, d in surds:
+        root = math.isqrt(d * d * m)
+        whole += root if d > 0 else -root - 1
+    return whole // q
 
 
 class RealConstant(Record):
@@ -277,5 +303,7 @@ def q_rank(constants: Sequence[RealConstant]) -> int:
 
 
 def mod_one(a: RealConstant) -> RealConstant:
-    """Representative of a mod 1 in [0, 1)."""
-    return combine(a, ONE, 1, -a.floor())
+    """Representative of a mod 1 in [0, 1): only the rational term moves."""
+    surds = tuple(t for t in a.terms if t[0] != 1)
+    whole = a.coefficient(1) - a.floor()
+    return RealConstant(((1, whole),) + surds if whole else surds)

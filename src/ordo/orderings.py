@@ -536,10 +536,11 @@ def flag_cofinal(flag: FlagOrdering, anchor_dots: tuple | None,
     """is_cofinal on a flag, from the anchor's ``first_dots`` scan."""
     # Powers of x bracket h iff x is seen at a level no later than h's;
     # an element seen at no level (the identity) counts as seen last.
-    seen = [len(flag.levels) if found is None else found[0]
-            for found in [anchor_dots, *(flag.first_dots(g.coords) for g in generators or ())]]
-    least = flag._generator_level if generators is None else min(seen[1:], default=seen[0])
-    return Decision.YES if seen[0] <= least else Decision.NO
+    first = len(flag.levels) if anchor_dots is None else anchor_dots[0]
+    least = flag._generator_level if generators is None else min(
+        (len(flag.levels) if (found := flag.first_dots(g.coords)) is None else found[0]
+         for g in generators), default=first)
+    return Decision.YES if first <= least else Decision.NO
 
 
 class InvarianceVerdict(Record):

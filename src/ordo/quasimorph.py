@@ -163,10 +163,8 @@ def power_floor(ctx: AnchorContext, h: Element) -> int:
         check_group(cone, h)
 
     if isinstance(cone, FlagOrdering):
-        pairs = tuple(zip(h.coords, ctx.anchor.coords))
-
         def at_least(n: int) -> bool:
-            return cone.coords_sign([a - n * b for a, b in pairs]) >= 0
+            return cone.coords_sign([a - n * b for a, b in zip(h.coords, ctx.anchor.coords)]) >= 0
 
         if (found := _pairing_dots(cone, ctx.anchor_dots, h, NotBracketedWithinCap)) is not None:
             # N is the floor (s = 1) or ceiling (s = -1) of the ratio

@@ -10,7 +10,7 @@ sign as it was read before Dynnikov frames, by building c g c^-1.
 ``word_floor`` and ``word_enclosure`` are the braid floor and stable window
 as they were read before anchor-power keys: each probe signs x^-N h with the
 power x^-N built as a word, and a window builds h^n.  The work-count
-guards read ``count_kernel_letters_and_words``.
+guards read ``count_kernel_letters_and_words`` and ``count_isqrt``.
 ``first_level`` reads a flag's first nonzero level and its exact pairing,
 and ``unchecked_flag`` builds a flag without the totality check, for the
 rank-deficient flags the tests need.  ``braid_words_up_to`` lists every
@@ -18,10 +18,15 @@ freely reduced word of a ball; deduplicated on key (``first_words``) it is
 how braid balls were built before ``groups.braid_ball`` walked them by braid.
 ``brute_convex_cyclic_braid`` is the betweenness oracle of ``convexity``
 for cyclic braid subgroups, whose only callers are tests.
+``refined_sign`` and ``refined_floor`` decide the sign and floor of integer
+dots by dyadic ``isqrt`` refinement alone, as ``exactreal.dots_sign`` did for
+every sum of three terms and ``exactreal.dots_floor`` for every irrational
+floor before their closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
@@ -58,6 +63,27 @@ def locate(cone: Cone, ordered: Sequence[Element], g: Element) -> tuple[int, boo
         else:
             hi = mid
     return lo, False
+
+
+def refined_sign(dots: Sequence[tuple[int, int]]) -> int:
+    """Sign of sum d*sqrt(m) over nonzero integers d and distinct squarefree m:
+    refinement doubles the bits until the value clears its rounding slack."""
+    slack, bits, a = sum(abs(d) for _, d in dots), 32, 0
+    # d*sqrt(m)*2^bits lies within |d| of d*isqrt(m << 2*bits).
+    while dots and abs(a := sum(d * math.isqrt(m << (2 * bits)) for m, d in dots)) < slack:
+        bits *= 2
+    return (a > 0) - (a < 0)
+
+
+def refined_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
+    """Floor of sum d*sqrt(m) / q for an integer q != 0: the refinement of
+    refined_sign, until its slack window lies between two multiples of q."""
+    slack, bits = sum(abs(d) for m, d in dots if m != 1), 32  # rational terms are exact
+    while True:
+        a, unit = sum(d * math.isqrt(m << (2 * bits)) for m, d in dots), q << bits
+        if (low := (a - slack) // unit) == (a + slack) // unit:
+            return low
+        bits *= 2
 
 
 def fraction_replay(order: Sequence[int]) -> list[Fraction]:
@@ -139,6 +165,13 @@ def count_kernel_letters_and_words(monkeypatch) -> tuple[list[int], list]:
     monkeypatch.setattr(BraidWord, "__init__",
                         lambda w, group, letters: built.append(letters) or init(w, group, letters))
     return acted, built
+
+
+def count_isqrt(monkeypatch) -> list[int]:
+    """Every argument math.isqrt is called with, from ordo or anywhere else."""
+    calls, isqrt = [], math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    return calls
 
 
 def first_level(flag: FlagOrdering, g: LatticeElement) -> tuple[int, RealConstant] | None:

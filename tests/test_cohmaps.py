@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from ordo.errors import NotRealizable, UnsupportedInput
-from ordo.exactreal import ONE, RealConstant, combine, linear_combination, mod_one
+from ordo.errors import InvariantViolation, NotRealizable, UnsupportedInput
+from ordo.exactreal import ONE, ZERO, RealConstant, combine, linear_combination, mod_one
 from ordo.groups import (BraidWord, GroupRef, LatticeElement, full_twist, parse_element,
                          random_element)
 from ordo.linalg import clear_denominators, integer_kernel_basis
 from ordo.orderings import Cone, Decision, DehornoyOrdering, FlagOrdering, act
 from ordo.quasimorph import AnchorContext, stable_enclosure, stable_exact
 from ordo.cohmaps import (
+    RotationClass,
     construct_from_translations,
     is_realizable,
     naturality_check,
@@ -329,3 +330,15 @@ class _Opposite(Cone):
 def test_braid_stable_values_refuse_a_cone_other_than_dehornoy(invariant):
     with pytest.raises(UnsupportedInput, match="_Opposite has no exact stable values"):
         invariant(_Opposite(), full_twist(3))
+
+
+def test_rotation_class_components_lie_in_the_unit_interval():
+    basis = (el("x1"),)
+    for inside in (ZERO, combine(SQRT2, ONE, 1, -1), rc(Fraction(999, 1000)),
+                   SQRT2.scale(Fraction(1, 2))):
+        assert RotationClass((inside,), basis).components == (inside,)
+    for outside in (ONE, SQRT2, combine(ONE, SQRT2, 1, -1), rc(Fraction(-1, 1000)),
+                    combine(SQRT2, ONE, 1, 1)):
+        with pytest.raises(InvariantViolation) as caught:
+            RotationClass((ZERO, outside), basis + basis)
+        assert str(caught.value) == f"rotation class component {outside} outside [0,1)"

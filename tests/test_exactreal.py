@@ -1,6 +1,7 @@
 """Exact constant arithmetic: canonical forms, sign, floor, Q-rank."""
 
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,11 +18,14 @@ from ordo.exactreal import (
     combine,
     div_by_rational,
     dots_floor,
+    dots_sign,
     format_rational,
     mod_one,
     parse_rational,
     q_rank,
 )
+
+from oracles import count_isqrt, refined_floor, refined_sign
 
 SQRT2 = RealConstant.sqrt(2)
 SQRT3 = RealConstant.sqrt(3)
@@ -310,3 +314,164 @@ def test_floor_of_constants_matches_the_oracle():
                   r3=Fraction(rng.randint(-900, 900), rng.randint(1, 9)) * (rng.random() < 0.5))
         scale = math.lcm(*(q.denominator for _, q in c.terms))
         assert c.floor() == _exact_floor([(m, int(q * scale)) for m, q in c.terms], scale), c
+
+
+# -- closed forms against the refinement oracle ------------------------------
+
+SURDS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 30, 35, 4294967291)
+# The least x + y*sqrt(m) with x^2 - m*y^2 = +-1.
+PELL_UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1), 6: (5, 2), 7: (8, 3), 10: (3, 1)}
+
+
+def _pell_solutions(m, bits):
+    """The powers (x, y) of m's Pell unit, y up to the given bit length."""
+    x0, y0 = x, y = PELL_UNITS[m]
+    out = []
+    while y.bit_length() <= bits:
+        assert x * x - m * y * y in (1, -1)
+        out.append((x, y))
+        x, y = x0 * x + m * y0 * y, y0 * x + x0 * y
+    return out
+
+
+def _signed(rng, digits):
+    return rng.choice((1, -1)) * rng.randint(1, 10 ** digits)
+
+
+def _one_surd_floors(rng):
+    """(kind, dots, q): random, near-integer, at the digit limit, Pell margins."""
+    for _ in range(80_000):
+        digits = rng.choice((1, 2, 6, 20, 60))
+        whole, m = rng.choice((0, _signed(rng, digits))), rng.choice(SURDS)
+        yield "random", [(1, whole)] * bool(whole) + [(m, _signed(rng, digits))], \
+            _signed(rng, rng.randint(0, digits + 2))
+    for _ in range(4_000):  # d1 = -+isqrt(d2^2*m) + {-2..2}: the value lies within 3 of 0
+        m, d = rng.choice(SURDS), _signed(rng, rng.choice((1, 5, 40, 200)))
+        root = math.isqrt(d * d * m) * (1 if d < 0 else -1)
+        for whole in range(root - 2, root + 3):
+            q = rng.choice((1, -1)) * rng.choice((1, 2, 3, 7, rng.randint(1, 10 ** 9)))
+            yield "near_integer", [(1, whole)] * bool(whole) + [(m, d)], q
+    for _ in range(150):  # coefficients near the 4300-digit limit
+        m, d = rng.choice(SURDS), _signed(rng, 4299)
+        whole = rng.choice((0, _signed(rng, 4299), -math.isqrt(d * d * m)))
+        yield "digit_limit", [(1, whole)] * bool(whole) + [(m, d)], \
+            _signed(rng, rng.randint(0, 4299))
+    for m in PELL_UNITS:  # x - y*sqrt(m) = +-1/(x + y*sqrt(m))
+        for x, y in _pell_solutions(m, 3000)[::40]:
+            for q in (1, -1, 2, -2, 7, -7, x, -y):
+                for sign in (1, -1):
+                    yield "pell", [(1, sign * x), (m, -sign * y)], q
+
+
+def test_one_surd_floor_matches_the_refinement_oracle():
+    seen = collections.Counter()
+    for kind, dots, q in _one_surd_floors(random.Random(29)):
+        assert dots_floor(dots, q) == refined_floor(dots, q), (kind, dots, q)
+        seen[kind] += 1
+        seen["negative_q" if q < 0 else "positive_q"] += 1
+        seen["rational_term" if dots[0][0] == 1 else "surd_only"] += 1
+    assert seen["negative_q"] + seen["positive_q"] >= 100_000, seen
+    assert min(seen.values()) >= 150, seen
+
+
+def _near_cancellations(rng):
+    """(a, b, c) with a*sqrt(m1) + b*sqrt(m2) + c*sqrt(m3) near zero: small
+    combinations of two integer relations that mpmath.pslq finds to within
+    a tolerance."""
+    for m1, m2, m3 in ((1, 2, 3), (1, 6, 10), (2, 6, 10), (3, 6, 10), (1, 10, 15), (5, 6, 15),
+                       (1, 14, 21), (7, 14, 21), (1, 6, 35), (2, 3, 5), (1, 30, 35), (3, 5, 15)):
+        roots = [mpmath.sqrt(m) for m in (m1, m2, m3)]
+        for digits in (6, 12, 24, 40):
+            with mpmath.workdps(3 * digits):
+                relations = [mpmath.pslq(roots, tol=mpmath.mpf(10) ** -(digits + k),
+                                         maxcoeff=10 ** (digits + 10), maxsteps=10 ** 6)
+                             for k in (0, 3)]
+            for _ in range(1_200):
+                i, j = rng.randint(-9, 9), rng.randint(-9, 9)
+                if all(coeffs := [i * r + j * s for r, s in zip(*relations)]):
+                    yield list(zip((m1, m2, m3), coeffs))
+
+
+def _equal_squares(pool):
+    """a*sqrt(m1) + b*sqrt(m2) + c*sqrt(m3), both signs, with a^2*m1 = b^2*m2 + c^2*m3:
+    the square a^2*m1 - u^2 of the first term against the rest is then -2bc*sqrt(m2*m3)."""
+    for m1, m2, m3 in itertools.combinations(pool, 3):
+        for b, c in itertools.product(range(1, 40), repeat=2):
+            square, rest = divmod(b * b * m2 + c * c * m3, m1)
+            if not rest and (a := math.isqrt(square)) ** 2 == square:
+                for signs in itertools.product((1, -1), repeat=3):
+                    yield [(m, s * d) for m, s, d in zip((m1, m2, m3), signs, (a, b, c))]
+
+
+def _three_term_signs(rng):
+    """(kind, dots): random, at the digit limit, equal squares, near cancellations."""
+    pool = (1,) + SURDS[:-1]
+    for dots in _equal_squares(pool):
+        yield "equal_squares", dots
+    for _ in range(50_000):
+        digits = rng.choice((1, 2, 6, 20, 60))
+        yield "random", [(m, _signed(rng, digits)) for m in sorted(rng.sample(pool, 3))]
+    for _ in range(200):
+        yield "digit_limit", [(m, _signed(rng, 4299)) for m in sorted(rng.sample(pool, 3))]
+    for dots in _near_cancellations(rng):
+        yield "near_cancellation", dots
+
+
+def test_three_term_sign_matches_the_refinement_oracle():
+    seen = collections.Counter()
+    for kind, dots in _three_term_signs(random.Random(2929)):
+        value = refined_sign(dots)
+        assert dots_sign(dots) == value != 0, (kind, dots)
+        assert dots_sign([(m, -d) for m, d in dots]) == -value, (kind, dots)
+        seen[kind] += 1
+        seen["rational_term"] += dots[0][0] == 1
+        seen["product_not_squarefree"] += math.gcd(dots[1][0], dots[2][0]) > 1
+    assert seen["random"] + seen["digit_limit"] + seen["near_cancellation"] >= 100_000
+    assert min(seen.values()) >= 200, seen
+    assert seen["near_cancellation"] > 40_000, seen
+
+
+def test_one_surd_floor_makes_exactly_one_isqrt(monkeypatch):
+    x, y = _pell_solutions(2, 2000)[-1]
+    cases = [([(1, 5), (2, -7)], 3), ([(1, -9), (7, 3)], -4), ([(3, 4)], 1), ([(6, -11)], -2),
+             ([(1, x), (2, -y)], 1), ([(1, -x), (2, y)], -7)]
+    value = const(Fraction(1, 3), r5=Fraction(-5, 7))
+    calls = count_isqrt(monkeypatch)
+    for dots, q in cases:
+        calls.clear()
+        dots_floor(dots, q)
+        assert len(calls) == 1, (dots, q)
+    calls.clear()
+    assert value.floor() == -2
+    assert len(calls) == 1
+
+
+def test_three_term_sign_makes_no_isqrt(monkeypatch):
+    cases = [[(1, 2737), (2, -36505), (3, 28226)], [(2, -4011), (6, -3282), (10, 4336)],
+             [(1, 7), (6, 1), (10, -5)], [(3, 5), (5, 7), (15, -11)]]
+    want = [refined_sign(dots) for dots in cases]
+    value = const(Fraction(-1, 2), r2=3, r3=Fraction(-5, 3))
+    calls = count_isqrt(monkeypatch)
+    assert [dots_sign(dots) for dots in cases] == want
+    assert value.sign() == 1
+    assert calls == []
+
+
+def test_mod_one_matches_subtracting_the_floor():
+    rng = random.Random(2930)
+    seen = collections.Counter()
+    for i in range(3_000):
+        roots = {f"r{m}": Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+                 for m in rng.sample((2, 3, 5, 6), rng.randint(0, 2))}
+        c = const(Fraction(rng.randint(-99, 99), rng.randint(1, 12)) * rng.randint(0, 1), **roots)
+        if i % 3 == 1:  # shifted below 0
+            c = combine(c, ONE, 1, -c.floor() - rng.randint(1, 9))
+        elif i % 3 == 2:  # an integer plus k/10 * sqrt(2) in [0, 1): the rational part cancels
+            c = const(_signed(rng, 2), r2=Fraction(rng.randint(1, 7), 10))
+        got = mod_one(c)
+        assert got == combine(c, ONE, 1, -c.floor()), c
+        assert [t for t in got.terms if t[0] != 1] == [t for t in c.terms if t[0] != 1]
+        seen["no_rational_part"] += c.coefficient(1) == 0
+        seen["rational_part_cancels"] += got.coefficient(1) == 0 and c.coefficient(1) != 0
+        seen["negative"] += c.sign() < 0
+    assert min(seen.values()) > 300, seen

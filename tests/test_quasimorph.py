@@ -23,8 +23,8 @@ from ordo.groups import (
     parse_element,
     random_element,
 )
-from ordo.orderings import (Cone, DehornoyOrdering, FlagOrdering, act, is_central_braid,
-                            level_kernels)
+from ordo.orderings import (Cone, DehornoyOrdering, FlagOrdering, act, axioms_check,
+                            is_central_braid, level_kernels)
 from ordo.quasimorph import (
     DEFAULT_CAP,
     AnchorContext,
@@ -41,7 +41,8 @@ from ordo.quasimorph import (
     stable_map_properties,
 )
 
-from oracles import count_kernel_letters_and_words, first_level, word_enclosure, word_floor
+from oracles import (count_isqrt, count_kernel_letters_and_words, first_level, refined_floor,
+                     word_enclosure, word_floor)
 
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
@@ -521,6 +522,27 @@ def test_flag_floor_certificate_is_checked(monkeypatch):
 
 THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2),
                                     RealConstant.sqrt(3)]])
+
+
+def test_flag_floor_takes_one_isqrt(monkeypatch):
+    # The ratio (i + j*sqrt 2) / 1 of a one-surd floor is one isqrt; both of
+    # its certificate probes are two-term signs, which take none.
+    ctx = AnchorContext(SQRT2_FLAG, el("x1"))
+    pairs = [(i, j) for i in (-7, 3, 10 ** 9) for j in (-5, 1, 10 ** 30)]
+    want = [refined_floor([(1, i), (2, j)], 1) for i, j in pairs]
+    calls = count_isqrt(monkeypatch)
+    for (i, j), floor in zip(pairs, want):
+        calls.clear()
+        assert power_floor(ctx, el(f"x1^{i} x2^{j}")) == floor
+        assert len(calls) == 1, (i, j)
+
+
+def test_axioms_on_the_three_flag_refine_nothing(monkeypatch):
+    # Every sign on the level (1, sqrt 2, sqrt 3) has at most three terms.
+    calls = count_isqrt(monkeypatch)
+    report = axioms_check(THREE_FLAG, 200, 3)
+    assert report.passed and report.lo1_checked > 20
+    assert calls == []
 
 
 def _count_scans_and_builds(monkeypatch):
