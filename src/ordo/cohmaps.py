@@ -44,6 +44,7 @@ from .orderings import (
     is_central_braid,
     is_cofinal,
     is_right_invariant,
+    rank_deficient,
 )
 from .quasimorph import AnchorContext, stable_enclosure, stable_exact
 from .records import Record
@@ -323,7 +324,10 @@ def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
     if flag.group.rank != 2:
         raise UnsupportedInput("doubled-circle coordinates need rank 2")
     # A level that pairs to zero everywhere does not affect the order.
-    c1, c2 = next(level for level in flag.levels if not all(c.is_zero for c in level))
+    level = next((level for level in flag.levels if not all(c.is_zero for c in level)), None)
+    if level is None:
+        raise rank_deficient()
+    c1, c2 = level
     if q_rank([c1, c2]) == 2:
         return SikoraPoint("irrational", _primitive_pair(c1, c2))
     reference = c1 if not c1.is_zero else c2
@@ -336,8 +340,8 @@ def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
         p, q = -p, -q
     kernel_gen = LatticeElement(flag.group, (-q, p))
     side = cone_sign(flag, kernel_gen)
-    if side == 0:
-        raise InvariantViolation("kernel generator has sign zero in a total flag")
+    if side == 0:  # the kernel generator pairs to zero at every level
+        raise rank_deficient()
     return SikoraPoint("rational", (p, q), side)
 
 

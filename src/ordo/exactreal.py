@@ -6,12 +6,11 @@ and squarefree positive radicands m (m = 1 is the rational part).  Since
 is canonical and a value is zero iff its term map is empty.  Sign and floor
 are decided with no precision cap on integer dots (the value times its
 common denominator) by ``dots_sign`` and ``dots_floor``, the one sign and the
-one floor engine.  Most are closed-form: a sign of up to three terms compares
-squares, and a floor with at most one irrational term takes one ``isqrt``, as
-d*sqrt(m) is never an integer.  Longer sums refine dyadically, which ends as a
-nonzero value has a nonzero norm, so it is bounded away from zero and from
-every integer it does not equal; the bits it needs grow with the size of the
-coefficients.
+one floor engine.  A sign of up to three terms compares squares; longer sums
+refine dyadically, which ends as a nonzero value has a nonzero norm, so it is
+bounded away from zero; the bits it needs grow with the size of the
+coefficients.  A floor takes one ``isqrt`` per irrational term, as d*sqrt(m)
+is never an integer, and at most one sign to settle the last unit.
 
 The span is closed under addition, negation and rational scaling, which is
 everything the rest of the package needs.  Multiplication of two irrational
@@ -96,27 +95,26 @@ def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
 
 
 def dots_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
-    """Floor of sum d*sqrt(m) / q for dots as in dots_sign and an integer q != 0.
-    With at most one irrational term d*sqrt(m) it takes one isqrt: d*sqrt(m) is
-    no integer, so its floor is isqrt(d^2*m) for d > 0 and -isqrt(d^2*m) - 1 for
-    d < 0, and for q > 0 the floor of a value over q is the floor of its floor
-    over q (a negative q is mirrored).  Longer sums refine as dots_sign does,
-    until the slack window lies between two multiples of q."""
+    """Floor of sum d*sqrt(m) / q for dots as in dots_sign and an integer q != 0
+    (a negative q is mirrored).  At 2^bits times its value each of the k surd
+    terms is no integer: its floor is r = isqrt(d^2*m*4^bits) for d > 0, -r - 1
+    for d < 0, and with the rational term they sum to a <= value*2^bits < a + k.
+    bits is 0 for k <= 1; else 2^bits > 2^16*k, so the window rarely meets a
+    multiple of q*2^bits, and never two; one sign of value - high*q settles it."""
+    if q < 0:
+        dots, q = [(m, -d) for m, d in dots], -q
     whole = dots[0][1] if dots and dots[0][0] == 1 else 0
     surds = dots[1:] if whole else dots
-    if len(surds) > 1:
-        slack, bits = sum(abs(d) for _, d in surds), 32  # the rational term is exact
-        while True:
-            a, unit = sum(d * math.isqrt(m << (2 * bits)) for m, d in dots), q << bits
-            if (low := (a - slack) // unit) == (a + slack) // unit:
-                return low
-            bits *= 2
-    if q < 0:
-        whole, surds, q = -whole, [(m, -d) for m, d in surds], -q
+    bits = k.bit_length() + 16 if (k := len(surds)) > 1 else 0
+    a = whole << bits
     for m, d in surds:
-        root = math.isqrt(d * d * m)
-        whole += root if d > 0 else -root - 1
-    return whole // q
+        root = math.isqrt(d * d * m << 2 * bits)
+        a += root if d > 0 else -root - 1
+    low = a // (unit := q << bits)
+    if k < 2 or low == (high := (a + k - 1) // unit):
+        return low
+    whole -= high * q
+    return high if dots_sign([(1, whole), *surds] if whole else surds) > 0 else low
 
 
 class RealConstant(Record):

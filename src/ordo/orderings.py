@@ -198,8 +198,7 @@ class FlagOrdering(Cone, Record):
         rank = len(levels[0])
         flag = FlagOrdering(GroupRef.free_abelian(rank), tuple(tuple(lv) for lv in levels))
         if not flag.is_total():
-            raise UnsupportedInput(
-                "flag is rank-deficient: some nonzero vector pairs to zero at every level")
+            raise rank_deficient()
         return flag
 
     @staticmethod
@@ -281,8 +280,16 @@ class FlagOrdering(Cone, Record):
                 new_levels.append(new_level)
         restricted = FlagOrdering(GroupRef.free_abelian(len(columns)), tuple(new_levels))
         if not restricted.is_total():
+            if not self.is_total():
+                raise rank_deficient()
             raise InvariantViolation("restriction of a total flag lost totality")
         return restricted
+
+
+def rank_deficient() -> UnsupportedInput:
+    """The refusal of a flag that is not total, as built by the bare constructor."""
+    return UnsupportedInput(
+        "flag is rank-deficient: some nonzero vector pairs to zero at every level")
 
 
 def _level_dots(rows: Sequence[tuple[int, Sequence[int]]],

@@ -20,8 +20,9 @@ how braid balls were built before ``groups.braid_ball`` walked them by braid.
 for cyclic braid subgroups, whose only callers are tests.
 ``refined_sign`` and ``refined_floor`` decide the sign and floor of integer
 dots by dyadic ``isqrt`` refinement alone, as ``exactreal.dots_sign`` did for
-every sum of three terms and ``exactreal.dots_floor`` for every irrational
-floor before their closed forms.
+every sum of three terms before its closed form, and ``exactreal.dots_floor``
+for every irrational floor before it took one ``isqrt`` per term and at most
+one sign.
 """
 
 from __future__ import annotations

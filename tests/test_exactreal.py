@@ -10,6 +10,7 @@ import mpmath
 import pytest
 import sympy
 
+import ordo.exactreal as exactreal
 from ordo.errors import ParseError
 from ordo.exactreal import (
     ONE,
@@ -431,19 +432,73 @@ def test_three_term_sign_matches_the_refinement_oracle():
     assert seen["near_cancellation"] > 40_000, seen
 
 
+def _shifted(dots, shift):
+    """The dots of sum d*sqrt(m) + shift."""
+    whole = shift + sum(d for m, d in dots if m == 1)
+    return [(1, whole)] * bool(whole) + [(m, d) for m, d in dots if m != 1]
+
+
+def _multi_surd_floors(rng):
+    """(kind, dots, q) with two or three irrational terms: random, at the digit
+    limit, and near relations shifted by {-1, 0, 1}*q, whose values lie so
+    close to a multiple of q that the floor's window most often meets it."""
+    for _ in range(20_000):
+        digits = rng.choice((1, 2, 6, 20, 60))
+        surds = sorted(rng.sample(SURDS, rng.randint(2, 3)))
+        yield "random", _shifted([(m, _signed(rng, digits)) for m in surds],
+                                 rng.choice((0, _signed(rng, digits)))), \
+            _signed(rng, rng.randint(0, digits + 2))
+    for _ in range(150):  # coefficients near the 4300-digit limit, the value within 3 of 0
+        dots = [(m, _signed(rng, 4299)) for m in sorted(rng.sample(SURDS, rng.randint(2, 3)))]
+        whole = -sum(math.isqrt(d * d * m) * (1 if d > 0 else -1) for m, d in dots)
+        q = _signed(rng, rng.choice((0, 3, 4299)))
+        for shift in (-1, 0, 1):
+            yield "digit_limit", _shifted(dots, whole + shift * q), q
+    for dots in _near_cancellations(rng):
+        q = rng.choice((1, -1)) * rng.choice((1, 2, 3, 7, rng.randint(1, 10 ** 9)))
+        for shift in (-1, 0, 1):
+            yield "near_multiple", _shifted(dots, shift * q), q
+
+
+def test_multi_surd_floor_matches_the_refinement_oracle(monkeypatch):
+    settles, sign = [], exactreal.dots_sign
+    monkeypatch.setattr(exactreal, "dots_sign", lambda dots: settles.append(dots) or sign(dots))
+    seen = collections.Counter()
+    for kind, dots, q in _multi_surd_floors(random.Random(30)):
+        settles.clear()
+        assert dots_floor(dots, q) == refined_floor(dots, q), (kind, dots, q)
+        surds = sum(m != 1 for m, _ in dots)
+        seen[kind] += 1
+        seen[f"{surds}_surds"] += 1
+        seen["negative_q" if q < 0 else "positive_q"] += 1
+        seen[f"settled_{surds}_surds"] += bool(settles)
+    assert seen["negative_q"] + seen["positive_q"] >= 100_000, seen
+    assert min(seen.values()) >= 150, seen
+    assert seen["settled_2_surds"] + seen["settled_3_surds"] >= 1000, seen
+
+
 def test_one_surd_floor_makes_exactly_one_isqrt(monkeypatch):
+    # One isqrt per irrational term, also when the window meets a multiple of
+    # q (222 - 3960*sqrt 2 + 3104*sqrt 3 lies just below -2 = -1*q): the
+    # settle sign has three terms and takes none.
     x, y = _pell_solutions(2, 2000)[-1]
     cases = [([(1, 5), (2, -7)], 3), ([(1, -9), (7, 3)], -4), ([(3, 4)], 1), ([(6, -11)], -2),
-             ([(1, x), (2, -y)], 1), ([(1, -x), (2, y)], -7)]
-    value = const(Fraction(1, 3), r5=Fraction(-5, 7))
+             ([(1, x), (2, -y)], 1), ([(1, -x), (2, y)], -7), ([], 3), ([(1, -17)], -5),
+             ([(1, 5), (2, -7), (3, 4)], 3), ([(6, 10 ** 40), (10, -9)], -2),
+             ([(1, 222), (2, -3960), (3, 3104)], 2), ([(2, 1), (3, -5), (5, 8)], 1),
+             ([(1, -4), (3, y), (5, -x), (7, 2)], -9)]
+    values = [(const(Fraction(1, 3), r5=Fraction(-5, 7)), -2, 1),
+              (const(Fraction(1, 3), r2=-1, r5=Fraction(-5, 7)), -3, 2)]
+    want = [refined_floor(dots, q) for dots, q in cases]
     calls = count_isqrt(monkeypatch)
-    for dots, q in cases:
+    for (dots, q), floor in zip(cases, want):
         calls.clear()
-        dots_floor(dots, q)
-        assert len(calls) == 1, (dots, q)
-    calls.clear()
-    assert value.floor() == -2
-    assert len(calls) == 1
+        assert dots_floor(dots, q) == floor
+        assert len(calls) == sum(m != 1 for m, _ in dots), (dots, q)
+    for value, floor, surds in values:
+        calls.clear()
+        assert value.floor() == floor
+        assert len(calls) == surds
 
 
 def test_three_term_sign_makes_no_isqrt(monkeypatch):

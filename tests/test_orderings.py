@@ -16,8 +16,8 @@ import ordo.groups as ordo_groups
 import ordo.orderings as ordo_orderings
 from ordo.cohmaps import construct_from_translations, naturality_check, sikora_coordinate
 from ordo.convexity import ExponentMatrix, check_convex
-from ordo.errors import (AnchorIsIdentity, GroupMismatch, NotCofinal, OrdoError, ParseError,
-                         UnsupportedInput)
+from ordo.errors import (AnchorIsIdentity, GroupMismatch, InvariantViolation, NotCofinal,
+                         OrdoError, ParseError, UnsupportedInput)
 from ordo.exactreal import ONE, RealConstant, linear_combination
 from ordo.groups import (BraidWord, GroupRef, LatticeElement, braid_ball, dynnikov_act, full_twist,
                          parse_element, random_element)
@@ -160,6 +160,29 @@ def test_axioms_corrupted_flag_reports_kernel_witness():
 def test_rank_deficient_flag_rejected_by_default():
     with pytest.raises(UnsupportedInput):
         FlagOrdering.create([[RealConstant.rational(1), RealConstant.rational(0)]])
+
+
+def test_library_calls_refuse_a_flag_that_is_not_total(monkeypatch):
+    # A flag from the bare constructor skips create's totality check; the
+    # calls that need totality refuse it with create's text.
+    zero, one = RealConstant.rational(0), ONE
+    z3 = GroupRef.free_abelian(3)
+    refused = "flag is rank-deficient: some nonzero vector pairs to zero at every level"
+    for levels in ([[zero, zero]], [[zero, zero], [one, zero]], [[one, zero]]):
+        with pytest.raises(UnsupportedInput, match=refused):
+            sikora_coordinate(unchecked_flag(levels))
+    first_two = unchecked_flag([[one, zero, zero], [zero, one, zero]])
+    with pytest.raises(UnsupportedInput, match=refused):
+        first_two.restrict([el("x3", z3)])
+    with pytest.raises(UnsupportedInput, match=refused):
+        naturality_check(first_two, el("x1", z3), [el("x3", z3)])
+    # Where the flag is total on the sublattice, restriction still works.
+    assert first_two.restrict([el("x2 x3", z3)]).levels == ((one,),)
+    assert naturality_check(first_two, el("x1", z3), [el("x2", z3)]).passed
+    # A total flag that loses totality on restriction is a bug, not an input.
+    monkeypatch.setattr(FlagOrdering, "is_total", lambda flag: flag.group.rank == 3)
+    with pytest.raises(InvariantViolation, match="lost totality"):
+        LEX3.restrict([el("x1", z3), el("x2", z3)])
 
 
 # -- restriction and conjugation ----------------------------------------------

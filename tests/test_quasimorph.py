@@ -525,9 +525,12 @@ THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2
 
 
 def test_flag_floor_takes_one_isqrt(monkeypatch):
-    # The ratio (i + j*sqrt 2) / 1 of a one-surd floor is one isqrt; both of
-    # its certificate probes are two-term signs, which take none.
+    # A flag floor takes one isqrt per surd of its ratio: (i + j*sqrt 2) / 1
+    # takes one, and on the three flag every floor of a floor, defect or
+    # rotation class takes two.  Certificate probes and settle signs have at
+    # most three terms and take none.
     ctx = AnchorContext(SQRT2_FLAG, el("x1"))
+    three = AnchorContext(THREE_FLAG, el3("x1"))
     pairs = [(i, j) for i in (-7, 3, 10 ** 9) for j in (-5, 1, 10 ** 30)]
     want = [refined_floor([(1, i), (2, j)], 1) for i, j in pairs]
     calls = count_isqrt(monkeypatch)
@@ -535,6 +538,18 @@ def test_flag_floor_takes_one_isqrt(monkeypatch):
         calls.clear()
         assert power_floor(ctx, el(f"x1^{i} x2^{j}")) == floor
         assert len(calls) == 1, (i, j)
+    floors, dots_floor = [], ordo.exactreal.dots_floor
+    for module in (ordo.exactreal, ordo.quasimorph):
+        monkeypatch.setattr(module, "dots_floor",
+                            lambda dots, q: floors.append(dots) or dots_floor(dots, q))
+    calls.clear()
+    assert power_floor(three, el3("x1^-4 x2^3 x3^-2")) == -4  # -4 + 3*sqrt 2 - 2*sqrt 3 = -3.22
+    assert power_floor(three, el3("x2^-3960 x3^3104")) == -225  # just below -224: a settle
+    assert defect_cocycle(three, el3("x2 x3^2"), el3("x1 x2^-3 x3")) in (-1, 0)
+    ordo.rotation_class(THREE_FLAG, el3("x1"), [el3("x1 x2 x3"), el3("x2^-2 x3^5")])
+    assert len(floors) == 2 + 3 + 2 * 2  # rotation: mod_one, then the range check
+    assert all(sum(m != 1 for m, _ in dots) == 2 for dots in floors), floors
+    assert len(calls) == 2 * len(floors)
 
 
 def test_axioms_on_the_three_flag_refine_nothing(monkeypatch):
