@@ -38,7 +38,6 @@ actions (semi-conjugate in general; conjugate on dense orderings).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -166,20 +165,33 @@ def _forest_sort(cone: Cone, elements: Sequence[Element],
 
 def _replay(order: list[int]) -> list[Fraction]:
     """The inductive rule in enumeration order on the ranks of a sort (station
-    order[r] has rank r), each station n / 2^e, e its midpoint-nesting depth."""
-    ranks = sorted(range(len(order)), key=order.__getitem__)  # in enumeration order
-    placed, stations, values = ranks[:1], [(0, 0)], [Fraction(0)]  # the identity at 0
-    for r in ranks[1:]:
-        k = bisect_left(placed, r)
-        if 0 < k < len(placed):
-            (a, ea), (b, eb) = stations[k - 1], stations[k]
-            e = max(ea, eb)
-            n, e = (a << e - ea) + (b << e - eb), e + 1
-        else:  # one past the least or the greatest
-            n, e = stations[k - 1 if k else 0]
-            n += (1 if k else -1) << e
-        placed.insert(k, r)
-        stations.insert(k, (n, e))
+    order[r] has rank r), each station n / 2^e, e its midpoint-nesting depth.
+    The stations leave a doubly linked list over the ranks in reverse
+    enumeration order: the two neighbours a station has when it leaves are
+    the two it had when it was placed, so the forward pass places each from
+    two known values, in linear time."""
+    size = len(order)
+    ranks = sorted(range(size), key=order.__getitem__)  # in enumeration order
+    # Ranks -1 and size are the ends; both write to the last slot, never read.
+    below, above = list(range(-1, size)), list(range(1, size + 2))
+    sides = []
+    for r in ranks[:0:-1]:  # every station but the identity, last placed first
+        b, a = below[r], above[r]
+        above[b], below[a] = a, b
+        sides.append((b, a))
+    stations, values = [(0, 0)] * size, [Fraction(0)]  # the identity at 0
+    for r, (b, a) in zip(ranks[1:], reversed(sides)):
+        if b < 0:  # one below the least
+            n, e = stations[a]
+            n -= 1 << e
+        elif a == size:  # one above the greatest
+            n, e = stations[b]
+            n += 1 << e
+        else:
+            (x, ex), (y, ey) = stations[b], stations[a]
+            e = max(ex, ey)
+            n, e = (x << e - ex) + (y << e - ey), e + 1
+        stations[r] = n, e
         values.append(Fraction(n, 1 << e))
     return values
 

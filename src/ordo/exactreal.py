@@ -33,7 +33,7 @@ Rational = int | Fraction
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")  # [0-9]: int() reads any Unicode digit
 _RADICAND_RE = re.compile(r"-?[0-9]+")
 
-MAX_RADICAND = 1 << 32  # the largest radicand squarefree_split factors by trial division
+MAX_RADICAND = 1 << 32  # squarefree_split trial-divides up to m^(1/3): 1626 at this limit
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,19 +51,25 @@ def format_rational(q: Rational) -> str:
 
 
 def squarefree_split(m: int) -> tuple[int, int]:
-    """Write m = s*s*m0 with m0 squarefree; returns (s, m0)."""
+    """Write m = s*s*m0 with m0 squarefree; returns (s, m0).  Trial division by 2
+    and odd d while d^3 <= c, the cofactor left, moves every prime below its
+    cube root into s or m0; c then has at most two prime factors, so it is
+    squarefree unless it is a prime squared, which one isqrt decides."""
     if m <= 0:
         raise ParseError(f"radicand must be positive: {int_text(m)}")
     if m > MAX_RADICAND:
         raise UnsupportedInput(
             f"radicand {int_text(m)} is past the limit of {MAX_RADICAND} (MAX_RADICAND)")
-    s, m0, d = 1, m, 2
-    while d * d <= m0:
-        while m0 % (d * d) == 0:
-            m0 //= d * d
-            s *= d
-        d += 1
-    return s, m0
+    s, m0, c, d = 1, 1, m, 2
+    while d * d * d <= c:
+        if c % d:
+            d += 1 if d == 2 else 2
+        elif (c := c // d) % d:
+            m0 *= d
+        else:
+            c, s = c // d, s * d
+    r = math.isqrt(c)
+    return (s * r, m0) if r * r == c else (s, m0 * c)
 
 
 def dots_sign(dots: Sequence[tuple[int, int]]) -> int:
@@ -118,12 +124,23 @@ def dots_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
 
 
 class RealConstant(Record):
-    """Canonical form: sorted (radicand, coefficient) pairs, no zero coefficients."""
+    """Canonical form: (radicand, coefficient) pairs sorted by squarefree
+    radicand, no zero coefficients.  Every public constructor builds it: the
+    bare ``RealConstant(terms)`` normalizes its pairs as ``from_terms`` does.
+    Internal paths whose terms are canonical by construction build through
+    ``_trusted``, so no flag query pays for normalizing."""
 
     terms: tuple[tuple[int, Fraction], ...]
 
-    def __init__(self, terms: tuple[tuple[int, Fraction], ...]) -> None:
-        set_field(self, "terms", terms)
+    def __init__(self, terms: Iterable[tuple[int, Rational]]) -> None:
+        set_field(self, "terms", RealConstant.from_terms(terms).terms)
+
+    @staticmethod
+    def _trusted(terms: tuple[tuple[int, Fraction], ...]) -> "RealConstant":
+        # Terms in canonical form by construction.
+        const = object.__new__(RealConstant)
+        set_field(const, "terms", terms)
+        return const
 
     @staticmethod
     def from_terms(terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]) -> "RealConstant":
@@ -179,7 +196,7 @@ class RealConstant(Record):
         q = Fraction(q)
         if q == 0:
             return ZERO
-        return RealConstant(tuple((m, c * q) for m, c in self.terms))
+        return RealConstant._trusted(tuple((m, c * q) for m, c in self.terms))
 
     def __mul__(self, other: Rational) -> "RealConstant":
         if isinstance(other, RealConstant):
@@ -261,8 +278,8 @@ class RealConstant(Record):
         return RealConstant.from_terms(terms)
 
 
-ZERO = RealConstant(())
-ONE = RealConstant(((1, Fraction(1)),))
+ZERO = RealConstant._trusted(())
+ONE = RealConstant._trusted(((1, Fraction(1)),))
 
 
 def _accumulate(terms: Iterable[tuple[int, Fraction]]) -> RealConstant:
@@ -271,7 +288,7 @@ def _accumulate(terms: Iterable[tuple[int, Fraction]]) -> RealConstant:
     acc: dict[int, Fraction] = {}
     for m, q in terms:
         acc[m] = acc.get(m, Fraction(0)) + q
-    return RealConstant(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
+    return RealConstant._trusted(tuple(sorted((m, q) for m, q in acc.items() if q != 0)))
 
 
 def combine(a: RealConstant, b: RealConstant, s: Rational, t: Rational) -> RealConstant:
@@ -304,4 +321,4 @@ def mod_one(a: RealConstant) -> RealConstant:
     """Representative of a mod 1 in [0, 1): only the rational term moves."""
     surds = tuple(t for t in a.terms if t[0] != 1)
     whole = a.coefficient(1) - a.floor()
-    return RealConstant(((1, whole),) + surds if whole else surds)
+    return RealConstant._trusted(((1, whole),) + surds if whole else surds)

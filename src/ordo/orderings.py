@@ -251,7 +251,9 @@ class FlagOrdering(Cone, Record):
 
     def first_dots(self, coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
         """(j, dots) at the first level j where the coordinates pair nonzero, to sum
-        d*sqrt(m) / scale_j; None when there is none (the identity, for total flags)."""
+        d*sqrt(m) / scale_j; None when there is none (the identity, for total flags).
+        Every flag sign query enters here once, and each level it reads is one
+        ``_level_dots`` loop: no element or constant is built."""
         for j, (_, rows) in enumerate(self._expansion):
             if dots := _level_dots(rows, coords):
                 return j, dots
@@ -260,7 +262,8 @@ class FlagOrdering(Cone, Record):
     def level_pairing(self, j: int, g: LatticeElement | Sequence[int]) -> RealConstant:
         coords = g.coords if isinstance(g, LatticeElement) else g
         scale, rows = self._expansion[j]
-        return RealConstant(tuple((m, Fraction(d, scale)) for m, d in _level_dots(rows, coords)))
+        return RealConstant._trusted(tuple((m, Fraction(d, scale))
+                                           for m, d in _level_dots(rows, coords)))
 
     def restrict(self, basis: Sequence[LatticeElement] | Sequence[Sequence[int]]) -> "FlagOrdering":
         """The induced ordering on the sublattice spanned by the basis columns."""
@@ -294,8 +297,14 @@ def rank_deficient() -> UnsupportedInput:
 
 def _level_dots(rows: Sequence[tuple[int, Sequence[int]]],
                 coords: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """(radicand, integer dot product) per row of a level, zero dots dropped."""
-    return tuple((m, dot) for m, row in rows if (dot := sum(map(mul, row, coords))))
+    """(radicand, integer dot product) per row of a level, zero dots dropped: the
+    one home of the level dot product.  A plain loop, as every flag sign scans
+    through it and a generator frame per level cost about a third of a scan."""
+    dots = []
+    for m, row in rows:
+        if dot := sum(map(mul, row, coords)):
+            dots.append((m, dot))
+    return tuple(dots)
 
 
 # ---------------------------------------------------------------------------

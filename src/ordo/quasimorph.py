@@ -67,7 +67,8 @@ class AnchorContext(Record):
     every floor's pairing ratio.  On a braid cone it caches the Dynnikov keys
     of the anchor powers, key(c x^n) with c the cone's conjugator
     (``power_key``), and refuses a cone with no frame; ``_splits`` memoizes
-    the circle splits (``dynamics._split``).
+    the circle splits (``dynamics._split``).  Its fields and caches go in by
+    one ``__dict__`` update, once every check has passed.
     """
 
     cone: Cone
@@ -78,21 +79,22 @@ class AnchorContext(Record):
 
     def __init__(self, cone: Cone, anchor: Element, generators: tuple[Element, ...] | None = None,
                  cap: int = DEFAULT_CAP, require_cofinal: bool = True) -> None:
-        self.__dict__.update(cone=cone, anchor=anchor, generators=generators, cap=cap,
-                             require_cofinal=require_cofinal, _splits={},
-                             _keys={} if isinstance(cone, FlagOrdering) else {0: frame_key(cone)})
+        flag = isinstance(cone, FlagOrdering)
+        keys = {} if flag else {0: frame_key(cone)}
         check_group(cone, anchor, "anchor")
         if cap < 1:
             raise UnsupportedInput("search cap must be positive")
-        dots = cone.first_dots(anchor.coords) if isinstance(cone, FlagOrdering) else None
+        dots = cone.first_dots(anchor.coords) if flag else None
         sign = dots_sign(dots[1]) if dots else cone_sign(cone, anchor)
-        self.__dict__.update(anchor_dots=dots, anchor_sign=sign)
         if sign == 0:
             raise AnchorIsIdentity("anchor must not be the identity")
-        if require_cofinal and isinstance(cone, FlagOrdering):
+        if require_cofinal and flag:
             check_generators(cone, generators)
             if flag_cofinal(cone, dots, generators) == Decision.NO:
                 raise NotCofinal("anchor is not cofinal for the requested subgroup")
+        self.__dict__.update(cone=cone, anchor=anchor, generators=generators, cap=cap,
+                             require_cofinal=require_cofinal, anchor_dots=dots,
+                             anchor_sign=sign, _splits={}, _keys=keys)
 
     def power_key(self, n: int) -> tuple[int, ...]:
         """key(c x^n), c the braid cone's conjugator, cached per context: |n - m|
@@ -244,7 +246,7 @@ def _exact_ratio(flag: FlagOrdering, x: Element, seen_x: tuple | None,
             f"anchor pairing {flag.level_pairing(seen_x[0], x)} at level {seen_x[0] + 1} is "
             "irrational; rescale the flag so the anchor pairing is rational")
     q, dots = found
-    return RealConstant(tuple((m, Fraction(d, q)) for m, d in dots))
+    return RealConstant._trusted(tuple((m, Fraction(d, q)) for m, d in dots))
 
 
 def _check_power(h: Element, n: int, what: str) -> None:

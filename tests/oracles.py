@@ -23,6 +23,11 @@ dots by dyadic ``isqrt`` refinement alone, as ``exactreal.dots_sign`` did for
 every sum of three terms before its closed form, and ``exactreal.dots_floor``
 for every irrational floor before it took one ``isqrt`` per term and at most
 one sign.
+``generator_level_dots`` and ``generator_first_dots`` are the flag level
+scan as it was written before ``orderings._level_dots`` became a plain loop:
+one generator expression per level.  ``trial_split`` is
+``exactreal.squarefree_split`` as it was before it stopped at the cube root:
+trial division by every d with d^2 at most the cofactor.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import ordo.groups as ordo_groups
@@ -85,6 +91,32 @@ def refined_floor(dots: Sequence[tuple[int, int]], q: int) -> int:
         if (low := (a - slack) // unit) == (a + slack) // unit:
             return low
         bits *= 2
+
+
+def generator_level_dots(rows: Sequence[tuple[int, Sequence[int]]],
+                         coords: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(radicand, integer dot product) per row of a level, zero dots dropped."""
+    return tuple((m, dot) for m, row in rows if (dot := sum(map(mul, row, coords))))
+
+
+def generator_first_dots(flag: FlagOrdering,
+                         coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """(j, dots) at the first level j where the coordinates pair nonzero; None if none."""
+    for j, (_, rows) in enumerate(flag._expansion):
+        if dots := generator_level_dots(rows, coords):
+            return j, dots
+    return None
+
+
+def trial_split(m: int) -> tuple[int, int]:
+    """(s, m0) with m = s*s*m0 and m0 squarefree, by trial division up to sqrt(m0)."""
+    s, m0, d = 1, m, 2
+    while d * d <= m0:
+        while m0 % (d * d) == 0:
+            m0 //= d * d
+            s *= d
+        d += 1
+    return s, m0
 
 
 def fraction_replay(order: Sequence[int]) -> list[Fraction]:

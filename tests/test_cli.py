@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import ordo.dynamics as ordo_dynamics
 from ordo.cli import MAX_INPUT_BYTES, main
+from ordo.exactreal import MAX_RADICAND
 from ordo.groups import MAX_BALL_ELEMENTS
 
 
@@ -622,6 +627,23 @@ def test_radicand_past_the_limit_exit_2_quickly(capsys, tmp_path):
     assert run_exit_2_quickly(capsys, "sikora", "--ordering", path) == expected
     tau = json.dumps([{"1": "1"}, {RADICAND: "1"}])
     assert run_exit_2_quickly(capsys, "construct", "--x", "x1", "--tau", tau) == expected
+
+
+def test_radicands_at_the_limit_split_quickly(tmp_path):
+    # 400 radicands up to the limit: trial division up to sqrt(m) took over 3 s.
+    levels = [[{str(MAX_RADICAND - k): "1" for k in range(400)}]]
+    path = ordering_file(tmp_path, {"kind": "free_abelian", "rank": 1},
+                         {"type": "flag", "levels": levels})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "ordo.cli", "rho", "--ordering", path,
+                             "--x", "x1", "x1"], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"value": 1}
 
 
 @pytest.mark.parametrize("command", [["axioms"], ["cocycle", "--x", "s1 s2 s1 s1 s2 s1"]])

@@ -90,6 +90,17 @@ def _replay_matches_the_fraction_oracle(monkeypatch):
     monkeypatch.setattr(ordo_dynamics, "_replay", checked)
 
 
+def test_replay_matches_the_fraction_replay_on_random_rank_orders():
+    # Random sorts of up to 2000 stations, most of them short, so both ends
+    # and midpoints at every nesting depth are placed.
+    rng = random.Random(71)
+    lengths = [1, 2, 2000] + [int(2000 ** rng.random() ** 2) + 1 for _ in range(1000)]
+    for size in lengths:
+        order = list(range(size))
+        rng.shuffle(order)
+        assert ordo_dynamics._replay(order) == fraction_replay(order), order
+
+
 def el(text, group=Z2):
     return parse_element(text, group)
 

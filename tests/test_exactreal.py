@@ -13,6 +13,7 @@ import sympy
 import ordo.exactreal as exactreal
 from ordo.errors import ParseError
 from ordo.exactreal import (
+    MAX_RADICAND,
     ONE,
     ZERO,
     RealConstant,
@@ -24,9 +25,10 @@ from ordo.exactreal import (
     mod_one,
     parse_rational,
     q_rank,
+    squarefree_split,
 )
 
-from oracles import count_isqrt, refined_floor, refined_sign
+from oracles import count_isqrt, refined_floor, refined_sign, trial_split
 
 SQRT2 = RealConstant.sqrt(2)
 SQRT3 = RealConstant.sqrt(3)
@@ -61,8 +63,54 @@ def test_radicands_normalized_to_squarefree():
     assert RealConstant.sqrt(12, Fraction(1, 2)) == RealConstant.sqrt(3)
 
 
+def test_bare_constructor_builds_the_canonical_constant():
+    # Stored as given, -sqrt(4) floored to -3 and sqrt(2) - sqrt(2) signed 1.
+    assert RealConstant(((4, Fraction(-1)),)).floor() == -2
+    assert RealConstant(((4, Fraction(-1)),)) == RealConstant.rational(-2)
+    assert RealConstant(((2, 1), (2, -1))).sign() == 0
+    assert RealConstant(((2, 1), (2, -1))) == ZERO
+    unsorted = RealConstant(((3, 1), (2, 1)))
+    assert unsorted == SQRT2 + SQRT3 and hash(unsorted) == hash(SQRT2 + SQRT3)
+    assert RealConstant(terms={8: 1}) == RealConstant.sqrt(2, 2)
+    with pytest.raises(ParseError):
+        RealConstant(((0, 1),))
+
+
+def test_bare_constructor_normalizes_random_terms_as_from_terms():
+    rng = random.Random(61)
+    for _ in range(2000):
+        terms = tuple((rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 27, 50)),
+                       rng.choice((Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                   rng.randint(-3, 3))))
+                      for _ in range(rng.randint(0, 6)))
+        built = RealConstant(terms)
+        assert built == RealConstant.from_terms(terms), terms
+        radicands = [m for m, _ in built.terms]
+        assert radicands == sorted(set(radicands)), terms
+        assert all(trial_split(m)[0] == 1 and type(q) is Fraction and q for m, q in built.terms)
+
+
 def test_sign_zero():
     assert ZERO.sign() == 0
+
+
+def test_squarefree_split_matches_trial_division():
+    # Random m, p^2*q and p*q*r with primes near the cube root of the limit,
+    # k^2 times a small squarefree m, and the 200 largest m up to the limit.
+    rng = random.Random(67)
+    near_root = list(sympy.primerange(1500, 1700))
+    cases = [rng.randrange(1, MAX_RADICAND + 1) for _ in range(50)]
+    cases += [rng.randrange(1, 1 << 20) for _ in range(2000)]
+    cases += [p * p * q for p in near_root for q in (1, 2, 3, 1013, p, 1621, 1627)
+              if p * p * q <= MAX_RADICAND]
+    cases += [p * q * r for p, q, r in itertools.combinations(near_root, 3)
+              if p * q * r <= MAX_RADICAND][:50]
+    cases += [k * k * small for k in range(1, 65536, 97) for small in (1, 2, 3, 5, 6, 7, 30)
+              if k * k * small <= MAX_RADICAND]
+    cases += range(MAX_RADICAND - 199, MAX_RADICAND + 1)
+    assert len(cases) > 3000
+    for m in cases:
+        assert squarefree_split(m) == trial_split(m), m
 
 
 def test_sign_sqrt2_minus_1():

@@ -18,7 +18,7 @@ from ordo.cohmaps import construct_from_translations, naturality_check, sikora_c
 from ordo.convexity import ExponentMatrix, check_convex
 from ordo.errors import (AnchorIsIdentity, GroupMismatch, InvariantViolation, NotCofinal,
                          OrdoError, ParseError, UnsupportedInput)
-from ordo.exactreal import ONE, RealConstant, linear_combination
+from ordo.exactreal import ONE, ZERO, RealConstant, linear_combination
 from ordo.groups import (BraidWord, GroupRef, LatticeElement, braid_ball, dynnikov_act, full_twist,
                          parse_element, random_element)
 from ordo.orderings import (
@@ -43,8 +43,9 @@ from ordo.orderings import (
 )
 from ordo.quasimorph import stable_exact
 
-from oracles import (braid_words_up_to, count_kernel_letters_and_words, first_level, locate,
-                     unchecked_flag, word_sign)
+from oracles import (braid_words_up_to, count_kernel_letters_and_words, first_level,
+                     generator_first_dots, generator_level_dots, locate, unchecked_flag,
+                     word_sign)
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
@@ -971,6 +972,49 @@ def test_integer_flag_sign_matches_constant_sign():
                 assert flag.level_pairing(j, g) == pairing
                 terms_seen[min(len(pairing.terms), 3)] += 1
     assert all(terms_seen[k] > 100 for k in (1, 2, 3)), terms_seen
+
+
+def _random_coords(rng, rank, blind):
+    """Coordinates of one of four kinds: zero, small, 1000-digit, or a unit
+    vector on the column `blind` that pairs zero at every level (if any)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return (0,) * rank
+    if kind == 3 and blind is not None:
+        return tuple(rng.choice((1, -1)) if i == blind else 0 for i in range(rank))
+    size = 10 ** 999 if kind == 2 else 1
+    return tuple(rng.choice((-1, 0, 1)) * size + rng.randint(-9, 9) for _ in range(rank))
+
+
+def test_level_scan_matches_the_generator_oracle():
+    # The loop scan against the generator form it replaced, on 10 000 pairs:
+    # flags with 1 to 4 radicands per level, total or not, and coordinates
+    # that are zero, small, 1000 digits long or blind at every level.
+    rng = random.Random(53)
+    radicands_seen, blind_misses, pairs = collections.Counter(), 0, 0
+    for _ in range(500):
+        rank = rng.randint(1, 4)
+        blind = rng.randrange(rank) if rng.random() < 0.3 else None
+        levels = []
+        for _ in range(rng.randint(1, 4)):
+            keys = rng.sample((1, 2, 3, 5, 6, 7, 11, 13), rng.randint(1, 4))
+            levels.append([ZERO if i == blind else RealConstant.from_terms(
+                {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in keys})
+                for i in range(rank)])
+        flag = unchecked_flag(levels)
+        radicands_seen.update(len(rows) for _, rows in flag._expansion)
+        for _ in range(20):
+            coords = _random_coords(rng, rank, blind)
+            found = flag.first_dots(coords)
+            assert found == generator_first_dots(flag, coords), (levels, coords)
+            assert found is None or type(found[1]) is tuple
+            for _, rows in flag._expansion:
+                assert ordo_orderings._level_dots(rows, coords) == generator_level_dots(rows, coords)
+            blind_misses += found is None and any(coords)
+            pairs += 1
+    assert pairs >= 10_000
+    assert blind_misses > 100 and all(radicands_seen[k] > 50 for k in (1, 2, 3, 4)), (
+        blind_misses, radicands_seen)
 
 
 def _pell(d, n):

@@ -12,7 +12,7 @@ import pytest
 
 import ordo
 from ordo.errors import InvariantViolation, NotBracketedWithinCap, NotCofinal, UnsupportedInput
-from ordo.exactreal import ONE, RealConstant, combine
+from ordo.exactreal import ONE, ZERO, RealConstant, combine, mod_one
 from ordo.groups import (
     MAX_BRAID_LETTERS,
     BraidWord,
@@ -522,6 +522,35 @@ def test_flag_floor_certificate_is_checked(monkeypatch):
 
 THREE_FLAG = FlagOrdering.create([[RealConstant.rational(1), RealConstant.sqrt(2),
                                     RealConstant.sqrt(3)]])
+
+
+def test_a_square_radicand_flag_floors_or_is_refused():
+    # Stored as given, -sqrt(4) made [1, -sqrt(4)] a total flag whose floor of
+    # x2^-1 failed its bracket certificate: InvariantViolation, exit 1.
+    minus_sqrt4 = RealConstant(((4, Fraction(-1)),))
+    with pytest.raises(UnsupportedInput, match="rank-deficient"):
+        FlagOrdering.create([[ONE, minus_sqrt4]])
+    flag = FlagOrdering.create([[ONE, minus_sqrt4], [ZERO, ONE]])
+    ctx = AnchorContext(flag, el("x1"))
+    # x2^-1 pairs 2 at the first level, as x1^2 does; the second puts it below.
+    assert power_floor(ctx, el("x2^-1")) == 1 == _search_floor(ctx, el("x2^-1"))
+
+
+def test_flag_queries_normalize_no_constant(monkeypatch):
+    # Constants built on a query path are canonical by construction, so no
+    # radicand is split: floors, defects, pairings, stable values, restriction.
+    splits = []
+    split = ordo.exactreal.squarefree_split
+    monkeypatch.setattr("ordo.exactreal.squarefree_split", lambda m: splits.append(m) or split(m))
+    x, f, g = el3("x1"), el3("x1^3 x2^-5 x3"), el3("x1^-2 x3^7")
+    ctx = AnchorContext(THREE_FLAG, x)
+    assert power_floor(ctx, f) == _search_floor(ctx, f)
+    defect_cocycle(ctx, f, g)
+    value = stable_exact(THREE_FLAG, x, f)
+    mod_one(value + THREE_FLAG.level_pairing(0, g) * 3 - ONE)
+    THREE_FLAG.restrict([(1, 0, 0), (0, 1, 1)])
+    stable_approx(ctx, g, 5)
+    assert splits == []
 
 
 def test_flag_floor_takes_one_isqrt(monkeypatch):
