@@ -132,7 +132,7 @@ class RealConstant(Record):
 
     terms: tuple[tuple[int, Fraction], ...]
 
-    def __init__(self, terms: Iterable[tuple[int, Rational]]) -> None:
+    def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]) -> None:
         set_field(self, "terms", RealConstant.from_terms(terms).terms)
 
     @staticmethod
