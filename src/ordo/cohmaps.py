@@ -44,7 +44,6 @@ from .orderings import (
     is_central_braid,
     is_cofinal,
     is_right_invariant,
-    rank_deficient,
 )
 from .quasimorph import AnchorContext, stable_enclosure, stable_exact
 from .records import Record
@@ -319,15 +318,16 @@ class SikoraPoint(Record):
 
 
 def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
-    """The doubled-circle coordinate of a flag ordering of Z^2."""
+    """The doubled-circle coordinate of a flag ordering of Z^2.
+
+    The direction is that of the first level that is not zero, which a total
+    flag has; on a rational direction the kernel generator is nonzero, so the
+    total flag signs it nonzero, and that sign is the side."""
     flag_only(flag.group, "sikora")
     if flag.group.rank != 2:
         raise UnsupportedInput("doubled-circle coordinates need rank 2")
     # A level that pairs to zero everywhere does not affect the order.
-    level = next((level for level in flag.levels if not all(c.is_zero for c in level)), None)
-    if level is None:
-        raise rank_deficient()
-    c1, c2 = level
+    c1, c2 = next(level for level in flag.levels if not all(c.is_zero for c in level))
     if q_rank([c1, c2]) == 2:
         return SikoraPoint("irrational", _primitive_pair(c1, c2))
     reference = c1 if not c1.is_zero else c2
@@ -339,10 +339,7 @@ def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
     if reference.sign() * (1 if ref_int > 0 else -1) < 0:
         p, q = -p, -q
     kernel_gen = LatticeElement(flag.group, (-q, p))
-    side = cone_sign(flag, kernel_gen)
-    if side == 0:  # the kernel generator pairs to zero at every level
-        raise rank_deficient()
-    return SikoraPoint("rational", (p, q), side)
+    return SikoraPoint("rational", (p, q), cone_sign(flag, kernel_gen))
 
 
 def _primitive_pair(c1: RealConstant, c2: RealConstant) -> tuple[RealConstant, RealConstant]:

@@ -427,12 +427,15 @@ def euler_identity_check(action: SampledCircleAction, f: Element, g: Element) ->
     "rotation class = minus the Euler class".  A non-integer composition
     value means the sampled data is inconsistent and fails the check.
     """
-    floor_f = action.floor(f)
-    floor_g = action.floor(g)
-    floor_fg = action.floor(f * g)
-    sigma_f_of_sigma_g_zero = action.t_prime(f * action.remainder(g)) - floor_f
-    sigma_fg_zero = action.theta(action.remainder(f * g))
-    euler = sigma_f_of_sigma_g_zero - sigma_fg_zero
+    return _euler_report(action, f, g, f * g, f * action.remainder(g))
+
+
+def _euler_report(action: SampledCircleAction, f: Element, g: Element,
+                  fg: Element, f_rg: Element) -> EulerIdentityReport:
+    """euler_identity_check given the products f*g and f*r(g), r(g) g's remainder."""
+    floor_f, floor_g = action.floor(f), action.floor(g)
+    floor_fg, fg_rest = _split(action.ctx, fg)
+    euler = action.t_prime(f_rg) - floor_f - action.theta(fg_rest)
     coboundary = floor_f + floor_g - floor_fg
     return EulerIdentityReport(euler, coboundary, euler == -coboundary)
 
@@ -456,17 +459,15 @@ def euler_cocycle_survey(cone: Cone, x: Element, count: int, seed: int,
     check_sample_count(count, cone.group, radius)
     rng = random.Random(seed)
     pairs = []
-    needed: list[Element] = []
     ctx = _circle_context(cone, x)
     for _ in range(count):
         f = random_element(cone.group, rng, radius)
         g = random_element(cone.group, rng, radius)
-        pairs.append((f, g))
-        needed.extend([g, f * g, f * _split(ctx, g)[1]])
-    action = _sample_circle(ctx, needed)
+        pairs.append((f, g, f * g, f * _split(ctx, g)[1]))
+    action = _sample_circle(ctx, [h for _, g, fg, f_rg in pairs for h in (g, fg, f_rg)])
     passed, failures = 0, []
-    for f, g in pairs:
-        report = euler_identity_check(action, f, g)
+    for f, g, fg, f_rg in pairs:
+        report = _euler_report(action, f, g, fg, f_rg)
         if report.passed:
             passed += 1
         else:

@@ -144,21 +144,26 @@ class RealConstant(Record):
 
     @staticmethod
     def from_terms(terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]) -> "RealConstant":
-        """Build from radicand -> coefficient data, normalizing radicands to squarefree."""
+        """Build from radicand -> coefficient data, normalizing radicands to squarefree.
+        A radicand must be an int and a coefficient an int or a Fraction (a bool
+        is neither): anything else is a ParseError naming the term."""
         items = terms.items() if isinstance(terms, Mapping) else terms
         squarefree = []
         for m, q in items:
-            s, m0 = squarefree_split(int(m))
+            if type(m) is not int or type(q) not in (int, Fraction):
+                raise ParseError(f"constant term {_term_text(m)}: {_term_text(q)} needs an int "
+                                 "radicand and an int or Fraction coefficient")
+            s, m0 = squarefree_split(m)
             squarefree.append((m0, Fraction(q) * s))
         return _accumulate(squarefree)
 
     @staticmethod
     def rational(q: Rational) -> "RealConstant":
-        return RealConstant.from_terms({1: Fraction(q)})
+        return RealConstant.from_terms({1: q})
 
     @staticmethod
     def sqrt(m: int, coeff: Rational = 1) -> "RealConstant":
-        return RealConstant.from_terms({m: Fraction(coeff)})
+        return RealConstant.from_terms({m: coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -276,6 +281,10 @@ class RealConstant(Record):
                 raise ParseError(f"bad radicand key: {key!r}")
             terms.append((parse_integer(key), parse_rational(value)))
         return RealConstant.from_terms(terms)
+
+
+def _term_text(v: object) -> str:
+    return format_rational(v) if type(v) in (int, Fraction) else repr(v)
 
 
 ZERO = RealConstant._trusted(())

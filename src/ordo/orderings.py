@@ -9,12 +9,12 @@ The two axioms every cone must satisfy:
 
 Two concrete families are provided.  Flag orderings of Z^n compare the exact
 pairings of an element against a sequence of constant vectors, first nonzero
-pairing wins; they satisfy LO1/LO2 by construction whenever the stacked
-rational expansion of the levels has full rank.  The Dehornoy ordering of the
-braid group calls a word positive when it admits a representative in which
-the lowest occurring generator index appears only positively.  Its sign is
-read off the Dynnikov coordinates of the braid (``BraidWord.key``), in
-integer arithmetic linear in the word length.  Handle reduction decides the
+pairing wins.  A flag is built only when the stacked rational expansion of
+its levels has full rank, so every flag satisfies LO1/LO2 by construction.
+The Dehornoy ordering of the braid group calls a word positive when it
+admits a representative in which the lowest occurring generator index
+appears only positively.  Its sign is read off the Dynnikov coordinates of
+the braid (``BraidWord.key``), in integer arithmetic linear in the word length.  Handle reduction decides the
 same question by rewriting words; it is kept as an independent check of the
 coordinate sign.
 
@@ -178,7 +178,11 @@ def quotient_sign(cone: Cone, g: Element) -> Callable[[Element], int]:
 
 
 class FlagOrdering(Cone, Record):
-    """Lexicographic comparison against a flag of exact constant vectors, in integers."""
+    """Lexicographic comparison against a flag of exact constant vectors, in integers.
+
+    Total by construction: the constructor refuses levels whose stacked
+    expansion has a nonzero kernel (``is_total``), so no nonzero element
+    pairs to zero at every level and no flag query meets one."""
 
     group: GroupRef
     levels: tuple[tuple[RealConstant, ...], ...]
@@ -190,16 +194,16 @@ class FlagOrdering(Cone, Record):
         for level in levels:
             if len(level) != group.rank:
                 raise ParseError(f"level length {len(level)} does not match rank {group.rank}")
+        if not self.is_total():
+            raise UnsupportedInput(
+                "flag is rank-deficient: some nonzero vector pairs to zero at every level")
 
     @staticmethod
     def create(levels: Sequence[Sequence[RealConstant]]) -> "FlagOrdering":
+        """The flag of these levels on Z^rank, rank the length of the first level."""
         if not levels:
             raise ParseError("a flag ordering needs at least one level")
-        rank = len(levels[0])
-        flag = FlagOrdering(GroupRef.free_abelian(rank), tuple(tuple(lv) for lv in levels))
-        if not flag.is_total():
-            raise rank_deficient()
-        return flag
+        return FlagOrdering(GroupRef.free_abelian(len(levels[0])), tuple(tuple(lv) for lv in levels))
 
     @staticmethod
     def from_rational_rows(rows: Sequence[Sequence[int | Fraction]]) -> "FlagOrdering":
@@ -251,7 +255,7 @@ class FlagOrdering(Cone, Record):
 
     def first_dots(self, coords: Sequence[int]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
         """(j, dots) at the first level j where the coordinates pair nonzero, to sum
-        d*sqrt(m) / scale_j; None when there is none (the identity, for total flags).
+        d*sqrt(m) / scale_j; None when there is none, which on a total flag is the identity.
         Every flag sign query enters here once, and each level it reads is one
         ``_level_dots`` loop: no element or constant is built."""
         for j, (_, rows) in enumerate(self._expansion):
@@ -266,7 +270,9 @@ class FlagOrdering(Cone, Record):
                                            for m, d in _level_dots(rows, coords)))
 
     def restrict(self, basis: Sequence[LatticeElement] | Sequence[Sequence[int]]) -> "FlagOrdering":
-        """The induced ordering on the sublattice spanned by the basis columns."""
+        """The induced ordering on the sublattice spanned by the basis columns.
+        It is total, as this flag is and the basis has full rank; a refusal by
+        the constructor is therefore a bug (InvariantViolation)."""
         columns = [b.coords if isinstance(b, LatticeElement) else tuple(b) for b in basis]
         if not columns:
             raise UnsupportedInput("restriction needs at least one basis vector")
@@ -281,18 +287,10 @@ class FlagOrdering(Cone, Record):
             new_level = tuple(self.level_pairing(j, col) for col in columns)
             if any(not c.is_zero for c in new_level):
                 new_levels.append(new_level)
-        restricted = FlagOrdering(GroupRef.free_abelian(len(columns)), tuple(new_levels))
-        if not restricted.is_total():
-            if not self.is_total():
-                raise rank_deficient()
-            raise InvariantViolation("restriction of a total flag lost totality")
-        return restricted
-
-
-def rank_deficient() -> UnsupportedInput:
-    """The refusal of a flag that is not total, as built by the bare constructor."""
-    return UnsupportedInput(
-        "flag is rank-deficient: some nonzero vector pairs to zero at every level")
+        try:
+            return FlagOrdering(GroupRef.free_abelian(len(columns)), tuple(new_levels))
+        except UnsupportedInput as exc:
+            raise InvariantViolation("restriction of a total flag lost totality") from exc
 
 
 def _level_dots(rows: Sequence[tuple[int, Sequence[int]]],
@@ -467,7 +465,7 @@ class AxiomsReport(Record):
     lo1_checked: int
     lo1_failures: tuple[str, ...]
     lo2_failures: tuple[str, ...]
-    kernel_witness: str | None
+    kernel_witness: str | None = None  # always None: every flag is total when built
 
     def to_json(self) -> dict:
         return {
@@ -481,11 +479,10 @@ class AxiomsReport(Record):
 
 
 def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> AxiomsReport:
-    """Sampled LO1/LO2 verification, plus an exact kernel analysis for flags.
+    """Sampled LO1/LO2 verification; failures are reported with witnesses.
 
-    LO2 failures and LO1 failures are reported with witnesses; for a flag
-    whose stacked expansion is rank-deficient the kernel vector found by
-    exact linear algebra is reported even if sampling misses it.
+    A flag's totality, which no sample can certify, is checked when the flag
+    is built, so ``kernel_witness`` stays None.
     """
     check_sample_count(samples, cone.group, radius)
     rng = random.Random(seed)
@@ -506,17 +503,8 @@ def axioms_check(cone: Cone, samples: int, seed: int, radius: int = 8) -> Axioms
             lo1_checked += 1
             if cone.sign_product(g, h) <= 0:
                 lo1_failures.append(f"{g.render()} | {h.render()}")
-
-    kernel_witness = None
-    if isinstance(cone, FlagOrdering):
-        kernel = level_kernels(cone)[-1]
-        if kernel:
-            kernel_witness = LatticeElement(cone.group, kernel[0]).render()
-            lo2_failures.append(kernel_witness)
-
     passed = not lo1_failures and not lo2_failures
-    return AxiomsReport(passed, samples, lo1_checked,
-                        tuple(lo1_failures), tuple(lo2_failures), kernel_witness)
+    return AxiomsReport(passed, samples, lo1_checked, tuple(lo1_failures), tuple(lo2_failures))
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +603,15 @@ def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _flag_density(flag: FlagOrdering) -> DensityVerdict:
-    # The first level with an empty kernel embeds the kernel before it, the
-    # last stratum, in R: dense at rank two or more, else generated by basis[0].
+    """The first level with an empty kernel, which a total flag has, embeds the
+    kernel before it, the last stratum, in R: dense at rank two or more, else
+    discrete, its generator basis[0], signed, the minimal positive element."""
     rank = flag.group.rank
     basis = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
     for kernel in level_kernels(flag):
         if not kernel:
             break
         basis = kernel
-    else:
-        raise UnsupportedInput("flag is rank-deficient; density is undefined")
     if len(basis) >= 2:
         return DensityVerdict(Density.DENSE)
     candidate = LatticeElement(flag.group, tuple(basis[0]))

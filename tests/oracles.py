@@ -11,9 +11,8 @@ sign as it was read before Dynnikov frames, by building c g c^-1.
 as they were read before anchor-power keys: each probe signs x^-N h with the
 power x^-N built as a word, and a window builds h^n.  The work-count
 guards read ``count_kernel_letters_and_words`` and ``count_isqrt``.
-``first_level`` reads a flag's first nonzero level and its exact pairing,
-and ``unchecked_flag`` builds a flag without the totality check, for the
-rank-deficient flags the tests need.  ``braid_words_up_to`` lists every
+``first_level`` reads a flag's first nonzero level and its exact pairing.
+``braid_words_up_to`` lists every
 freely reduced word of a ball; deduplicated on key (``first_words``) it is
 how braid balls were built before ``groups.braid_ball`` walked them by braid.
 ``brute_convex_cyclic_braid`` is the betweenness oracle of ``convexity``
@@ -211,11 +210,6 @@ def first_level(flag: FlagOrdering, g: LatticeElement) -> tuple[int, RealConstan
     """(j, pairing) at the first level j where g pairs nonzero; None when there is none."""
     found = flag.first_dots(g.coords)
     return None if found is None else (found[0], flag.level_pairing(found[0], g))
-
-
-def unchecked_flag(levels: Sequence[Sequence[RealConstant]]) -> FlagOrdering:
-    """A flag of these levels, total or not."""
-    return FlagOrdering(GroupRef.free_abelian(len(levels[0])), tuple(map(tuple, levels)))
 
 
 def braid_words_up_to(group: GroupRef, length: int) -> list[BraidWord]:

@@ -31,8 +31,6 @@ from ordo.dynamics import (
 )
 from ordo.errors import NotCofinal, UnsupportedInput
 
-from oracles import unchecked_flag
-
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
 B3 = GroupRef.braid(3)
@@ -130,14 +128,16 @@ def _random_flag_for_agreement(rng, rank):
         level = [RealConstant.rational(rng.choice([1, 2]))]
         level += [RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.randint(-2, 2)})
                   for _ in range(rank - 1)]
-        flag = unchecked_flag([level])
-        return flag if flag.is_total() else None
-    first = [RealConstant.rational(rng.choice([1, 2]))]
-    first += [RealConstant.rational(rng.randint(-2, 2)) for _ in range(rank - 1)]
-    rest = [[RealConstant.rational(1 if j == i else 0) for j in range(rank)]
-            for i in range(1, rank)]
-    flag = unchecked_flag([first] + rest)
-    return flag if flag.is_total() else None
+        levels = [level]
+    else:
+        first = [RealConstant.rational(rng.choice([1, 2]))]
+        first += [RealConstant.rational(rng.randint(-2, 2)) for _ in range(rank - 1)]
+        levels = [first] + [[RealConstant.rational(1 if j == i else 0) for j in range(rank)]
+                            for i in range(1, rank)]
+    try:
+        return FlagOrdering.create(levels)
+    except UnsupportedInput:  # not total
+        return None
 
 
 def test_criterion_5_convexity_vs_brute_force():
@@ -196,20 +196,19 @@ def test_criterion_6_sikora_consistency():
             q = rng.randint(-4, 4)
             if (p, q) == (0, 0):
                 continue
-            flag = unchecked_flag(
-                [[RealConstant.rational(p), RealConstant.rational(q)],
-                 [RealConstant.rational(rng.randint(-2, 2)),
-                  RealConstant.rational(rng.randint(1, 3))]])
-            if not flag.is_total():
-                continue
+            levels = [[RealConstant.rational(p), RealConstant.rational(q)],
+                      [RealConstant.rational(rng.randint(-2, 2)),
+                       RealConstant.rational(rng.randint(1, 3))]]
         else:
             first = [RealConstant.rational(rng.choice([1, 2, -1, 3])),
                      RealConstant.from_terms({1: rng.randint(-3, 3),
                                               2: rng.choice([1, -1, 2]),
                                               3: rng.randint(-2, 2)})]
-            flag = unchecked_flag([first])
-            if not flag.is_total():
-                continue
+            levels = [first]
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:  # not total
+            continue
         point = sikora_coordinate(flag)
         slope = slope_of(point)
         values = translation_values(flag, el("x1"), basis=[el("x2")])

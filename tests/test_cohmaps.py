@@ -23,8 +23,6 @@ from ordo.cohmaps import (
     translation_values,
 )
 
-from oracles import unchecked_flag
-
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
 B3 = GroupRef.braid(3)
@@ -118,9 +116,9 @@ def test_naturality_random_flags():
     for _ in range(100):
         v1 = [RealConstant.from_terms({1: rng.randint(1, 5)}),
               RealConstant.from_terms({1: rng.randint(-4, 4), 2: rng.randint(-4, 4)})]
-        flag = unchecked_flag(
-            [v1, [RealConstant.rational(0), RealConstant.rational(1)]])
-        if not flag.is_total():
+        try:
+            flag = FlagOrdering.create([v1, [RealConstant.rational(0), RealConstant.rational(1)]])
+        except UnsupportedInput:  # not total
             continue
         cols = [LatticeElement(Z2, (rng.randint(-3, 3), rng.randint(-3, 3)))]
         if not any(cols[0].coords):
@@ -266,9 +264,9 @@ def test_rotation_class_components_stay_in_unit_interval():
     for _ in range(60):
         v2 = RealConstant.from_terms({1: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                                       2: rng.randint(-3, 3), 3: rng.randint(-3, 3)})
-        flag = unchecked_flag(
-            [[ONE, v2], [RealConstant.rational(0), ONE]])
-        if not flag.is_total():
+        try:
+            flag = FlagOrdering.create([[ONE, v2], [RealConstant.rational(0), ONE]])
+        except UnsupportedInput:  # not total
             continue
         for c in rotation_class(flag, el("x1")).components:
             assert c.sign() >= 0

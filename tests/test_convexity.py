@@ -20,8 +20,7 @@ from ordo.convexity import (
     word_constraints,
 )
 
-from oracles import (_MAX_CYCLIC_EXPONENT, braid_words_up_to, brute_convex_cyclic_braid,
-                     unchecked_flag)
+from oracles import _MAX_CYCLIC_EXPONENT, braid_words_up_to, brute_convex_cyclic_braid
 
 Z2 = GroupRef.free_abelian(2)
 Z3 = GroupRef.free_abelian(3)
@@ -204,14 +203,16 @@ def random_flag(rng, rank):
         level = [RealConstant.rational(rng.randint(1, 3))]
         level += [RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.randint(-2, 2)})
                   for _ in range(rank - 1)]
-        flag = unchecked_flag([level])
-        return flag if flag.is_total() else None
-    first = [RealConstant.rational(rng.randint(1, 2))]
-    first += [RealConstant.rational(rng.randint(-2, 2)) for _ in range(rank - 1)]
-    rest = [[RealConstant.rational(1 if j == i else 0) for j in range(rank)]
-            for i in range(1, rank)]
-    flag = unchecked_flag([first] + rest)
-    return flag if flag.is_total() else None
+        levels = [level]
+    else:
+        first = [RealConstant.rational(rng.randint(1, 2))]
+        first += [RealConstant.rational(rng.randint(-2, 2)) for _ in range(rank - 1)]
+        levels = [first] + [[RealConstant.rational(1 if j == i else 0) for j in range(rank)]
+                            for i in range(1, rank)]
+    try:
+        return FlagOrdering.create(levels)
+    except UnsupportedInput:  # not total
+        return None
 
 
 def random_subgroup(rng, flag, rank):
@@ -329,14 +330,14 @@ def test_sikora_criterion_consistency_on_z2():
             p_dir, q_dir = rng.randint(-3, 3), rng.randint(-3, 3)
             if (p_dir, q_dir) == (0, 0) or p_dir == 0:
                 continue
-            flag = unchecked_flag(
-                [[RealConstant.rational(p_dir), RealConstant.rational(q_dir)],
-                 [RealConstant.rational(0), RealConstant.rational(1)]])
+            levels = [[RealConstant.rational(p_dir), RealConstant.rational(q_dir)],
+                      [RealConstant.rational(0), RealConstant.rational(1)]]
         else:
-            flag = unchecked_flag(
-                [[RealConstant.rational(rng.choice([1, 2])),
-                  RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.choice([1, -1])})]])
-        if not flag.is_total():
+            levels = [[RealConstant.rational(rng.choice([1, 2])),
+                       RealConstant.from_terms({1: rng.randint(-2, 2), 2: rng.choice([1, -1])})]]
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:  # not total
             continue
         point = sikora_coordinate(flag)
         for _ in range(6):

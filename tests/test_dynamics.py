@@ -44,6 +44,7 @@ from ordo.orderings import (
 from ordo.quasimorph import AnchorContext, power_floor
 from ordo.dynamics import (
     ActionCheck,
+    EulerSurvey,
     RealizationTable,
     ball_enumeration,
     circle_action_for_samples,
@@ -954,6 +955,36 @@ def test_euler_survey_three_families():
                     (DEHORNOY3, full_twist(3))):
         survey = euler_cocycle_survey(cone, x, count=100, seed=5, radius=2)
         assert survey.all_passed, survey.failures[:3]
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_euler_survey_matches_the_per_pair_check(monkeypatch, n, conjugated):
+    # The survey reports on the products f*g and f*r(g) it sampled; the
+    # per-pair euler_identity_check builds them again from (f, g).  On the
+    # survey's own action both give the same report for every pair drawn.
+    group = GroupRef.braid(n)
+    cone = DehornoyOrdering.create(n)
+    if conjugated:
+        cone = act(cone, parse_element("s1 s2^-1", group))
+    actions, reports = [], []
+    sample_circle, euler_report = ordo_dynamics._sample_circle, ordo_dynamics._euler_report
+    monkeypatch.setattr(ordo_dynamics, "_sample_circle",
+                        lambda *args: actions.append(sample_circle(*args)) or actions[-1])
+    monkeypatch.setattr(ordo_dynamics, "_euler_report",
+                        lambda *args: reports.append(euler_report(*args)) or reports[-1])
+    for seed in range(25):
+        survey = euler_cocycle_survey(cone, full_twist(n), count=10, seed=seed, radius=3)
+        surveyed, action = reports[:], actions.pop()
+        rng = random.Random(seed)
+        pairs = [(random_element(group, rng, 3), random_element(group, rng, 3))
+                 for _ in range(10)]
+        assert [euler_identity_check(action, f, g) for f, g in pairs] == surveyed
+        failures = tuple(f"f={f.render()!r} g={g.render()!r}: euler {r.euler_cocycle}, "
+                         f"coboundary {r.coboundary}"
+                         for (f, g), r in zip(pairs, surveyed) if not r.passed)
+        assert survey == EulerSurvey(10, sum(r.passed for r in surveyed), failures)
+        reports.clear()
 
 
 def test_equivalence_rescaled_flags():

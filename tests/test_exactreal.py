@@ -76,6 +76,34 @@ def test_bare_constructor_builds_the_canonical_constant():
         RealConstant(((0, 1),))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RealConstant(((2.9, 1),)),  # was sqrt(2)
+    lambda: RealConstant(((2, 0.1),)),  # was 3602879701896397/36028797018963968 sqrt(2)
+    lambda: RealConstant.rational(0.1),
+    lambda: RealConstant.from_terms({True: 1}),  # was 1
+    lambda: RealConstant.from_terms({2: True}),
+    lambda: RealConstant.from_terms({float("nan"): 1}),  # was a raw ValueError
+    lambda: RealConstant.sqrt(2, float("inf")),  # was a raw OverflowError
+    lambda: RealConstant.rational("1/2"),
+], ids=["float_radicand", "float_coefficient", "float_rational", "bool_radicand",
+        "bool_coefficient", "nan_radicand", "infinite_coefficient", "text_rational"])
+def test_constant_terms_are_ints_and_fractions(build):
+    with pytest.raises(ParseError, match="needs an int radicand and an int or Fraction coefficient"):
+        build()
+
+
+def test_a_refused_term_is_named():
+    with pytest.raises(ParseError, match=r"^constant term 2\.9: 1 needs"):
+        RealConstant(((2.9, 1),))
+    with pytest.raises(ParseError, match=r"^constant term 2: 0\.1 needs"):
+        RealConstant(((2, 0.1),))
+    with pytest.raises(ParseError, match=r"^constant term 1: True needs"):
+        RealConstant.rational(True)
+    # A term past the integer-string limit is named by its digit count.
+    with pytest.raises(ParseError, match=r"^constant term 2\.5: <integer of 5001 digits> needs"):
+        RealConstant(((2.5, 10 ** 5000),))
+
+
 def test_bare_constructor_normalizes_random_terms_as_from_terms():
     rng = random.Random(61)
     for _ in range(2000):

@@ -41,11 +41,11 @@ from ordo.orderings import (
     ordering_from_json,
     ordering_to_json,
 )
+from ordo.linalg import clear_denominators, integer_kernel_basis, rational_rank
 from ordo.quasimorph import stable_exact
 
 from oracles import (braid_words_up_to, count_kernel_letters_and_words, first_level,
-                     generator_first_dots, generator_level_dots, locate, unchecked_flag,
-                     word_sign)
+                     generator_first_dots, generator_level_dots, locate, word_sign)
 
 Z2 = GroupRef.free_abelian(2)
 B3 = GroupRef.braid(3)
@@ -145,17 +145,26 @@ def test_axioms_dehornoy_identity_braids_are_not_lo2_failures():
     assert axioms_check(DehornoyOrdering.create(4), 300, seed=3).passed
 
 
-def test_axioms_corrupted_flag_reports_kernel_witness():
-    # Rank-deficient flag: both levels only see the first coordinate.
-    corrupted = unchecked_flag(
-        [[RealConstant.rational(1), RealConstant.rational(0)],
-         [RealConstant.rational(2), RealConstant.rational(0)]])
-    report = axioms_check(corrupted, 50, seed=3)
-    assert not report.passed
-    assert report.kernel_witness is not None
-    witness = parse_element(report.kernel_witness, Z2)
-    assert not witness.is_identity
-    assert cone_sign(corrupted, witness) == 0
+def _both_constructors(rows):
+    """The flag of these rational rows built by create and by the bare constructor."""
+    levels = tuple(tuple(RealConstant.rational(x) for x in row) for row in rows)
+    return (lambda: FlagOrdering.create(levels),
+            lambda: FlagOrdering(GroupRef.free_abelian(len(rows[0])), levels))
+
+
+NOT_TOTAL = "flag is rank-deficient: some nonzero vector pairs to zero at every level"
+
+
+def test_axioms_corrupted_flag_is_refused_when_built():
+    # Rank-deficient flag: both levels only see the first coordinate, so x2
+    # pairs to zero at every level.  axioms_check once reported x2 as the
+    # kernel witness; now no flag it meets has one, and the field stays null.
+    for build in _both_constructors([[1, 0], [2, 0]]):
+        with pytest.raises(UnsupportedInput, match=NOT_TOTAL):
+            build()
+    report = axioms_check(SQRT2_FLAG, 50, seed=3)
+    assert report.passed and report.kernel_witness is None
+    assert report.to_json()["kernel_witness"] is None
 
 
 def test_rank_deficient_flag_rejected_by_default():
@@ -163,24 +172,24 @@ def test_rank_deficient_flag_rejected_by_default():
         FlagOrdering.create([[RealConstant.rational(1), RealConstant.rational(0)]])
 
 
+@pytest.mark.parametrize("rows", [[[0, 0]], [[1, 0]], [[0, 0]], [[1, 0]],
+                                  [[0, 0]], [[0, 0], [1, 0]], [[1, 0]], [[1, 0, 0], [0, 1, 0]]],
+                         ids=["is_cofinal", "power_floor", "realize", "is_dense", "sikora_zero",
+                              "sikora_zero_then_axis", "sikora_kernel_side", "restrict"])
+def test_neither_constructor_builds_a_flag_that_is_not_total(rows):
+    # Built bare, these flags once reached the call each is named after:
+    # is_cofinal answered Yes for x1, of sign 0; power_floor gave 0 for x2, of
+    # sign 0; realize gave a table; the others refused one by one.  Now no
+    # library call meets a flag that is not total.
+    for build in _both_constructors(rows):
+        with pytest.raises(UnsupportedInput, match=NOT_TOTAL):
+            build()
+
+
 def test_library_calls_refuse_a_flag_that_is_not_total(monkeypatch):
-    # A flag from the bare constructor skips create's totality check; the
-    # calls that need totality refuse it with create's text.
-    zero, one = RealConstant.rational(0), ONE
+    # restrict refuses a result that is not total as a bug, not an input: a
+    # total flag restricted to a full-rank basis is total.
     z3 = GroupRef.free_abelian(3)
-    refused = "flag is rank-deficient: some nonzero vector pairs to zero at every level"
-    for levels in ([[zero, zero]], [[zero, zero], [one, zero]], [[one, zero]]):
-        with pytest.raises(UnsupportedInput, match=refused):
-            sikora_coordinate(unchecked_flag(levels))
-    first_two = unchecked_flag([[one, zero, zero], [zero, one, zero]])
-    with pytest.raises(UnsupportedInput, match=refused):
-        first_two.restrict([el("x3", z3)])
-    with pytest.raises(UnsupportedInput, match=refused):
-        naturality_check(first_two, el("x1", z3), [el("x3", z3)])
-    # Where the flag is total on the sublattice, restriction still works.
-    assert first_two.restrict([el("x2 x3", z3)]).levels == ((one,),)
-    assert naturality_check(first_two, el("x1", z3), [el("x2", z3)]).passed
-    # A total flag that loses totality on restriction is a bug, not an input.
     monkeypatch.setattr(FlagOrdering, "is_total", lambda flag: flag.group.rank == 3)
     with pytest.raises(InvariantViolation, match="lost totality"):
         LEX3.restrict([el("x1", z3), el("x2", z3)])
@@ -208,21 +217,67 @@ def test_restrict_mixed_column():
     assert cone_sign(restricted, gen) == 1
 
 
+def _random_levels(rng, rank):
+    """1 to 3 levels of rank constants, each level over 1 to 3 radicands, with
+    zero levels before, between and after them."""
+    levels = []
+    for _ in range(rng.randint(1, 3)):
+        keys = rng.sample((1, 2, 3, 5, 6, 7), rng.randint(1, 3))
+        levels.append([RealConstant.from_terms(
+            {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in keys})
+            for _ in range(rank)])
+        if rng.random() < 0.3:
+            levels.insert(rng.randint(0, len(levels)), [ZERO] * rank)
+    return levels
+
+
 def test_restrict_commutes_with_sign():
+    # 300 random total flags, each restricted to a random full-rank basis of
+    # every size from 1 to its rank: restrict never refuses (the restriction
+    # of a total flag is total), and the sign of each of 20 vectors inside
+    # is the sign of its image outside.
     rng = random.Random(30)
-    flag = FlagOrdering.create([
-        [RealConstant.rational(2), RealConstant.sqrt(3), RealConstant.rational(-1)],
-        [RealConstant.rational(0), RealConstant.rational(1), RealConstant.rational(1)],
-        [RealConstant.rational(0), RealConstant.rational(0), RealConstant.rational(5)],
-    ])
-    basis = [parse_element("x1 x3", GroupRef.free_abelian(3)),
-             parse_element("x2^2 x3^-1", GroupRef.free_abelian(3))]
-    restricted = flag.restrict(basis)
-    for _ in range(1000):
-        v = random_element(Z2, rng, 10)
-        image = (basis[0] ** v.coords[0]) * (basis[1] ** v.coords[1])
-        assert cone_sign(restricted, LatticeElement(restricted.group, v.coords)) == \
-            cone_sign(flag, image)
+    flags = restrictions = 0
+    while flags < 300:
+        rank = rng.randint(1, 4)
+        try:
+            flag = FlagOrdering.create(_random_levels(rng, rank))
+        except UnsupportedInput:  # not total
+            continue
+        flags += 1
+        for size in range(1, rank + 1):
+            basis = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(size)]
+            while rational_rank(basis) < size:
+                basis = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(size)]
+            restricted = flag.restrict(basis)
+            restrictions += 1
+            for _ in range(20):
+                v = [rng.randint(-9, 9) for _ in range(size)]
+                image = [sum(c * b[i] for c, b in zip(v, basis)) for i in range(rank)]
+                assert restricted.coords_sign(v) == flag.coords_sign(image), (flag, basis, v)
+    assert restrictions >= 300 * 2
+
+
+def test_create_refuses_exactly_the_flags_with_a_kernel():
+    # Differential against the integer kernel of the stacked level rows, one
+    # row per level and radicand, read from the constants' coefficients.
+    rng = random.Random(32)
+    outcomes = collections.Counter()
+    for _ in range(2000):
+        rank = rng.randint(2, 4)
+        levels = _random_levels(rng, rank)
+        rows = [clear_denominators([c.coefficient(m) for c in level])
+                for level in levels for m in sorted({m for c in level for m, _ in c.terms})]
+        has_kernel = bool(integer_kernel_basis(rows, rank))
+        try:
+            FlagOrdering.create(levels)
+        except UnsupportedInput as exc:
+            assert has_kernel and str(exc) == NOT_TOTAL, levels
+            outcomes["refused"] += 1
+        else:
+            assert not has_kernel, levels
+            outcomes["built"] += 1
+    assert min(outcomes["refused"], outcomes["built"]) > 300, outcomes
 
 
 def test_restrict_rejects_rank_deficient_basis():
@@ -526,8 +581,9 @@ def test_dense_random_rational_flags_betweenness_oracle():
                 for _ in range(rank + 1)]
         # A level pairing to zero everywhere, which the kernel chain skips.
         rows[rng.randrange(rank + 1)] = [Fraction(0)] * rank
-        flag = unchecked_flag([[RealConstant.rational(x) for x in row] for row in rows])
-        if not flag.is_total():
+        try:
+            flag = FlagOrdering.from_rational_rows(rows)
+        except UnsupportedInput:  # not total
             continue
         ranks.pop()
         verdict = is_dense(flag)
@@ -953,13 +1009,17 @@ def _interval_sign(const):
 
 def test_integer_flag_sign_matches_constant_sign():
     rng = random.Random(31)
-    terms_seen = collections.Counter()
-    for _ in range(300):
+    terms_seen, flags = collections.Counter(), 0
+    while flags < 300:
         rank = rng.randint(1, 4)
         levels = [[RealConstant.from_terms({m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                             for m in (1, 2, 3, 5) if rng.random() < 0.6})
                    for _ in range(rank)] for _ in range(rng.randint(1, 4))]
-        flag = unchecked_flag(levels)
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:  # not total
+            continue
+        flags += 1
         for _ in range(10):
             g = LatticeElement(flag.group, tuple(rng.randint(-9, 9) for _ in range(rank)))
             found = first_level(flag, g)
@@ -974,47 +1034,52 @@ def test_integer_flag_sign_matches_constant_sign():
     assert all(terms_seen[k] > 100 for k in (1, 2, 3)), terms_seen
 
 
-def _random_coords(rng, rank, blind):
+def _random_coords(rng, rank, late):
     """Coordinates of one of four kinds: zero, small, 1000-digit, or a unit
-    vector on the column `blind` that pairs zero at every level (if any)."""
+    vector on the column `late` that pairs zero at every level but the last (if any)."""
     kind = rng.randrange(4)
     if kind == 0:
         return (0,) * rank
-    if kind == 3 and blind is not None:
-        return tuple(rng.choice((1, -1)) if i == blind else 0 for i in range(rank))
+    if kind == 3 and late is not None:
+        return tuple(rng.choice((1, -1)) if i == late else 0 for i in range(rank))
     size = 10 ** 999 if kind == 2 else 1
     return tuple(rng.choice((-1, 0, 1)) * size + rng.randint(-9, 9) for _ in range(rank))
 
 
 def test_level_scan_matches_the_generator_oracle():
     # The loop scan against the generator form it replaced, on 10 000 pairs:
-    # flags with 1 to 4 radicands per level, total or not, and coordinates
-    # that are zero, small, 1000 digits long or blind at every level.
+    # 500 total flags with 1 to 4 radicands per level, and coordinates that
+    # are zero, small, 1000 digits long or seen at the last level only.
     rng = random.Random(53)
-    radicands_seen, blind_misses, pairs = collections.Counter(), 0, 0
-    for _ in range(500):
-        rank = rng.randint(1, 4)
-        blind = rng.randrange(rank) if rng.random() < 0.3 else None
+    radicands_seen, late_hits, pairs, flags = collections.Counter(), 0, 0, 0
+    while flags < 500:
+        rank, depth = rng.randint(1, 4), rng.randint(1, 4)
+        late = rng.randrange(rank) if rng.random() < 0.3 else None
         levels = []
-        for _ in range(rng.randint(1, 4)):
+        for j in range(depth):
             keys = rng.sample((1, 2, 3, 5, 6, 7, 11, 13), rng.randint(1, 4))
-            levels.append([ZERO if i == blind else RealConstant.from_terms(
+            levels.append([ZERO if i == late and j < depth - 1 else RealConstant.from_terms(
                 {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in keys})
                 for i in range(rank)])
-        flag = unchecked_flag(levels)
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:  # not total
+            continue
+        flags += 1
         radicands_seen.update(len(rows) for _, rows in flag._expansion)
         for _ in range(20):
-            coords = _random_coords(rng, rank, blind)
+            coords = _random_coords(rng, rank, late)
             found = flag.first_dots(coords)
             assert found == generator_first_dots(flag, coords), (levels, coords)
+            assert (found is None) == (not any(coords))  # total: only the identity is unseen
             assert found is None or type(found[1]) is tuple
             for _, rows in flag._expansion:
                 assert ordo_orderings._level_dots(rows, coords) == generator_level_dots(rows, coords)
-            blind_misses += found is None and any(coords)
+            late_hits += found is not None and found[0] == depth - 1 > 0
             pairs += 1
     assert pairs >= 10_000
-    assert blind_misses > 100 and all(radicands_seen[k] > 50 for k in (1, 2, 3, 4)), (
-        blind_misses, radicands_seen)
+    assert late_hits > 100 and all(radicands_seen[k] > 50 for k in (1, 2, 3, 4)), (
+        late_hits, radicands_seen)
 
 
 def _pell(d, n):
@@ -1154,16 +1219,19 @@ def test_flag_sign_cofinality_and_stable_value_match_sympy_first_level():
 
 def test_is_cofinal_matches_sympy_first_level_with_and_without_generators():
     rng = random.Random(77)
-    outcomes = collections.Counter()
-    for _ in range(80):
+    outcomes, flags = collections.Counter(), 0
+    while flags < 80:
         rank = rng.randint(1, 3)
         levels = [[_random_constant(rng) for _ in range(rank)]
                   for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.3:
             # A first level that sees nothing: no generator is seen before level 2.
             levels.insert(0, [RealConstant.rational(0)] * rank)
-        # Rank-deficient flags too: an element seen at no level counts as seen last.
-        flag = unchecked_flag(levels)
+        try:
+            flag = FlagOrdering.create(levels)
+        except UnsupportedInput:  # not total
+            continue
+        flags += 1
         group = flag.group
         coords_pool = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(5)]
         for kernel in level_kernels(flag):  # elements first seen at each later level
