@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .convexity import ExponentMatrix, brute_convex, check_convex, word_constraints
 from .dynamics import (ball_enumeration, check_enumeration_size, dynamically_equivalent,
-                       euler_cocycle_survey, partial_action_check, realize)
+                       euler_cocycle_survey, letter_bounded, partial_action_check, realize)
 from .errors import OrdoError, ParseError
 from .exactreal import RealConstant, parse_rational
 from .cohmaps import (construct_from_translations, rotation_class, sikora_coordinate, slope_of,
@@ -164,7 +164,7 @@ def _cmd_realize(args):
         if not isinstance(expressions, list):
             raise ParseError("enumeration file must hold a JSON array of expressions")
         check_enumeration_size(len(expressions))
-        enumeration = [parse_element(e, cone.group) for e in expressions]
+        enumeration = letter_bounded(parse_element(e, cone.group) for e in expressions)
     else:
         enumeration = ball_enumeration(cone, args.ball)
     table = realize(cone, enumeration)

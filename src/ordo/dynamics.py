@@ -4,13 +4,13 @@ The realization table assigns exact rationals to a finite enumeration
 (identity first) by the inductive rule: a new element beyond the current
 maximum gets max+1, below the minimum gets min-1, and otherwise the midpoint
 of its immediate neighbours; the assignment order-embeds the enumerated
-elements into Q and never revises earlier values.  Braid stations form a
-prefix forest (a station's parent has its word minus the last letter).
-One search sorts elements by the cone, walking that forest: a station
-g = p*l lies above p iff the letter l is positive, so it gallops from p's
-place in that direction, each probe acting only the letters after the
-prefix that station shares with g; p*l sits right beside p, unprobed,
-when l is the cone's least positive element or its inverse.  ``realize``
+elements into Q and never revises earlier values.  A braid station's
+parent and tail are the stations whose words are its word minus the last,
+and minus the first, letter.  One search sorts elements by the cone, by
+word length, and brackets each station by left-invariance before any
+probe: g = l*x and h = l*y compare as their tails x and y do, and g = p*l'
+lies above p iff the letter l' is positive, right beside p when l' is the
+cone's least positive element or its inverse.  ``realize``
 sorts the enumeration (by default a ball) with it and replays the rule in
 enumeration order on the ranks, in dyadic integers.  The partial action check compares
 integer ranks of g_i and g*g_i, keying g*g_i as one letter acting on
@@ -25,7 +25,7 @@ with theta an order-embedding of the stratum into [0,1) realizes the group
 on the line with x acting as translation by one; quotienting by that
 translation samples a circle action, which floors each element once (by
 its key), keys each remainder from the context's cached anchor-power key,
-and sorts the distinct remainders with the same forest search.  The normalized lift of
+and sorts the distinct remainders with the same search.  The normalized lift of
 the circle map of f moves 0 to t'(f) - floor(f), and composing lifts measures an integer
 cocycle which must equal minus the quasimorphism coboundary: this is the
 cochain-level form of "the rotation class is minus the Euler class".
@@ -38,14 +38,15 @@ actions (semi-conjugate in general; conjugate on dense orderings).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, MissingOrbitPoint, UnsupportedInput
 from .exactreal import format_rational
 from .groups import (
     MAX_BALL_ELEMENTS,
+    MAX_BALL_LETTERS,
     BraidWord,
     Element,
     braid_ball,
@@ -70,7 +71,7 @@ from .orderings import (
 )
 from .quasimorph import AnchorContext, power_floor
 from .cohmaps import RotationClass, rotation_class, unwrap_central_conjugation
-from .records import Record
+from .records import Record, cached
 
 
 class RealizationTable(Record):
@@ -80,11 +81,11 @@ class RealizationTable(Record):
     elements: tuple[Element, ...]
     values: tuple[Fraction, ...]
 
-    @cached_property
+    @cached
     def _forest(self) -> list[tuple[int, int, tuple]]:
-        return _station_forest(self.elements)
+        return _station_forest(self.elements)[0]
 
-    @cached_property
+    @cached
     def _ranked(self) -> tuple[list[Fraction], dict, list[tuple[int, int]]]:
         # The distinct values in increasing order, each key's rank, and the (rank, station)
         # pairs in value order (a station indexes self.elements); ``realize`` hands these.
@@ -107,60 +108,113 @@ class RealizationTable(Record):
         }
 
 
-def _station_forest(elements: Sequence[Element]) -> list[tuple[int, int, tuple]]:
-    """The (station, parent, last letter) prefix forest in depth-first preorder,
-    roots and siblings in enumeration order.  A braid station's parent is the
-    station whose word is its word minus the last letter; lattice stations and
-    stations without one are roots, with parent -1."""
+def _station_forest(elements: Sequence[Element]) -> tuple[list[tuple[int, int, tuple]], list[int]]:
+    """The stations in work order, by word length with ties in enumeration
+    order, as (station, parent, last letter), and each station's tail.  A
+    braid station's parent is the station whose word is its word minus the
+    last letter, its tail the one whose word is its word minus the first
+    letter: both are shorter, so each comes before it in work order.  Lattice
+    stations, and stations without a parent or a tail, have -1 there."""
     position = {g.letters: i for i, g in enumerate(elements) if isinstance(g, BraidWord)}
-    children: list[list[int]] = [[] for _ in elements]
-    roots: list[int] = []
-    for i, g in enumerate(elements):
-        parent = position.get(g.letters[:-1], -1) if isinstance(g, BraidWord) and g.letters else -1
-        (children[parent] if parent >= 0 else roots).append(i)
-    forest, stack = [], [(i, -1, ()) for i in reversed(roots)]
-    while stack:
-        node = stack.pop()
-        forest.append(node)
-        stack.extend((c, node[0], elements[c].letters[-1:]) for c in reversed(children[node[0]]))
-    return forest
+    lengths = [len(g.letters) if isinstance(g, BraidWord) else 0 for g in elements]
+    forest, tails = [], [-1] * len(elements)
+    for i in sorted(range(len(elements)), key=lengths.__getitem__):
+        if lengths[i]:
+            letters = elements[i].letters
+            tails[i] = position.get(letters[1:], -1)
+            forest.append((i, position.get(letters[:-1], -1), letters[-1:]))
+        else:
+            forest.append((i, -1, ()))
+    return forest, tails
 
 
-def _forest_sort(cone: Cone, elements: Sequence[Element],
-                 forest: list[tuple[int, int, tuple]]) -> list[int]:
-    """The stations of distinct elements sorted by the cone, walking their
-    prefix forest: a station g = p*l lies above its parent p iff the letter l
-    is positive, so it gallops from p's place in that direction; a root is
-    binary-searched.  Each probe reads sign(g^-1 m) for the station m met
-    (``quotient_sign``).  If l is the cone's least positive element or its
-    inverse, p*l is p's successor or predecessor, placed with no probe."""
-    order: list[int] = []  # stations sorted by the cone
-    path: list[list[int]] = []  # [station, index in order] from a root to the last placed
+_END_GAP = 1 << 32  # the label step past either end of the placed stations
+
+
+def _sort_stations(cone: Cone, elements: Sequence[Element],
+                   forest: list[tuple[int, int, tuple]], tails: list[int]) -> list[int]:
+    """The stations of distinct elements sorted by the cone, placed in the work
+    order of ``_station_forest``.  Left-invariance brackets a station g before
+    any probe: g = l x lies between the placed stations of first letter l whose
+    tails sit around x, as (l x)^-1 (l y) = x^-1 y; and g = p l' lies above its
+    parent p iff l' is positive, right beside p if l' is the cone's least positive
+    element or its inverse.  Inside the bracket each probe reads sign(g^-1 m)
+    (``quotient_sign``), galloping from p when p bounds it, else bisecting.
+    Placed stations carry integer labels increasing in the order, so placed
+    stations are compared and found with no probe (``_respace`` makes room)."""
+    placed: list[tuple[int, int]] = []  # (label, station), sorted by the cone
+    label = [0] * len(elements)  # each placed station's label
+    classes: dict[tuple, list[int]] = {}  # first letter -> its sorted placed stations with a tail
     steps: dict[tuple, tuple[int, bool]] = {}  # letter l -> (sign, whether l is least^+-1)
+
+    def tail_label(m: int) -> int:
+        return label[tails[m]]
+
     for i, parent, letter in forest:
-        above = quotient_sign(cone, elements[i])  # reads sign(g^-1 m)
-        lo, hi = -1, len(order)  # order[lo] < g < order[hi]
-        while path and path[-1][0] != parent:
-            path.pop()
-        if path:
+        lo, hi = -1, len(placed)  # placed[lo] < g < placed[hi]
+        if (tail := tails[i]) >= 0:
+            members = classes.setdefault(elements[i].letters[0], [])
+            k = bisect_left(members, label[tail], key=tail_label)
+            if k:
+                lo = bisect_left(placed, (label[members[k - 1]],))
+            if k < len(members):
+                hi = bisect_left(placed, (label[members[k]],))
+            members.insert(k, i)
+        start = -1  # p's index when p bounds the bracket, to gallop from
+        if parent >= 0:
             if letter not in steps:
                 word = BraidWord._trusted(cone.group, letter)
                 steps[letter] = (cone_sign(cone, word),
                                  cone.least_key in (word.key, word.inverse().key))
-            start, (step, least) = path[-1][1], steps[letter]
-            lo, hi = (start, start + 1 if least else hi) if step > 0 else \
-                (start - 1 if least else lo, start)
-            while lo < (j := start + step) < hi:
-                lo, hi = (lo, j) if above(elements[order[j]]) > 0 else (j, hi)
-                step *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if above(elements[order[mid]]) > 0 else (mid, hi)
-        order.insert(hi, i)
-        for node in path:
-            node[1] += node[1] >= hi
-        path.append([i, hi])
-    return order
+            step, least = steps[letter]
+            at = bisect_left(placed, (label[parent],))
+            if least:
+                lo, hi = (at, at + 1) if step > 0 else (at - 1, at)
+            elif step > 0 and at >= lo:
+                lo = start = at
+            elif step < 0 and at <= hi:
+                hi = start = at
+        if hi - lo > 1:
+            above = quotient_sign(cone, elements[i])  # reads sign(g^-1 m)
+            if start >= 0:
+                while lo < (j := start + step) < hi:
+                    lo, hi = (lo, j) if above(elements[placed[j][1]]) > 0 else (j, hi)
+                    step *= 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if above(elements[placed[mid][1]]) > 0 else (mid, hi)
+        if hi == len(placed):
+            t = placed[-1][0] + _END_GAP if placed else 0
+        elif hi == 0:
+            t = placed[0][0] - _END_GAP
+        else:
+            t = (placed[hi - 1][0] + placed[hi][0]) >> 1
+        placed.insert(hi, (t, i))
+        label[i] = t
+        if hi and t == placed[hi - 1][0]:
+            _respace(placed, label, hi)
+    return [i for _, i in placed]
+
+
+def _respace(placed: list[tuple[int, int]], label: list[int], at: int) -> None:
+    """Spread the labels of the smallest aligned range of 2^j labels around
+    placed[at] that holds at most (4/3)^j stations evenly over it, amortized
+    O(log n) per placement (Bender et al., "Two simplified algorithms for
+    maintaining order in a list", ESA 2002): placed[at] found no room, and
+    took the label of placed[at - 1]."""
+    j, t = 2, placed[at][0]
+    while True:
+        j += 1
+        base = t >> j << j
+        first = bisect_left(placed, (base,))
+        count = bisect_left(placed, (base + (1 << j),), first) - first
+        if count * 3 ** j <= 4 ** j:
+            break
+    gap = (1 << j) // count
+    for k in range(first, first + count):
+        t, i = base + (k - first) * gap, placed[k][1]
+        placed[k] = t, i
+        label[i] = t
 
 
 def _replay(order: list[int]) -> list[Fraction]:
@@ -201,11 +255,13 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
 
     The enumeration must start with the identity and contain no repeated
     group elements (braid words are compared as braids, not as words), and
-    hold at most MAX_BALL_ELEMENTS elements.  First the whole enumeration is
-    sorted over its prefix forest (``_forest_sort``), then the values are
-    replayed in enumeration order on the integer ranks (``_replay``).
+    hold at most MAX_BALL_ELEMENTS elements and MAX_BALL_LETTERS letters,
+    counted before any element is keyed.  First the whole enumeration is
+    sorted (``_sort_stations``), then the values are replayed in
+    enumeration order on the integer ranks (``_replay``).
     """
     check_enumeration_size(len(enumeration))
+    enumeration = letter_bounded(enumeration)
     if not enumeration:
         raise UnsupportedInput("enumeration must not be empty")
     if cone_sign(cone, enumeration[0]) != 0:
@@ -217,8 +273,8 @@ def realize(cone: Cone, enumeration: Sequence[Element]) -> RealizationTable:
         if seen.setdefault(g.key, i) != i:
             raise UnsupportedInput(f"duplicate element at position {i}: {g.render()!r}")
 
-    forest = _station_forest(enumeration)
-    order = _forest_sort(cone, enumeration, forest)
+    forest, tails = _station_forest(enumeration)
+    order = _sort_stations(cone, enumeration, forest, tails)
     values = _replay(order)
     table = RealizationTable(cone, tuple(enumeration), tuple(values))
     table.__dict__["_forest"] = forest
@@ -233,6 +289,22 @@ def check_enumeration_size(count: int) -> None:
     if count > MAX_BALL_ELEMENTS:
         raise UnsupportedInput(f"an enumeration of {count} elements is past the limit of "
                                f"{MAX_BALL_ELEMENTS} elements (MAX_BALL_ELEMENTS)")
+
+
+def letter_bounded(elements: Iterable[Element]) -> list[Element]:
+    """The elements as a list, read one at a time and refused as soon as its
+    braids hold more than MAX_BALL_LETTERS letters together, before any is keyed."""
+    out: list[Element] = []
+    letters = 0
+    for g in elements:
+        if isinstance(g, BraidWord):
+            letters += len(g.letters)
+            if letters > MAX_BALL_LETTERS:
+                raise UnsupportedInput(
+                    f"an enumeration holding more than {MAX_BALL_LETTERS} letters is past the "
+                    f"limit (MAX_BALL_LETTERS): {letters} letters by position {len(out)}")
+        out.append(g)
+    return out
 
 
 def ball_enumeration(cone: Cone, radius: int) -> list[Element]:
@@ -309,7 +381,7 @@ class SampledCircleAction(Record):
     def remainder(self, h: Element) -> Element:
         return _split(self.ctx, h)[1]
 
-    @cached_property
+    @cached
     def _theta_of(self) -> dict[tuple[int, ...], Fraction]:
         return {s.key: t for s, t in zip(self.stratum, self.theta_values)}
 
@@ -383,7 +455,7 @@ def _sample_circle(ctx: AnchorContext, elements: Iterable[Element]) -> SampledCi
         first.setdefault(s.key, (s, h))
     found = list(first.values())
     remainders = [s for s, _ in found]
-    order = _forest_sort(cone, remainders, _station_forest(remainders))
+    order = _sort_stations(cone, remainders, *_station_forest(remainders))
     if below := order[:order.index(0)]:
         s, h = found[min(below)]
         raise InvariantViolation(

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupMismatch, ParseError, UnsupportedInput, int_text, parse_integer
-from .records import Record, set_field
+from .records import Record, cached, set_field
 
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
@@ -277,7 +276,7 @@ class BraidWord(Record):
         self.__dict__["key"] = key
         return self
 
-    @cached_property
+    @cached
     def key(self) -> tuple[int, ...]:
         """Dynnikov coordinates of the braid: its letters acting on (0, 1, ..., 0, 1)."""
         return dynnikov_act((0, 1) * self.group.n, self.letters)

@@ -43,7 +43,7 @@ import enum
 import math
 import random
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -71,7 +71,7 @@ from .groups import (
     random_element,
     twist_key,
 )
-from .records import Record
+from .records import Record, cached
 
 DEFAULT_REDUCTION_STEPS = 400_000
 
@@ -187,13 +187,21 @@ class FlagOrdering(Cone, Record):
     group: GroupRef
     levels: tuple[tuple[RealConstant, ...], ...]
 
-    def __init__(self, group: GroupRef, levels: tuple[tuple[RealConstant, ...], ...]) -> None:
-        self.__dict__["group"], self.__dict__["levels"] = group, levels
+    def __init__(self, group: GroupRef, levels: Sequence[Sequence[RealConstant]]) -> None:
         if not group.is_abelian:
             raise ParseError("flag orderings are defined on free abelian groups")
-        for level in levels:
+        for j, level in enumerate(levels):
+            if not isinstance(level, (tuple, list)):
+                raise ParseError(f"flag level {j + 1} is of type {type(level).__name__}, "
+                                 "not a list or tuple of constants")
             if len(level) != group.rank:
                 raise ParseError(f"level length {len(level)} does not match rank {group.rank}")
+            for i, c in enumerate(level):
+                if not isinstance(c, RealConstant):
+                    raise ParseError(f"entry {i + 1} of flag level {j + 1} is of type "
+                                     f"{type(c).__name__}, not RealConstant")
+        self.__dict__["group"] = group
+        self.__dict__["levels"] = tuple(tuple(level) for level in levels)
         if not self.is_total():
             raise UnsupportedInput(
                 "flag is rank-deficient: some nonzero vector pairs to zero at every level")
@@ -203,7 +211,9 @@ class FlagOrdering(Cone, Record):
         """The flag of these levels on Z^rank, rank the length of the first level."""
         if not levels:
             raise ParseError("a flag ordering needs at least one level")
-        return FlagOrdering(GroupRef.free_abelian(len(levels[0])), tuple(tuple(lv) for lv in levels))
+        first = levels[0]  # a level that is not a sequence is refused by the constructor
+        return FlagOrdering(GroupRef.free_abelian(len(first) if isinstance(first, (tuple, list))
+                                                  else 1), levels)
 
     @staticmethod
     def from_rational_rows(rows: Sequence[Sequence[int | Fraction]]) -> "FlagOrdering":
@@ -215,7 +225,7 @@ class FlagOrdering(Cone, Record):
         rows = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
         return FlagOrdering.from_rational_rows(rows)
 
-    @cached_property
+    @cached
     def _expansion(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
         # Per level: a positive scale and one integer row per occurring
         # squarefree radicand m; the level pairs g to sum_m (row_m . g) sqrt(m) / scale.
@@ -231,7 +241,7 @@ class FlagOrdering(Cone, Record):
         stacked = [row for _, rows in self._expansion for _, row in rows]
         return linalg.rational_rank(stacked) == self.group.rank
 
-    @cached_property
+    @cached
     def _generator_level(self) -> int:
         # The first level where some x_i pairs nonzero: one with a nonzero row entry.
         return next((j for j, (_, rows) in enumerate(self._expansion)

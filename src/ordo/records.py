@@ -6,7 +6,7 @@ classes contribute fields (``Cone.group`` is none).  ``Record`` holds once what
 a frozen dataclass generates per class: construction by position or keyword,
 TypeError for a missing or unknown argument, then any ``__post_init__``; ``==``
 within one class and ``hash``, both over the tuple of fields; the dataclass
-``repr``; AttributeError on assigning or deleting.  Caches (``cached_property``,
+``repr``; AttributeError on assigning or deleting.  Caches (``cached`` attributes,
 dicts put in ``__dict__``) are not fields.  Query-path types write their own
 ``__init__``, as the generic one costs twice as much.  Fields go in by ``set_field``
 unless caches fill ``__dict__`` anyway: reading it slows later attribute reads.
@@ -54,3 +54,18 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached:
+    """An attribute computed on its first read and kept in the instance ``__dict__``,
+    which later reads, and a value put there first, find before this descriptor:
+    ``functools.cached_property`` without the lock it takes on a first read."""
+
+    def __init__(self, compute) -> None:
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value

@@ -2,8 +2,10 @@
 constructors.
 
 ``locate`` is the midpoint binary search the circle stratum was once built
-with; ``dynamics._forest_sort`` replaced it.  Tests compare the production
-sorts, lookups and work counts against it.  ``fraction_replay`` is the
+with; ``forest_sort`` replaced it, walking the prefix forest of
+``preorder_forest``, and ``dynamics._sort_stations`` replaced that, adding the
+first-letter class brackets of left-invariance.  Tests compare the production
+sorts, lookups and work counts against both.  ``fraction_replay`` is the
 replay of ``realize`` on ``Fraction`` arithmetic that ``dynamics._replay``
 replaced with dyadic integers.  ``word_sign`` is the conjugated
 sign as it was read before Dynnikov frames, by building c g c^-1.
@@ -45,7 +47,8 @@ from ordo.errors import UnsupportedInput
 from ordo.exactreal import RealConstant
 from ordo.groups import (MAX_BRAID_LETTERS, BraidWord, Element, GroupRef, LatticeElement,
                          braid_ball, dynnikov_act)
-from ordo.orderings import Cone, DehornoyOrdering, FlagOrdering, check_group
+from ordo.orderings import (Cone, DehornoyOrdering, FlagOrdering, check_group, cone_sign,
+                            quotient_sign)
 from ordo.quasimorph import AnchorContext, _max_true
 
 
@@ -136,6 +139,62 @@ def fraction_replay(order: Sequence[int]) -> list[Fraction]:
         stations.insert(k, t)
         values.append(t)
     return values
+
+
+def preorder_forest(elements: Sequence[Element]) -> list[tuple[int, int, tuple]]:
+    """The (station, parent, last letter) prefix forest in depth-first preorder,
+    roots and siblings in enumeration order.  A braid station's parent is the
+    station whose word is its word minus the last letter; lattice stations and
+    stations without one are roots, with parent -1."""
+    position = {g.letters: i for i, g in enumerate(elements) if isinstance(g, BraidWord)}
+    children: list[list[int]] = [[] for _ in elements]
+    roots: list[int] = []
+    for i, g in enumerate(elements):
+        parent = position.get(g.letters[:-1], -1) if isinstance(g, BraidWord) and g.letters else -1
+        (children[parent] if parent >= 0 else roots).append(i)
+    forest, stack = [], [(i, -1, ()) for i in reversed(roots)]
+    while stack:
+        node = stack.pop()
+        forest.append(node)
+        stack.extend((c, node[0], elements[c].letters[-1:]) for c in reversed(children[node[0]]))
+    return forest
+
+
+def forest_sort(cone: Cone, elements: Sequence[Element],
+                forest: list[tuple[int, int, tuple]]) -> list[int]:
+    """The stations of distinct elements sorted by the cone, walking their
+    prefix forest: a station g = p*l lies above its parent p iff the letter l
+    is positive, so it gallops from p's place in that direction; a root is
+    binary-searched.  Each probe reads sign(g^-1 m) for the station m met
+    (``quotient_sign``).  If l is the cone's least positive element or its
+    inverse, p*l is p's successor or predecessor, placed with no probe."""
+    order: list[int] = []  # stations sorted by the cone
+    path: list[list[int]] = []  # [station, index in order] from a root to the last placed
+    steps: dict[tuple, tuple[int, bool]] = {}  # letter l -> (sign, whether l is least^+-1)
+    for i, parent, letter in forest:
+        above = quotient_sign(cone, elements[i])  # reads sign(g^-1 m)
+        lo, hi = -1, len(order)  # order[lo] < g < order[hi]
+        while path and path[-1][0] != parent:
+            path.pop()
+        if path:
+            if letter not in steps:
+                word = BraidWord._trusted(cone.group, letter)
+                steps[letter] = (cone_sign(cone, word),
+                                 cone.least_key in (word.key, word.inverse().key))
+            start, (step, least) = path[-1][1], steps[letter]
+            lo, hi = (start, start + 1 if least else hi) if step > 0 else \
+                (start - 1 if least else lo, start)
+            while lo < (j := start + step) < hi:
+                lo, hi = (lo, j) if above(elements[order[j]]) > 0 else (j, hi)
+                step *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(elements[order[mid]]) > 0 else (mid, hi)
+        order.insert(hi, i)
+        for node in path:
+            node[1] += node[1] >= hi
+        path.append([i, hi])
+    return order
 
 
 def word_sign(cone: DehornoyOrdering, g: BraidWord) -> int:

@@ -12,8 +12,11 @@ import pytest
 
 import ordo.dynamics as ordo_dynamics
 from ordo.cli import MAX_INPUT_BYTES, main
-from ordo.exactreal import MAX_RADICAND
-from ordo.groups import MAX_BALL_ELEMENTS
+from ordo.exactreal import MAX_RADICAND, format_rational
+from ordo.groups import MAX_BALL_ELEMENTS, MAX_BALL_LETTERS, parse_element
+from ordo.orderings import DehornoyOrdering
+
+from oracles import forest_sort, preorder_forest
 
 
 @pytest.fixture()
@@ -629,21 +632,58 @@ def test_radicand_past_the_limit_exit_2_quickly(capsys, tmp_path):
     assert run_exit_2_quickly(capsys, "construct", "--x", "x1", "--tau", tau) == expected
 
 
+def run_ordo(*argv):
+    """Run the CLI in a fresh interpreter: (the completed process, seconds taken)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "ordo.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    return result, time.perf_counter() - start
+
+
 def test_radicands_at_the_limit_split_quickly(tmp_path):
     # 400 radicands up to the limit: trial division up to sqrt(m) took over 3 s.
     levels = [[{str(MAX_RADICAND - k): "1" for k in range(400)}]]
     path = ordering_file(tmp_path, {"kind": "free_abelian", "rank": 1},
                          {"type": "flag", "levels": levels})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    start = time.perf_counter()
-    result = subprocess.run([sys.executable, "-m", "ordo.cli", "rho", "--ordering", path,
-                             "--x", "x1", "x1"], env=env, capture_output=True, text=True,
-                            timeout=60)
-    assert time.perf_counter() - start < 1.0
+    result, seconds = run_ordo("rho", "--ordering", path, "--x", "x1", "x1")
+    assert seconds < 1.0
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"value": 1}
+
+
+def test_enumeration_one_letter_past_the_limit_exits_2_quickly(tmp_path, dehornoy3):
+    # The powers s1^1 .. s1^1999 hold 1999000 letters and s2^1001 one past the
+    # limit; with no letter limit, 6000 powers took 17 s and 1.26 GB.
+    expressions = ["", *(f"s1^{k}" for k in range(1, 2000)), "s2^1001"]
+    path = tmp_path / "enumeration.json"
+    path.write_text(json.dumps(expressions))
+    result, seconds = run_ordo("realize", "--ordering", dehornoy3, "--enumeration", str(path))
+    assert seconds < 3.0
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["detail"] == (
+        f"an enumeration holding more than {MAX_BALL_LETTERS} letters is past the limit "
+        f"(MAX_BALL_LETTERS): {MAX_BALL_LETTERS + 1} letters by position 2000")
+
+
+def test_nested_enumeration_realizes_quickly_in_the_forest_order(tmp_path, dehornoy3):
+    # Each station falls in the gap the last one left: s2^k just below the
+    # stations s1 s2^-j, which nest down onto them.  Midpoint labels with no
+    # respacing run out after 64 such placements.
+    expressions = ["", *(f"s2^{k}" for k in range(1, 1001)), "s1",
+                   *(f"s1 s2^-{k}" for k in range(1, 1000))]
+    path = tmp_path / "enumeration.json"
+    path.write_text(json.dumps(expressions))
+    result, seconds = run_ordo("realize", "--ordering", dehornoy3, "--enumeration", str(path))
+    assert seconds < 2.0
+    assert result.returncode == 0, result.stderr
+    cone = DehornoyOrdering.create(3)
+    enumeration = [parse_element(e, cone.group) for e in expressions]
+    order = forest_sort(cone, enumeration, preorder_forest(enumeration))
+    assert json.loads(result.stdout)["values"] == \
+        [format_rational(v) for v in ordo_dynamics._replay(order)]
 
 
 @pytest.mark.parametrize("command", [["axioms"], ["cocycle", "--x", "s1 s2 s1 s1 s2 s1"]])

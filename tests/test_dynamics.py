@@ -25,6 +25,7 @@ from ordo.groups import (
     BraidWord,
     GroupRef,
     LatticeElement,
+    braid_ball,
     coordinate_ball,
     full_twist,
     parse_element,
@@ -57,7 +58,8 @@ from ordo.dynamics import (
     unit_translation_check,
 )
 
-from oracles import braid_words_up_to, count_kernel_letters_and_words, fraction_replay, locate
+from oracles import (braid_words_up_to, count_kernel_letters_and_words, forest_sort,
+                     fraction_replay, locate, preorder_forest)
 
 Z1 = GroupRef.free_abelian(1)
 Z2 = GroupRef.free_abelian(2)
@@ -415,19 +417,116 @@ def _count_probes(monkeypatch):
 
 
 @pytest.mark.parametrize("cone,radius,most_probes,most_letters", [
-    (DEHORNOY3, 5, 823, 4000), (DEHORNOY4, 4, 1784, 7000),
+    (DEHORNOY3, 5, 235, 1230), (DEHORNOY4, 4, 700, 2985),
 ], ids=["B3", "B4"])
 def test_realize_sort_probes_and_letters(monkeypatch, cone, radius, most_probes, most_letters):
-    # Each s_(n-1)-child is placed beside its parent unprobed: 927 and 1946
-    # probes before.  A probe acts only the letters after the prefix the
-    # station shares with g, on a cached suffix key: acting all of the
-    # station's letters on key(g^-1) took 4984 and 8533 letters.
+    # 214 and 650 probes, 1119 and 2717 letters, bounded with at most 10% slack.
+    # Each station is bracketed by its first-letter class, read from where its
+    # tail sits, before it gallops from its parent: the forest sort alone took
+    # 823 and 1784 probes, 3465 and 6274 letters.  Each s_(n-1)-child is placed
+    # beside its parent unprobed: 927 and 1946 probes before that.  A probe acts
+    # only the letters after the prefix the station shares with g, on a cached
+    # suffix key: acting all of the station's letters on key(g^-1) took 4984
+    # and 8533 letters.
     ball = ball_enumeration(cone, radius)
     probes = _count_probes(monkeypatch)
     acted, _ = count_kernel_letters_and_words(monkeypatch)
     realize(cone, ball)
     assert 0 < len(probes) <= most_probes
     assert 0 < sum(acted) <= most_letters
+
+
+# -- the station sort against the forest sort it replaced --------------------
+
+
+SORT_BALLS = [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3)]
+
+
+def _conjugated_cones(strands, rng):
+    """The Dehornoy cone of B_n and three cones conjugated by random nontrivial braids."""
+    plain = DehornoyOrdering.create(strands)
+    conjugators = []
+    while len(conjugators) < 3:
+        if (c := random_element(plain.group, rng, 4)).letters:
+            conjugators.append(c)
+    return [plain, *(act(plain, c) for c in conjugators)]
+
+
+def _assert_sorts_agree(cone, elements):
+    order = ordo_dynamics._sort_stations(cone, elements, *ordo_dynamics._station_forest(elements))
+    assert order == forest_sort(cone, elements, preorder_forest(elements))
+    return order
+
+
+def _other_words(rng, elements, share):
+    """The elements with about `share` of them, never the first, written as another
+    word for the same braid: its first word, and so its tail for its children, is absent."""
+    out = list(elements)
+    for i in range(1, len(out)):
+        if rng.random() < share:  # g times a word for 1 that is not freely trivial
+            g = out[i]
+            out[i] = BraidWord.from_letters(g.group, (g * _identity_word(rng, g.group)).letters)
+    return out
+
+
+@pytest.mark.parametrize("strands,radius", SORT_BALLS, ids=[f"B{n}_r{r}" for n, r in SORT_BALLS])
+def test_station_sort_matches_the_forest_sort(strands, radius):
+    rng = random.Random(100 * strands + radius)
+    ball = braid_ball(GroupRef.braid(strands), radius)
+    for cone in _conjugated_cones(strands, rng):
+        _assert_sorts_agree(cone, ball)
+        rest = ball[1:]
+        rng.shuffle(rest)
+        _assert_sorts_agree(cone, [ball[0], *rest])
+        _assert_sorts_agree(cone, [ball[0], *rng.sample(ball[1:], 2 * (len(ball) - 1) // 3)])
+        if strands > 2:  # a braid of B2 has one freely reduced word
+            others = _other_words(rng, ball, 0.2)
+            assert sum(a.letters != b.letters for a, b in zip(ball, others)) > len(ball) // 10
+            _assert_sorts_agree(cone, others)
+            rng.shuffle(others)
+            _assert_sorts_agree(cone, others)
+
+
+def test_station_sort_matches_the_forest_sort_off_the_ball():
+    rng = random.Random(3434)
+    cones = [*_conjugated_cones(3, rng), *_conjugated_cones(4, rng), SIGNED3, SIGNED4]
+    for case in range(60):
+        cone = cones[case % len(cones)]
+        _assert_sorts_agree(cone, _scattered_enumeration(cone, rng, rng.randint(2, 120), 6))
+    for cone in (LEX2, SQRT2_FLAG, FLAG3):  # lattice stations are roots, bisected
+        ball = ball_enumeration(cone, 2)
+        _assert_sorts_agree(cone, [ball[0], *rng.sample(ball[1:], len(ball) - 1)])
+
+
+@pytest.mark.parametrize("strands,radius", [(3, 4), (4, 3)], ids=["B3_r4", "B4_r3"])
+def test_circle_stratum_sort_matches_the_forest_sort(strands, radius):
+    rng = random.Random(strands)
+    x = full_twist(strands)
+    for cone in _conjugated_cones(strands, rng):
+        ball = ball_enumeration(cone, radius)
+        ctx = AnchorContext(cone, x)
+        first = {cone.group.identity().key: cone.group.identity()}
+        for h in ball:
+            s = ordo_dynamics._split(ctx, h)[1]
+            first.setdefault(s.key, s)
+        remainders = list(first.values())
+        order = _assert_sorts_agree(cone, remainders)
+        assert circle_action_for_samples(cone, x, ball).stratum == \
+            tuple(remainders[i] for i in order)
+
+
+def test_realize_refuses_an_enumeration_past_the_letter_limit(monkeypatch):
+    ball = ball_enumeration(DEHORNOY3, 3)
+    letters = sum(len(g.letters) for g in ball)
+    monkeypatch.setattr(ordo_dynamics, "MAX_BALL_LETTERS", letters)
+    realize(DEHORNOY3, ball)  # the limit itself is kept
+    # One letter past the limit is refused before any element is keyed or signed.
+    for enumeration in ([*ball, el("s1", B3)], [el("s2", B3), *ball]):
+        with pytest.raises(UnsupportedInput) as caught:
+            realize(DEHORNOY3, enumeration)
+        assert str(caught.value) == (
+            f"an enumeration holding more than {letters} letters is past the limit "
+            f"(MAX_BALL_LETTERS): {letters + 1} letters by position {len(ball)}")
 
 
 LEAST_CONES = [DehornoyOrdering.create(2), DEHORNOY3, DEHORNOY4, DEHORNOY5, CONJUGATED3,
@@ -899,9 +998,10 @@ def test_circle_stratum_sort_probes_fewer_than_insertion(monkeypatch, cone, x, r
     acted.clear()
     _stratum_by_insertion(ctx, ball)
     # Remainders share their anchor power's letters, so most gallop from a
-    # parent, and a probe acts only the letters after the prefix it shares:
-    # about half of insertion's kernel passes (232 of 561 on B3, 447 of 876
-    # on B4), where bisecting every remainder as a root takes nearly all.
+    # parent or sit in a first-letter class bracket, and a probe acts only the
+    # letters after the prefix it shares: about half of insertion's kernel
+    # passes (192 of 561 on B3, 431 of 876 on B4; the prefix-forest walk took
+    # 232 and 447), where bisecting every remainder as a root takes nearly all.
     assert 0 < 5 * walked <= 3 * len(acted)
 
 

@@ -435,6 +435,18 @@ def test_braid_ball_is_the_word_list_deduplicated_on_key(strands, radius):
             assert w.key == dynnikov_act((0, 1) * strands, w.letters), w.render()
 
 
+SUFFIX_BALLS = [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("strands,radius", SUFFIX_BALLS, ids=[f"B{n}_r{r}" for n, r in SUFFIX_BALLS])
+def test_braid_ball_words_are_suffix_closed(strands, radius):
+    # Every suffix of a first word is a first word, so every ball station but
+    # the identity finds its tail (its word minus the first letter) in the
+    # ball, as the station sort of ``realize`` reads it; prefixes likewise.
+    words = {w.letters for w in braid_ball(GroupRef.braid(strands), radius)}
+    assert all(w[1:] in words and w[:-1] in words for w in words if w)
+
+
 @pytest.mark.parametrize("strands,radius,steps", [(3, 5, 346), (4, 4, 656)])
 def test_braid_ball_steps_once_per_kept_word_and_letter(monkeypatch, strands, radius, steps):
     # One one-letter step per pair of a word kept below the last level and a

@@ -280,6 +280,35 @@ def test_create_refuses_exactly_the_flags_with_a_kernel():
     assert min(outcomes["refused"], outcomes["built"]) > 300, outcomes
 
 
+R0, R1 = RealConstant.rational(0), RealConstant.rational(1)
+
+
+@pytest.mark.parametrize("build,detail", [
+    (lambda: FlagOrdering.create([[1, 0], [0, 1]]),
+     "entry 1 of flag level 1 is of type int, not RealConstant"),
+    (lambda: FlagOrdering(GroupRef.free_abelian(2), [[R1, R0], [R0, Fraction(1)]]),
+     "entry 2 of flag level 2 is of type Fraction, not RealConstant"),
+    (lambda: FlagOrdering(GroupRef.free_abelian(2), [[R1, "0"]]),
+     "entry 2 of flag level 1 is of type str, not RealConstant"),
+    (lambda: FlagOrdering.create([5]), "flag level 1 is of type int, not a list or tuple of constants"),
+    (lambda: FlagOrdering(GroupRef.free_abelian(1), [[R1], R1]),
+     "flag level 2 is of type RealConstant, not a list or tuple of constants"),
+], ids=["create_ints", "bare_fraction", "bare_str", "create_level_int", "bare_level_constant"])
+def test_flag_levels_hold_constants(build, detail):
+    # An int entry raised a raw AttributeError from the level expansion.
+    with pytest.raises(ParseError) as caught:
+        build()
+    assert str(caught.value) == detail
+
+
+def test_bare_flag_constructor_stores_tuples():
+    # Lists were kept as given, so the flag could not be hashed.
+    flag = FlagOrdering(GroupRef.free_abelian(2), [[R1, R0], [R0, R1]])
+    assert flag.levels == ((R1, R0), (R0, R1))
+    assert flag == LEX2 and hash(flag) == hash(LEX2)
+    assert {flag: 1}[FlagOrdering.create([[R1, R0], [R0, R1]])] == 1
+
+
 def test_restrict_rejects_rank_deficient_basis():
     with pytest.raises(UnsupportedInput):
         LEX2.restrict([el("x1"), el("x1^2")])

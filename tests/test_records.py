@@ -9,7 +9,6 @@ frozen dataclass made by ``dataclasses.make_dataclass`` from those fields.
 import ast
 import dataclasses
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -49,7 +48,7 @@ from ordo.orderings import (
 )
 from ordo.quasimorph import (DEFAULT_CAP, AnchorContext, PropertyCheck, StableMapReport,
                              StableValue, power_floor)
-from ordo.records import Record
+from ordo.records import Record, cached
 
 Z2, B3 = GroupRef.free_abelian(2), GroupRef.braid(3)
 LEX2, DEHORNOY3 = FlagOrdering.lex(2), DehornoyOrdering.create(3)
@@ -179,7 +178,7 @@ def _hash(obj):
 
 def _warm(record):
     for name in dir(type(record)):
-        if isinstance(getattr(type(record), name, None), cached_property):
+        if isinstance(getattr(type(record), name, None), cached):
             getattr(record, name)
     if type(record) in WARM:
         WARM[type(record)](record)
@@ -252,3 +251,51 @@ def test_caches_stay_out_of_equality_and_repr(cls, fields, derived, sample):
     assert repr(record) == repr(fresh) == text
     assert _hash(record) == _hash(fresh) == digest
     assert record == fresh and fresh == record
+
+
+def _counted(monkeypatch, cls, name):
+    """Count the computations of the cached attribute cls.name."""
+    descriptor, calls = cls.__dict__[name], []
+    compute = descriptor.compute
+    monkeypatch.setattr(descriptor, "compute", lambda obj: calls.append(obj) or compute(obj))
+    return calls
+
+
+def test_the_package_caches_six_attributes_with_cached():
+    found = {(cls.__name__, name) for module in ("groups", "orderings", "dynamics")
+             for cls in vars(getattr(ordo, module)).values() if isinstance(cls, type)
+             for name, value in vars(cls).items() if isinstance(value, cached)}
+    assert found == {("BraidWord", "key"), ("FlagOrdering", "_expansion"),
+                     ("FlagOrdering", "_generator_level"), ("RealizationTable", "_forest"),
+                     ("RealizationTable", "_ranked"), ("SampledCircleAction", "_theta_of")}
+    for path in sorted((Path(ordo.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert "cached_property" not in {alias.name for alias in node.names}, path.name
+
+
+def test_a_cached_attribute_is_computed_once_and_a_preset_value_wins(monkeypatch):
+    keys = _counted(monkeypatch, BraidWord, "key")
+    word = parse_element("s1 s2^-1", B3)
+    assert word.key == word.key and len(keys) == 1
+    preset = parse_element("s2", B3).with_key((9,))
+    assert preset.key == (9,) and len(keys) == 1
+    flag = FlagOrdering.lex(3)  # construction reads the expansion once, for totality
+    expansions, levels = (_counted(monkeypatch, FlagOrdering, name)
+                          for name in ("_expansion", "_generator_level"))
+    assert flag._expansion == flag._expansion and not expansions
+    assert flag._generator_level == flag._generator_level == 0 and len(levels) == 1
+    fresh = FlagOrdering.lex(2)  # construction computes the expansion, for totality
+    assert len(expansions) == 1 and fresh._expansion is fresh._expansion
+    assert len(expansions) == 1
+    forests, ranks = (_counted(monkeypatch, RealizationTable, name)
+                      for name in ("_forest", "_ranked"))
+    table = realize(DEHORNOY3, ball_enumeration(DEHORNOY3, 2))  # realize presets both
+    assert table._forest is table._forest and table._ranked is table._ranked
+    assert not forests and not ranks
+    built = RealizationTable(DEHORNOY3, table.elements, table.values)
+    assert built._forest == table._forest and built._forest is built._forest
+    assert built._ranked is built._ranked and len(forests) == len(ranks) == 1
+    thetas = _counted(monkeypatch, SampledCircleAction, "_theta_of")
+    action = circle_action_from_ball(DEHORNOY3, full_twist(3), 1)
+    assert action._theta_of is action._theta_of and len(thetas) == 1
