@@ -152,8 +152,6 @@ def _cmd_obstruct(args):
         if not name or not value:
             raise ParseError(f"bad --pin {pin!r}; expected name=p/q")
         pinned[name] = parse_rational(value)
-    if not args.expr:
-        raise ParseError("at least one --expr is required")
     return word_constraints(args.expr, pinned, abelian=args.abelian)
 
 

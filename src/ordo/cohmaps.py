@@ -282,8 +282,8 @@ def construct_from_translations(values: Sequence[RealConstant], x: LatticeElemen
     levels = [list(values)] + [[RealConstant.rational(c) for c in dual] for dual in duals]
     try:
         return FlagOrdering.create(levels)
-    except UnsupportedInput as exc:
-        raise NotRealizable(f"rank completion failed: {exc}") from exc
+    except UnsupportedInput as exc:  # tau and each dual raise the rank: B d_l = e_l
+        raise InvariantViolation(f"rank completion failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +320,13 @@ class SikoraPoint(Record):
 def sikora_coordinate(flag: FlagOrdering) -> SikoraPoint:
     """The doubled-circle coordinate of a flag ordering of Z^2.
 
-    The direction is that of the first level that is not zero, which a total
-    flag has; on a rational direction the kernel generator is nonzero, so the
-    total flag signs it nonzero, and that sign is the side."""
+    The direction is that of the first level, never zero as it raises the rank;
+    on a rational direction the kernel generator is nonzero, so the total flag
+    signs it nonzero, and that sign is the side."""
     flag_only(flag.group, "sikora")
     if flag.group.rank != 2:
         raise UnsupportedInput("doubled-circle coordinates need rank 2")
-    # A level that pairs to zero everywhere does not affect the order.
-    c1, c2 = next(level for level in flag.levels if not all(c.is_zero for c in level))
+    c1, c2 = flag.levels[0]
     if q_rank([c1, c2]) == 2:
         return SikoraPoint("irrational", _primitive_pair(c1, c2))
     reference = c1 if not c1.is_zero else c2

@@ -53,6 +53,8 @@ class GroupRef(Record):
             what, least = "braid strand count", 2
         else:
             raise ParseError(f"unknown group kind: {self.kind!r}")
+        if not isinstance(self.n, int):  # a bool is an int
+            raise ParseError(f"{what} must be an int, got {type(self.n).__name__}")
         if self.n < least:
             raise ParseError(f"{what} must be >= {least}, got {int_text(self.n)}")
         if self.n > MAX_GROUP_N:

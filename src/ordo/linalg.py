@@ -3,9 +3,10 @@
 Everything here works on plain lists of ``int``; matrices are lists of rows.
 A rational row enters through ``clear_denominators``, which scales it to an
 integer row with the same span.  No floating point enters any verdict path.
-The row Hermite normal form is the one elimination: rank over Q, kernel
-lattices, membership, coordinates in a sublattice, saturation and the
-rational solve against a Hermite basis all come from it.
+The row Hermite normal form is the lattice elimination: kernel lattices,
+membership, coordinates in a sublattice, saturation and the rational solve
+against a Hermite basis come from it.  Rank over Q is ``extends_span``, row by
+row, as a flag's constructor keeps only the levels that raise the rank.
 """
 
 from __future__ import annotations
@@ -76,9 +77,27 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row for row in work[:pivot_row] if any(row)]
 
 
+def extends_span(echelon: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Whether the integer row lies outside the rational span of the echelon,
+    which it then joins: (lead, primitive row) pairs, each row nonzero at its
+    lead and zero at the leads before it.  Reducing in that order clears every
+    lead, so the rest is zero exactly on the span; a row zero at each lead costs no step."""
+    v = list(row)
+    for lead, b in echelon:
+        if c := v[lead]:
+            g = math.gcd(c, b[lead])
+            v = [b[lead] // g * x - c // g * y for x, y in zip(v, b)]
+    if not any(v):
+        return False
+    g = math.gcd(*v)
+    echelon.append((next(j for j, x in enumerate(v) if x), [x // g for x in v]))
+    return True
+
+
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of integer rows (clear a rational row's denominators first)."""
-    return len(row_hnf(rows))
+    echelon: list[tuple[int, list[int]]] = []
+    return sum(extends_span(echelon, row) for row in rows)
 
 
 def hermite_solve(hnf_rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:

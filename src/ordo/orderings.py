@@ -9,8 +9,8 @@ The two axioms every cone must satisfy:
 
 Two concrete families are provided.  Flag orderings of Z^n compare the exact
 pairings of an element against a sequence of constant vectors, first nonzero
-pairing wins.  A flag is built only when the stacked rational expansion of
-its levels has full rank, so every flag satisfies LO1/LO2 by construction.
+pairing wins.  A flag keeps only the levels that raise the rank of those before
+them, and is built only at full rank, so it satisfies LO1/LO2 by construction.
 The Dehornoy ordering of the braid group calls a word positive when it
 admits a representative in which the lowest occurring generator index
 appears only positively.  Its sign is read off the Dynnikov coordinates of
@@ -71,7 +71,7 @@ from .groups import (
     random_element,
     twist_key,
 )
-from .records import Record, cached
+from .records import Record
 
 DEFAULT_REDUCTION_STEPS = 400_000
 
@@ -180,9 +180,10 @@ def quotient_sign(cone: Cone, g: Element) -> Callable[[Element], int]:
 class FlagOrdering(Cone, Record):
     """Lexicographic comparison against a flag of exact constant vectors, in integers.
 
-    Total by construction: the constructor refuses levels whose stacked
-    expansion has a nonzero kernel (``is_total``), so no nonzero element
-    pairs to zero at every level and no flag query meets one."""
+    The constructor keeps a level only if its integer rows (``_level_rows``, in
+    ``_expansion``) raise the rank of the rows before it, as only such a level
+    decides a sign.  It reads no rows past full rank and refuses a flag that
+    never reaches it, so a flag has at most rank levels and is total."""
 
     group: GroupRef
     levels: tuple[tuple[RealConstant, ...], ...]
@@ -190,6 +191,7 @@ class FlagOrdering(Cone, Record):
     def __init__(self, group: GroupRef, levels: Sequence[Sequence[RealConstant]]) -> None:
         if not group.is_abelian:
             raise ParseError("flag orderings are defined on free abelian groups")
+        kept, expansion, echelon = [], [], []
         for j, level in enumerate(levels):
             if not isinstance(level, (tuple, list)):
                 raise ParseError(f"flag level {j + 1} is of type {type(level).__name__}, "
@@ -200,11 +202,15 @@ class FlagOrdering(Cone, Record):
                 if not isinstance(c, RealConstant):
                     raise ParseError(f"entry {i + 1} of flag level {j + 1} is of type "
                                      f"{type(c).__name__}, not RealConstant")
-        self.__dict__["group"] = group
-        self.__dict__["levels"] = tuple(tuple(level) for level in levels)
-        if not self.is_total():
+            if len(echelon) < group.rank:  # past full rank no level decides a sign
+                scale, rows = _level_rows(level)
+                if sum(linalg.extends_span(echelon, row) for _, row in rows):  # not any(): all join
+                    kept.append(tuple(level))
+                    expansion.append((scale, rows))
+        if len(echelon) < group.rank:
             raise UnsupportedInput(
                 "flag is rank-deficient: some nonzero vector pairs to zero at every level")
+        self.__dict__.update(group=group, levels=tuple(kept), _expansion=tuple(expansion))
 
     @staticmethod
     def create(levels: Sequence[Sequence[RealConstant]]) -> "FlagOrdering":
@@ -224,28 +230,6 @@ class FlagOrdering(Cone, Record):
         """The lexicographic ordering of Z^rank."""
         rows = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
         return FlagOrdering.from_rational_rows(rows)
-
-    @cached
-    def _expansion(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
-        # Per level: a positive scale and one integer row per occurring
-        # squarefree radicand m; the level pairs g to sum_m (row_m . g) sqrt(m) / scale.
-        out = []
-        for level in self.levels:
-            keys = sorted({m for c in level for m, _ in c.terms})
-            scale = math.lcm(*(q.denominator for c in level for _, q in c.terms))
-            out.append((scale, tuple((k, tuple(int(c.coefficient(k) * scale) for c in level))
-                                     for k in keys)))
-        return tuple(out)
-
-    def is_total(self) -> bool:
-        stacked = [row for _, rows in self._expansion for _, row in rows]
-        return linalg.rational_rank(stacked) == self.group.rank
-
-    @cached
-    def _generator_level(self) -> int:
-        # The first level where some x_i pairs nonzero: one with a nonzero row entry.
-        return next((j for j, (_, rows) in enumerate(self._expansion)
-                     if any(any(row) for _, row in rows)), len(self.levels))
 
     def sign(self, g: LatticeElement) -> int:
         if g.group is not self.group:
@@ -289,18 +273,21 @@ class FlagOrdering(Cone, Record):
         for col in columns:
             if len(col) != self.group.rank:
                 raise UnsupportedInput("basis vector length does not match the ambient rank")
-        matrix = [list(col) for col in columns]
-        if linalg.rational_rank(matrix) != len(columns):
+        if linalg.rational_rank(columns) != len(columns):
             raise UnsupportedInput("restriction basis is rank-deficient")
-        new_levels = []
-        for j in range(len(self.levels)):
-            new_level = tuple(self.level_pairing(j, col) for col in columns)
-            if any(not c.is_zero for c in new_level):
-                new_levels.append(new_level)
+        levels = [[self.level_pairing(j, col) for col in columns] for j in range(len(self.levels))]
         try:
-            return FlagOrdering(GroupRef.free_abelian(len(columns)), tuple(new_levels))
+            return FlagOrdering(GroupRef.free_abelian(len(columns)), levels)
         except UnsupportedInput as exc:
             raise InvariantViolation("restriction of a total flag lost totality") from exc
+
+
+def _level_rows(level: Sequence[RealConstant]) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """A positive scale and one integer row per squarefree radicand m occurring
+    in the level: the level pairs g to sum_m (row_m . g) sqrt(m) / scale."""
+    keys = sorted({m for c in level for m, _ in c.terms})
+    scale = math.lcm(*(q.denominator for c in level for _, q in c.terms))
+    return scale, tuple((k, tuple(int(c.coefficient(k) * scale) for c in level)) for k in keys)
 
 
 def _level_dots(rows: Sequence[tuple[int, Sequence[int]]],
@@ -545,13 +532,15 @@ def check_generators(cone: Cone, generators: Sequence[Element] | None) -> None:
         check_group(cone, h, "generator")
 
 
-def flag_cofinal(flag: FlagOrdering, anchor_dots: tuple | None,
+def flag_cofinal(flag: FlagOrdering, anchor_dots: tuple,
                  generators: Sequence[LatticeElement] | None) -> Decision:
-    """is_cofinal on a flag, from the anchor's ``first_dots`` scan."""
-    # Powers of x bracket h iff x is seen at a level no later than h's;
-    # an element seen at no level (the identity) counts as seen last.
-    first = len(flag.levels) if anchor_dots is None else anchor_dots[0]
-    least = flag._generator_level if generators is None else min(
+    """is_cofinal on a flag, from the anchor's ``first_dots`` scan (found, as
+    every caller refuses an identity anchor)."""
+    # Powers of x bracket h iff x is seen at a level no later than h's; an element
+    # seen at no level (the identity) counts as seen last.  Level 0 raises the
+    # rank, so it sees some generator.
+    first = anchor_dots[0]
+    least = 0 if generators is None else min(
         (len(flag.levels) if (found := flag.first_dots(g.coords)) is None else found[0]
          for g in generators), default=first)
     return Decision.YES if first <= least else Decision.NO
@@ -598,30 +587,23 @@ class DensityVerdict(Record):
 
 
 def level_kernels(flag: FlagOrdering) -> list[tuple[tuple[int, ...], ...]]:
-    """The chain of level-kernel sublattices K_1 >= K_2 >= ... (HNF bases).
+    """The chain of level-kernel sublattices K_1 > K_2 > ... > K_k = 0 (HNF bases),
+    one per level, strictly decreasing as each level raises the rank.
 
     These are exactly the proper convex subgroups of a flag ordering; the
     fallback report when the convexity criterion's anchor is not cofinal.
     """
     flag_only(flag.group, "level_kernels")
-    stacked: list[list[int]] = []
-    out = []
-    for _, rows in flag._expansion:
-        stacked.extend(row for _, row in rows)
-        out.append(tuple(map(tuple, linalg.integer_kernel_basis(stacked, flag.group.rank))))
-    return out
+    stacked = [[row for _, rows in flag._expansion[:j + 1] for _, row in rows]
+               for j in range(len(flag.levels))]
+    return [tuple(map(tuple, linalg.integer_kernel_basis(s, flag.group.rank))) for s in stacked]
 
 
 def _flag_density(flag: FlagOrdering) -> DensityVerdict:
-    """The first level with an empty kernel, which a total flag has, embeds the
-    kernel before it, the last stratum, in R: dense at rank two or more, else
-    discrete, its generator basis[0], signed, the minimal positive element."""
-    rank = flag.group.rank
-    basis = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
-    for kernel in level_kernels(flag):
-        if not kernel:
-            break
-        basis = kernel
+    """The last level embeds the kernel of those before it, the last stratum, in R:
+    dense at rank two or more, else discrete, basis[0] signed its least positive element."""
+    stacked = [row for _, rows in flag._expansion[:-1] for _, row in rows]
+    basis = linalg.integer_kernel_basis(stacked, flag.group.rank)
     if len(basis) >= 2:
         return DensityVerdict(Density.DENSE)
     candidate = LatticeElement(flag.group, tuple(basis[0]))

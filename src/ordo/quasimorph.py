@@ -135,18 +135,16 @@ def _max_true(pred: Callable[[int], bool], cap: int, sign: int = 1) -> int:
     return lo
 
 
-def _pairing_dots(flag: FlagOrdering, seen_x: tuple | None, h: Element,
+def _pairing_dots(flag: FlagOrdering, seen_x: tuple, h: Element,
                   blind: type[OrdoError]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
     """(q, dots): <v, h> / <v, x> = sum d*sqrt(m) / q at x's first level v, as the
-    level's scale cancels, from x's first_dots seen_x; None if x pairs
-    irrationally there.  Raises `blind` if h pairs nonzero at an earlier
-    level (or x at none)."""
+    level's scale cancels, from x's first_dots seen_x (every caller has refused
+    an identity anchor); None if x pairs irrationally there.  Raises `blind` if
+    h pairs nonzero at an earlier level."""
     seen_h = flag.first_dots(h.coords)
-    if seen_h is not None and (seen_x is None or seen_h[0] < seen_x[0]):
-        raise blind(f"element pairs nonzero at level {seen_h[0] + 1}, where the anchor is blind")
-    if seen_x is None:
-        raise NotCofinal("anchor pairs to zero at every level")
     j, anchor_dots = seen_x
+    if seen_h is not None and seen_h[0] < j:
+        raise blind(f"element pairs nonzero at level {seen_h[0] + 1}, where the anchor is blind")
     if len(anchor_dots) > 1 or anchor_dots[0][0] != 1:
         return None
     return anchor_dots[0][1], seen_h[1] if seen_h is not None and seen_h[0] == j else ()

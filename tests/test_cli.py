@@ -306,6 +306,52 @@ def test_malformed_ordering_exit_2(capsys, tmp_path, doc):
     assert payload["error"] == "ParseError"
 
 
+Z2_GROUP = {"kind": "free_abelian", "rank": 2}
+LEX2_DOC = {"group": Z2_GROUP, "ordering": {"type": "flag", "levels": LEX2_LEVELS}}
+
+
+@pytest.mark.parametrize("doc,enumeration,detail", [
+    ({"group": Z2_GROUP, "ordering": {"levels": LEX2_LEVELS}}, None,
+     "ordering part needs a 'type' field"),
+    ({"group": Z2_GROUP, "ordering": {"type": "flag", "levels": []}}, None,
+     "flag ordering needs a nonempty 'levels' list"),
+    ({"group": Z2_GROUP, "ordering": {"type": "dehornoy"}}, None,
+     "the Dehornoy ordering needs a braid group"),
+    ({"group": Z2_GROUP, "ordering": {"type": "lexicographic"}}, None,
+     "unknown ordering type: 'lexicographic'"),
+    ({"group": {"rank": 2}, "ordering": LEX2_DOC["ordering"]}, None,
+     "group object needs a 'kind' field"),
+    ({"group": Z2_GROUP, "ordering": {"type": "flag", "levels": [[5, {}], [{}, {"1": "1"}]]}},
+     None, "constant must be a JSON object, got int"),
+    (LEX2_DOC, {"x1": 1}, "enumeration file must hold a JSON array of expressions"),
+    (LEX2_DOC, ["", 7], "element expression must be a string, got int"),
+], ids=["part-without-type", "empty-levels", "dehornoy-on-lattice", "unknown-type",
+        "group-without-kind", "level-entry-not-object", "enumeration-not-array",
+        "enumeration-entry-not-string"])
+def test_document_refusals_exit_2(capsys, tmp_path, doc, enumeration, detail):
+    path = tmp_path / "ordering.json"
+    path.write_text(json.dumps(doc))
+    argv = ["realize", "--ordering", str(path), "--ball", "1"]
+    if enumeration is not None:
+        argv[-2:] = ["--enumeration", str(tmp_path / "enumeration.json")]
+        (tmp_path / "enumeration.json").write_text(json.dumps(enumeration))
+    payload = run_exit_2(capsys, *argv)
+    assert payload == {"error": "ParseError", "detail": detail}
+
+
+def test_obstruct_tightens_an_upper_bound(capsys):
+    # x^1 y^4 tightens both ends of the interval x^1 y^2 leaves, and its upper
+    # end is the one x^3 y^-1 then contradicts.
+    tight = ["obstruct", "--anchor", "x", "--expr", "x^1 y^2", "--expr", "x^1 y^4"]
+    code, payload = run(capsys, *tight)
+    assert code == 0
+    assert payload == {"outcome": "Feasible", "intervals": {"y": ["-3/4", "1/4"]}}
+    code, payload = run(capsys, *tight, "--expr", "x^3 y^-1")
+    assert code == 0 and payload["outcome"] == "Infeasible"
+    assert sorted((entry["source"], entry["interval"]) for entry in payload["conflict"]) == [
+        ("x^1 y^4", ["-3/4", "1/4"]), ("x^3 y^-1", ["1", "5"])]
+
+
 def run_exit_2(capsys, *argv):
     """Exit 2 with exactly one JSON document (the error) on stdout."""
     code = main(list(argv))

@@ -160,6 +160,19 @@ def test_construct_rejects_bad_pairing():
         construct_from_translations([rc(0), rc(0)], Z2.identity())
 
 
+def test_construct_reports_a_refused_completion_as_a_bug(monkeypatch):
+    # The values' rows raise the rank, and so does each dual functional d_l,
+    # as B d_l = e_l keeps it out of the span of the rows before it: the flag
+    # constructor cannot refuse the completion, so a refusal is a bug.
+    def refuse(levels):
+        raise UnsupportedInput("flag is rank-deficient: some nonzero vector pairs to zero "
+                               "at every level")
+
+    monkeypatch.setattr(FlagOrdering, "create", staticmethod(refuse))
+    with pytest.raises(InvariantViolation, match="rank completion failed: flag is rank-deficient"):
+        construct_from_translations([ONE, SQRT2], el("x1"))
+
+
 def test_construct_round_trip_random():
     rng = random.Random(101)
     for _ in range(100):

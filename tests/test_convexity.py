@@ -310,6 +310,13 @@ def test_nesting_single_subgroup():
     assert nesting_check([ExponentMatrix.parse("0 1")]).passed
 
 
+def test_nesting_names_equal_and_nested_pairs():
+    # <(1, 0)> = <(-1, 0)>, both inside Z^2, and <(2, 0)> inside each of them.
+    report = nesting_check([ExponentMatrix.parse(t) for t in ("1 0", "-1 0", "1 0; 0 1", "2 0")])
+    assert report.passed
+    assert report.relations == ("B1 = B2", "B1 < B3", "B4 < B1", "B2 < B3", "B4 < B2", "B4 < B3")
+
+
 def test_nesting_detects_incomparable():
     report = nesting_check([ExponentMatrix.parse("1 0"), ExponentMatrix.parse("0 1")])
     assert not report.passed

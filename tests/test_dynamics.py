@@ -515,6 +515,28 @@ def test_circle_stratum_sort_matches_the_forest_sort(strands, radius):
             tuple(remainders[i] for i in order)
 
 
+def _nested(k):
+    """"", s2^1..s2^k, s1, s1 s2^-1..s1 s2^-(k-1): on the Dehornoy cone each
+    station falls in the gap the station before it left."""
+    return ["", *(f"s2^{j}" for j in range(1, k + 1)), "s1",
+            *(f"s1 s2^-{j}" for j in range(1, k))]
+
+
+@pytest.mark.parametrize("k,plain_respacings", [(40, 7), (100, 23), (300, None)])
+def test_nested_enumerations_respace_and_sort_as_the_forest_sort(monkeypatch, k, plain_respacings):
+    # Midpoint labels run out on these nestings, so the sort must respace.
+    respace, calls = ordo_dynamics._respace, []
+    monkeypatch.setattr(ordo_dynamics, "_respace", lambda *args: calls.append(args) or respace(*args))
+    plain = DehornoyOrdering.create(3)
+    for cone in (plain, *(act(plain, parse_element(c, B3)) for c in ("s1 s2^-1", "s1^-1"))):
+        elements = [parse_element(e, B3) for e in _nested(k)]
+        calls.clear()
+        _assert_sorts_agree(cone, elements)
+        assert calls, (k, cone)
+        if cone is plain and plain_respacings is not None:
+            assert len(calls) == plain_respacings
+
+
 def test_realize_refuses_an_enumeration_past_the_letter_limit(monkeypatch):
     ball = ball_enumeration(DEHORNOY3, 3)
     letters = sum(len(g.letters) for g in ball)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +194,21 @@ def test_group_refs_of_other_number_types_are_built_as_before():
     twin = GroupRef("braid", 3)
     assert twin == B3 and twin is not B3
     assert parse_element("s1", twin) * parse_element("s2", B3) == parse_element("s1 s2", B3)
+
+
+@pytest.mark.parametrize("build,detail", [
+    (lambda: GroupRef.free_abelian("2"), "free abelian rank must be an int, got str"),
+    (lambda: GroupRef.free_abelian(2.0), "free abelian rank must be an int, got float"),
+    (lambda: GroupRef.braid(3.0), "braid strand count must be an int, got float"),
+    (lambda: GroupRef.braid(Fraction(3)), "braid strand count must be an int, got Fraction"),
+    (lambda: GroupRef("braid", None), "braid strand count must be an int, got NoneType"),
+], ids=["rank-str", "rank-float", "strands-float", "strands-fraction", "strands-none"])
+def test_group_refs_refuse_sizes_that_are_not_ints(build, detail):
+    # "2" raised a raw TypeError; 2.0 and 3.0 built groups whose identity()
+    # raised one.  Bools are ints and stay accepted.
+    with pytest.raises(ParseError) as caught:
+        build()
+    assert str(caught.value) == detail
 
 
 def _message(call):

@@ -41,8 +41,8 @@ from ordo.orderings import (
     ordering_from_json,
     ordering_to_json,
 )
-from ordo.linalg import clear_denominators, integer_kernel_basis, rational_rank
-from ordo.quasimorph import stable_exact
+from ordo.linalg import clear_denominators, integer_kernel_basis, rational_rank, row_hnf
+from ordo.quasimorph import AnchorContext, power_floor, stable_exact
 
 from oracles import (braid_words_up_to, count_kernel_letters_and_words, first_level,
                      generator_first_dots, generator_level_dots, locate, word_sign)
@@ -188,9 +188,12 @@ def test_neither_constructor_builds_a_flag_that_is_not_total(rows):
 
 def test_library_calls_refuse_a_flag_that_is_not_total(monkeypatch):
     # restrict refuses a result that is not total as a bug, not an input: a
-    # total flag restricted to a full-rank basis is total.
+    # total flag restricted to a full-rank basis is total.  Here every level
+    # the restriction builds reads as zero rows, so its rank sweep never
+    # reaches full rank and the constructor refuses it.
     z3 = GroupRef.free_abelian(3)
-    monkeypatch.setattr(FlagOrdering, "is_total", lambda flag: flag.group.rank == 3)
+    monkeypatch.setattr(ordo_orderings, "_level_rows",
+                        lambda level: (1, ((1, (0,) * len(level)),)))
     with pytest.raises(InvariantViolation, match="lost totality"):
         LEX3.restrict([el("x1", z3), el("x2", z3)])
 
@@ -307,6 +310,110 @@ def test_bare_flag_constructor_stores_tuples():
     assert flag.levels == ((R1, R0), (R0, R1))
     assert flag == LEX2 and hash(flag) == hash(LEX2)
     assert {flag: 1}[FlagOrdering.create([[R1, R0], [R0, R1]])] == 1
+
+
+def _level_rows(level):
+    return [clear_denominators([c.coefficient(m) for c in level])
+            for m in sorted({m for c in level for m, _ in c.terms})]
+
+
+def _deciding_levels(rng, rank):
+    """Random levels up to full rank, each raising the rank of the rows before
+    it, by the Hermite form of the stacked rows."""
+    levels, rows = [], []
+    while len(row_hnf(rows)) < rank:
+        level = [_random_constant(rng) for _ in range(rank)]
+        if len(row_hnf(rows + _level_rows(level))) > len(row_hnf(rows)):
+            levels.append(level)
+            rows += _level_rows(level)
+    return levels
+
+
+def _padded(rng, levels, kinds):
+    """The levels with levels that decide no sign inserted: all-zero levels,
+    repeats, rational multiples and sums of earlier levels, and levels after
+    full rank.  `kinds` counts the inserted levels by kind."""
+    out = []
+    for level in levels:
+        if rng.random() < 0.2:
+            out.append([ZERO] * len(level))
+            kinds["zero"] += 1
+        out.append(level)
+        while rng.random() < 0.4:
+            kind = rng.choice(("zero", "repeat", "multiple", "sum"))
+            a, b = rng.choice(out), rng.choice(out)
+            q = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            out.append({"zero": [ZERO] * len(level), "repeat": a,
+                        "multiple": [c.scale(q) for c in a],
+                        "sum": [c + d for c, d in zip(a, b)]}[kind])
+            kinds[kind] += 1
+    for _ in range(rng.randint(1, 2)):
+        out.append([_random_constant(rng) for _ in levels[0]])
+        kinds["past_full_rank"] += 1
+    return out
+
+
+def _answer(call):
+    """A call's value, or its error's type and text."""
+    try:
+        return call()
+    except OrdoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _flag_answers(flag, rng):
+    """Every flag answer the padding must not change, on random inputs from rng."""
+    rank, group = flag.group.rank, flag.group
+    vectors = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(20)]
+    x = LatticeElement(group, tuple(rng.choice([v for v in vectors if any(v)] or [[1] * rank])))
+    elements = [LatticeElement(group, tuple(v)) for v in vectors[:6]]
+    gens = rng.sample(elements, rng.randint(0, 3))
+    ctx = AnchorContext(flag, x, require_cofinal=False)
+    size = rng.randint(1, rank)
+    basis = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(size)]
+    while rational_rank(basis) < size:
+        basis = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(size)]
+    return {
+        "signs": [flag.coords_sign(v) for v in vectors],
+        "floors": [_answer(lambda: power_floor(ctx, h)) for h in elements],
+        "cofinal": (is_cofinal(flag, x), is_cofinal(flag, x, gens)),
+        "stable": [_answer(lambda: stable_exact(flag, x, h)) for h in elements],
+        "dense": is_dense(flag),
+        "sikora": _answer(lambda: sikora_coordinate(flag)) if rank == 2 else None,
+        "restrict": flag.restrict(basis),
+    }
+
+
+def test_levels_that_decide_no_sign_are_dropped_and_change_no_answer():
+    # 500 random total flags, built as drawn and with non-deciding levels
+    # inserted: the two builds are one record and give the same answers, on
+    # the same random inputs.  Each flag keeps at most rank levels.
+    rng = random.Random(35)
+    kinds = collections.Counter()
+    for _ in range(500):
+        rank = rng.randint(1, 4)
+        levels = _deciding_levels(rng, rank)
+        plain = FlagOrdering.create(levels)
+        padded = FlagOrdering.create(_padded(rng, levels, kinds))
+        assert len(plain.levels) == len(levels) <= rank
+        assert padded == plain and hash(padded) == hash(plain), levels
+        assert padded._expansion == plain._expansion
+        seed = rng.random()
+        assert _flag_answers(padded, random.Random(seed)) == \
+            _flag_answers(plain, random.Random(seed)), levels
+    assert min(kinds[k] for k in ("zero", "repeat", "multiple", "sum", "past_full_rank")) > 50, \
+        kinds
+
+
+def test_a_flag_reads_no_level_past_full_rank(monkeypatch):
+    # A rank-2 flag of 100 000 levels, the first already of full rank: its
+    # constructor computes the rows of that one level and keeps only it.
+    level = (ONE, RealConstant.sqrt(2))
+    level_rows, rows = ordo_orderings._level_rows, []
+    monkeypatch.setattr(ordo_orderings, "_level_rows",
+                        lambda level: rows.append(level) or level_rows(level))
+    flag = FlagOrdering.create([level] * 100_000)
+    assert rows == [level] and flag.levels == (level,)
 
 
 def test_restrict_rejects_rank_deficient_basis():

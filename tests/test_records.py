@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ordo
+import ordo.orderings as ordo_orderings
 from ordo.cohmaps import NaturalityReport, RotationClass, SikoraPoint, TranslationValues
 from ordo.convexity import (
     BruteForceResult,
@@ -261,13 +262,14 @@ def _counted(monkeypatch, cls, name):
     return calls
 
 
-def test_the_package_caches_six_attributes_with_cached():
+def test_the_package_caches_four_attributes_with_cached():
     found = {(cls.__name__, name) for module in ("groups", "orderings", "dynamics")
              for cls in vars(getattr(ordo, module)).values() if isinstance(cls, type)
              for name, value in vars(cls).items() if isinstance(value, cached)}
-    assert found == {("BraidWord", "key"), ("FlagOrdering", "_expansion"),
-                     ("FlagOrdering", "_generator_level"), ("RealizationTable", "_forest"),
+    assert found == {("BraidWord", "key"), ("RealizationTable", "_forest"),
                      ("RealizationTable", "_ranked"), ("SampledCircleAction", "_theta_of")}
+    # A flag's level rows are no cache: its constructor stores them with its levels.
+    assert "_expansion" not in vars(FlagOrdering) and "_expansion" in vars(LEX2)
     for path in sorted((Path(ordo.__file__).parent).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -280,14 +282,15 @@ def test_a_cached_attribute_is_computed_once_and_a_preset_value_wins(monkeypatch
     assert word.key == word.key and len(keys) == 1
     preset = parse_element("s2", B3).with_key((9,))
     assert preset.key == (9,) and len(keys) == 1
-    flag = FlagOrdering.lex(3)  # construction reads the expansion once, for totality
-    expansions, levels = (_counted(monkeypatch, FlagOrdering, name)
-                          for name in ("_expansion", "_generator_level"))
-    assert flag._expansion == flag._expansion and not expansions
-    assert flag._generator_level == flag._generator_level == 0 and len(levels) == 1
-    fresh = FlagOrdering.lex(2)  # construction computes the expansion, for totality
-    assert len(expansions) == 1 and fresh._expansion is fresh._expansion
-    assert len(expansions) == 1
+    # A flag's rows are computed by its constructor, once per level read, and
+    # never after; level 0 raises the rank, so some generator is seen there.
+    level_rows, rows = ordo_orderings._level_rows, []
+    monkeypatch.setattr(ordo_orderings, "_level_rows",
+                        lambda level: rows.append(level) or level_rows(level))
+    flag = FlagOrdering.lex(3)
+    assert len(rows) == 3 and flag._expansion is flag._expansion
+    assert flag._expansion == tuple(map(level_rows, flag.levels)) and len(rows) == 3
+    assert min(flag.first_dots(g.coords)[0] for g in flag.group.generators()) == 0
     forests, ranks = (_counted(monkeypatch, RealizationTable, name)
                       for name in ("_forest", "_ranked"))
     table = realize(DEHORNOY3, ball_enumeration(DEHORNOY3, 2))  # realize presets both
