@@ -235,7 +235,7 @@ def stable_exact(flag: FlagOrdering, x: Element, h: Element) -> RealConstant:
     return _exact_ratio(flag, x, flag.first_dots(x.coords), h)
 
 
-def _exact_ratio(flag: FlagOrdering, x: Element, seen_x: tuple | None,
+def _exact_ratio(flag: FlagOrdering, x: Element, seen_x: tuple,
                  h: Element) -> RealConstant:
     """stable_exact from x's ``first_dots`` scan seen_x, as a context holds it:
     <v, h> / <v, x> at x's first level v, as _pairing_dots."""

@@ -312,7 +312,8 @@ def test_bare_flag_constructor_stores_tuples():
     assert {flag: 1}[FlagOrdering.create([[R1, R0], [R0, R1]])] == 1
 
 
-def _level_rows(level):
+def _rational_rows(level):
+    """One integer row per radicand of the level, read from its coefficients."""
     return [clear_denominators([c.coefficient(m) for c in level])
             for m in sorted({m for c in level for m, _ in c.terms})]
 
@@ -323,9 +324,9 @@ def _deciding_levels(rng, rank):
     levels, rows = [], []
     while len(row_hnf(rows)) < rank:
         level = [_random_constant(rng) for _ in range(rank)]
-        if len(row_hnf(rows + _level_rows(level))) > len(row_hnf(rows)):
+        if len(row_hnf(rows + _rational_rows(level))) > len(row_hnf(rows)):
             levels.append(level)
-            rows += _level_rows(level)
+            rows += _rational_rows(level)
     return levels
 
 
